@@ -42,7 +42,6 @@ from .plate import (
     PlatePhase,
     displacement_from_phase,
     phase_from_displacement,
-    phase_via_refraction,
     wrap_phase,
 )
 from .slocc import (
@@ -111,7 +110,6 @@ __all__ = [
     "PlatePhase",
     "displacement_from_phase",
     "phase_from_displacement",
-    "phase_via_refraction",
     "wrap_phase",
     "DeformedPair",
     "PreparationSettings",

@@ -9,8 +9,9 @@ Sections and keys (all optional; scenario defaults fill the rest):
 
 Angles accept a ``deg`` or ``rad`` suffix (bare numbers are radians);
 lengths accept ``m``, ``mm``, ``um`` or ``nm`` (bare numbers are meters).
-Lists are comma separated.  ``dump_config`` writes canonical units (radians
-and meters as bare repr floats), so parse -> dump -> parse is the identity.
+Lists are comma separated; non-finite numbers are rejected.  ``dump_config``
+writes canonical units (radians and meters as bare repr floats), so
+parse -> dump -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -38,20 +39,24 @@ _ANGLE_UNITS = {"deg": math.pi / 180.0, "rad": 1.0}
 _LENGTH_UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9}
 
 
+def _finite(number: str, text: str, kind: str) -> float:
+    try:
+        value = float(number)
+    except ValueError:
+        raise ConfigError(f"cannot parse {kind} value {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{kind} value {text!r} is not finite")
+    return value
+
+
 def _parse_with_units(text: str, units: dict[str, float], kind: str) -> float:
     raw = text.strip()
     for suffix in sorted(units, key=len, reverse=True):
         if raw.endswith(suffix):
             number = raw[: -len(suffix)].strip()
             if number:
-                try:
-                    return float(number) * units[suffix]
-                except ValueError:
-                    raise ConfigError(f"cannot parse {kind} value {text!r}") from None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"cannot parse {kind} value {text!r}") from None
+                return _finite(number, text, kind) * units[suffix]
+    return _finite(raw, text, kind)
 
 
 def parse_angle(text: str) -> float:
@@ -65,10 +70,7 @@ def parse_length(text: str) -> float:
 
 
 def parse_bare(text: str) -> float:
-    try:
-        return float(text.strip())
-    except ValueError:
-        raise ConfigError(f"cannot parse numeric value {text!r}") from None
+    return _finite(text.strip(), text, "numeric")
 
 
 def _parse_list(text: str, item_parser) -> list[float]:
@@ -245,6 +247,8 @@ _DEFAULT_XS = tuple(k * 0.5e-3 for k in range(81))  # 0 .. 40 mm
 _DEFAULT_PS = tuple(k / 10.0 for k in range(11))
 
 DEFAULT_SEED = 42
+_U64_MAX = 2**64 - 1
+_INT64_MAX = 2**63 - 1  # counts are sampled as int64
 DEFAULT_SHOTS = 5000
 DEFAULT_BOOTSTRAP = 1000
 
@@ -268,11 +272,15 @@ def resolve(
     resolved_seed = seed if seed is not None else (
         config.seed if config.seed is not None else DEFAULT_SEED
     )
-    if resolved_seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
+    if not 0 <= resolved_seed <= _U64_MAX:
+        raise ConfigError(
+            f"seed must be an integer in [0, 2**64 - 1], got {resolved_seed}"
+        )
     shots = config.shots if config.shots is not None else DEFAULT_SHOTS
-    if shots < 1:
-        raise ConfigError("shots must be at least 1")
+    if not 1 <= shots <= _INT64_MAX:
+        raise ConfigError(
+            f"shots must be an integer in [1, 2**63 - 1], got {shots}"
+        )
     bootstrap = config.bootstrap if config.bootstrap is not None else DEFAULT_BOOTSTRAP
     if bootstrap < 100:
         raise ConfigError("bootstrap must be at least 100 resamples")
@@ -363,6 +371,11 @@ def resolve(
         plate = PlateGeometry(**plate_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    for x in x_list or ():
+        if abs(x) >= plate.max_displacement:
+            raise ConfigError(
+                f"x {x!r} m outside the plate domain |x| < {plate.max_displacement!r} m"
+            )
 
     return ResolvedConfig(
         scenario=scenario,

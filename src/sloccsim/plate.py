@@ -70,21 +70,6 @@ def phase_from_displacement(x: float, geom: PlateGeometry) -> PlatePhase:
     )
 
 
-def phase_via_refraction(x: float, geom: PlateGeometry) -> float:
-    """The same unwrapped phase computed through the explicit refraction angle.
-
-    Kept as an independent code path: the tilt gives sin(incidence) = x/r,
-    refraction scales it by the index ratio, and the phase follows from the
-    secant of the internal angle.
-    """
-    if abs(x) >= geom.max_displacement:
-        raise ValueError("displacement outside the refraction domain")
-    sin_incident = x / geom.radius
-    sin_refracted = geom.ambient_index * sin_incident / geom.index
-    cos_refracted = math.sqrt(1.0 - sin_refracted * sin_refracted)
-    return geom.phase_scale * (1.0 / cos_refracted - 1.0)
-
-
 def displacement_from_phase(phi_raw: float, geom: PlateGeometry) -> float:
     """Drive displacement (meters) producing the given unwrapped phase."""
     if phi_raw < 0.0:

@@ -3,7 +3,8 @@
 The library computes detection amplitudes through per-particle overlaps; the
 oracle here builds the explicit 16-dimensional labelled two-particle product
 space and takes the bracket directly.  Rotation and expectation oracles use
-plain kron/matmul so they share no code with the shipped operators.
+plain kron/matmul so they share no code with the shipped operators, and the
+plate phase is recomputed through the explicit refraction angle.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from sloccsim import PlateGeometry
 
 # labelled single-particle basis slots: (region, spin)
 SLOTS = {("L", "up"): 0, ("L", "down"): 1, ("R", "up"): 2, ("R", "down"): 3}
@@ -79,3 +82,18 @@ def random_unit_pair(rng: np.random.Generator) -> tuple[complex, complex]:
 def random_real_unit_pair(rng: np.random.Generator) -> tuple[float, float]:
     angle = rng.uniform(0.0, 2.0 * math.pi)
     return math.cos(angle), math.sin(angle)
+
+
+def phase_via_refraction(x: float, geom: PlateGeometry) -> float:
+    """Unwrapped plate phase computed through the explicit refraction angle.
+
+    Independent of the library's closed form: the tilt gives
+    sin(incidence) = x/r, refraction scales it by the index ratio, and the
+    phase follows from the secant of the internal angle.
+    """
+    if abs(x) >= geom.max_displacement:
+        raise ValueError("displacement outside the refraction domain")
+    sin_incident = x / geom.radius
+    sin_refracted = geom.ambient_index * sin_incident / geom.index
+    cos_refracted = math.sqrt(1.0 - sin_refracted * sin_refracted)
+    return geom.phase_scale * (1.0 / cos_refracted - 1.0)

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import sloccsim
 from sloccsim.cli import main
 
 ALL_COMMANDS = (
@@ -143,3 +149,57 @@ def test_degenerate_run_exits_3(tmp_path, capsys):
     code, _, err = run_cli(["mixture-sweep", "--config", config], capsys)
     assert code == 3
     assert "error" in err
+
+
+# case id -> (subcommand, config text, extra CLI arguments)
+OUT_OF_RANGE = {
+    "phi-inf": ("phase-sweep", "[sweep]\nphi_list = inf\n", []),
+    "phi-nan": ("phase-sweep", "[sweep]\nphi_list = nan\n", []),
+    "beta-inf": ("phase-sweep", "[sweep]\nbeta_list = -infdeg\n", []),
+    "x-nan": ("phase-sweep", "[sweep]\nx_list = nanmm\n", []),
+    "p-nan": ("mixture-sweep", "[sweep]\np_list = 0, nan\n", []),
+    "visibility-inf": ("phase-sweep", "[noise]\nvisibility = inf\n", []),
+    "shots-1e20": ("phase-sweep", "[experiment]\nshots = 100000000000000000000\n", []),
+    "shots-2^63": ("counts-demo", "[experiment]\nshots = 9223372036854775808\n", []),
+    "x-beyond-plate": ("phase-sweep", "[sweep]\nx_list = 200mm\n", []),
+    "x-beyond-plate-negative": ("calibrate-plate", "[sweep]\nx_list = 0mm, -160mm\n", []),
+    "seed-flag-huge": ("phase-sweep", "", ["--seed", "123456789012345678901234567890"]),
+    "seed-flag-2^64": ("counts-demo", "", ["--seed", "18446744073709551616"]),
+    "seed-key-2^64": ("counts-demo", "[experiment]\nseed = 18446744073709551616\n", []),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_out_of_range_config_exits_2_before_running(case, tmp_path, capsys):
+    command, body, extra = OUT_OF_RANGE[case]
+    config = quick_config(tmp_path, body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli([command, "--config", config, *extra], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_largest_u64_seed_is_accepted(tmp_path, capsys):
+    config = quick_config(tmp_path, SMALL["counts-demo"])
+    code, _, err = run_cli(
+        ["counts-demo", "--config", config, "--seed", str(2**64 - 1)], capsys
+    )
+    assert code == 0, err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(sloccsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sloccsim.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

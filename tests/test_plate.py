@@ -7,9 +7,10 @@ from sloccsim import (
     PlateGeometry,
     displacement_from_phase,
     phase_from_displacement,
-    phase_via_refraction,
     wrap_phase,
 )
+
+from oracles import phase_via_refraction
 
 GEOM = PlateGeometry()
 
