@@ -325,6 +325,11 @@ def resolve(
         grid = len(beta_list) * len(phi_list or x_list or ())
         if grid < 2:
             raise ConfigError("tomography-demo needs at least two prepared states")
+        if config.sampling == "poisson":
+            raise ConfigError(
+                "tomography-demo samples every setting multinomially; "
+                "sampling = poisson is not supported"
+            )
 
     p_list = tuple(config.p_list) if config.p_list is not None else _DEFAULT_PS
     if not p_list:

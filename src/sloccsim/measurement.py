@@ -33,10 +33,6 @@ ROTATION_PAIR = 0.5 * np.array(
 )
 ROTATION_PAIR.setflags(write=False)
 
-# diag of sigma_z x sigma_z in the fixed basis order
-ZZ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
-ZZ_SIGNS.setflags(write=False)
-
 MIN_SIN_2BETA = 1e-6
 
 
@@ -45,9 +41,16 @@ def apply_rotation(ket: JointKet) -> JointKet:
     return JointKet(ROTATION_PAIR @ ket.amps)
 
 
+def rotate(matrices: np.ndarray) -> np.ndarray:
+    """The two-spin rotation applied by conjugation to a (..., 4, 4) stack."""
+    # not einsum: it rounds differently, and an exact 0 probability turned
+    # into 1e-17 changes how many draws the samplers consume
+    return ROTATION_PAIR @ matrices @ ROTATION_PAIR.conj().T
+
+
 def rotate_density(rho: DensityMatrix4) -> DensityMatrix4:
     """The same two-spin rotation applied by conjugation."""
-    return DensityMatrix4(ROTATION_PAIR @ rho.matrix @ ROTATION_PAIR.conj().T)
+    return DensityMatrix4(rotate(rho.matrix))
 
 
 @dataclass(frozen=True)
@@ -70,17 +73,21 @@ class OutcomeProbs:
         return np.array([self.p13, self.p14, self.p23, self.p24])
 
 
-def outcome_probs(rho: DensityMatrix4) -> OutcomeProbs:
-    """Coincidence probabilities of an already-rotated state (diagonal readout)."""
-    diag = rho.diagonal()
+def readout(rotated: np.ndarray) -> np.ndarray:
+    """Coincidence probabilities (13, 14, 23, 24) of a (..., 4, 4) stack of rotated states."""
+    diag = rotated.diagonal(axis1=-2, axis2=-1).real
     if float(diag.min()) < -PSD_ATOL:
         raise ValueError("density matrix diagonal is negative beyond tolerance")
     clipped = np.clip(diag, 0.0, None)
-    total = float(clipped.sum())
-    if abs(total - 1.0) > 1e-9:
+    total = clipped.sum(axis=-1, keepdims=True)
+    if np.any(np.abs(total - 1.0) > 1e-9):
         raise ValueError("density matrix diagonal does not sum to 1")
-    p = clipped / total
-    return OutcomeProbs(float(p[0]), float(p[1]), float(p[2]), float(p[3]))
+    return clipped / total
+
+
+def outcome_probs(rho: DensityMatrix4) -> OutcomeProbs:
+    """Coincidence probabilities of an already-rotated state (diagonal readout)."""
+    return OutcomeProbs(*(float(p) for p in readout(rho.matrix)))
 
 
 def expectation_zz(rho: DensityMatrix4) -> float:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .errors import DegeneratePhasesError, LowIndistinguishabilityError
 from .measurement import MIN_SIN_2BETA, CoincidenceCounts, bootstrap_zz
-from .slocc import PreparationSettings, prepare_lr
-from .states import TWO_PI, DensityMatrix4, ket_to_density
+from .slocc import PreparationSettings, lr_kets
+from .states import TWO_PI, DensityMatrix4, pure_densities
 
 import numpy as np
 
@@ -40,13 +40,17 @@ class MixtureSpec:
         object.__setattr__(self, "phi2", float(self.phi2) % TWO_PI)
 
 
+def mixed_states(specs) -> np.ndarray:
+    """The matrices of :func:`mixed_state` for a sequence of specs, as an (N, 4, 4) stack."""
+    kets = lr_kets([PreparationSettings(s.beta, phi) for s in specs for phi in (s.phi1, s.phi2)])
+    pairs = pure_densities(kets).reshape(-1, 2, 4, 4)
+    w = np.array([s.weight for s in specs], dtype=np.float64)[:, None, None]
+    return w * pairs[:, 0] + (1.0 - w) * pairs[:, 1]
+
+
 def mixed_state(spec: MixtureSpec) -> DensityMatrix4:
     """w |psi(phi1)><psi(phi1)| + (1 - w) |psi(phi2)><psi(phi2)|."""
-    rho1 = ket_to_density(prepare_lr(PreparationSettings(spec.beta, spec.phi1)))
-    rho2 = ket_to_density(prepare_lr(PreparationSettings(spec.beta, spec.phi2)))
-    return DensityMatrix4(
-        spec.weight * rho1.matrix + (1.0 - spec.weight) * rho2.matrix
-    )
+    return DensityMatrix4(mixed_states([spec])[0])
 
 
 def mixture_expectation(spec: MixtureSpec) -> float:

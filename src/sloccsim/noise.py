@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import AmbiguousFitError
 from .measurement import expectation_zz, rotate_density
-from .slocc import PreparationSettings, prepare_lr
-from .states import DensityMatrix4, ket_to_density
+from .slocc import PreparationSettings, lr_kets
+from .states import DensityMatrix4, pure_densities
 
 WHITE_NOISE = np.eye(4, dtype=np.complex128) / 4.0
 WHITE_NOISE.setflags(write=False)
@@ -56,10 +56,14 @@ def noise_floor(model: NoiseModel) -> np.ndarray:
     return model.white_weight * WHITE_NOISE + model.dephasing_weight * DEPHASED
 
 
+def noisy_states(ideals: np.ndarray, model: NoiseModel) -> np.ndarray:
+    """visibility * ideal + (1 - visibility) * noise floor, over a (..., 4, 4) stack."""
+    return model.visibility * ideals + (1.0 - model.visibility) * noise_floor(model)
+
+
 def noisy_state(ideal: DensityMatrix4, model: NoiseModel) -> DensityMatrix4:
     """visibility * ideal + (1 - visibility) * noise floor."""
-    mixed = model.visibility * ideal.matrix + (1.0 - model.visibility) * noise_floor(model)
-    return DensityMatrix4(mixed)
+    return DensityMatrix4(noisy_states(ideal.matrix, model))
 
 
 def noisy_expectation_scaling(ideal: DensityMatrix4, model: NoiseModel) -> float:
@@ -112,12 +116,12 @@ def fit_noise(
     """
     if len(reconstructions) < 2:
         raise ValueError("need at least two reconstructed states to fit noise")
-    ideals = [ket_to_density(prepare_lr(s)).matrix for _, s in reconstructions]
-    targets = [rec.matrix for rec, _ in reconstructions]
+    ideals = pure_densities(lr_kets([s for _, s in reconstructions]))
+    targets = np.stack([rec.matrix for rec, _ in reconstructions])
 
-    col_vis = np.concatenate([(m - DEPHASED).ravel() for m in ideals])
+    col_vis = (ideals - DEPHASED).ravel()
     col_white = np.tile((WHITE_NOISE - DEPHASED).ravel(), len(ideals))
-    offset = np.concatenate([(m - DEPHASED).ravel() for m in targets])
+    offset = (targets - DEPHASED).ravel()
     columns = np.stack([col_vis, col_white], axis=1)
     design = np.concatenate([columns.real, columns.imag])
     rhs = np.concatenate([offset.real, offset.imag])

@@ -161,6 +161,16 @@ def prepare_lr(settings: PreparationSettings) -> JointKet:
     riding on the statistics parameter, up to a global phase; the success
     probability of that pipeline is 1/2 for every (beta, phi).
     """
-    c = math.cos(settings.beta)
-    s = math.sin(settings.beta)
-    return JointKet([0.0, c, cmath.exp(1j * settings.phi) * s, 0.0])
+    return JointKet(lr_kets([settings])[0])
+
+
+def lr_kets(settings) -> np.ndarray:
+    """prepare_lr's kets for a sequence of PreparationSettings, as an (N, 4) array.
+
+    The trigonometry stays scalar: numpy's vectorised cos/sin may differ in the last bit.
+    """
+    kets = np.zeros((len(settings), 4), dtype=np.complex128)
+    for ket, prep in zip(kets, settings):
+        ket[1] = math.cos(prep.beta)
+        ket[2] = cmath.exp(1j * prep.phi) * math.sin(prep.beta)
+    return kets

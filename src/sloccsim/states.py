@@ -178,27 +178,38 @@ class DensityMatrix4:
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=np.complex128).reshape(4, 4)
-        if not np.allclose(m, m.conj().T, rtol=0.0, atol=ATOL):
-            raise ValueError("density matrix is not Hermitian")
-        tr = complex(m.trace())
-        if abs(tr - 1.0) > ATOL:
-            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-        eigmin = float(np.linalg.eigvalsh(m)[0])
-        if eigmin < -PSD_ATOL:
-            raise ValueError(f"density matrix has negative eigenvalue {eigmin!r}")
+        validate_densities(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal().real.copy()
+
+def validate_densities(matrices: np.ndarray) -> np.ndarray:
+    """Return a (..., 4, 4) stack unchanged if every matrix passes DensityMatrix4's checks."""
+    stack = matrices.reshape(-1, 4, 4)
+    if not np.allclose(stack, stack.conj().swapaxes(1, 2), rtol=0.0, atol=ATOL):
+        raise ValueError("density matrix is not Hermitian")
+    traces = stack.trace(axis1=1, axis2=2)
+    bad = np.abs(traces - 1.0) > ATOL
+    if np.any(bad):
+        raise ValueError(f"density matrix trace is {complex(traces[bad][0])!r}, expected 1")
+    eigmin = np.linalg.eigvalsh(stack)[:, 0]
+    bad = eigmin < -PSD_ATOL
+    if np.any(bad):
+        raise ValueError(f"density matrix has negative eigenvalue {float(eigmin[bad][0])!r}")
+    return matrices
+
+
+def pure_densities(kets: np.ndarray) -> np.ndarray:
+    """Rank-one projectors |k><k| of an (N, 4) stack of unit kets, as (N, 4, 4)."""
+    norm_sq = (kets.conj()[:, None, :] @ kets[:, :, None]).real
+    if np.any(np.abs(norm_sq - 1.0) > 2.0 * NORM_ATOL):
+        raise ValueError("ket_to_density expects a unit ket; call normalize first")
+    return kets[:, :, None] * kets.conj()[:, None, :] / norm_sq
 
 
 def ket_to_density(ket: JointKet) -> DensityMatrix4:
     """Rank-one projector |ket><ket| for a unit-norm ket."""
-    norm_sq = float(np.vdot(ket.amps, ket.amps).real)
-    if abs(norm_sq - 1.0) > 2.0 * NORM_ATOL:
-        raise ValueError("ket_to_density expects a unit ket; call normalize first")
-    return DensityMatrix4(np.outer(ket.amps, ket.amps.conj()) / norm_sq)
+    return DensityMatrix4(pure_densities(ket.amps[None])[0])
 
 
 def fidelity_pure(rho: DensityMatrix4, target: JointKet) -> float:

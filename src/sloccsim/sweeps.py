@@ -1,8 +1,8 @@
 """Experiment drivers: resolved config in, CSV header plus rows out.
 
-Sweep points are independent.  Each point derives its own RNG seeds from
-(run seed, point index) through a SeedSequence, so rows never depend on
-evaluation order and identical configs reproduce identical files.
+A scenario's states form one validated (N, 4, 4) stack.  Each row derives
+its own RNG seeds from (run seed, row index) through a SeedSequence, so rows
+never depend on evaluation order and identical configs reproduce identical files.
 """
 
 from __future__ import annotations
@@ -13,19 +13,19 @@ import numpy as np
 
 from .config import ResolvedConfig
 from .measurement import (
+    OutcomeProbs,
     estimate_phase,
     estimate_zz,
-    expectation_zz,
-    outcome_probs,
-    rotate_density,
+    readout,
+    rotate,
     sample_counts,
 )
-from .mixture import MixtureSpec, estimate_p, mixed_state, mixture_expectation
-from .noise import fit_noise, noisy_state
+from .mixture import MixtureSpec, estimate_p, mixed_states, mixture_expectation
+from .noise import fit_noise, noisy_states
 from .plate import phase_from_displacement
-from .slocc import PreparationSettings, prepare_lr
-from .states import ket_to_density
-from .tomography import extract_params, reconstruct, simulate_tomography
+from .slocc import PreparationSettings, lr_kets
+from .states import pure_densities, validate_densities
+from .tomography import extract_params, invert, sample_sectors, sector_probabilities
 
 
 def point_seeds(seed: int, index: int, count: int = 2) -> list[int]:
@@ -34,10 +34,29 @@ def point_seeds(seed: int, index: int, count: int = 2) -> list[int]:
     return [int(v) for v in sequence.generate_state(count, dtype=np.uint64)]
 
 
-def _phi_values(cfg: ResolvedConfig) -> list[float]:
+def _grid(cfg: ResolvedConfig):
+    """The (beta, phi) rows of a grid scenario, beta outermost, and their noisy states."""
     if cfg.x_list is not None:
-        return [phase_from_displacement(x, cfg.plate).wrapped for x in cfg.x_list]
-    return list(cfg.phi_list)
+        phis = [phase_from_displacement(x, cfg.plate).wrapped for x in cfg.x_list]
+    else:
+        phis = cfg.phi_list
+    grid = [(beta, phi) for beta in cfg.beta_list for phi in phis]
+    kets = lr_kets([PreparationSettings(beta, phi) for beta, phi in grid])
+    return grid, validate_densities(noisy_states(pure_densities(kets), cfg.noise))
+
+
+def _sample(cfg: ResolvedConfig, states: np.ndarray, describe=None):
+    """Rotate and read out the whole stack, then yield each row's (counts, bootstrap seed).
+
+    ``describe(index)`` names the rows of a sweep that estimates from its
+    counts; there a row without a coincidence (Poisson can draw one) ends the run.
+    """
+    for index, probs in enumerate(readout(rotate(states))):
+        count_seed, boot_seed = point_seeds(cfg.seed, index)
+        counts = sample_counts(OutcomeProbs(*probs), cfg.shots, count_seed, mode=cfg.sampling)
+        if describe is not None and counts.total < 1:
+            raise ValueError(f"row {index} ({describe(index)}): cannot estimate from zero counts")
+        yield counts, boot_seed
 
 
 PHASE_SWEEP_HEADER = [
@@ -59,33 +78,31 @@ def run_phase_sweep(cfg: ResolvedConfig):
     Also serves the beta-sweep scenario; the two differ only in which list
     the configuration varies.
     """
-    rows = []
-    index = 0
+    grid, states = _grid(cfg)
     vis = cfg.noise.visibility
-    for beta in cfg.beta_list:
-        for phi in _phi_values(cfg):
-            zz_ideal = math.sin(2.0 * beta) * math.cos(phi)
-            ket = prepare_lr(PreparationSettings(beta, phi))
-            rho = noisy_state(ket_to_density(ket), cfg.noise)
-            probs = outcome_probs(rotate_density(rho))
-            count_seed, boot_seed = point_seeds(cfg.seed, index)
-            counts = sample_counts(probs, cfg.shots, count_seed, mode=cfg.sampling)
-            zz_hat = estimate_zz(counts)
-            est = estimate_phase(zz_hat, beta, vis, counts, cfg.bootstrap, boot_seed)
-            rows.append(
-                [
-                    math.degrees(beta),
-                    phi,
-                    math.cos(phi),
-                    zz_ideal,
-                    vis * zz_ideal,
-                    zz_hat,
-                    est.zz_sigma,
-                    est.phi_hat,
-                    est.sigma,
-                ]
-            )
-            index += 1
+
+    def describe(index):
+        beta, phi = grid[index]
+        return f"beta {math.degrees(beta):.12g} deg, phi {phi:.12g} rad"
+
+    rows = []
+    for (beta, phi), (counts, boot_seed) in zip(grid, _sample(cfg, states, describe)):
+        zz_ideal = math.sin(2.0 * beta) * math.cos(phi)
+        zz_hat = estimate_zz(counts)
+        est = estimate_phase(zz_hat, beta, vis, counts, cfg.bootstrap, boot_seed)
+        rows.append(
+            [
+                math.degrees(beta),
+                phi,
+                math.cos(phi),
+                zz_ideal,
+                vis * zz_ideal,
+                zz_hat,
+                est.zz_sigma,
+                est.phi_hat,
+                est.sigma,
+            ]
+        )
     return PHASE_SWEEP_HEADER, rows
 
 
@@ -106,13 +123,11 @@ def run_mixture_sweep(cfg: ResolvedConfig):
     beta = cfg.beta_list[0]
     phi1, phi2 = cfg.phi_list
     vis = cfg.noise.visibility
+    specs = [MixtureSpec(weight=p, phi1=phi1, phi2=phi2, beta=beta) for p in cfg.p_list]
+    states = validate_densities(noisy_states(mixed_states(specs), cfg.noise))
+    sampled = _sample(cfg, states, lambda i: f"p {cfg.p_list[i]:.12g}")
     rows = []
-    for index, p in enumerate(cfg.p_list):
-        spec = MixtureSpec(weight=p, phi1=phi1, phi2=phi2, beta=beta)
-        rho = noisy_state(mixed_state(spec), cfg.noise)
-        probs = outcome_probs(rotate_density(rho))
-        count_seed, boot_seed = point_seeds(cfg.seed, index)
-        counts = sample_counts(probs, cfg.shots, count_seed, mode=cfg.sampling)
+    for p, spec, (counts, boot_seed) in zip(cfg.p_list, specs, sampled):
         zz_hat = estimate_zz(counts)
         est = estimate_p(zz_hat, phi1, phi2, beta, vis, counts, cfg.bootstrap, boot_seed)
         rows.append(
@@ -147,27 +162,20 @@ COUNTS_HEADER = ["beta_deg", "phi_rad", "n13", "n14", "n23", "n24", "total"]
 
 def run_counts_demo(cfg: ResolvedConfig):
     """Raw coincidence tallies per (beta, phi)."""
+    grid, states = _grid(cfg)
     rows = []
-    index = 0
-    for beta in cfg.beta_list:
-        for phi in _phi_values(cfg):
-            ket = prepare_lr(PreparationSettings(beta, phi))
-            rho = noisy_state(ket_to_density(ket), cfg.noise)
-            probs = outcome_probs(rotate_density(rho))
-            (count_seed,) = point_seeds(cfg.seed, index, count=1)
-            counts = sample_counts(probs, cfg.shots, count_seed, mode=cfg.sampling)
-            rows.append(
-                [
-                    math.degrees(beta),
-                    phi,
-                    counts.n13,
-                    counts.n14,
-                    counts.n23,
-                    counts.n24,
-                    counts.total,
-                ]
-            )
-            index += 1
+    for (beta, phi), (counts, _) in zip(grid, _sample(cfg, states)):
+        rows.append(
+            [
+                math.degrees(beta),
+                phi,
+                counts.n13,
+                counts.n14,
+                counts.n23,
+                counts.n24,
+                counts.total,
+            ]
+        )
     return COUNTS_HEADER, rows
 
 
@@ -190,26 +198,18 @@ def run_tomography_demo(cfg: ResolvedConfig):
     The fitted visibility and white weight are repeated on every row so the
     file stays flat.
     """
-    prepared = []
-    index = 0
-    for beta in cfg.beta_list:
-        for phi in _phi_values(cfg):
-            ket = prepare_lr(PreparationSettings(beta, phi))
-            rho = noisy_state(ket_to_density(ket), cfg.noise)
-            (tomo_seed,) = point_seeds(cfg.seed, index, count=1)
-            data = simulate_tomography(rho, cfg.shots, tomo_seed)
-            rho_hat = reconstruct(data)
-            params = extract_params(rho_hat)
-            prepared.append((beta, phi, rho_hat, params))
-            index += 1
+    grid, states = _grid(cfg)
+    tables = [
+        sample_sectors(probs, cfg.shots, *point_seeds(cfg.seed, index, count=1))
+        for index, probs in enumerate(sector_probabilities(states))
+    ]
+    rho_hats = invert(np.stack(tables))
+    extracted = [extract_params(rho_hat) for rho_hat in rho_hats]
     fitted = fit_noise(
-        [
-            (rho_hat, PreparationSettings(params.beta, params.phi))
-            for _, _, rho_hat, params in prepared
-        ]
+        [(rho_hat, PreparationSettings(p.beta, p.phi)) for rho_hat, p in zip(rho_hats, extracted)]
     )
     rows = []
-    for beta, phi, rho_hat, params in prepared:
+    for (beta, phi), rho_hat, params in zip(grid, rho_hats, extracted):
         row = [
             math.degrees(beta),
             phi,
@@ -219,11 +219,7 @@ def run_tomography_demo(cfg: ResolvedConfig):
             fitted.visibility,
             fitted.white_weight,
         ]
-        for i in range(4):
-            for j in range(4):
-                row.append(float(rho_hat.matrix[i, j].real))
-                row.append(float(rho_hat.matrix[i, j].imag))
-        rows.append(row)
+        rows.append(row + list(rho_hat.matrix.view(np.float64).ravel()))  # re, im interleaved
     return TOMOGRAPHY_HEADER, rows
 
 

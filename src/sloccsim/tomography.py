@@ -28,26 +28,24 @@ PAULI = {
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
 }
 
-# eigenvectors for the +1 and -1 outcomes of each axis
-_EIGVECS = {
-    "X": (
-        np.array([_SQRT_HALF, _SQRT_HALF], dtype=np.complex128),
-        np.array([_SQRT_HALF, -_SQRT_HALF], dtype=np.complex128),
-    ),
-    "Y": (
-        np.array([_SQRT_HALF, 1.0j * _SQRT_HALF], dtype=np.complex128),
-        np.array([_SQRT_HALF, -1.0j * _SQRT_HALF], dtype=np.complex128),
-    ),
-    "Z": (
-        np.array([1.0, 0.0], dtype=np.complex128),
-        np.array([0.0, 1.0], dtype=np.complex128),
-    ),
-}
-
 AXES = ("X", "Y", "Z")
 
-# joint outcome sectors, ordered (++, +-, -+, --)
-OUTCOME_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+# eigenvectors for the +1 and -1 outcomes, indexed (axis, outcome, amplitude)
+_EIGVECS = np.array(
+    [
+        [[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]],
+        [[_SQRT_HALF, 1.0j * _SQRT_HALF], [_SQRT_HALF, -1.0j * _SQRT_HALF]],
+        [[1.0, 0.0], [0.0, 1.0]],
+    ],
+    dtype=np.complex128,
+)
+
+# The projection ket of every joint outcome, indexed (setting, sector,
+# amplitude): settings row-major over AXES, sectors ordered (++, +-, -+, --).
+SECTOR_KETS = (
+    _EIGVECS[:, None, :, None, :, None] * _EIGVECS[None, :, None, :, None, :]
+).reshape(9, 4, 4)
+SECTOR_KETS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -67,15 +65,28 @@ def all_settings() -> tuple[PauliSetting, ...]:
     return tuple(PauliSetting(a, b) for a in AXES for b in AXES)
 
 
+_EYE2 = np.eye(2, dtype=np.complex128)
+# The operators of the linear inversion, in the order their terms are summed:
+# single-side terms axis by axis (left, then right), then the nine correlators.
+PAULI_BASIS = np.array(
+    [op for axis in AXES for op in (np.kron(PAULI[axis], _EYE2), np.kron(_EYE2, PAULI[axis]))]
+    + [np.kron(PAULI[left], PAULI[right]) for left in AXES for right in AXES]
+)
+PAULI_BASIS.setflags(write=False)
+
+
+def sector_probabilities(matrices: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of all nine settings for a (..., 4, 4) stack, as (..., 9, 4)."""
+    kets = SECTOR_KETS[..., None]
+    weights = (kets.conj().swapaxes(-1, -2) @ (matrices[..., None, None, :, :] @ kets)).real
+    probs = np.maximum(weights[..., 0, 0], 0.0)
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
 def setting_probabilities(rho: DensityMatrix4, setting: PauliSetting) -> np.ndarray:
     """Probabilities of the four joint outcomes, in (++, +-, -+, --) order."""
-    left_vecs = _EIGVECS[setting.left]
-    right_vecs = _EIGVECS[setting.right]
-    probs = np.empty(4)
-    for k, (sl, sr) in enumerate(OUTCOME_SIGNS):
-        vec = np.kron(left_vecs[0 if sl > 0 else 1], right_vecs[0 if sr > 0 else 1])
-        probs[k] = max(float(np.real(np.vdot(vec, rho.matrix @ vec))), 0.0)
-    return probs / probs.sum()
+    index = 3 * AXES.index(setting.left) + AXES.index(setting.right)
+    return sector_probabilities(rho.matrix)[index]
 
 
 @dataclass(frozen=True)
@@ -104,25 +115,25 @@ class TomographyData:
         return float(self.counts[setting].sum())
 
 
+def sample_sectors(probs: np.ndarray, shots_per_setting: int, seed: int) -> np.ndarray:
+    """Multinomial tallies of one state's (9, 4) sector probabilities, one RNG stream."""
+    if shots_per_setting < 1:
+        raise ValueError("shots_per_setting must be at least 1")
+    rng = np.random.default_rng(seed)
+    return rng.multinomial(shots_per_setting, probs).astype(np.float64)
+
+
 def simulate_tomography(
     rho: DensityMatrix4, shots_per_setting: int, seed: int
 ) -> TomographyData:
     """Multinomial outcome tallies for all nine settings, one RNG stream."""
-    if shots_per_setting < 1:
-        raise ValueError("shots_per_setting must be at least 1")
-    rng = np.random.default_rng(seed)
-    counts = {}
-    for setting in all_settings():
-        probs = setting_probabilities(rho, setting)
-        counts[setting] = rng.multinomial(shots_per_setting, probs).astype(np.float64)
-    return TomographyData(counts)
+    counts = sample_sectors(sector_probabilities(rho.matrix), shots_per_setting, seed)
+    return TomographyData(dict(zip(all_settings(), counts)))
 
 
 def exact_tomography_data(rho: DensityMatrix4) -> TomographyData:
     """Infinite-shot data: exact outcome probabilities as weights."""
-    return TomographyData(
-        {setting: setting_probabilities(rho, setting) for setting in all_settings()}
-    )
+    return TomographyData(dict(zip(all_settings(), sector_probabilities(rho.matrix))))
 
 
 def _simplex_projection(values: np.ndarray) -> np.ndarray:
@@ -153,6 +164,24 @@ def _project_physical(matrix: np.ndarray) -> DensityMatrix4:
     return DensityMatrix4((vecs * vals) @ vecs.conj().T)
 
 
+def invert(tables: np.ndarray) -> list[DensityMatrix4]:
+    """Linear inversion of (N, 9, 4) outcome weights over the Pauli basis, then projection.
+
+    Correlators come straight from each setting; a single-side term is the
+    mean of its marginal over the three partner axes.
+    """
+    p = tables / tables.sum(axis=-1, keepdims=True)
+    p0, p1, p2, p3 = np.moveaxis(p, -1, 0)
+    left = (p0 + p1 - p2 - p3).reshape(-1, 3, 3).mean(axis=2)
+    right = (p0 + p2 - p1 - p3).reshape(-1, 3, 3).mean(axis=1)
+    corr = p0 - p1 - p2 + p3
+    coeffs = np.concatenate([np.stack([left, right], axis=2).reshape(-1, 6), corr], axis=1)
+    acc = np.tile(np.eye(4, dtype=np.complex128), (len(p), 1, 1))
+    for c, op in zip(coeffs.T, PAULI_BASIS):
+        acc += c[:, None, None] * op
+    return [_project_physical(m) for m in acc / 4.0]
+
+
 def reconstruct(data: TomographyData) -> DensityMatrix4:
     """Linear inversion over the Pauli basis, then the physicality projection.
 
@@ -162,28 +191,7 @@ def reconstruct(data: TomographyData) -> DensityMatrix4:
     missing = [s for s in all_settings() if s not in data.counts]
     if missing:
         raise ValueError(f"missing settings: {missing}")
-
-    corr = {}
-    left_marginals = {axis: [] for axis in AXES}
-    right_marginals = {axis: [] for axis in AXES}
-    for setting in all_settings():
-        weights = data.counts[setting]
-        p = weights / weights.sum()
-        corr[(setting.left, setting.right)] = float(
-            sum(sl * sr * p[k] for k, (sl, sr) in enumerate(OUTCOME_SIGNS))
-        )
-        left_marginals[setting.left].append(float(p[0] + p[1] - p[2] - p[3]))
-        right_marginals[setting.right].append(float(p[0] + p[2] - p[1] - p[3]))
-
-    eye2 = np.eye(2, dtype=np.complex128)
-    acc = np.eye(4, dtype=np.complex128)
-    for axis in AXES:
-        acc += float(np.mean(left_marginals[axis])) * np.kron(PAULI[axis], eye2)
-        acc += float(np.mean(right_marginals[axis])) * np.kron(eye2, PAULI[axis])
-    for left in AXES:
-        for right in AXES:
-            acc += corr[(left, right)] * np.kron(PAULI[left], PAULI[right])
-    return _project_physical(acc / 4.0)
+    return invert(np.stack([data.counts[s] for s in all_settings()])[None])[0]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -166,6 +167,8 @@ OUT_OF_RANGE = {
     "seed-flag-huge": ("phase-sweep", "", ["--seed", "123456789012345678901234567890"]),
     "seed-flag-2^64": ("counts-demo", "", ["--seed", "18446744073709551616"]),
     "seed-key-2^64": ("counts-demo", "[experiment]\nseed = 18446744073709551616\n", []),
+    # tomography always samples multinomially, so the key would be ignored
+    "tomography-poisson": ("tomography-demo", "[experiment]\nsampling = poisson\n", []),
 }
 
 
@@ -181,6 +184,28 @@ def test_out_of_range_config_exits_2_before_running(case, tmp_path, capsys):
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, row_pattern",
+    [
+        ("phase-sweep", r"beta \S+ deg, phi \S+ rad"),
+        ("beta-sweep", r"beta \S+ deg, phi \S+ rad"),
+        ("mixture-sweep", r"p \S+"),
+    ],
+)
+def test_empty_poisson_row_exits_3_naming_the_row(command, row_pattern, tmp_path, capsys):
+    # one expected coincidence per row: some Poisson rows record none
+    config = quick_config(
+        tmp_path, "[experiment]\nshots = 1\nsampling = poisson\nbootstrap = 100\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli([command, "--config", config], capsys)
+    assert code == 3
+    assert out == ""
+    pattern = rf"error: row \d+ \({row_pattern}\): cannot estimate from zero counts\n"
+    assert re.fullmatch(pattern, err), err
 
 
 def test_largest_u64_seed_is_accepted(tmp_path, capsys):

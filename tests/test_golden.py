@@ -6,6 +6,7 @@ purpose regenerates only the digests it affects and says why in CHANGES.md.
 """
 
 import hashlib
+import math
 
 import pytest
 
@@ -13,6 +14,29 @@ from sloccsim.cli import main
 
 POISSON = "[experiment]\nsampling = poisson\n"
 X_LIST = "[sweep]\nx_list = 0mm, 2.5mm, 5mm, 10mm, 20mm, 30mm\n"
+
+
+def _floats(values):
+    # bare numbers are radians and meters; repr keeps every float exact
+    return ", ".join(repr(v) for v in values)
+
+
+# The large grids of the benchmark's in-process workload, at the default seed.
+_DEG = math.pi / 180.0
+_GRID_BETAS = _floats(k * 5 * _DEG for k in range(1, 18))  # 17 betas, 5 .. 85 deg
+PHASE_GRID = (
+    "[experiment]\nshots = 5000\nbootstrap = 1000\n[sweep]\n"
+    f"beta_list = {_GRID_BETAS}\nphi_list = {_floats(k * math.pi / 36 for k in range(37))}\n"
+)
+TOMOGRAPHY_GRID = (
+    "[experiment]\nshots = 2000\n[sweep]\n"
+    f"beta_list = {_floats(k * 10 * _DEG for k in range(1, 9))}\n"
+    f"phi_list = {_floats(k * math.pi / 12 for k in range(25))}\n"
+)
+COUNTS_GRID = (
+    "[experiment]\nshots = 100000\nsampling = poisson\n[sweep]\n"
+    f"beta_list = {_GRID_BETAS}\nx_list = {_floats(k * 0.5e-3 for k in range(81))}\n"
+)
 
 # case id -> (CLI arguments, config text or None, sha256 of the CSV)
 GOLDEN = {
@@ -35,14 +59,17 @@ GOLDEN = {
     "counts-demo-x_list": (["counts-demo"], X_LIST, "5d15bf54c0bcfbb41bade41f1dee563aefd886b15dea3b31599b7f76fbf05a08"),
     "tomography-demo-default": (["tomography-demo"], None, "438b49f9f0ccf305566439660295fcb49de5ba2cf0830913be17ad8dadddbf3f"),
     "tomography-demo-ideal": (["tomography-demo", "--ideal"], None, "9aefded5e48fb2ec85364fedd5525d52387a2608378aee666b552394f61b12a7"),
-    "tomography-demo-poisson": (["tomography-demo"], POISSON, "438b49f9f0ccf305566439660295fcb49de5ba2cf0830913be17ad8dadddbf3f"),
     "tomography-demo-x_list": (["tomography-demo"], X_LIST, "60661d5b336b814d9f01ac878233507769dd400adfe0d546592e3715dfd00b0c"),
     # seed 2 puts the unconstrained noise-fit optimum outside the physical
     # triangle, so this digest pins the bounded (edge) path of fit_noise
     "tomography-demo-ideal-seed2": (["tomography-demo", "--ideal", "--seed", "2"], None, "897d6d3805942d12a4954904d7095912308bb55c9d6a561a873e244d9d3570c6"),
+    "phase-sweep-grid-17x37": (["phase-sweep"], PHASE_GRID, "6912e2ae2cab9cca2db5c512f44f6c04a8fb3b5bc5caaf5faf16b4c6b1d3e241"),
+    "tomography-demo-grid-8x25": (["tomography-demo"], TOMOGRAPHY_GRID, "61b00c950209eaa9b6537b876f459e960195fb8501efaadb731251e51621a71b"),
+    "counts-demo-grid-poisson-17x81": (["counts-demo"], COUNTS_GRID, "15368101a13a2f5a07971a3a6e77a756efb40c3494ac0572cb8c688633e0bd7c"),
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_csv_digest(case, tmp_path, capsys):
     args, config, digest = GOLDEN[case]
