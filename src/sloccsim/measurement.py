@@ -63,10 +63,11 @@ class OutcomeProbs:
     p24: float
 
     def __post_init__(self) -> None:
-        vals = self.as_array()
-        if np.any(vals < 0.0) or np.any(vals > 1.0):
+        # plain floats: one object per sampled row, and a NaN fails the range test
+        vals = (self.p13, self.p14, self.p23, self.p24)
+        if not all(0.0 <= v <= 1.0 for v in vals):
             raise ValueError("outcome probabilities must lie in [0, 1]")
-        if abs(float(vals.sum()) - 1.0) > ATOL:
+        if abs(sum(vals) - 1.0) > ATOL:
             raise ValueError("outcome probabilities must sum to 1")
 
     def as_array(self) -> np.ndarray:
@@ -153,11 +154,38 @@ def estimate_zz(counts: CoincidenceCounts) -> float:
 
 
 def bootstrap_zz(counts: CoincidenceCounts, n_boot: int, seed: int) -> np.ndarray:
-    """Resampled correlation estimates: multinomial redraws at the empirical rates."""
-    empirical = counts.as_array() / counts.total
+    """Resampled correlation estimates at the empirical rates.
+
+    zz depends on the tallies only through same = n13 + n24, and under a
+    multinomial redraw of all four channels same is Bin(total, same / total);
+    one binomial draw per resample therefore gives exactly the multinomial
+    bootstrap's distribution.
+    """
     rng = np.random.default_rng(seed)
-    draws = rng.multinomial(counts.total, empirical, size=n_boot)
-    return (draws[:, 0] + draws[:, 3] - draws[:, 1] - draws[:, 2]) / counts.total
+    same = rng.binomial(counts.total, (counts.n13 + counts.n24) / counts.total, size=n_boot)
+    # same - (total - same) stays inside int64; 2 * same leaves it for totals above 2**62
+    return (same - (counts.total - same)) / counts.total
+
+
+def correlation_scale(
+    beta: float, visibility: float, counts: CoincidenceCounts, n_boot: int, noun: str
+) -> float:
+    """visibility * sin(2 beta), after the input checks the phase and weight estimators share.
+
+    ``noun`` names what the correlation would carry in the sin(2 beta) message.
+    """
+    sin_2b = math.sin(2.0 * beta)
+    if sin_2b <= MIN_SIN_2BETA:
+        raise LowIndistinguishabilityError(
+            f"sin(2*beta) <= 1e-6: the correlation carries no {noun} information"
+        )
+    if not 0.0 < visibility <= 1.0:
+        raise ValueError("visibility must lie in (0, 1]")
+    if n_boot < 100:
+        raise ValueError("need at least 100 bootstrap resamples")
+    if counts.total < 1:
+        raise ValueError("counts are empty")
+    return visibility * sin_2b
 
 
 @dataclass(frozen=True)
@@ -192,7 +220,7 @@ def estimate_phase(
     counts : CoincidenceCounts
         Tallies behind zz_hat, resampled to propagate shot noise.
     n_boot : int
-        Number of multinomial resamples, at least 100.
+        Number of bootstrap resamples, at least 100.
     seed : int
         RNG seed for the resampling stream.
 
@@ -202,18 +230,7 @@ def estimate_phase(
         phi_hat is the arccos of the clamped ratio; sigma is the sample
         standard deviation of the resampled phases.
     """
-    sin_2b = math.sin(2.0 * beta)
-    if sin_2b <= MIN_SIN_2BETA:
-        raise LowIndistinguishabilityError(
-            "sin(2*beta) <= 1e-6: the correlation carries no phase information"
-        )
-    if not 0.0 < visibility <= 1.0:
-        raise ValueError("visibility must lie in (0, 1]")
-    if n_boot < 100:
-        raise ValueError("need at least 100 bootstrap resamples")
-    if counts.total < 1:
-        raise ValueError("counts are empty")
-    scale = visibility * sin_2b
+    scale = correlation_scale(beta, visibility, counts, n_boot, "phase")
     ratio = zz_hat / scale
     clamped = abs(ratio) > 1.0
     phi_hat = math.acos(min(1.0, max(-1.0, ratio)))

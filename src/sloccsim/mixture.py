@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegeneratePhasesError, LowIndistinguishabilityError
-from .measurement import MIN_SIN_2BETA, CoincidenceCounts, bootstrap_zz
+from .errors import DegeneratePhasesError
+from .measurement import CoincidenceCounts, bootstrap_zz, correlation_scale
 from .slocc import PreparationSettings, lr_kets
-from .states import TWO_PI, DensityMatrix4, pure_densities
+from .states import DensityMatrix4, canonical_phase, pure_densities
 
 import numpy as np
 
@@ -36,8 +36,8 @@ class MixtureSpec:
             raise ValueError(f"weight must lie in [0, 1], got {self.weight!r}")
         if not 0.0 <= self.beta <= math.pi / 2 + 1e-12:
             raise ValueError(f"beta must lie in [0, pi/2], got {self.beta!r}")
-        object.__setattr__(self, "phi1", float(self.phi1) % TWO_PI)
-        object.__setattr__(self, "phi2", float(self.phi2) % TWO_PI)
+        object.__setattr__(self, "phi1", canonical_phase(self.phi1))
+        object.__setattr__(self, "phi2", canonical_phase(self.phi2))
 
 
 def mixed_states(specs) -> np.ndarray:
@@ -82,25 +82,14 @@ def estimate_p(
 
     The point estimate is (zz / (visibility * sin 2 beta) - cos phi2) divided
     by the cosine contrast; sigma is the sample standard deviation of the
-    same inversion applied to multinomial resamples of the counts.
+    same inversion applied to bootstrap resamples of the counts.
     """
     contrast = math.cos(phi1) - math.cos(phi2)
     if abs(contrast) <= MIN_COS_CONTRAST:
         raise DegeneratePhasesError(
             "cos(phi1) equals cos(phi2); the weight does not affect the signal"
         )
-    sin_2b = math.sin(2.0 * beta)
-    if sin_2b <= MIN_SIN_2BETA:
-        raise LowIndistinguishabilityError(
-            "sin(2*beta) <= 1e-6: the correlation carries no weight information"
-        )
-    if not 0.0 < visibility <= 1.0:
-        raise ValueError("visibility must lie in (0, 1]")
-    if n_boot < 100:
-        raise ValueError("need at least 100 bootstrap resamples")
-    if counts.total < 1:
-        raise ValueError("counts are empty")
-    scale = visibility * sin_2b
+    scale = correlation_scale(beta, visibility, counts, n_boot, "weight")
     cos2 = math.cos(phi2)
     p_raw = (zz_hat / scale - cos2) / contrast
     zz_res = bootstrap_zz(counts, n_boot, seed)

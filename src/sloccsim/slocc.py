@@ -19,13 +19,13 @@ import numpy as np
 from .errors import DegenerateStateError, PostSelectionError
 from .states import (
     ATOL,
-    TWO_PI,
     DetectionMode,
     JointKet,
     Pseudospin,
     Region,
     SingleParticleState,
     StatisticsParameter,
+    canonical_phase,
     joint_amplitude,
 )
 
@@ -151,7 +151,7 @@ class PreparationSettings:
         if not 0.0 <= beta <= math.pi / 2 + ATOL:
             raise ValueError(f"beta must lie in [0, pi/2], got {beta!r}")
         object.__setattr__(self, "beta", min(beta, math.pi / 2))
-        object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
+        object.__setattr__(self, "phi", canonical_phase(self.phi))
 
 
 def prepare_lr(settings: PreparationSettings) -> JointKet:

@@ -33,6 +33,15 @@ NORM_ATOL = 1e-9  # input normalisation guard; internally produced kets hold 1e-
 TWO_PI = 2.0 * math.pi
 
 
+def canonical_phase(x: float) -> float:
+    """x reduced into [0, 2*pi), so that reducing twice equals reducing once.
+
+    A bare ``x % TWO_PI`` rounds a tiny negative x up to exactly ``TWO_PI``.
+    """
+    phi = float(x) % TWO_PI
+    return 0.0 if phi == TWO_PI else phi
+
+
 class Pseudospin(IntEnum):
     """Internal two-level label; UP maps to H, DOWN to V, globally fixed."""
 
@@ -70,7 +79,7 @@ class StatisticsParameter:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
+        object.__setattr__(self, "phi", canonical_phase(self.phi))
 
     @property
     def eta(self) -> complex:

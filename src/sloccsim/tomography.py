@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ExtractionError
 from .slocc import PreparationSettings, prepare_lr
-from .states import TWO_PI, DensityMatrix4, fidelity_pure
+from .states import DensityMatrix4, canonical_phase, fidelity_pure
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -219,7 +219,7 @@ def extract_params(rho_hat: DensityMatrix4) -> ExtractedParams:
     beta = math.atan2(math.sqrt(pop_du), math.sqrt(pop_ud))
     coherence = complex(m[2, 1])  # carries exp(+i phi)
     low_coherence = abs(coherence) < 1e-6
-    phi = 0.0 if low_coherence else cmath.phase(coherence) % TWO_PI
+    phi = 0.0 if low_coherence else canonical_phase(cmath.phase(coherence))
     ideal = prepare_lr(PreparationSettings(beta, phi))
     return ExtractedParams(
         phi=phi,

@@ -5,7 +5,9 @@ oracle here builds the explicit 16-dimensional labelled two-particle product
 space and takes the bracket directly.  Rotation and expectation oracles use
 plain kron/matmul so they share no code with the shipped operators, and the
 plate phase is recomputed through the explicit refraction angle.  The
-tomography references are the per-setting kron loop and the dict-accumulating
+multinomial bootstrap is the four-channel redraw that the binomial one
+replaced; the two agree in distribution, not in bits.  The tomography
+references are the per-setting kron loop and the dict-accumulating
 inversion that the stacked library code replaced; they must agree bit for bit.
 """
 
@@ -104,6 +106,13 @@ def phase_via_refraction(x: float, geom: PlateGeometry) -> float:
     return geom.phase_scale * (1.0 / cos_refracted - 1.0)
 
 
+def bootstrap_zz_multinomial(counts, n_boot: int, seed: int) -> np.ndarray:
+    """Correlation resamples from multinomial redraws of all four channels."""
+    empirical = counts.as_array() / counts.total
+    draws = np.random.default_rng(seed).multinomial(counts.total, empirical, size=n_boot)
+    return (draws[:, 0] + draws[:, 3] - draws[:, 1] - draws[:, 2]) / counts.total
+
+
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 AXES = ("X", "Y", "Z")
 PAULI = {
@@ -167,8 +176,11 @@ def linear_inversion_oracle(table: np.ndarray) -> np.ndarray:
 def pure_density_oracle(beta: float, phi: float) -> np.ndarray:
     """|psi><psi| of the prepared state, with PreparationSettings' clamp and phase reduction."""
     beta = min(beta, math.pi / 2)
+    phi = phi % (2.0 * math.pi)
+    if phi == 2.0 * math.pi:  # a tiny negative phase rounds up to 2*pi; it means 0
+        phi = 0.0
     amps = np.array(
-        [0.0, math.cos(beta), cmath.exp(1j * (phi % (2.0 * math.pi))) * math.sin(beta), 0.0],
+        [0.0, math.cos(beta), cmath.exp(1j * phi) * math.sin(beta), 0.0],
         dtype=np.complex128,
     )
     return np.outer(amps, amps.conj()) / float(np.vdot(amps, amps).real)

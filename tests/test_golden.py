@@ -40,16 +40,16 @@ COUNTS_GRID = (
 
 # case id -> (CLI arguments, config text or None, sha256 of the CSV)
 GOLDEN = {
-    "phase-sweep-default": (["phase-sweep"], None, "a1812153522cbb9a9e9f233d922b020014f48f2c00e89aa57f51810cc775d912"),
-    "phase-sweep-ideal": (["phase-sweep", "--ideal"], None, "02856cd90a497e7c8bc506a8d9cde90ec94fb7d75166822ab28ec9487f2211a4"),
-    "phase-sweep-poisson": (["phase-sweep"], POISSON, "369a812332df31c3b8f5322eed82b70c605a994e29cb6fe8740f08d67c4e4573"),
-    "phase-sweep-x_list": (["phase-sweep"], X_LIST, "709dbe38f85fc120bc46ad4fe986ed76b97e7fc44a21114b043adc76f2a595bd"),
-    "beta-sweep-default": (["beta-sweep"], None, "fadb98b7107b666c45aa2b790c727f9f756ad2707a9486de4e1cba98d5e9a36d"),
-    "beta-sweep-ideal": (["beta-sweep", "--ideal"], None, "6ea43c3dfccf318588546546e2960811f0d96a77962a385af55e26bc0dbc0104"),
-    "beta-sweep-poisson": (["beta-sweep"], POISSON, "3a5c23ec4744aeeff4843b79b007ed2af7e7caf8707f8769907f3b6b4487c12d"),
-    "mixture-sweep-default": (["mixture-sweep"], None, "7553b1925a1bdba3ff0942b49ff83fba53a213a65d46a77a5a4efaf1051a6cde"),
-    "mixture-sweep-ideal": (["mixture-sweep", "--ideal"], None, "eb5fc5e8e5084b3cc7bdf2c4732feb7780994fb94042e92864769d0caa43fd67"),
-    "mixture-sweep-poisson": (["mixture-sweep"], POISSON, "9b67f18bce526b022ca6efc7859e4f44694ab2cf011b7d8d2b8aedee01fc0b26"),
+    "phase-sweep-default": (["phase-sweep"], None, "fff77be64be6a6604c500ed0f12c50b4f36018d0e2b9218a21fc23e2e82ddc1c"),
+    "phase-sweep-ideal": (["phase-sweep", "--ideal"], None, "d0c3239f8feddbe817452e74d535cbd40f8e945418f29f5632cb512515c2909a"),
+    "phase-sweep-poisson": (["phase-sweep"], POISSON, "5d66fa0c5d6028d3053826a7ccc5fd1ec8d2bdf047ae455aaad17f39bf4624a5"),
+    "phase-sweep-x_list": (["phase-sweep"], X_LIST, "c02b031fe68888fa6106d4d1d7933bd9385c1387ebd706e94ac5285208096050"),
+    "beta-sweep-default": (["beta-sweep"], None, "98caf7a43c11beee783cbe47c788b78c6a472efe0bb0e2ccbc733ea7a24b1f3e"),
+    "beta-sweep-ideal": (["beta-sweep", "--ideal"], None, "7a4a909c4ebbd6f7347b868c50f07b7c90f0d038ce761b6af48762b7a75db9cf"),
+    "beta-sweep-poisson": (["beta-sweep"], POISSON, "0c98983028e0a4aa757a6fd3b3bc00870edf8d51356d03776d80479e3b7497d6"),
+    "mixture-sweep-default": (["mixture-sweep"], None, "b47737bbaf66fe3dae8af389838f370b8a3e5a6728d3e60d0b1d64cef8ae74c6"),
+    "mixture-sweep-ideal": (["mixture-sweep", "--ideal"], None, "ff280faad0dcd8479ffcae9d0321e38f83d2a5a4b9b6e08cebf1a9233edddba1"),
+    "mixture-sweep-poisson": (["mixture-sweep"], POISSON, "3085803b501d4005d1272c56aa0d75da95fb0aab33ecc55b89b58e08bbb706fa"),
     "calibrate-plate-default": (["calibrate-plate"], None, "7b555e566fcb8bb2def89b8e2a94cb93857dddc5965ad67ea809a679e9e9dafe"),
     "calibrate-plate-ideal": (["calibrate-plate", "--ideal"], None, "7b555e566fcb8bb2def89b8e2a94cb93857dddc5965ad67ea809a679e9e9dafe"),
     "calibrate-plate-poisson": (["calibrate-plate"], POISSON, "7b555e566fcb8bb2def89b8e2a94cb93857dddc5965ad67ea809a679e9e9dafe"),
@@ -63,7 +63,7 @@ GOLDEN = {
     # seed 2 puts the unconstrained noise-fit optimum outside the physical
     # triangle, so this digest pins the bounded (edge) path of fit_noise
     "tomography-demo-ideal-seed2": (["tomography-demo", "--ideal", "--seed", "2"], None, "897d6d3805942d12a4954904d7095912308bb55c9d6a561a873e244d9d3570c6"),
-    "phase-sweep-grid-17x37": (["phase-sweep"], PHASE_GRID, "6912e2ae2cab9cca2db5c512f44f6c04a8fb3b5bc5caaf5faf16b4c6b1d3e241"),
+    "phase-sweep-grid-17x37": (["phase-sweep"], PHASE_GRID, "dbf61ae69503131a9b8e03a767c412a1287b6c86eefebd20ac022eaf1f95520f"),
     "tomography-demo-grid-8x25": (["tomography-demo"], TOMOGRAPHY_GRID, "61b00c950209eaa9b6537b876f459e960195fb8501efaadb731251e51621a71b"),
     "counts-demo-grid-poisson-17x81": (["counts-demo"], COUNTS_GRID, "15368101a13a2f5a07971a3a6e77a756efb40c3494ac0572cb8c688633e0bd7c"),
 }

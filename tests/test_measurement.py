@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sloccsim import (
     CoincidenceCounts,
@@ -10,6 +12,7 @@ from sloccsim import (
     OutcomeProbs,
     PreparationSettings,
     apply_rotation,
+    estimate_p,
     estimate_phase,
     estimate_zz,
     expectation_zz,
@@ -22,7 +25,7 @@ from sloccsim import (
 from sloccsim.measurement import ROTATION_PAIR, ROTATION_SINGLE, bootstrap_zz
 from sloccsim.states import DensityMatrix4
 
-from oracles import expectation_oracle, rotation_matrix_by_kron
+from oracles import bootstrap_zz_multinomial, expectation_oracle, rotation_matrix_by_kron
 
 SQ2 = math.sqrt(0.5)
 
@@ -74,10 +77,16 @@ def test_outcome_probs_of_rotated_bell():
 
 
 def test_outcome_probs_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
         OutcomeProbs(0.5, 0.5, 0.2, -0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must sum to 1"):
         OutcomeProbs(0.5, 0.5, 0.5, 0.5)
+
+
+def test_outcome_probs_rejects_nan():
+    # a NaN compares false both ways, so it must fail the range test itself
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        OutcomeProbs(math.nan, 0.5, 0.25, 0.25)
 
 
 def test_expectation_matches_trace_oracle():
@@ -165,6 +174,71 @@ def test_bootstrap_zz_shape_and_determinism():
     assert np.all(np.abs(a) <= 1.0)
 
 
+@pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 1.0])
+def test_binomial_bootstrap_matches_multinomial_moments(q):
+    # zz* = 2 S*/N - 1 with S* ~ Bin(N, q): mean 2q - 1, sd 2 sqrt(q(1 - q)/N)
+    total, n_boot = 1000, 200_000
+    same = round(q * total)
+    other = total - same
+    counts = CoincidenceCounts.from_channels(same - same // 3, other // 4, other - other // 4, same // 3)
+    mean = 2.0 * q - 1.0
+    sd = 2.0 * math.sqrt(q * (1.0 - q) / total)
+    for sample in (
+        bootstrap_zz(counts, n_boot, seed=11),
+        bootstrap_zz_multinomial(counts, n_boot, seed=12),
+    ):
+        if sd == 0.0:
+            assert np.all(sample == mean)
+            continue
+        # standard error of a sample sd: sd * sqrt((excess kurtosis + 2) / (4 n))
+        kurtosis = (1.0 - 6.0 * q * (1.0 - q)) / (total * q * (1.0 - q))
+        assert abs(sample.mean() - mean) <= 6.0 * sd / math.sqrt(n_boot)
+        assert abs(sample.std(ddof=1) - sd) <= 6.0 * sd * math.sqrt((kurtosis + 2.0) / (4 * n_boot))
+
+
+channel = st.integers(0, 10**6)
+seeds = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    channels=st.tuples(channel, channel, channel, channel).filter(lambda c: sum(c) > 0),
+    n_boot=st.integers(1, 300),
+    seed=seeds,
+)
+def test_bootstrap_resamples_lie_on_the_count_lattice(channels, n_boot, seed):
+    counts = CoincidenceCounts.from_channels(*channels)
+    total = counts.total
+    resamples = bootstrap_zz(counts, n_boot, seed)
+    k = np.rint((resamples + 1.0) * total / 2.0)
+    assert np.all((k >= 0) & (k <= total))
+    assert np.array_equal(resamples, (2.0 * k - total) / total)
+    assert np.array_equal(resamples, bootstrap_zz(counts, n_boot, seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pair=st.tuples(channel, channel).filter(lambda c: sum(c) > 0),
+    all_same=st.booleans(),
+    seed=seeds,
+)
+def test_bootstrap_is_exact_when_one_channel_pair_is_empty(pair, all_same, seed):
+    a, b = pair
+    if all_same:  # q = 1
+        counts, zz = CoincidenceCounts.from_channels(a, 0, 0, b), 1.0
+    else:  # q = 0
+        counts, zz = CoincidenceCounts.from_channels(0, a, b, 0), -1.0
+    assert np.all(bootstrap_zz(counts, 200, seed) == zz)
+
+
+def test_bootstrap_does_not_overflow_at_the_largest_total():
+    # totals near 2**63: every resample stays exact and inside [-1, 1]
+    counts = CoincidenceCounts(2**62, 0, 0, 2**62 - 1, total=2**63 - 1)
+    assert np.all(bootstrap_zz(counts, 100, seed=1) == 1.0)
+    counts = CoincidenceCounts(2**61, 2**61, 2**61, 2**61 - 1, total=2**63 - 1)
+    assert np.all(np.abs(bootstrap_zz(counts, 100, seed=1)) < 1e-6)
+
+
 def test_estimate_phase_recovers_known_phase():
     beta = math.pi / 4
     for phi in (0.3, 1.1, 2.5):
@@ -206,3 +280,25 @@ def test_estimate_phase_rejects_bad_inputs():
         estimate_phase(0.5, math.pi / 4, 1.5, counts)
     with pytest.raises(ValueError):
         estimate_phase(0.5, math.pi / 4, 1.0, counts, n_boot=10)
+
+
+@pytest.mark.parametrize(
+    "change, error, message",
+    [
+        ({"beta": 0.0}, LowIndistinguishabilityError, "sin(2*beta) <= 1e-6: the correlation carries no {} information"),
+        ({"visibility": 0.0}, ValueError, "visibility must lie in (0, 1]"),
+        ({"visibility": 1.5}, ValueError, "visibility must lie in (0, 1]"),
+        ({"n_boot": 99}, ValueError, "need at least 100 bootstrap resamples"),
+        ({"counts": CoincidenceCounts.from_channels(0, 0, 0, 0)}, ValueError, "counts are empty"),
+    ],
+)
+def test_phase_and_weight_estimators_share_input_checks(change, error, message):
+    args = {"beta": math.pi / 4, "visibility": 1.0, "n_boot": 100}
+    args["counts"] = CoincidenceCounts.from_channels(10, 10, 10, 10)
+    args.update(change)
+    with pytest.raises(error) as phase:
+        estimate_phase(0.5, **args)
+    with pytest.raises(error) as weight:
+        estimate_p(0.5, 0.0, math.pi, **args)
+    assert str(phase.value) == message.format("phase")
+    assert str(weight.value) == message.format("weight")

@@ -46,8 +46,8 @@ def noisy_stack(grid, visibility, white):
     return noisy_states(pure_densities(kets), model)
 
 
-# A tiny negative phase reduces modulo 2*pi to exactly 2*pi, which a second
-# reduction would turn into 0: the stack must reduce as often as the chain did.
+# A tiny negative phase reduces modulo 2*pi to exactly 2*pi under a bare %;
+# the canonical reduction maps it to 0 wherever a phase is stored.
 @settings(max_examples=60, deadline=None)
 @given(grid=points, visibility=unit, white=unit)
 @example(grid=[(1.0, -1e-300), (math.pi / 2, 2 * math.pi)], visibility=1.0, white=0.5)

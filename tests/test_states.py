@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sloccsim import (
     DegenerateStateError,
     DensityMatrix4,
     DetectionMode,
     JointKet,
+    MixtureSpec,
+    PreparationSettings,
     Pseudospin,
     Region,
     SingleParticleState,
@@ -18,7 +22,8 @@ from sloccsim import (
     ket_to_density,
     normalize,
 )
-from sloccsim.states import basis_index
+from sloccsim.states import TWO_PI, basis_index, canonical_phase
+from sloccsim.tomography import extract_params
 
 from oracles import fidelity_oracle, labelled_bracket, labelled_single, random_unit_pair
 
@@ -48,6 +53,28 @@ def test_statistics_parameter_canonical_range():
     assert StatisticsParameter.fermionic().eta == pytest.approx(-1.0)
     for phi in np.linspace(0.0, 6.0, 17):
         assert abs(abs(StatisticsParameter(phi).eta) - 1.0) <= 1e-12
+
+
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+@example(x=-1e-300)
+@example(x=-0.0)
+@example(x=TWO_PI)
+def test_canonical_phase_is_in_range_and_idempotent(x):
+    phi = canonical_phase(x)
+    assert 0.0 <= phi < TWO_PI
+    assert canonical_phase(phi) == phi
+
+
+def test_tiny_negative_phases_are_stored_as_zero():
+    # a bare -1e-300 % (2 pi) is exactly 2 pi
+    assert StatisticsParameter(-1e-300).phi == 0.0
+    assert PreparationSettings(0.3, -1e-300).phi == 0.0
+    spec = MixtureSpec(weight=0.5, phi1=-1e-300, phi2=-1e-300, beta=0.3)
+    assert (spec.phi1, spec.phi2) == (0.0, 0.0)
+    coherence = complex(0.5, -1e-300)  # argument -1e-300
+    rho = np.diag([0.0, 0.5, 0.5, 0.0]).astype(np.complex128)
+    rho[2, 1], rho[1, 2] = coherence, coherence.conjugate()
+    assert extract_params(DensityMatrix4(rho)).phi == 0.0
 
 
 def test_single_particle_state_requires_normalisation():
