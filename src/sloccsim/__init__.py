@@ -69,11 +69,9 @@ from .states import (
 )
 from .tomography import (
     ExtractedParams,
-    PauliSetting,
-    TomographyData,
-    exact_tomography_data,
     extract_params,
     reconstruct,
+    setting_probabilities,
     simulate_tomography,
 )
 
@@ -131,11 +129,9 @@ __all__ = [
     "ket_to_density",
     "normalize",
     "ExtractedParams",
-    "PauliSetting",
-    "TomographyData",
-    "exact_tomography_data",
     "extract_params",
     "reconstruct",
+    "setting_probabilities",
     "simulate_tomography",
     "__version__",
 ]

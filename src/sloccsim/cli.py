@@ -3,8 +3,10 @@
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical or
 degenerate-input failures.  Output goes to stdout unless --out names a file;
 a relative --out is placed under $SLOCCSIM_OUT_DIR when that variable is
-set.  The subcommand decides the scenario; a scenario key in the config
-file is validated but does not override it.
+set.  An --out that cannot be written (a directory, or a path under a
+regular file) is a configuration problem: one ``config error: cannot write``
+line and exit 2.  The subcommand decides the scenario; a scenario key in the
+config file is validated but does not override it.
 """
 
 from __future__ import annotations
@@ -92,6 +94,10 @@ def main(argv=None) -> int:
     if target is None:
         sys.stdout.write(text)
     else:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(text, encoding="utf-8")
+        try:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"config error: cannot write {target}: {exc}", file=sys.stderr)
+            return 2
     return 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .noise import NoiseModel
@@ -395,7 +395,3 @@ def resolve(
         noise=noise,
         plate=plate,
     )
-
-
-def config_fields() -> tuple[str, ...]:
-    return tuple(f.name for f in fields(ExperimentConfig))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LowIndistinguishabilityError
-from .states import ATOL, PSD_ATOL, DensityMatrix4, JointKet
+from .states import ATOL, PSD_ATOL, JointKet
 
 ROTATION_SINGLE = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
@@ -41,16 +41,11 @@ def apply_rotation(ket: JointKet) -> JointKet:
     return JointKet(ROTATION_PAIR @ ket.amps)
 
 
-def rotate(matrices: np.ndarray) -> np.ndarray:
+def rotate_density(matrices: np.ndarray) -> np.ndarray:
     """The two-spin rotation applied by conjugation to a (..., 4, 4) stack."""
     # not einsum: it rounds differently, and an exact 0 probability turned
     # into 1e-17 changes how many draws the samplers consume
     return ROTATION_PAIR @ matrices @ ROTATION_PAIR.conj().T
-
-
-def rotate_density(rho: DensityMatrix4) -> DensityMatrix4:
-    """The same two-spin rotation applied by conjugation."""
-    return DensityMatrix4(rotate(rho.matrix))
 
 
 @dataclass(frozen=True)
@@ -74,8 +69,11 @@ class OutcomeProbs:
         return np.array([self.p13, self.p14, self.p23, self.p24])
 
 
-def readout(rotated: np.ndarray) -> np.ndarray:
-    """Coincidence probabilities (13, 14, 23, 24) of a (..., 4, 4) stack of rotated states."""
+def outcome_probs(rotated: np.ndarray) -> np.ndarray:
+    """Coincidence probabilities (13, 14, 23, 24) of a (..., 4, 4) stack of rotated states.
+
+    Wrap one state's row as ``OutcomeProbs(*row)`` to sample it.
+    """
     diag = rotated.diagonal(axis1=-2, axis2=-1).real
     if float(diag.min()) < -PSD_ATOL:
         raise ValueError("density matrix diagonal is negative beyond tolerance")
@@ -86,15 +84,10 @@ def readout(rotated: np.ndarray) -> np.ndarray:
     return clipped / total
 
 
-def outcome_probs(rho: DensityMatrix4) -> OutcomeProbs:
-    """Coincidence probabilities of an already-rotated state (diagonal readout)."""
-    return OutcomeProbs(*(float(p) for p in readout(rho.matrix)))
-
-
-def expectation_zz(rho: DensityMatrix4) -> float:
-    """<sigma_z x sigma_z> of an already-rotated state: p13 + p24 - p14 - p23."""
-    p = outcome_probs(rho)
-    return p.p13 + p.p24 - p.p14 - p.p23
+def expectation_zz(rotated: np.ndarray) -> np.ndarray:
+    """<sigma_z x sigma_z> of already-rotated states: p13 + p24 - p14 - p23."""
+    p = outcome_probs(rotated)
+    return p[..., 0] + p[..., 3] - p[..., 1] - p[..., 2]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import DegeneratePhasesError
 from .measurement import CoincidenceCounts, bootstrap_zz, correlation_scale
 from .slocc import PreparationSettings, lr_kets
-from .states import DensityMatrix4, canonical_phase, pure_densities
+from .states import canonical_phase, ket_to_density
 
 import numpy as np
 
@@ -40,17 +40,12 @@ class MixtureSpec:
         object.__setattr__(self, "phi2", canonical_phase(self.phi2))
 
 
-def mixed_states(specs) -> np.ndarray:
-    """The matrices of :func:`mixed_state` for a sequence of specs, as an (N, 4, 4) stack."""
+def mixed_state(specs) -> np.ndarray:
+    """w |psi(phi1)><psi(phi1)| + (1 - w) |psi(phi2)><psi(phi2)| for each spec, as (N, 4, 4)."""
     kets = lr_kets([PreparationSettings(s.beta, phi) for s in specs for phi in (s.phi1, s.phi2)])
-    pairs = pure_densities(kets).reshape(-1, 2, 4, 4)
+    pairs = ket_to_density(kets).reshape(-1, 2, 4, 4)
     w = np.array([s.weight for s in specs], dtype=np.float64)[:, None, None]
     return w * pairs[:, 0] + (1.0 - w) * pairs[:, 1]
-
-
-def mixed_state(spec: MixtureSpec) -> DensityMatrix4:
-    """w |psi(phi1)><psi(phi1)| + (1 - w) |psi(phi2)><psi(phi2)|."""
-    return DensityMatrix4(mixed_states([spec])[0])
 
 
 def mixture_expectation(spec: MixtureSpec) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import AmbiguousFitError
 from .measurement import expectation_zz, rotate_density
 from .slocc import PreparationSettings, lr_kets
-from .states import DensityMatrix4, pure_densities
+from .states import DensityMatrix4, ket_to_density
 
 WHITE_NOISE = np.eye(4, dtype=np.complex128) / 4.0
 WHITE_NOISE.setflags(write=False)
@@ -56,27 +56,22 @@ def noise_floor(model: NoiseModel) -> np.ndarray:
     return model.white_weight * WHITE_NOISE + model.dephasing_weight * DEPHASED
 
 
-def noisy_states(ideals: np.ndarray, model: NoiseModel) -> np.ndarray:
+def noisy_state(ideals: np.ndarray, model: NoiseModel) -> np.ndarray:
     """visibility * ideal + (1 - visibility) * noise floor, over a (..., 4, 4) stack."""
     return model.visibility * ideals + (1.0 - model.visibility) * noise_floor(model)
 
 
-def noisy_state(ideal: DensityMatrix4, model: NoiseModel) -> DensityMatrix4:
-    """visibility * ideal + (1 - visibility) * noise floor."""
-    return DensityMatrix4(noisy_states(ideal.matrix, model))
-
-
-def noisy_expectation_scaling(ideal: DensityMatrix4, model: NoiseModel) -> float:
-    """Correlation of the rotated noisy state, checked against the scaling law.
+def noisy_expectation_scaling(ideals: np.ndarray, model: NoiseModel) -> np.ndarray:
+    """Correlations of the rotated noisy states, checked against the scaling law.
 
     The result must equal visibility times the ideal correlation because the
     noise floor is invisible to the rotated z-basis readout.  A violation
     would mean the fixed operators were edited inconsistently, so it raises
     instead of returning silently.
     """
-    noisy = expectation_zz(rotate_density(noisy_state(ideal, model)))
-    reference = model.visibility * expectation_zz(rotate_density(ideal))
-    if abs(noisy - reference) > 1e-12:
+    noisy = expectation_zz(rotate_density(noisy_state(ideals, model)))
+    reference = model.visibility * expectation_zz(rotate_density(ideals))
+    if np.any(np.abs(noisy - reference) > 1e-12):
         raise RuntimeError("visibility scaling law violated; operators inconsistent")
     return noisy
 
@@ -116,7 +111,7 @@ def fit_noise(
     """
     if len(reconstructions) < 2:
         raise ValueError("need at least two reconstructed states to fit noise")
-    ideals = pure_densities(lr_kets([s for _, s in reconstructions]))
+    ideals = ket_to_density(lr_kets([s for _, s in reconstructions]))
     targets = np.stack([rec.matrix for rec, _ in reconstructions])
 
     col_vis = (ideals - DEPHASED).ravel()

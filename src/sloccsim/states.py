@@ -208,17 +208,12 @@ def validate_densities(matrices: np.ndarray) -> np.ndarray:
     return matrices
 
 
-def pure_densities(kets: np.ndarray) -> np.ndarray:
-    """Rank-one projectors |k><k| of an (N, 4) stack of unit kets, as (N, 4, 4)."""
-    norm_sq = (kets.conj()[:, None, :] @ kets[:, :, None]).real
+def ket_to_density(kets: np.ndarray) -> np.ndarray:
+    """Rank-one projectors |k><k| of a (..., 4) stack of unit kets, as (..., 4, 4)."""
+    norm_sq = (kets.conj()[..., None, :] @ kets[..., :, None]).real
     if np.any(np.abs(norm_sq - 1.0) > 2.0 * NORM_ATOL):
         raise ValueError("ket_to_density expects a unit ket; call normalize first")
-    return kets[:, :, None] * kets.conj()[:, None, :] / norm_sq
-
-
-def ket_to_density(ket: JointKet) -> DensityMatrix4:
-    """Rank-one projector |ket><ket| for a unit-norm ket."""
-    return DensityMatrix4(pure_densities(ket.amps[None])[0])
+    return kets[..., :, None] * kets.conj()[..., None, :] / norm_sq
 
 
 def fidelity_pure(rho: DensityMatrix4, target: JointKet) -> float:

@@ -16,16 +16,16 @@ from .measurement import (
     OutcomeProbs,
     estimate_phase,
     estimate_zz,
-    readout,
-    rotate,
+    outcome_probs,
+    rotate_density,
     sample_counts,
 )
-from .mixture import MixtureSpec, estimate_p, mixed_states, mixture_expectation
-from .noise import fit_noise, noisy_states
+from .mixture import MixtureSpec, estimate_p, mixed_state, mixture_expectation
+from .noise import fit_noise, noisy_state
 from .plate import phase_from_displacement
 from .slocc import PreparationSettings, lr_kets
-from .states import pure_densities, validate_densities
-from .tomography import extract_params, invert, sample_sectors, sector_probabilities
+from .states import ket_to_density, validate_densities
+from .tomography import extract_params, reconstruct, setting_probabilities, simulate_tomography
 
 
 def point_seeds(seed: int, index: int, count: int = 2) -> list[int]:
@@ -42,7 +42,7 @@ def _grid(cfg: ResolvedConfig):
         phis = cfg.phi_list
     grid = [(beta, phi) for beta in cfg.beta_list for phi in phis]
     kets = lr_kets([PreparationSettings(beta, phi) for beta, phi in grid])
-    return grid, validate_densities(noisy_states(pure_densities(kets), cfg.noise))
+    return grid, validate_densities(noisy_state(ket_to_density(kets), cfg.noise))
 
 
 def _sample(cfg: ResolvedConfig, states: np.ndarray, describe=None):
@@ -51,7 +51,7 @@ def _sample(cfg: ResolvedConfig, states: np.ndarray, describe=None):
     ``describe(index)`` names the rows of a sweep that estimates from its
     counts; there a row without a coincidence (Poisson can draw one) ends the run.
     """
-    for index, probs in enumerate(readout(rotate(states))):
+    for index, probs in enumerate(outcome_probs(rotate_density(states))):
         count_seed, boot_seed = point_seeds(cfg.seed, index)
         counts = sample_counts(OutcomeProbs(*probs), cfg.shots, count_seed, mode=cfg.sampling)
         if describe is not None and counts.total < 1:
@@ -124,7 +124,7 @@ def run_mixture_sweep(cfg: ResolvedConfig):
     phi1, phi2 = cfg.phi_list
     vis = cfg.noise.visibility
     specs = [MixtureSpec(weight=p, phi1=phi1, phi2=phi2, beta=beta) for p in cfg.p_list]
-    states = validate_densities(noisy_states(mixed_states(specs), cfg.noise))
+    states = validate_densities(noisy_state(mixed_state(specs), cfg.noise))
     sampled = _sample(cfg, states, lambda i: f"p {cfg.p_list[i]:.12g}")
     rows = []
     for p, spec, (counts, boot_seed) in zip(cfg.p_list, specs, sampled):
@@ -200,10 +200,10 @@ def run_tomography_demo(cfg: ResolvedConfig):
     """
     grid, states = _grid(cfg)
     tables = [
-        sample_sectors(probs, cfg.shots, *point_seeds(cfg.seed, index, count=1))
-        for index, probs in enumerate(sector_probabilities(states))
+        simulate_tomography(probs, cfg.shots, *point_seeds(cfg.seed, index, count=1))
+        for index, probs in enumerate(setting_probabilities(states))
     ]
-    rho_hats = invert(np.stack(tables))
+    rho_hats = reconstruct(np.stack(tables))
     extracted = [extract_params(rho_hat) for rho_hat in rho_hats]
     fitted = fit_noise(
         [(rho_hat, PreparationSettings(p.beta, p.phi)) for rho_hat, p in zip(rho_hats, extracted)]

@@ -48,23 +48,6 @@ SECTOR_KETS = (
 SECTOR_KETS.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class PauliSetting:
-    """One measurement setting: a Pauli axis per side."""
-
-    left: str
-    right: str
-
-    def __post_init__(self) -> None:
-        if self.left not in AXES or self.right not in AXES:
-            raise ValueError(f"axes must be in {AXES}, got {self.left!r}, {self.right!r}")
-
-
-def all_settings() -> tuple[PauliSetting, ...]:
-    """The nine settings in fixed row-major order."""
-    return tuple(PauliSetting(a, b) for a in AXES for b in AXES)
-
-
 _EYE2 = np.eye(2, dtype=np.complex128)
 # The operators of the linear inversion, in the order their terms are summed:
 # single-side terms axis by axis (left, then right), then the nine correlators.
@@ -75,65 +58,23 @@ PAULI_BASIS = np.array(
 PAULI_BASIS.setflags(write=False)
 
 
-def sector_probabilities(matrices: np.ndarray) -> np.ndarray:
-    """Outcome probabilities of all nine settings for a (..., 4, 4) stack, as (..., 9, 4)."""
+def setting_probabilities(matrices: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of all nine settings for a (..., 4, 4) stack, as (..., 9, 4).
+
+    Settings run row-major over AXES (XX, XY, ..., ZZ), sectors (++, +-, -+, --).
+    """
     kets = SECTOR_KETS[..., None]
     weights = (kets.conj().swapaxes(-1, -2) @ (matrices[..., None, None, :, :] @ kets)).real
     probs = np.maximum(weights[..., 0, 0], 0.0)
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def setting_probabilities(rho: DensityMatrix4, setting: PauliSetting) -> np.ndarray:
-    """Probabilities of the four joint outcomes, in (++, +-, -+, --) order."""
-    index = 3 * AXES.index(setting.left) + AXES.index(setting.right)
-    return sector_probabilities(rho.matrix)[index]
-
-
-@dataclass(frozen=True)
-class TomographyData:
-    """Per-setting outcome weights in sector order (++, +-, -+, --).
-
-    Weights are integer counts for sampled data; exact probabilities fit the
-    same container for infinite-shot reconstructions.
-    """
-
-    counts: dict[PauliSetting, np.ndarray]
-
-    def __post_init__(self) -> None:
-        cleaned = {}
-        for setting, values in self.counts.items():
-            arr = np.array(values, dtype=np.float64).reshape(4)
-            if np.any(arr < 0.0):
-                raise ValueError("outcome weights must be nonnegative")
-            if float(arr.sum()) <= 0.0:
-                raise ValueError(f"setting {setting} has zero total weight")
-            arr.setflags(write=False)
-            cleaned[setting] = arr
-        object.__setattr__(self, "counts", cleaned)
-
-    def total(self, setting: PauliSetting) -> float:
-        return float(self.counts[setting].sum())
-
-
-def sample_sectors(probs: np.ndarray, shots_per_setting: int, seed: int) -> np.ndarray:
-    """Multinomial tallies of one state's (9, 4) sector probabilities, one RNG stream."""
+def simulate_tomography(probs: np.ndarray, shots_per_setting: int, seed: int) -> np.ndarray:
+    """Multinomial tallies of one state's (9, 4) setting probabilities, one RNG stream."""
     if shots_per_setting < 1:
         raise ValueError("shots_per_setting must be at least 1")
     rng = np.random.default_rng(seed)
     return rng.multinomial(shots_per_setting, probs).astype(np.float64)
-
-
-def simulate_tomography(
-    rho: DensityMatrix4, shots_per_setting: int, seed: int
-) -> TomographyData:
-    """Multinomial outcome tallies for all nine settings, one RNG stream."""
-    counts = sample_sectors(sector_probabilities(rho.matrix), shots_per_setting, seed)
-    return TomographyData(dict(zip(all_settings(), counts)))
-
-
-def exact_tomography_data(rho: DensityMatrix4) -> TomographyData:
-    """Infinite-shot data: exact outcome probabilities as weights."""
-    return TomographyData(dict(zip(all_settings(), sector_probabilities(rho.matrix))))
 
 
 def _simplex_projection(values: np.ndarray) -> np.ndarray:
@@ -164,13 +105,25 @@ def _project_physical(matrix: np.ndarray) -> DensityMatrix4:
     return DensityMatrix4((vecs * vals) @ vecs.conj().T)
 
 
-def invert(tables: np.ndarray) -> list[DensityMatrix4]:
+def reconstruct(tables: np.ndarray) -> list[DensityMatrix4]:
     """Linear inversion of (N, 9, 4) outcome weights over the Pauli basis, then projection.
 
-    Correlators come straight from each setting; a single-side term is the
-    mean of its marginal over the three partner axes.
+    Weights are counts for sampled data or exact probabilities, in the
+    layout of :func:`setting_probabilities`.  Correlators come straight from
+    each setting; a single-side term is the mean of its marginal over the
+    three partner axes.  Exact on infinite-shot data; on sampled data the
+    inversion may leave the PSD cone, which the final projection repairs.
     """
-    p = tables / tables.sum(axis=-1, keepdims=True)
+    tables = np.asarray(tables, dtype=np.float64)
+    if tables.ndim != 3 or tables.shape[1:] != (9, 4):
+        raise ValueError(f"outcome weights must have shape (N, 9, 4), got {tables.shape}")
+    if np.any(tables < 0.0):
+        raise ValueError("outcome weights must be nonnegative")
+    totals = tables.sum(axis=-1, keepdims=True)
+    if np.any(totals <= 0.0):
+        _, setting, _ = np.argwhere(totals <= 0.0)[0]
+        raise ValueError(f"setting {AXES[setting // 3]}{AXES[setting % 3]} has zero total weight")
+    p = tables / totals
     p0, p1, p2, p3 = np.moveaxis(p, -1, 0)
     left = (p0 + p1 - p2 - p3).reshape(-1, 3, 3).mean(axis=2)
     right = (p0 + p2 - p1 - p3).reshape(-1, 3, 3).mean(axis=1)
@@ -180,18 +133,6 @@ def invert(tables: np.ndarray) -> list[DensityMatrix4]:
     for c, op in zip(coeffs.T, PAULI_BASIS):
         acc += c[:, None, None] * op
     return [_project_physical(m) for m in acc / 4.0]
-
-
-def reconstruct(data: TomographyData) -> DensityMatrix4:
-    """Linear inversion over the Pauli basis, then the physicality projection.
-
-    Exact on infinite-shot data; on sampled data the inversion may leave the
-    PSD cone, which the final projection repairs.
-    """
-    missing = [s for s in all_settings() if s not in data.counts]
-    if missing:
-        raise ValueError(f"missing settings: {missing}")
-    return invert(np.stack([data.counts[s] for s in all_settings()])[None])[0]
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from sloccsim import (
     DensityMatrix4,
     MixtureSpec,
     NoiseModel,
+    OutcomeProbs,
     PlateGeometry,
     PreparationSettings,
     StatisticsParameter,
@@ -24,7 +25,6 @@ from sloccsim import (
     estimate_p,
     estimate_phase,
     estimate_zz,
-    exact_tomography_data,
     expectation_zz,
     extract_params,
     fidelity_pure,
@@ -40,6 +40,7 @@ from sloccsim import (
     reconstruct,
     rotate_density,
     sample_counts,
+    setting_probabilities,
     simulate_tomography,
 )
 from sloccsim.cli import main as cli_main
@@ -56,7 +57,7 @@ def pipeline_zz(beta: float, phi: float) -> float:
         math.sqrt(0.5), math.sqrt(0.5), math.sin(beta), math.cos(beta),
         StatisticsParameter(phi),
     )
-    rho = rotate_density(ket_to_density(project_slocc(pair).ket))
+    rho = rotate_density(ket_to_density(project_slocc(pair).ket.amps))
     return expectation_zz(rho)
 
 
@@ -86,7 +87,7 @@ def test_criterion_02_general_amplitude_identity():
         if weight <= 1e-9:
             continue
         pair = deform(l, r, lp, rp, StatisticsParameter(phi))
-        zz = expectation_zz(rotate_density(ket_to_density(project_slocc(pair).ket)))
+        zz = expectation_zz(rotate_density(ket_to_density(project_slocc(pair).ket.amps)))
         expected = 2.0 * l * rp * r * lp * math.cos(phi) / weight
         worst = max(worst, abs(zz - expected))
     elapsed = time.perf_counter() - start
@@ -130,7 +131,7 @@ def test_criterion_03_amplitude_rule_vs_product_space_oracle():
 def test_criterion_04_noise_floor_invisibility_and_scaling():
     floor_worst = 0.0
     for floor in (WHITE_NOISE, DEPHASED):
-        zz = expectation_zz(rotate_density(DensityMatrix4(floor)))
+        zz = expectation_zz(rotate_density(DensityMatrix4(floor).matrix))
         floor_worst = max(floor_worst, abs(zz))
     assert floor_worst <= 1e-14, f"criterion 04 FAIL: floor correlation {floor_worst:.3e}"
 
@@ -145,7 +146,7 @@ def test_criterion_04_noise_floor_invisibility_and_scaling():
             white_weight=white,
             dephasing_weight=1.0 - white,
         )
-        ideal = ket_to_density(prepare_lr(PreparationSettings(beta, phi)))
+        ideal = ket_to_density(prepare_lr(PreparationSettings(beta, phi)).amps)
         zz_noisy = expectation_zz(rotate_density(noisy_state(ideal, model)))
         zz_ideal = expectation_zz(rotate_density(ideal))
         scale_worst = max(scale_worst, abs(zz_noisy - model.visibility * zz_ideal))
@@ -162,8 +163,8 @@ def test_criterion_05_phase_estimation_under_noise():
     beta = math.pi / 4
     results = {}
     for label, phi in (("boson", 0.0), ("fermion", math.pi)):
-        ideal = ket_to_density(prepare_lr(PreparationSettings(beta, phi)))
-        probs = outcome_probs(rotate_density(noisy_state(ideal, model)))
+        ideal = ket_to_density(prepare_lr(PreparationSettings(beta, phi)).amps)
+        probs = OutcomeProbs(*outcome_probs(rotate_density(noisy_state(ideal, model))))
         counts = sample_counts(probs, 5000, seed=STAT_SEED)
         est = estimate_phase(
             estimate_zz(counts), beta, model.visibility, counts,
@@ -213,7 +214,7 @@ def test_criterion_07_mixture_weight_recovery():
         for step in range(11):
             p = step / 10.0
             spec = MixtureSpec(weight=p, phi1=phi1, phi2=phi2, beta=beta)
-            probs = outcome_probs(rotate_density(mixed_state(spec)))
+            probs = OutcomeProbs(*outcome_probs(rotate_density(mixed_state([spec])[0])))
             counts = sample_counts(
                 probs, 100_000, seed=STAT_SEED + 100 * pair_index + step
             )
@@ -247,21 +248,23 @@ def test_criterion_08_tomography_inversion_fidelity_and_noise_fit():
             v /= np.linalg.norm(v)
             rho += w * np.outer(v, v.conj())
         state = DensityMatrix4(rho)
-        rebuilt = reconstruct(exact_tomography_data(state))
+        rebuilt = reconstruct(setting_probabilities(state.matrix)[None])[0]
         worst = max(worst, float(np.max(np.abs(rebuilt.matrix - state.matrix))))
     assert worst <= 1e-12, f"criterion 08 FAIL: exact inversion error {worst:.3e}"
 
     bell = PreparationSettings(math.pi / 4, 0.0)
-    data = simulate_tomography(ket_to_density(prepare_lr(bell)), 100_000, seed=STAT_SEED)
-    fid = fidelity_pure(reconstruct(data), prepare_lr(bell))
+    probs = setting_probabilities(ket_to_density(prepare_lr(bell).amps))
+    data = simulate_tomography(probs, 100_000, seed=STAT_SEED)
+    fid = fidelity_pure(reconstruct(data[None])[0], prepare_lr(bell))
     assert fid >= 0.999, f"criterion 08 FAIL: sampled fidelity {fid:.6f} < 0.999"
 
     model = NoiseModel()
     records = []
     for k in range(8):
         settings = PreparationSettings(math.pi / 4, k * math.pi / 7.0)
-        noisy = noisy_state(ket_to_density(prepare_lr(settings)), model)
-        rec = reconstruct(simulate_tomography(noisy, 100_000, seed=STAT_SEED + k))
+        noisy = noisy_state(ket_to_density(prepare_lr(settings).amps), model)
+        counts = simulate_tomography(setting_probabilities(noisy), 100_000, seed=STAT_SEED + k)
+        rec = reconstruct(counts[None])[0]
         got = extract_params(rec)
         records.append((rec, PreparationSettings(got.beta, got.phi)))
     fitted = fit_noise(records)

@@ -186,6 +186,23 @@ def test_out_of_range_config_exits_2_before_running(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["directory", "under-regular-file"])
+def test_unwritable_out_exits_2(case, tmp_path, capsys):
+    config = quick_config(tmp_path, SMALL["calibrate-plate"])
+    (tmp_path / "plain.txt").write_text("", encoding="utf-8")
+    out = tmp_path if case == "directory" else tmp_path / "plain.txt" / "table.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run_cli(
+            ["calibrate-plate", "--config", config, "--out", str(out)], capsys
+        )
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"config error: cannot write {out}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "command, row_pattern",
     [

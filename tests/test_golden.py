@@ -69,7 +69,6 @@ GOLDEN = {
 }
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_csv_digest(case, tmp_path, capsys):
     args, config, digest = GOLDEN[case]

@@ -7,6 +7,7 @@ from sloccsim import (
     DegeneratePhasesError,
     LowIndistinguishabilityError,
     MixtureSpec,
+    OutcomeProbs,
     estimate_p,
     estimate_zz,
     expectation_zz,
@@ -51,7 +52,7 @@ def test_density_route_matches_closed_form():
             phi2=rng.uniform(0.0, 2.0 * math.pi),
             beta=rng.uniform(0.0, math.pi / 2),
         )
-        via_density = expectation_zz(rotate_density(mixed_state(spec)))
+        via_density = expectation_zz(rotate_density(mixed_state([spec])[0]))
         assert via_density == pytest.approx(mixture_expectation(spec), abs=1e-12)
 
 
@@ -59,7 +60,7 @@ def test_estimate_p_exact_inversion():
     spec = MixtureSpec(weight=0.37, phi1=0.0, phi2=math.pi, beta=math.pi / 4)
     zz = mixture_expectation(spec)
     counts = sample_counts(
-        outcome_probs(rotate_density(mixed_state(spec))), 1000, seed=1
+        OutcomeProbs(*outcome_probs(rotate_density(mixed_state([spec])[0]))), 1000, seed=1
     )
     est = estimate_p(zz, spec.phi1, spec.phi2, spec.beta, 1.0, counts, n_boot=200, seed=1)
     assert est.p_raw == pytest.approx(0.37, abs=1e-12)
@@ -70,7 +71,7 @@ def test_estimate_p_exact_inversion():
 def test_estimate_p_clamps_to_unit_interval():
     spec = MixtureSpec(weight=1.0, phi1=0.0, phi2=math.pi, beta=math.pi / 4)
     counts = sample_counts(
-        outcome_probs(rotate_density(mixed_state(spec))), 1000, seed=2
+        OutcomeProbs(*outcome_probs(rotate_density(mixed_state([spec])[0]))), 1000, seed=2
     )
     est = estimate_p(1.002, spec.phi1, spec.phi2, spec.beta, 1.0, counts, n_boot=200, seed=2)
     assert est.p_raw > 1.0
@@ -81,7 +82,7 @@ def test_estimate_p_end_to_end_sampled():
     rng_seeds = (101, 202, 303)
     for w, seed in zip((0.0, 0.5, 1.0), rng_seeds):
         spec = MixtureSpec(weight=w, phi1=0.0, phi2=math.pi, beta=math.pi / 4)
-        probs = outcome_probs(rotate_density(mixed_state(spec)))
+        probs = OutcomeProbs(*outcome_probs(rotate_density(mixed_state([spec])[0])))
         counts = sample_counts(probs, 100_000, seed=seed)
         est = estimate_p(
             estimate_zz(counts), spec.phi1, spec.phi2, spec.beta, 1.0,
@@ -91,12 +92,9 @@ def test_estimate_p_end_to_end_sampled():
 
 
 def test_estimate_p_rejects_degenerate_settings():
+    spec = MixtureSpec(weight=0.5, phi1=0.0, phi2=math.pi, beta=math.pi / 4)
     counts = sample_counts(
-        outcome_probs(
-            rotate_density(
-                mixed_state(MixtureSpec(weight=0.5, phi1=0.0, phi2=math.pi, beta=math.pi / 4))
-            )
-        ),
+        OutcomeProbs(*outcome_probs(rotate_density(mixed_state([spec])[0]))),
         1000,
         seed=3,
     )
@@ -118,7 +116,7 @@ def test_half_contrast_pair_needs_more_shots():
     sigmas = {}
     for label, phi2 in (("full", math.pi), ("half", math.pi / 2)):
         spec = MixtureSpec(weight=0.5, phi1=0.0, phi2=phi2, beta=math.pi / 4)
-        probs = outcome_probs(rotate_density(mixed_state(spec)))
+        probs = OutcomeProbs(*outcome_probs(rotate_density(mixed_state([spec])[0])))
         counts = sample_counts(probs, 100_000, seed=44)
         est = estimate_p(
             estimate_zz(counts), spec.phi1, spec.phi2, spec.beta, 1.0,

@@ -40,10 +40,10 @@ def test_noise_floor_components():
 
 
 def test_noisy_state_limits():
-    ideal = ket_to_density(prepare_lr(PreparationSettings(math.pi / 4, 0.7)))
-    assert np.allclose(noisy_state(ideal, NoiseModel.ideal()).matrix, ideal.matrix)
+    ideal = ket_to_density(prepare_lr(PreparationSettings(math.pi / 4, 0.7)).amps)
+    assert np.allclose(noisy_state(ideal, NoiseModel.ideal()), ideal)
     fully = noisy_state(ideal, NoiseModel(visibility=0.0, white_weight=1.0, dephasing_weight=0.0))
-    assert np.allclose(fully.matrix, WHITE_NOISE)
+    assert np.allclose(fully, WHITE_NOISE)
 
 
 def test_noisy_state_is_elementwise_convex_mix():
@@ -56,8 +56,8 @@ def test_noisy_state_is_elementwise_convex_mix():
             white_weight=(w := rng.uniform(0.0, 1.0)),
             dephasing_weight=1.0 - w,
         )
-        ideal = ket_to_density(prepare_lr(PreparationSettings(beta, phi)))
-        got = noisy_state(ideal, model).matrix
+        ideal = ket_to_density(prepare_lr(PreparationSettings(beta, phi)).amps)
+        got = noisy_state(ideal, model)
         # reference mix built entry by entry, no shared code path
         expected = np.empty((4, 4), dtype=np.complex128)
         for i in range(4):
@@ -65,7 +65,7 @@ def test_noisy_state_is_elementwise_convex_mix():
                 floor_ij = model.white_weight * WHITE_NOISE[i, j]
                 floor_ij += model.dephasing_weight * DEPHASED[i, j]
                 expected[i, j] = (
-                    model.visibility * ideal.matrix[i, j]
+                    model.visibility * ideal[i, j]
                     + (1.0 - model.visibility) * floor_ij
                 )
         assert np.allclose(got, expected, atol=1e-15)
@@ -73,7 +73,7 @@ def test_noisy_state_is_elementwise_convex_mix():
 
 def test_rotated_noise_floor_has_no_correlation():
     for floor in (WHITE_NOISE, DEPHASED):
-        rotated = rotate_density(DensityMatrix4(floor))
+        rotated = rotate_density(DensityMatrix4(floor).matrix)
         assert abs(expectation_zz(rotated)) <= 1e-14
 
 
@@ -87,7 +87,7 @@ def test_visibility_scaling_law():
             white_weight=(w := rng.uniform(0.0, 1.0)),
             dephasing_weight=1.0 - w,
         )
-        ideal = ket_to_density(prepare_lr(PreparationSettings(beta, phi)))
+        ideal = ket_to_density(prepare_lr(PreparationSettings(beta, phi)).amps)
         got = noisy_expectation_scaling(ideal, model)
         assert got == pytest.approx(
             model.visibility * math.sin(2 * beta) * math.cos(phi), abs=1e-12
@@ -99,8 +99,8 @@ def grid_records(model, betas=(math.pi / 4,), phis=(0.0, 0.9, 1.7, 2.8, 4.1, 5.3
     for beta in betas:
         for phi in phis:
             settings = PreparationSettings(beta, phi)
-            ideal = ket_to_density(prepare_lr(settings))
-            records.append((noisy_state(ideal, model), settings))
+            ideal = ket_to_density(prepare_lr(settings).amps)
+            records.append((DensityMatrix4(noisy_state(ideal, model)), settings))
     return records
 
 
@@ -131,7 +131,7 @@ def model_cost(records, visibility, white):
     wht = np.asarray(white, dtype=float)[..., None, None]
     total = 0.0
     for rho, settings in records:
-        ideal = ket_to_density(prepare_lr(settings)).matrix
+        ideal = ket_to_density(prepare_lr(settings).amps)
         floor = wht * WHITE_NOISE + (1.0 - wht) * DEPHASED
         diff = vis * ideal + (1.0 - vis) * floor - rho.matrix
         total = total + np.sum(np.abs(diff) ** 2, axis=(-2, -1))
@@ -161,7 +161,7 @@ def edge_records(make_target):
     records = []
     for phi in (0.0, 1.0, 2.2, 3.3, 4.4):
         settings = PreparationSettings(math.pi / 4, phi)
-        target = make_target(ket_to_density(prepare_lr(settings)).matrix, phi)
+        target = make_target(ket_to_density(prepare_lr(settings).amps), phi)
         records.append((DensityMatrix4(target), settings))
     return records
 
@@ -188,8 +188,8 @@ def test_fit_clips_negative_visibility_to_zero(monkeypatch):
     # the state orthogonal to the ideal one (phi + pi) gives a negative
     # unconstrained visibility; the bounded optimum lies on the edge c_vis = 0
     def make_target(ideal, phi):
-        flipped = ket_to_density(prepare_lr(PreparationSettings(math.pi / 4, phi + math.pi)))
-        return 0.5 * flipped.matrix + 0.3 * WHITE_NOISE + 0.2 * DEPHASED
+        flipped = ket_to_density(prepare_lr(PreparationSettings(math.pi / 4, phi + math.pi)).amps)
+        return 0.5 * flipped + 0.3 * WHITE_NOISE + 0.2 * DEPHASED
 
     records = edge_records(make_target)
     calls = count_edge_solves(monkeypatch)
@@ -254,7 +254,7 @@ def test_fit_matches_scipy_on_fallback_seeds():
     for seed in FALLBACK_SEEDS:
         records = tomography_records(seed)
         fitted = fit_noise(records)
-        ideals = np.asarray([ket_to_density(prepare_lr(s)).matrix for _, s in records])
+        ideals = np.asarray([ket_to_density(prepare_lr(s).amps) for _, s in records])
         targets = np.asarray([rho.matrix for rho, _ in records])
 
         def residuals(params):

@@ -3,29 +3,27 @@
 Golden digests pin whole CSV files; these properties pin each stacked stage
 (state build, noise mix, rotation and readout, tomography probabilities and
 linear inversion) against the per-point arithmetic it replaced, over drawn
-inputs, so a stage that rounds differently fails here by name.
+inputs, so a stage that rounds differently fails here by name.  The last
+test pins which public stage names each subcommand calls.
 """
 
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sloccsim import (
-    DensityMatrix4,
-    NoiseModel,
-    PreparationSettings,
-    TomographyData,
-    reconstruct,
-)
-from sloccsim.measurement import readout, rotate
-from sloccsim.mixture import MixtureSpec, mixed_state, mixed_states
-from sloccsim.noise import noisy_states
+from sloccsim import DensityMatrix4, NoiseModel, PreparationSettings, reconstruct
+from sloccsim.cli import main
+from sloccsim.measurement import outcome_probs, rotate_density
+from sloccsim.mixture import MixtureSpec, mixed_state
+from sloccsim.noise import noisy_state
 from sloccsim.slocc import lr_kets
-from sloccsim.states import pure_densities, validate_densities
-from sloccsim.tomography import _project_physical, all_settings, invert, sector_probabilities
+from sloccsim.states import ket_to_density, validate_densities
+from sloccsim.tomography import AXES, _project_physical, setting_probabilities
 
 from oracles import (
     linear_inversion_oracle,
@@ -43,7 +41,7 @@ points = st.lists(st.tuples(betas, phis), min_size=1, max_size=12)
 def noisy_stack(grid, visibility, white):
     model = NoiseModel(visibility=visibility, white_weight=white, dephasing_weight=1.0 - white)
     kets = lr_kets([PreparationSettings(beta, phi) for beta, phi in grid])
-    return noisy_states(pure_densities(kets), model)
+    return noisy_state(ket_to_density(kets), model)
 
 
 # A tiny negative phase reduces modulo 2*pi to exactly 2*pi under a bare %;
@@ -53,7 +51,7 @@ def noisy_stack(grid, visibility, white):
 @example(grid=[(1.0, -1e-300), (math.pi / 2, 2 * math.pi)], visibility=1.0, white=0.5)
 def test_stacked_states_and_probabilities_match_per_point_chain(grid, visibility, white):
     states = noisy_stack(grid, visibility, white)
-    probs = readout(rotate(states))
+    probs = outcome_probs(rotate_density(states))
     for (beta, phi), state, row in zip(grid, states, probs):
         ref_state, ref_probs = noisy_chain_oracle(beta, phi, visibility, white)
         assert np.array_equal(state, ref_state)
@@ -65,21 +63,21 @@ def test_stacked_states_and_probabilities_match_per_point_chain(grid, visibility
 @example(weights=[0.0, 0.5], phi1=0.0, phi2=-4.2394487025754455e-230, beta=1.0)
 def test_stacked_mixtures_match_single_mixtures(weights, phi1, phi2, beta):
     specs = [MixtureSpec(w, phi1, phi2, beta) for w in weights]
-    for spec, blend in zip(specs, mixed_states(specs)):
+    for spec, blend in zip(specs, mixed_state(specs)):
         rho1 = pure_density_oracle(spec.beta, spec.phi1)
         rho2 = pure_density_oracle(spec.beta, spec.phi2)
         assert np.array_equal(blend, spec.weight * rho1 + (1.0 - spec.weight) * rho2)
-        assert np.array_equal(blend, mixed_state(spec).matrix)
+        assert np.array_equal(blend, mixed_state([spec])[0])
 
 
 @settings(max_examples=40, deadline=None)
 @given(grid=points, visibility=unit, white=unit)
 def test_sector_probabilities_match_kron_loop(grid, visibility, white):
     states = noisy_stack(grid, visibility, white)
-    probs = sector_probabilities(states)
+    probs = setting_probabilities(states)
     for state, table in zip(states, probs):
-        for setting, row in zip(all_settings(), table):
-            ref = setting_probabilities_oracle(state, setting.left, setting.right)
+        for (left, right), row in zip(itertools.product(AXES, AXES), table):
+            ref = setting_probabilities_oracle(state, left, right)
             assert np.array_equal(row, ref)
 
 
@@ -93,11 +91,10 @@ count_tables = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(tables=count_tables)
 def test_linear_inversion_matches_dict_accumulation(tables):
-    for table, rho_hat in zip(tables, invert(tables)):
+    for table, rho_hat in zip(tables, reconstruct(tables)):
         expected = _project_physical(linear_inversion_oracle(table)).matrix
         assert np.array_equal(rho_hat.matrix, expected)
-        data = TomographyData(dict(zip(all_settings(), table)))
-        assert np.array_equal(reconstruct(data).matrix, expected)
+        assert np.array_equal(reconstruct(table[None])[0].matrix, expected)
 
 
 def _non_hermitian(m):
@@ -126,3 +123,56 @@ def test_stack_with_one_bad_matrix_raises_density_matrix_message(spoil, grid, da
     with pytest.raises(ValueError) as stacked:
         validate_densities(stack)
     assert str(stacked.value) == str(single.value)
+
+
+# The public stage names, on the module that defines each.  perfbench's
+# tracer wraps these names to time each layer, so a sweep that stops calling
+# one reads 0 in its per-layer report.
+STAGES = (
+    ("states", "ket_to_density"),
+    ("noise", "noisy_state"),
+    ("measurement", "rotate_density"),
+    ("measurement", "outcome_probs"),
+    ("mixture", "mixed_state"),
+    ("tomography", "setting_probabilities"),
+    ("tomography", "simulate_tomography"),
+    ("tomography", "reconstruct"),
+)
+SAMPLED = {"ket_to_density", "noisy_state", "rotate_density", "outcome_probs"}
+
+
+@pytest.mark.parametrize(
+    "command, body, expected",
+    [
+        ("phase-sweep", "[sweep]\nbeta_list = 45deg\nphi_list = 0, 1\n", SAMPLED),
+        ("mixture-sweep", "[sweep]\np_list = 0, 1\n", SAMPLED | {"mixed_state"}),
+        (
+            "tomography-demo",
+            "[sweep]\nphi_list = 0, 1\n",
+            {
+                "ket_to_density",
+                "noisy_state",
+                "setting_probabilities",
+                "simulate_tomography",
+                "reconstruct",
+            },
+        ),
+    ],
+)
+def test_subcommands_call_the_public_stages(command, body, expected, tmp_path, monkeypatch):
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "sloccsim"]
+    called = set()
+    for owner, name in STAGES:
+        original = getattr(sys.modules[f"sloccsim.{owner}"], name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            called.add(_name)
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if module.__dict__.get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    config = tmp_path / "run.ini"
+    config.write_text("[experiment]\nshots = 200\nbootstrap = 100\n" + body, encoding="utf-8")
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 0
+    assert called == expected

@@ -190,13 +190,12 @@ def test_ket_to_density_is_projector():
     for _ in range(25):
         raw = rng.normal(size=4) + 1j * rng.normal(size=4)
         ket = normalize(JointKet(raw))
-        rho = ket_to_density(ket)
-        m = rho.matrix
+        m = ket_to_density(ket.amps)
         assert np.allclose(m, m.conj().T, atol=1e-12)
         assert np.trace(m).real == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(m @ m, m, atol=1e-12)
     with pytest.raises(ValueError):
-        ket_to_density(JointKet([2.0, 0.0, 0.0, 0.0]))
+        ket_to_density(JointKet([2.0, 0.0, 0.0, 0.0]).amps)
 
 
 def test_density_matrix_validation():
@@ -215,9 +214,10 @@ def test_density_matrix_validation():
 
 def test_fidelity_pure_basics():
     bell = normalize(JointKet([0.0, 1.0, 1.0, 0.0]))
-    assert fidelity_pure(ket_to_density(bell), bell) == pytest.approx(1.0, abs=1e-12)
+    rho = DensityMatrix4(ket_to_density(bell.amps))
+    assert fidelity_pure(rho, bell) == pytest.approx(1.0, abs=1e-12)
     other = normalize(JointKet([0.0, 1.0, -1.0, 0.0]))
-    assert fidelity_pure(ket_to_density(bell), other) == pytest.approx(0.0, abs=1e-12)
+    assert fidelity_pure(rho, other) == pytest.approx(0.0, abs=1e-12)
     mixed = DensityMatrix4(np.eye(4, dtype=complex) / 4.0)
     assert fidelity_pure(mixed, bell) == pytest.approx(0.25, abs=1e-12)
     with pytest.raises(ValueError):
@@ -229,7 +229,7 @@ def test_fidelity_of_noisy_bell_matches_contraction_oracle():
     bell = normalize(JointKet([0.0, 1.0, 1.0, 0.0]))
     white = np.eye(4, dtype=complex) / 4.0
     dephased = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
-    noisy = 0.977 * ket_to_density(bell).matrix + 0.023 * (0.5 * white + 0.5 * dephased)
+    noisy = 0.977 * ket_to_density(bell.amps) + 0.023 * (0.5 * white + 0.5 * dephased)
     expected = fidelity_oracle(noisy, bell.amps)
     assert expected == pytest.approx(0.985625, abs=1e-12)
     got = fidelity_pure(DensityMatrix4(noisy), bell)

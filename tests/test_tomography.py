@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,25 +9,23 @@ from sloccsim import (
     ExtractionError,
     JointKet,
     NoiseModel,
-    PauliSetting,
     PreparationSettings,
-    TomographyData,
-    exact_tomography_data,
     extract_params,
     fidelity_pure,
     ket_to_density,
     noisy_state,
     prepare_lr,
     reconstruct,
+    setting_probabilities,
     simulate_tomography,
 )
-from sloccsim.tomography import _project_physical, all_settings, setting_probabilities
+from sloccsim.tomography import AXES, _project_physical
 
 from oracles import fidelity_oracle
 
 
 def bell_rho():
-    return ket_to_density(prepare_lr(PreparationSettings(math.pi / 4, 0.0)))
+    return DensityMatrix4(ket_to_density(prepare_lr(PreparationSettings(math.pi / 4, 0.0)).amps))
 
 
 def circular_diff(a, b):
@@ -44,72 +43,63 @@ def random_mixture(rng, n_terms=3):
     return DensityMatrix4(rho)
 
 
-def test_setting_enumeration():
-    settings = all_settings()
-    assert len(settings) == 9
-    assert settings[0] == PauliSetting("X", "X")
-    assert settings[-1] == PauliSetting("Z", "Z")
-    assert len(set(settings)) == 9
-    with pytest.raises(ValueError):
-        PauliSetting("X", "Q")
-
-
 def test_setting_probabilities_on_known_states():
-    up_up = ket_to_density(JointKet([1.0, 0.0, 0.0, 0.0]))
+    setting = {pair: i for i, pair in enumerate(itertools.product(AXES, AXES))}
+    up_up = ket_to_density(JointKet([1.0, 0.0, 0.0, 0.0]).amps)
     assert np.allclose(
-        setting_probabilities(up_up, PauliSetting("Z", "Z")), [1.0, 0.0, 0.0, 0.0], atol=1e-12
+        setting_probabilities(up_up)[setting["Z", "Z"]], [1.0, 0.0, 0.0, 0.0], atol=1e-12
     )
-    rho = bell_rho()
+    rho = bell_rho().matrix
     assert np.allclose(
-        setting_probabilities(rho, PauliSetting("Z", "Z")), [0.0, 0.5, 0.5, 0.0], atol=1e-12
-    )
-    assert np.allclose(
-        setting_probabilities(rho, PauliSetting("X", "X")), [0.5, 0.0, 0.0, 0.5], atol=1e-12
+        setting_probabilities(rho)[setting["Z", "Z"]], [0.0, 0.5, 0.5, 0.0], atol=1e-12
     )
     assert np.allclose(
-        setting_probabilities(rho, PauliSetting("Y", "Y")), [0.5, 0.0, 0.0, 0.5], atol=1e-12
+        setting_probabilities(rho)[setting["X", "X"]], [0.5, 0.0, 0.0, 0.5], atol=1e-12
+    )
+    assert np.allclose(
+        setting_probabilities(rho)[setting["Y", "Y"]], [0.5, 0.0, 0.0, 0.5], atol=1e-12
     )
 
 
-def test_tomography_data_validation():
-    zz = PauliSetting("Z", "Z")
-    with pytest.raises(ValueError):
-        TomographyData({zz: [-1.0, 2.0, 0.0, 0.0]})
-    with pytest.raises(ValueError):
-        TomographyData({zz: [0.0, 0.0, 0.0, 0.0]})
-    data = TomographyData({zz: [1, 2, 3, 4]})
-    assert data.total(zz) == 10.0
+def test_reconstruct_rejects_bad_weights():
+    table = setting_probabilities(bell_rho().matrix)
+    negative = table.copy()
+    negative[8] = [-1.0, 2.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="nonnegative"):
+        reconstruct(negative[None])
+    empty = table.copy()
+    empty[8] = 0.0
+    with pytest.raises(ValueError, match="setting ZZ has zero total weight"):
+        reconstruct(empty[None])
 
 
 def test_simulate_tomography_deterministic():
-    rho = bell_rho()
-    a = simulate_tomography(rho, 2000, seed=5)
-    b = simulate_tomography(rho, 2000, seed=5)
-    c = simulate_tomography(rho, 2000, seed=6)
-    for setting in all_settings():
-        assert np.array_equal(a.counts[setting], b.counts[setting])
-        assert a.total(setting) == 2000.0
-    assert any(
-        not np.array_equal(a.counts[s], c.counts[s]) for s in all_settings()
-    )
+    probs = setting_probabilities(bell_rho().matrix)
+    a = simulate_tomography(probs, 2000, seed=5)
+    b = simulate_tomography(probs, 2000, seed=5)
+    c = simulate_tomography(probs, 2000, seed=6)
+    assert np.array_equal(a, b)
+    assert np.all(a.sum(axis=1) == 2000.0)
+    assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
-        simulate_tomography(rho, 0, seed=1)
+        simulate_tomography(probs, 0, seed=1)
 
 
 def test_reconstruct_exact_on_infinite_shot_data():
     rng = np.random.default_rng(23)
     for _ in range(30):
         rho = random_mixture(rng)
-        rebuilt = reconstruct(exact_tomography_data(rho))
+        rebuilt = reconstruct(setting_probabilities(rho.matrix)[None])[0]
         assert np.max(np.abs(rebuilt.matrix - rho.matrix)) < 1e-12
 
 
 def test_reconstruct_requires_all_settings():
-    data = exact_tomography_data(bell_rho())
-    partial = dict(data.counts)
-    partial.pop(PauliSetting("Y", "Z"))
-    with pytest.raises(ValueError):
-        reconstruct(TomographyData(partial))
+    table = setting_probabilities(bell_rho().matrix)
+    partial = np.delete(table, 5, axis=0)  # drop the (Y, Z) setting
+    with pytest.raises(ValueError, match="shape"):
+        reconstruct(partial[None])
+    with pytest.raises(ValueError, match="shape"):
+        reconstruct(table)
 
 
 def test_projection_fixes_negative_eigenvalue():
@@ -140,8 +130,8 @@ def test_projection_is_idempotent():
 
 def test_sampled_bell_reconstruction_fidelity():
     rho = bell_rho()
-    data = simulate_tomography(rho, 100_000, seed=20260819)
-    rebuilt = reconstruct(data)
+    data = simulate_tomography(setting_probabilities(rho.matrix), 100_000, seed=20260819)
+    rebuilt = reconstruct(data[None])[0]
     target = prepare_lr(PreparationSettings(math.pi / 4, 0.0))
     fid = fidelity_pure(rebuilt, target)
     assert fid >= 0.999
@@ -153,8 +143,8 @@ def test_extraction_round_trip_exact():
     for beta_deg in (15, 30, 45, 60, 75):
         for phi in (0.0, 0.8, math.pi / 2, 2.4, math.pi, 4.5):
             settings = PreparationSettings(math.radians(beta_deg), phi)
-            rho = ket_to_density(prepare_lr(settings))
-            got = extract_params(reconstruct(exact_tomography_data(rho)))
+            rho = ket_to_density(prepare_lr(settings).amps)
+            got = extract_params(reconstruct(setting_probabilities(rho)[None])[0])
             assert got.beta == pytest.approx(settings.beta, abs=1e-7)
             assert circular_diff(got.phi, settings.phi) < 1e-7
             assert got.fidelity_to_ideal == pytest.approx(1.0, abs=1e-9)
@@ -163,10 +153,10 @@ def test_extraction_round_trip_exact():
 
 def test_extraction_on_noisy_sampled_state():
     phi = math.pi / 3
-    ideal = ket_to_density(prepare_lr(PreparationSettings(math.pi / 4, phi)))
+    ideal = ket_to_density(prepare_lr(PreparationSettings(math.pi / 4, phi)).amps)
     rho = noisy_state(ideal, NoiseModel())
-    data = simulate_tomography(rho, 20_000, seed=77)
-    got = extract_params(reconstruct(data))
+    data = simulate_tomography(setting_probabilities(rho), 20_000, seed=77)
+    got = extract_params(reconstruct(data[None])[0])
     assert abs(got.phi - phi) < 0.1
     assert abs(got.beta - math.pi / 4) < 0.05
     assert got.fidelity_to_ideal > 0.95
