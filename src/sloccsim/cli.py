@@ -5,8 +5,10 @@ degenerate-input failures.  Output goes to stdout unless --out names a file;
 a relative --out is placed under $SLOCCSIM_OUT_DIR when that variable is
 set.  An --out that cannot be written (a directory, or a path under a
 regular file) is a configuration problem: one ``config error: cannot write``
-line and exit 2.  The subcommand decides the scenario; a scenario key in the
-config file is validated but does not override it.
+line and exit 2, before anything is computed.  Its parent directory is made
+then, but the file itself is written only once the run has succeeded.  The
+subcommand decides the scenario; a scenario key in the config file is
+validated but does not override it.
 """
 
 from __future__ import annotations
@@ -62,13 +64,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_out(out: str | None) -> Path | None:
+def _writable_out(out: str | None) -> Path | None:
+    """The --out target with its parent directory made; ConfigError if it cannot be written."""
     if out is None:
         return None
     path = Path(out)
     env_dir = os.environ.get(ENV_OUT_DIR)
     if env_dir and not path.is_absolute():
         path = Path(env_dir) / path
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
     return path
 
 
@@ -82,6 +91,7 @@ def main(argv=None) -> int:
             seed=args.seed,
             ideal=args.ideal,
         )
+        target = _writable_out(args.out)
         header, rows = run_scenario(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -90,12 +100,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     text = render_csv(header, rows)
-    target = _resolve_out(args.out)
     if target is None:
         sys.stdout.write(text)
     else:
         try:
-            target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(text, encoding="utf-8")
         except OSError as exc:
             print(f"config error: cannot write {target}: {exc}", file=sys.stderr)

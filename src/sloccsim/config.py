@@ -12,6 +12,10 @@ lengths accept ``m``, ``mm``, ``um`` or ``nm`` (bare numbers are meters).
 Lists are comma separated; non-finite numbers are rejected.  ``dump_config``
 writes canonical units (radians and meters as bare repr floats), so
 parse -> dump -> parse is the identity.
+
+``bootstrap`` is kept so that older configs parse, and it must still be at
+least 100, but it no longer changes output: the error bars are the exact
+bootstrap spread (``measurement.estimate_phase``), with no resampling.
 """
 
 from __future__ import annotations
@@ -213,7 +217,6 @@ class ResolvedConfig:
     scenario: str
     seed: int
     shots: int
-    bootstrap: int
     sampling: str
     beta_list: tuple[float, ...]
     phi_list: tuple[float, ...] | None
@@ -250,7 +253,6 @@ DEFAULT_SEED = 42
 _U64_MAX = 2**64 - 1
 _INT64_MAX = 2**63 - 1  # counts are sampled as int64
 DEFAULT_SHOTS = 5000
-DEFAULT_BOOTSTRAP = 1000
 
 _NEEDS_PHASE_CONTRAST = ("phase-sweep", "beta-sweep", "mixture-sweep")
 
@@ -281,8 +283,7 @@ def resolve(
         raise ConfigError(
             f"shots must be an integer in [1, 2**63 - 1], got {shots}"
         )
-    bootstrap = config.bootstrap if config.bootstrap is not None else DEFAULT_BOOTSTRAP
-    if bootstrap < 100:
+    if config.bootstrap is not None and config.bootstrap < 100:
         raise ConfigError("bootstrap must be at least 100 resamples")
 
     beta_list = tuple(config.beta_list) if config.beta_list is not None else _DEFAULT_BETAS[scenario]
@@ -386,7 +387,6 @@ def resolve(
         scenario=scenario,
         seed=resolved_seed,
         shots=shots,
-        bootstrap=bootstrap,
         sampling=config.sampling if config.sampling is not None else "multinomial",
         beta_list=beta_list,
         phi_list=phi_list,

@@ -152,7 +152,9 @@ def bootstrap_zz(counts: CoincidenceCounts, n_boot: int, seed: int) -> np.ndarra
     zz depends on the tallies only through same = n13 + n24, and under a
     multinomial redraw of all four channels same is Bin(total, same / total);
     one binomial draw per resample therefore gives exactly the multinomial
-    bootstrap's distribution.
+    bootstrap's distribution.  The estimators use its exact spread instead
+    (``zz_spread``); this Monte Carlo version is the reference it is tested
+    against.
     """
     rng = np.random.default_rng(seed)
     same = rng.binomial(counts.total, (counts.n13 + counts.n24) / counts.total, size=n_boot)
@@ -161,7 +163,7 @@ def bootstrap_zz(counts: CoincidenceCounts, n_boot: int, seed: int) -> np.ndarra
 
 
 def correlation_scale(
-    beta: float, visibility: float, counts: CoincidenceCounts, n_boot: int, noun: str
+    beta: float, visibility: float, counts: CoincidenceCounts, noun: str
 ) -> float:
     """visibility * sin(2 beta), after the input checks the phase and weight estimators share.
 
@@ -174,16 +176,68 @@ def correlation_scale(
         )
     if not 0.0 < visibility <= 1.0:
         raise ValueError("visibility must lie in (0, 1]")
-    if n_boot < 100:
-        raise ValueError("need at least 100 bootstrap resamples")
     if counts.total < 1:
         raise ValueError("counts are empty")
     return visibility * sin_2b
 
 
+# The exact bootstrap sums over same* = k within WINDOW_SIGMAS standard
+# deviations of its mean.  The binomial mass left outside is below 5e-12 (the
+# Poisson-like tail of a mean count of 1) and far smaller for larger counts.
+# A window wider than MAX_SPAN lattice steps is replaced by a fixed-node
+# normal rule, which bounds time and memory for any total.
+WINDOW_SIGMAS = 12.0
+MAX_SPAN = 4096
+
+
+def zz_spread(counts: CoincidenceCounts) -> float:
+    """Exact bootstrap standard deviation of zz: 2 sqrt(q (1 - q) / total).
+
+    q = (n13 + n24) / total.  This is ``bootstrap_zz``'s spread as the
+    number of resamples goes to infinity (the "ideal bootstrap", Efron &
+    Tibshirani 1993, ch. 6).
+    """
+    same = counts.n13 + counts.n24
+    # sqrt(same * other / total) is the count's sd; exact integers keep q near 0 or 1 exact
+    return 2.0 * math.sqrt(same * (counts.total - same) / counts.total) / counts.total
+
+
+def _phase_spread(counts: CoincidenceCounts, scale: float) -> float:
+    """Exact bootstrap standard deviation of arccos(clip(zz* / scale, -1, 1)).
+
+    zz* = (2 k - total) / total with k ~ Bin(total, q); the sum runs over
+    the lattice, or over the fixed normal nodes for a wide window.
+    """
+    same = counts.n13 + counts.n24
+    other = counts.total - same
+    if same == 0 or other == 0:
+        return 0.0
+    zz0 = (same - other) / counts.total  # exact integers, one rounding
+    half = math.ceil(WINDOW_SIGMAS * math.sqrt(same * other / counts.total))
+    if 2 * half > MAX_SPAN:
+        nodes = np.linspace(-WINDOW_SIGMAS, WINDOW_SIGMAS, MAX_SPAN + 1)
+        weights = np.exp(-0.5 * nodes**2)
+        weights /= weights.sum()
+        zz = zz0 + zz_spread(counts) * nodes
+    else:
+        # k = same + j; pmf(k + 1) / pmf(k) = (other - j) / (same + j + 1) * same / other
+        j = np.arange(-min(half, same), min(half, other) + 1, dtype=np.float64)
+        steps = np.log((other - j[:-1]) / (same + 1.0 + j[:-1])) + math.log(same / other)
+        log_pmf = np.concatenate(([0.0], np.cumsum(steps)))
+        weights = np.exp(log_pmf - log_pmf.max())
+        weights /= weights.sum()
+        zz = zz0 + (2.0 / counts.total) * j
+    ratio = zz / scale
+    if ratio[0] >= 1.0 or ratio[-1] <= -1.0:
+        return 0.0  # every resample clamps to the same end
+    phi = np.arccos(np.clip(ratio, -1.0, 1.0))
+    dev = phi - weights @ phi
+    return math.sqrt(weights @ (dev * dev))
+
+
 @dataclass(frozen=True)
 class PhaseEstimate:
-    """Exchange-phase point estimate with a parametric-bootstrap spread."""
+    """Exchange-phase point estimate with its exact bootstrap spread."""
 
     phi_hat: float
     sigma: float
@@ -193,12 +247,7 @@ class PhaseEstimate:
 
 
 def estimate_phase(
-    zz_hat: float,
-    beta: float,
-    visibility: float,
-    counts: CoincidenceCounts,
-    n_boot: int = 1000,
-    seed: int = 0,
+    zz_hat: float, beta: float, visibility: float, counts: CoincidenceCounts
 ) -> PhaseEstimate:
     """Invert zz = visibility * sin(2 beta) * cos(phi) for phi in [0, pi].
 
@@ -211,28 +260,28 @@ def estimate_phase(
     visibility : float
         Scale factor of the error model, in (0, 1]; 1 means no correction.
     counts : CoincidenceCounts
-        Tallies behind zz_hat, resampled to propagate shot noise.
-    n_boot : int
-        Number of bootstrap resamples, at least 100.
-    seed : int
-        RNG seed for the resampling stream.
+        Tallies behind zz_hat; their law propagates shot noise.
 
     Returns
     -------
     PhaseEstimate
-        phi_hat is the arccos of the clamped ratio; sigma is the sample
-        standard deviation of the resampled phases.
+        phi_hat is the arccos of the clamped ratio.  zz_sigma and sigma are
+        the exact ("ideal", infinitely many resamples) bootstrap standard
+        deviations of zz and of the clamped arccos: zz depends on the counts
+        only through same = n13 + n24 ~ Bin(total, q), so both are finite
+        sums over that law (see ``zz_spread``).  sigma weights every count
+        within 12 standard deviations of n13 + n24 by its binomial
+        probability, or, when that window spans more than 4096 counts,
+        4097 evenly spaced nodes by the normal density.  Both spreads are
+        0 when q is 0 or 1, and sigma is 0 when every count in the window
+        clamps to the same end.
     """
-    scale = correlation_scale(beta, visibility, counts, n_boot, "phase")
+    scale = correlation_scale(beta, visibility, counts, "phase")
     ratio = zz_hat / scale
-    clamped = abs(ratio) > 1.0
-    phi_hat = math.acos(min(1.0, max(-1.0, ratio)))
-    zz_res = bootstrap_zz(counts, n_boot, seed)
-    phi_res = np.arccos(np.clip(zz_res / scale, -1.0, 1.0))
     return PhaseEstimate(
-        phi_hat=phi_hat,
-        sigma=float(np.std(phi_res, ddof=1)),
+        phi_hat=math.acos(min(1.0, max(-1.0, ratio))),
+        sigma=_phase_spread(counts, scale),
         zz_hat=float(zz_hat),
-        zz_sigma=float(np.std(zz_res, ddof=1)),
-        clamped=clamped,
+        zz_sigma=zz_spread(counts),
+        clamped=abs(ratio) > 1.0,
     )

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegeneratePhasesError
-from .measurement import CoincidenceCounts, bootstrap_zz, correlation_scale
+from .measurement import CoincidenceCounts, correlation_scale, zz_spread
 from .slocc import PreparationSettings, lr_kets
 from .states import canonical_phase, ket_to_density
 
@@ -56,7 +56,7 @@ def mixture_expectation(spec: MixtureSpec) -> float:
 
 @dataclass(frozen=True)
 class MixtureEstimate:
-    """Estimated weight of the first component."""
+    """Estimated weight of the first component, with its exact bootstrap spread."""
 
     p_hat: float  # clamped into [0, 1]
     p_raw: float  # as inverted; shot noise can push it slightly outside
@@ -70,27 +70,23 @@ def estimate_p(
     beta: float,
     visibility: float,
     counts: CoincidenceCounts,
-    n_boot: int = 1000,
-    seed: int = 0,
 ) -> MixtureEstimate:
-    """Invert the linear weight relation, with a parametric-bootstrap spread.
+    """Invert the linear weight relation, with the exact bootstrap spread.
 
     The point estimate is (zz / (visibility * sin 2 beta) - cos phi2) divided
-    by the cosine contrast; sigma is the sample standard deviation of the
-    same inversion applied to bootstrap resamples of the counts.
+    by the cosine contrast.  The weight is linear in zz, so sigma is the
+    exact ("ideal") bootstrap standard deviation of zz, ``zz_spread(counts)``,
+    over |visibility * sin 2 beta * contrast|.
     """
     contrast = math.cos(phi1) - math.cos(phi2)
     if abs(contrast) <= MIN_COS_CONTRAST:
         raise DegeneratePhasesError(
             "cos(phi1) equals cos(phi2); the weight does not affect the signal"
         )
-    scale = correlation_scale(beta, visibility, counts, n_boot, "weight")
-    cos2 = math.cos(phi2)
-    p_raw = (zz_hat / scale - cos2) / contrast
-    zz_res = bootstrap_zz(counts, n_boot, seed)
-    p_res = (zz_res / scale - cos2) / contrast
+    scale = correlation_scale(beta, visibility, counts, "weight")
+    p_raw = (zz_hat / scale - math.cos(phi2)) / contrast
     return MixtureEstimate(
         p_hat=min(max(p_raw, 0.0), 1.0),
         p_raw=p_raw,
-        sigma=float(np.std(p_res, ddof=1)),
+        sigma=zz_spread(counts) / abs(scale * contrast),
     )

@@ -56,9 +56,6 @@ class Region(IntEnum):
     RIGHT = 1
 
 
-BASIS_LABELS = ("L-up R-up", "L-up R-down", "L-down R-up", "L-down R-down")
-
-
 def basis_index(left_spin: Pseudospin, right_spin: Pseudospin) -> int:
     """Index of |L left_spin, R right_spin> in the fixed basis order."""
     return 2 * int(left_spin) + int(right_spin)

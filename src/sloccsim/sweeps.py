@@ -46,17 +46,17 @@ def _grid(cfg: ResolvedConfig):
 
 
 def _sample(cfg: ResolvedConfig, states: np.ndarray, describe=None):
-    """Rotate and read out the whole stack, then yield each row's (counts, bootstrap seed).
+    """Rotate and read out the whole stack, then yield each row's counts.
 
     ``describe(index)`` names the rows of a sweep that estimates from its
     counts; there a row without a coincidence (Poisson can draw one) ends the run.
     """
     for index, probs in enumerate(outcome_probs(rotate_density(states))):
-        count_seed, boot_seed = point_seeds(cfg.seed, index)
+        (count_seed,) = point_seeds(cfg.seed, index, count=1)
         counts = sample_counts(OutcomeProbs(*probs), cfg.shots, count_seed, mode=cfg.sampling)
         if describe is not None and counts.total < 1:
             raise ValueError(f"row {index} ({describe(index)}): cannot estimate from zero counts")
-        yield counts, boot_seed
+        yield counts
 
 
 PHASE_SWEEP_HEADER = [
@@ -86,10 +86,10 @@ def run_phase_sweep(cfg: ResolvedConfig):
         return f"beta {math.degrees(beta):.12g} deg, phi {phi:.12g} rad"
 
     rows = []
-    for (beta, phi), (counts, boot_seed) in zip(grid, _sample(cfg, states, describe)):
+    for (beta, phi), counts in zip(grid, _sample(cfg, states, describe)):
         zz_ideal = math.sin(2.0 * beta) * math.cos(phi)
         zz_hat = estimate_zz(counts)
-        est = estimate_phase(zz_hat, beta, vis, counts, cfg.bootstrap, boot_seed)
+        est = estimate_phase(zz_hat, beta, vis, counts)
         rows.append(
             [
                 math.degrees(beta),
@@ -127,9 +127,9 @@ def run_mixture_sweep(cfg: ResolvedConfig):
     states = validate_densities(noisy_state(mixed_state(specs), cfg.noise))
     sampled = _sample(cfg, states, lambda i: f"p {cfg.p_list[i]:.12g}")
     rows = []
-    for p, spec, (counts, boot_seed) in zip(cfg.p_list, specs, sampled):
+    for p, spec, counts in zip(cfg.p_list, specs, sampled):
         zz_hat = estimate_zz(counts)
-        est = estimate_p(zz_hat, phi1, phi2, beta, vis, counts, cfg.bootstrap, boot_seed)
+        est = estimate_p(zz_hat, phi1, phi2, beta, vis, counts)
         rows.append(
             [
                 p,
@@ -164,7 +164,7 @@ def run_counts_demo(cfg: ResolvedConfig):
     """Raw coincidence tallies per (beta, phi)."""
     grid, states = _grid(cfg)
     rows = []
-    for (beta, phi), (counts, _) in zip(grid, _sample(cfg, states)):
+    for (beta, phi), counts in zip(grid, _sample(cfg, states)):
         rows.append(
             [
                 math.degrees(beta),

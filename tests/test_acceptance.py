@@ -166,10 +166,7 @@ def test_criterion_05_phase_estimation_under_noise():
         ideal = ket_to_density(prepare_lr(PreparationSettings(beta, phi)).amps)
         probs = OutcomeProbs(*outcome_probs(rotate_density(noisy_state(ideal, model))))
         counts = sample_counts(probs, 5000, seed=STAT_SEED)
-        est = estimate_phase(
-            estimate_zz(counts), beta, model.visibility, counts,
-            n_boot=1000, seed=STAT_SEED,
-        )
+        est = estimate_phase(estimate_zz(counts), beta, model.visibility, counts)
         results[label] = est
     elapsed = time.perf_counter() - start
     boson, fermion = results["boson"], results["fermion"]
@@ -218,10 +215,7 @@ def test_criterion_07_mixture_weight_recovery():
             counts = sample_counts(
                 probs, 100_000, seed=STAT_SEED + 100 * pair_index + step
             )
-            est = estimate_p(
-                estimate_zz(counts), phi1, phi2, beta, 1.0, counts,
-                n_boot=300, seed=STAT_SEED + step,
-            )
+            est = estimate_p(estimate_zz(counts), phi1, phi2, beta, 1.0, counts)
             worst = max(worst, abs(est.p_hat - p))
         worst_by_pair[(phi1, phi2)] = worst
         assert worst <= window, (

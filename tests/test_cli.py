@@ -68,6 +68,19 @@ def test_runs_are_byte_identical(command, tmp_path, capsys):
         assert reseeded != first
 
 
+@pytest.mark.parametrize("command", ["phase-sweep", "beta-sweep", "mixture-sweep"])
+def test_bootstrap_key_no_longer_changes_output(command, tmp_path, capsys):
+    # the error bars are exact; the key is only parsed and range-checked
+    outputs = []
+    for count in (100, 5000):
+        body = SMALL[command].replace("bootstrap = 100", f"bootstrap = {count}")
+        config = quick_config(tmp_path, body)
+        code, out, err = run_cli([command, "--config", config], capsys)
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_out_file_and_env_dir(tmp_path, capsys, monkeypatch):
     config = quick_config(tmp_path, SMALL["calibrate-plate"])
     out_abs = tmp_path / "direct.csv"
@@ -201,6 +214,33 @@ def test_unwritable_out_exits_2(case, tmp_path, capsys):
     assert err.startswith(f"config error: cannot write {out}: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["directory", "under-regular-file"])
+def test_unwritable_out_is_caught_before_computing(case, tmp_path, capsys, monkeypatch):
+    def run_scenario(cfg):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr("sloccsim.cli.run_scenario", run_scenario)
+    config = quick_config(tmp_path, SMALL["phase-sweep"])
+    (tmp_path / "plain.txt").write_text("", encoding="utf-8")
+    out = tmp_path if case == "directory" else tmp_path / "plain.txt" / "table.csv"
+    code, stdout, err = run_cli(["phase-sweep", "--config", config, "--out", str(out)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"config error: cannot write {out}: ")
+    assert err.count("\n") == 1
+
+
+def test_failed_run_leaves_no_out_file(tmp_path, capsys):
+    # the parent directory is made before the run, the file only after it succeeds
+    config = quick_config(tmp_path, "[experiment]\nshots = 1\nsampling = poisson\n")
+    out = tmp_path / "made" / "table.csv"
+    code, stdout, err = run_cli(["phase-sweep", "--config", config, "--out", str(out)], capsys)
+    assert code == 3, err
+    assert stdout == ""
+    assert out.parent.is_dir()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

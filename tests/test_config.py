@@ -119,7 +119,6 @@ def test_resolve_fills_scenario_defaults():
     resolved = resolve(ExperimentConfig(), "phase-sweep")
     assert resolved.seed == 42
     assert resolved.shots == 5000
-    assert resolved.bootstrap == 1000
     assert resolved.sampling == "multinomial"
     assert len(resolved.beta_list) == 4
     assert resolved.beta_list[0] == pytest.approx(math.pi / 4)

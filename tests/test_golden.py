@@ -40,16 +40,16 @@ COUNTS_GRID = (
 
 # case id -> (CLI arguments, config text or None, sha256 of the CSV)
 GOLDEN = {
-    "phase-sweep-default": (["phase-sweep"], None, "fff77be64be6a6604c500ed0f12c50b4f36018d0e2b9218a21fc23e2e82ddc1c"),
-    "phase-sweep-ideal": (["phase-sweep", "--ideal"], None, "d0c3239f8feddbe817452e74d535cbd40f8e945418f29f5632cb512515c2909a"),
-    "phase-sweep-poisson": (["phase-sweep"], POISSON, "5d66fa0c5d6028d3053826a7ccc5fd1ec8d2bdf047ae455aaad17f39bf4624a5"),
-    "phase-sweep-x_list": (["phase-sweep"], X_LIST, "c02b031fe68888fa6106d4d1d7933bd9385c1387ebd706e94ac5285208096050"),
-    "beta-sweep-default": (["beta-sweep"], None, "98caf7a43c11beee783cbe47c788b78c6a472efe0bb0e2ccbc733ea7a24b1f3e"),
-    "beta-sweep-ideal": (["beta-sweep", "--ideal"], None, "7a4a909c4ebbd6f7347b868c50f07b7c90f0d038ce761b6af48762b7a75db9cf"),
-    "beta-sweep-poisson": (["beta-sweep"], POISSON, "0c98983028e0a4aa757a6fd3b3bc00870edf8d51356d03776d80479e3b7497d6"),
-    "mixture-sweep-default": (["mixture-sweep"], None, "b47737bbaf66fe3dae8af389838f370b8a3e5a6728d3e60d0b1d64cef8ae74c6"),
-    "mixture-sweep-ideal": (["mixture-sweep", "--ideal"], None, "ff280faad0dcd8479ffcae9d0321e38f83d2a5a4b9b6e08cebf1a9233edddba1"),
-    "mixture-sweep-poisson": (["mixture-sweep"], POISSON, "3085803b501d4005d1272c56aa0d75da95fb0aab33ecc55b89b58e08bbb706fa"),
+    "phase-sweep-default": (["phase-sweep"], None, "9df9e9bf49f2237e27de53fc26f717b442c90ed011a35a7753a404ccea2c7ddc"),
+    "phase-sweep-ideal": (["phase-sweep", "--ideal"], None, "3cb60577e559307081f77e218ac5f48746892d9127c27518ba644b4d34661f08"),
+    "phase-sweep-poisson": (["phase-sweep"], POISSON, "3e9fcebf75294ebdc4168fcf04a95341bd1f9ca5400466813f1847c5816e1493"),
+    "phase-sweep-x_list": (["phase-sweep"], X_LIST, "6186c4f0884b6bd190f3d7a39cebd94ec68f580661affaf89eed1549f546a57b"),
+    "beta-sweep-default": (["beta-sweep"], None, "e411fc86238bd256c69f3c8c67691617e4513d6ff20f8fb598350391db76de6c"),
+    "beta-sweep-ideal": (["beta-sweep", "--ideal"], None, "84de7e45710000585a5a99381be9b48b81a955c9c658d7be254cdec91348b282"),
+    "beta-sweep-poisson": (["beta-sweep"], POISSON, "a7ed2a7eaf0384b4fd210406af6aa0f31f14e488a2b63f45c2bd77de021c18dd"),
+    "mixture-sweep-default": (["mixture-sweep"], None, "631561eef09bd566ae9876af910e6316c118e73ba15fd01151ca161bca541ebe"),
+    "mixture-sweep-ideal": (["mixture-sweep", "--ideal"], None, "02381b9c6e40a565e16ca276c4dc0edcebd68c2503f702d346910509c7494c7e"),
+    "mixture-sweep-poisson": (["mixture-sweep"], POISSON, "f5e39744dc5d095dd7492f5fb0d02e45d22c8a5a873ccca24fc5278a0ad5cd0c"),
     "calibrate-plate-default": (["calibrate-plate"], None, "7b555e566fcb8bb2def89b8e2a94cb93857dddc5965ad67ea809a679e9e9dafe"),
     "calibrate-plate-ideal": (["calibrate-plate", "--ideal"], None, "7b555e566fcb8bb2def89b8e2a94cb93857dddc5965ad67ea809a679e9e9dafe"),
     "calibrate-plate-poisson": (["calibrate-plate"], POISSON, "7b555e566fcb8bb2def89b8e2a94cb93857dddc5965ad67ea809a679e9e9dafe"),
@@ -63,7 +63,7 @@ GOLDEN = {
     # seed 2 puts the unconstrained noise-fit optimum outside the physical
     # triangle, so this digest pins the bounded (edge) path of fit_noise
     "tomography-demo-ideal-seed2": (["tomography-demo", "--ideal", "--seed", "2"], None, "897d6d3805942d12a4954904d7095912308bb55c9d6a561a873e244d9d3570c6"),
-    "phase-sweep-grid-17x37": (["phase-sweep"], PHASE_GRID, "dbf61ae69503131a9b8e03a767c412a1287b6c86eefebd20ac022eaf1f95520f"),
+    "phase-sweep-grid-17x37": (["phase-sweep"], PHASE_GRID, "d9215dbb7d9e3b1abc4fc1de4d8efb735bdcef0b3d144e42df09b990f50dba24"),
     "tomography-demo-grid-8x25": (["tomography-demo"], TOMOGRAPHY_GRID, "61b00c950209eaa9b6537b876f459e960195fb8501efaadb731251e51621a71b"),
     "counts-demo-grid-poisson-17x81": (["counts-demo"], COUNTS_GRID, "15368101a13a2f5a07971a3a6e77a756efb40c3494ac0572cb8c688633e0bd7c"),
 }

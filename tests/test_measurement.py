@@ -1,8 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sloccsim import (
@@ -22,7 +23,7 @@ from sloccsim import (
     rotate_density,
     sample_counts,
 )
-from sloccsim.measurement import ROTATION_PAIR, ROTATION_SINGLE, bootstrap_zz
+from sloccsim.measurement import ROTATION_PAIR, ROTATION_SINGLE, bootstrap_zz, zz_spread
 from sloccsim.states import DensityMatrix4
 
 from oracles import bootstrap_zz_multinomial, expectation_oracle, rotation_matrix_by_kron
@@ -175,13 +176,19 @@ def test_bootstrap_zz_shape_and_determinism():
     assert np.all(np.abs(a) <= 1.0)
 
 
+def counts_with(total, same):
+    """Tallies with n13 + n24 = same, spread over all four channels."""
+    other = total - same
+    return CoincidenceCounts.from_channels(
+        same - same // 3, other // 4, other - other // 4, same // 3
+    )
+
+
 @pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 1.0])
 def test_binomial_bootstrap_matches_multinomial_moments(q):
     # zz* = 2 S*/N - 1 with S* ~ Bin(N, q): mean 2q - 1, sd 2 sqrt(q(1 - q)/N)
     total, n_boot = 1000, 200_000
-    same = round(q * total)
-    other = total - same
-    counts = CoincidenceCounts.from_channels(same - same // 3, other // 4, other - other // 4, same // 3)
+    counts = counts_with(total, round(q * total))
     mean = 2.0 * q - 1.0
     sd = 2.0 * math.sqrt(q * (1.0 - q) / total)
     for sample in (
@@ -240,13 +247,119 @@ def test_bootstrap_does_not_overflow_at_the_largest_total():
     assert np.all(np.abs(bootstrap_zz(counts, 100, seed=1)) < 1e-6)
 
 
+def sd_tolerance(sample, sd):
+    # six standard errors of a sample sd: sd * sqrt((excess kurtosis + 2) / (4 n))
+    dev = sample - sample.mean()
+    kurtosis = np.mean(dev**4) / np.mean(dev**2) ** 2 - 3.0
+    return 6.0 * sd * math.sqrt((kurtosis + 2.0) / (4 * sample.size))
+
+
+@pytest.mark.parametrize("q", [0.02, 0.3, 0.5, 0.9])
+def test_zz_sigma_is_the_bootstrap_sd(q):
+    counts = counts_with(1000, round(q * 1000))
+    est = estimate_phase(estimate_zz(counts), math.pi / 4, 1.0, counts)
+    assert est.zz_sigma == zz_spread(counts) == pytest.approx(2.0 * math.sqrt(q * (1 - q) / 1000))
+    resamples = bootstrap_zz(counts, 200_000, seed=21)
+    assert abs(resamples.std(ddof=1) - est.zz_sigma) <= sd_tolerance(resamples, est.zz_sigma)
+
+
+# (total, n13 + n24, visibility at beta = pi/4, so the scale is the visibility)
+PHASE_SPREAD_CASES = {
+    "interior": (5000, 3000, 0.9),
+    "interior-small-total": (400, 260, 0.8),
+    "near-clamp": (5000, 4942, 0.977),  # zz_hat 0.9768, the scale within 0.1 sigma
+    "near-clamp-small-total": (400, 396, 0.98),
+    "near-clamp-negative": (5000, 60, 0.977),
+    "fixed-nodes": (200_000, 150_000, 0.6),  # the 24-sigma window spans 4648 counts
+    "fixed-nodes-near-clamp": (200_000, 150_000, 0.501),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PHASE_SPREAD_CASES))
+def test_phi_sigma_matches_the_bootstrap_oracle(case):
+    total, same, scale = PHASE_SPREAD_CASES[case]
+    counts = counts_with(total, same)
+    est = estimate_phase(estimate_zz(counts), math.pi / 4, scale, counts)
+    phis = np.arccos(np.clip(bootstrap_zz(counts, 200_000, seed=23) / scale, -1.0, 1.0))
+    assert est.sigma > 0.0
+    assert abs(phis.std(ddof=1) - est.sigma) <= sd_tolerance(phis, est.sigma)
+
+
+@pytest.mark.parametrize("case", ["fixed-nodes", "fixed-nodes-near-clamp"])
+def test_fixed_node_rule_agrees_with_the_lattice_sum(case, monkeypatch):
+    total, same, scale = PHASE_SPREAD_CASES[case]
+    counts = counts_with(total, same)
+    nodes = estimate_phase(estimate_zz(counts), math.pi / 4, scale, counts).sigma
+    monkeypatch.setattr("sloccsim.measurement.MAX_SPAN", 10**6)
+    lattice = estimate_phase(estimate_zz(counts), math.pi / 4, scale, counts).sigma
+    assert nodes == pytest.approx(lattice, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "total, same, scale",
+    [(5000, 4990, 0.977), (400, 2, 0.9), (10**7, 9_970_000, 0.99)],  # the last on the fixed nodes
+)
+def test_fully_clamped_rows_have_zero_phase_spread(total, same, scale):
+    counts = counts_with(total, same)
+    est = estimate_phase(estimate_zz(counts), math.pi / 4, scale, counts)
+    phis = np.arccos(np.clip(bootstrap_zz(counts, 200_000, seed=25) / scale, -1.0, 1.0))
+    assert est.clamped
+    assert est.sigma == 0.0
+    assert np.all(phis == phis[0])
+
+
+@pytest.mark.parametrize(
+    "channels", [(7, 0, 0, 5), (0, 3, 9, 0), (1, 0, 0, 0), (2**62, 0, 0, 2**62 - 1)]
+)
+def test_spreads_are_exactly_zero_when_q_is_0_or_1(channels):
+    counts = CoincidenceCounts.from_channels(*channels)
+    zz_hat = estimate_zz(counts)
+    est = estimate_phase(zz_hat, math.pi / 4, 1.0, counts)
+    assert est.zz_sigma == 0.0
+    assert est.sigma == 0.0
+    assert estimate_p(zz_hat, 0.0, math.pi, math.pi / 4, 1.0, counts).sigma == 0.0
+
+
+@pytest.mark.parametrize("same", [2**62, 2**63 - 4, 3])
+def test_largest_total_gives_a_finite_spread_in_bounded_time(same):
+    total = 2**63 - 1
+    counts = CoincidenceCounts(same, 0, total - same, 0, total=total)
+    start = time.perf_counter()
+    est = estimate_phase(estimate_zz(counts), math.pi / 4, 1.0, counts)
+    assert time.perf_counter() - start < 1.0
+    assert 0.0 < est.zz_sigma < 1e-9
+    assert math.isfinite(est.sigma)
+    if same == 2**62:
+        # zz_hat ~ 0, where d(phi)/d(zz) = -1: the two spreads agree
+        assert est.sigma == pytest.approx(est.zz_sigma, rel=1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    phi=st.floats(0.0, math.pi),
+    beta=st.floats(0.0, math.pi / 2).filter(lambda b: math.sin(2.0 * b) > 1e-3),
+    visibility=st.floats(1e-300, 1.0),  # keeps the scale visibility * sin(2 beta) a normal float
+)
+@example(phi=0.0, beta=math.pi / 4, visibility=1.0)
+@example(phi=math.pi, beta=0.3, visibility=0.977)
+@example(phi=1e-8, beta=math.pi / 4, visibility=0.5)
+def test_estimate_phase_inverts_the_forward_model(phi, beta, visibility):
+    zz = visibility * math.sin(2.0 * beta) * math.cos(phi)
+    est = estimate_phase(zz, beta, visibility, CoincidenceCounts.from_channels(1, 1, 1, 1))
+    # within 1e-6 of 0 or pi, arccos turns one rounding of cos(phi) into up to
+    # sqrt(2 * 2**-52) ~ 2.1e-8 of phase
+    tolerance = 1e-9 if math.sin(phi) > 1e-6 else 3e-8
+    assert abs(est.phi_hat - phi) <= tolerance
+    assert not est.clamped
+
+
 def test_estimate_phase_recovers_known_phase():
     beta = math.pi / 4
     for phi in (0.3, 1.1, 2.5):
         rho = rotate_density(ket_to_density(prepare_lr(PreparationSettings(beta, phi)).amps))
         probs = OutcomeProbs(*outcome_probs(rho))
         counts = sample_counts(probs, 2_000_000, seed=17)
-        est = estimate_phase(estimate_zz(counts), beta, 1.0, counts, n_boot=200, seed=17)
+        est = estimate_phase(estimate_zz(counts), beta, 1.0, counts)
         assert abs(est.phi_hat - phi) < 5e-3
         assert est.sigma > 0.0
         assert not est.clamped
@@ -260,13 +373,13 @@ def test_estimate_phase_folds_reflected_phases():
         ket_to_density(prepare_lr(PreparationSettings(beta, 2.0 * math.pi - phi)).amps)
     )
     counts = sample_counts(OutcomeProbs(*outcome_probs(rho)), 2_000_000, seed=9)
-    est = estimate_phase(estimate_zz(counts), beta, 1.0, counts, n_boot=200, seed=9)
+    est = estimate_phase(estimate_zz(counts), beta, 1.0, counts)
     assert abs(est.phi_hat - phi) < 5e-3
 
 
 def test_estimate_phase_clamps_out_of_range_ratio():
     counts = CoincidenceCounts.from_channels(1000, 0, 0, 1000)
-    est = estimate_phase(1.0, math.radians(10), 1.0, counts, n_boot=200, seed=4)
+    est = estimate_phase(1.0, math.radians(10), 1.0, counts)
     assert est.clamped
     assert est.phi_hat == 0.0
 
@@ -279,8 +392,6 @@ def test_estimate_phase_rejects_bad_inputs():
         estimate_phase(0.5, math.pi / 4, 0.0, counts)
     with pytest.raises(ValueError):
         estimate_phase(0.5, math.pi / 4, 1.5, counts)
-    with pytest.raises(ValueError):
-        estimate_phase(0.5, math.pi / 4, 1.0, counts, n_boot=10)
 
 
 @pytest.mark.parametrize(
@@ -289,12 +400,11 @@ def test_estimate_phase_rejects_bad_inputs():
         ({"beta": 0.0}, LowIndistinguishabilityError, "sin(2*beta) <= 1e-6: the correlation carries no {} information"),
         ({"visibility": 0.0}, ValueError, "visibility must lie in (0, 1]"),
         ({"visibility": 1.5}, ValueError, "visibility must lie in (0, 1]"),
-        ({"n_boot": 99}, ValueError, "need at least 100 bootstrap resamples"),
         ({"counts": CoincidenceCounts.from_channels(0, 0, 0, 0)}, ValueError, "counts are empty"),
     ],
 )
 def test_phase_and_weight_estimators_share_input_checks(change, error, message):
-    args = {"beta": math.pi / 4, "visibility": 1.0, "n_boot": 100}
+    args = {"beta": math.pi / 4, "visibility": 1.0}
     args["counts"] = CoincidenceCounts.from_channels(10, 10, 10, 10)
     args.update(change)
     with pytest.raises(error) as phase:

@@ -17,6 +17,7 @@ from sloccsim import (
     rotate_density,
     sample_counts,
 )
+from sloccsim.measurement import CoincidenceCounts, bootstrap_zz
 
 
 def test_spec_validation():
@@ -62,7 +63,7 @@ def test_estimate_p_exact_inversion():
     counts = sample_counts(
         OutcomeProbs(*outcome_probs(rotate_density(mixed_state([spec])[0]))), 1000, seed=1
     )
-    est = estimate_p(zz, spec.phi1, spec.phi2, spec.beta, 1.0, counts, n_boot=200, seed=1)
+    est = estimate_p(zz, spec.phi1, spec.phi2, spec.beta, 1.0, counts)
     assert est.p_raw == pytest.approx(0.37, abs=1e-12)
     assert est.p_hat == est.p_raw
     assert est.sigma > 0.0
@@ -73,7 +74,7 @@ def test_estimate_p_clamps_to_unit_interval():
     counts = sample_counts(
         OutcomeProbs(*outcome_probs(rotate_density(mixed_state([spec])[0]))), 1000, seed=2
     )
-    est = estimate_p(1.002, spec.phi1, spec.phi2, spec.beta, 1.0, counts, n_boot=200, seed=2)
+    est = estimate_p(1.002, spec.phi1, spec.phi2, spec.beta, 1.0, counts)
     assert est.p_raw > 1.0
     assert est.p_hat == 1.0
 
@@ -84,11 +85,29 @@ def test_estimate_p_end_to_end_sampled():
         spec = MixtureSpec(weight=w, phi1=0.0, phi2=math.pi, beta=math.pi / 4)
         probs = OutcomeProbs(*outcome_probs(rotate_density(mixed_state([spec])[0])))
         counts = sample_counts(probs, 100_000, seed=seed)
-        est = estimate_p(
-            estimate_zz(counts), spec.phi1, spec.phi2, spec.beta, 1.0,
-            counts, n_boot=300, seed=seed,
-        )
+        est = estimate_p(estimate_zz(counts), spec.phi1, spec.phi2, spec.beta, 1.0, counts)
         assert abs(est.p_hat - w) < 0.02
+
+
+@pytest.mark.parametrize(
+    "phi1, phi2, beta, visibility, channels",
+    [
+        (0.0, math.pi, math.pi / 4, 1.0, (300, 200, 250, 250)),
+        (0.0, math.pi / 2, 0.5, 0.977, (700, 50, 100, 150)),
+        (math.pi, 1.0, 0.3, 0.6, (40, 180, 160, 20)),  # negative contrast
+    ],
+)
+def test_p_err_is_the_bootstrap_sd_of_the_inverted_weight(phi1, phi2, beta, visibility, channels):
+    # the weight is linear in zz, so its exact bootstrap sd is zz's over |scale * contrast|
+    counts = CoincidenceCounts.from_channels(*channels)
+    est = estimate_p(estimate_zz(counts), phi1, phi2, beta, visibility, counts)
+    scale = visibility * math.sin(2.0 * beta)
+    resamples = bootstrap_zz(counts, 200_000, seed=31)
+    weights = (resamples / scale - math.cos(phi2)) / (math.cos(phi1) - math.cos(phi2))
+    dev = weights - weights.mean()
+    kurtosis = np.mean(dev**4) / np.mean(dev**2) ** 2 - 3.0
+    tolerance = 6.0 * est.sigma * math.sqrt((kurtosis + 2.0) / (4 * weights.size))
+    assert abs(weights.std(ddof=1) - est.sigma) <= tolerance
 
 
 def test_estimate_p_rejects_degenerate_settings():
@@ -106,8 +125,6 @@ def test_estimate_p_rejects_degenerate_settings():
         estimate_p(0.0, 0.0, math.pi, 0.0, 1.0, counts)
     with pytest.raises(ValueError):
         estimate_p(0.0, 0.0, math.pi, math.pi / 4, 0.0, counts)
-    with pytest.raises(ValueError):
-        estimate_p(0.0, 0.0, math.pi, math.pi / 4, 1.0, counts, n_boot=5)
 
 
 def test_half_contrast_pair_needs_more_shots():
@@ -118,10 +135,7 @@ def test_half_contrast_pair_needs_more_shots():
         spec = MixtureSpec(weight=0.5, phi1=0.0, phi2=phi2, beta=math.pi / 4)
         probs = OutcomeProbs(*outcome_probs(rotate_density(mixed_state([spec])[0])))
         counts = sample_counts(probs, 100_000, seed=44)
-        est = estimate_p(
-            estimate_zz(counts), spec.phi1, spec.phi2, spec.beta, 1.0,
-            counts, n_boot=2000, seed=44,
-        )
+        est = estimate_p(estimate_zz(counts), spec.phi1, spec.phi2, spec.beta, 1.0, counts)
         sigmas[label] = est.sigma
     ratio = (sigmas["half"] / sigmas["full"]) ** 2
     assert 2.5 < ratio < 6.0
