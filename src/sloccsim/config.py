@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -377,6 +378,14 @@ def resolve(
         plate = PlateGeometry(**plate_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # the estimators divide by visibility * sin(2 beta); the raw-count scenarios take 0 as well
+    if 0.0 < noise.visibility < sys.float_info.min or (
+        noise.visibility == 0.0 and scenario in _NEEDS_PHASE_CONTRAST
+    ):
+        raise ConfigError(
+            f"visibility {noise.visibility!r} is below the smallest normal float "
+            f"{sys.float_info.min!r}"
+        )
     for x in x_list or ():
         if abs(x) >= plate.max_displacement:
             raise ConfigError(

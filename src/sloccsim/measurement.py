@@ -11,6 +11,7 @@ of |L-up R-up| and so on down the diagonal.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,13 +118,15 @@ class CoincidenceCounts:
 
 
 def sample_counts(
-    probs: OutcomeProbs, total: int, seed: int, mode: str = "multinomial"
+    probs: OutcomeProbs, total: int, seed: int | np.random.Generator, mode: str = "multinomial"
 ) -> CoincidenceCounts:
     """Draw coincidence tallies for one measurement setting.
 
     multinomial mode fixes the number of recorded pairs; poisson mode draws
     each channel independently with mean total * p, so the realised total
-    fluctuates.  Identical (probs, total, seed, mode) give identical counts.
+    fluctuates.  ``seed`` is a seed for ``np.random.default_rng`` or a
+    Generator to draw from, which is used as it stands.  Identical (probs,
+    total, seed, mode) give identical counts.
     """
     if total < 1:
         raise ValueError("total must be at least 1")
@@ -133,7 +136,8 @@ def sample_counts(
     if mode == "multinomial":
         draws = rng.multinomial(total, p)
     elif mode == "poisson":
-        draws = rng.poisson(total * p)
+        # one scalar draw per channel consumes the stream as the array call does, faster
+        draws = [rng.poisson(total * v) for v in p.tolist()]
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     return CoincidenceCounts.from_channels(*draws)
@@ -178,7 +182,12 @@ def correlation_scale(
         raise ValueError("visibility must lie in (0, 1]")
     if counts.total < 1:
         raise ValueError("counts are empty")
-    return visibility * sin_2b
+    scale = visibility * sin_2b
+    if scale < sys.float_info.min:  # a subnormal scale overflows or divides by zero
+        raise ValueError(
+            f"visibility * sin(2*beta) = {scale!r} is below the smallest normal float"
+        )
+    return scale
 
 
 # The exact bootstrap sums over same* = k within WINDOW_SIGMAS standard

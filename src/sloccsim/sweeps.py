@@ -1,8 +1,13 @@
 """Experiment drivers: resolved config in, CSV header plus rows out.
 
-A scenario's states form one validated (N, 4, 4) stack.  Each row derives
-its own RNG seeds from (run seed, row index) through a SeedSequence, so rows
-never depend on evaluation order and identical configs reproduce identical files.
+A scenario's states form one validated (N, 4, 4) stack.  Row i draws its
+counts from the stream of ``default_rng(SeedSequence([seed, i]).generate_state(1,
+uint64)[0])``, so rows never depend on evaluation order and identical configs
+reproduce identical files.  ``row_seeds`` and ``row_generators`` reach those
+streams without building a SeedSequence or a generator per row: both
+SeedSequence hashes run as uint32 array operations over all rows at once, and
+one reused PCG64 is set to each row's starting state.  The streams, and so
+every count, are the same as with the per-row objects.
 """
 
 from __future__ import annotations
@@ -28,10 +33,124 @@ from .states import ket_to_density, validate_densities
 from .tomography import extract_params, reconstruct, setting_probabilities, simulate_tomography
 
 
+# numpy's SeedSequence: O'Neill's seed_seq_fe with a pool of four uint32 words
+_POOL = 4
+_INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
+_INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hashmix(value, const, mult):
+    """One seed_seq_fe hash step: the hashed value and the next hash constant."""
+    const_next = const * mult
+    value = (value ^ const) * const_next
+    return value ^ (value >> _SHIFT), const_next
+
+
+def _seed_sequence(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(row).generate_state(n_words, uint32)`` for each row of ``entropy``.
+
+    ``entropy`` is an (n, k) uint32 array with k <= 4, each row a seed's
+    32-bit words, low first.  numpy hashes a missing pool word as 0, so a
+    row ending in zero words gives the same state as the row without them.
+    Returns an (n, n_words) uint32 array; the hash constants do not depend
+    on the data, so every step is one operation over all rows.
+    """
+    with np.errstate(over="ignore"):  # uint32 products wrap mod 2**32, as in C
+        const = _INIT_A
+        pool = []
+        for i in range(_POOL):
+            word = entropy[:, i] if i < entropy.shape[1] else np.uint32(0)
+            word, const = _hashmix(word, const, _MULT_A)
+            pool.append(word)
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    hashed, const = _hashmix(pool[src], const, _MULT_A)
+                    mixed = _MIX_L * pool[dst] - _MIX_R * hashed
+                    pool[dst] = mixed ^ (mixed >> _SHIFT)
+        const = _INIT_B
+        out = np.empty((entropy.shape[0], n_words), dtype=np.uint32)
+        for i in range(n_words):
+            out[:, i], const = _hashmix(pool[i % _POOL], const, _MULT_B)
+    return out
+
+
+def _as_uint64(words: np.ndarray) -> np.ndarray:
+    """Pairs of uint32 words, low first, as uint64: numpy's little-endian view, no copy here."""
+    return np.ascontiguousarray(words, dtype="<u4").view("<u8")
+
+
+def _row_words(seed: int, indices: np.ndarray, count: int) -> np.ndarray:
+    """The 2 * count uint32 words of ``SeedSequence([seed, i]).generate_state(count, uint64)``."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64 - 1], got {seed}")
+    seed_words = [seed & 0xFFFFFFFF, seed >> 32] if seed >> 32 else [seed]
+    entropy = np.empty((len(indices), len(seed_words) + 1), dtype=np.uint32)
+    entropy[:, :-1] = seed_words
+    entropy[:, -1] = indices
+    return _seed_sequence(entropy, 2 * count)
+
+
+def _row_indices(n: int) -> np.ndarray:
+    # the row index is one uint32 word of the entropy
+    if not 0 <= n < 2**32:
+        raise ValueError(f"the row count must lie in [0, 2**32 - 1], got {n}")
+    return np.arange(n, dtype=np.uint32)
+
+
+def row_seeds(seed: int, n: int, count: int = 1) -> np.ndarray:
+    """Row i's ``SeedSequence([seed, i]).generate_state(count, uint64)``, for i < n.
+
+    Returns an (n, count) uint64 array, computed for all rows at once.
+    Column 0 does not depend on ``count``.
+    """
+    return _as_uint64(_row_words(int(seed), _row_indices(n), count))
+
+
 def point_seeds(seed: int, index: int, count: int = 2) -> list[int]:
-    """Deterministic per-point seeds, independent of evaluation order."""
-    sequence = np.random.SeedSequence([int(seed), int(index)])
-    return [int(v) for v in sequence.generate_state(count, dtype=np.uint64)]
+    """Deterministic per-point seeds, independent of evaluation order: row ``index`` of ``row_seeds``."""
+    if not 0 <= index < 2**32:
+        raise ValueError(f"row index must lie in [0, 2**32 - 1], got {index}")
+    words = _row_words(int(seed), np.array([index], dtype=np.uint32), count)
+    return _as_uint64(words)[0].tolist()
+
+
+def row_generators(seed: int, n: int):
+    """Yield, for each row i < n, a Generator at ``default_rng(row_seeds(seed, n)[i, 0])``'s start.
+
+    The same Generator is yielded every time and moved to the next row's
+    stream on the next step, so draw from it before advancing.  Its PCG64
+    is built once from the fixed seed 0, never from OS entropy, and every
+    row overwrites that state through the checked ``state`` setter.
+    Row i's state is what ``PCG64(count_seed)`` seeds: the count seed's two
+    uint32 words hashed into four uint64 words v0..v3, then, mod 2**128,
+    init = v0 * 2**64 + v1, inc = 2 * (v2 * 2**64 + v3) + 1 and
+    state = (inc + init) * multiplier + inc.  The hashes run over all rows
+    at once; the 128-bit states are computed one row at a time, as the rows
+    are drawn.
+    """
+    # each count seed as its two uint32 words; a zero high word hashes as if absent
+    count_seeds = _row_words(int(seed), _row_indices(n), 1)
+    # PCG64(count_seed) seeds from SeedSequence(count_seed).generate_state(4, uint64)
+    words = _as_uint64(_seed_sequence(count_seeds, 8))
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    for row in words:  # one row at a time: a list of all rows' words raised peak RSS
+        v0, v1, v2, v3 = row.tolist()
+        inc = ((v2 << 64 | v3) << 1 | 1) & _MASK128
+        state = ((inc + (v0 << 64 | v1)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def _grid(cfg: ResolvedConfig):
@@ -51,9 +170,9 @@ def _sample(cfg: ResolvedConfig, states: np.ndarray, describe=None):
     ``describe(index)`` names the rows of a sweep that estimates from its
     counts; there a row without a coincidence (Poisson can draw one) ends the run.
     """
-    for index, probs in enumerate(outcome_probs(rotate_density(states))):
-        (count_seed,) = point_seeds(cfg.seed, index, count=1)
-        counts = sample_counts(OutcomeProbs(*probs), cfg.shots, count_seed, mode=cfg.sampling)
+    rows = outcome_probs(rotate_density(states))
+    for index, (probs, rng) in enumerate(zip(rows, row_generators(cfg.seed, len(rows)))):
+        counts = sample_counts(OutcomeProbs(*probs), cfg.shots, rng, mode=cfg.sampling)
         if describe is not None and counts.total < 1:
             raise ValueError(f"row {index} ({describe(index)}): cannot estimate from zero counts")
         yield counts
@@ -200,8 +319,8 @@ def run_tomography_demo(cfg: ResolvedConfig):
     """
     grid, states = _grid(cfg)
     tables = [
-        simulate_tomography(probs, cfg.shots, *point_seeds(cfg.seed, index, count=1))
-        for index, probs in enumerate(setting_probabilities(states))
+        simulate_tomography(probs, cfg.shots, rng)
+        for probs, rng in zip(setting_probabilities(states), row_generators(cfg.seed, len(states)))
     ]
     rho_hats = reconstruct(np.stack(tables))
     extracted = [extract_params(rho_hat) for rho_hat in rho_hats]

@@ -69,8 +69,14 @@ def setting_probabilities(matrices: np.ndarray) -> np.ndarray:
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def simulate_tomography(probs: np.ndarray, shots_per_setting: int, seed: int) -> np.ndarray:
-    """Multinomial tallies of one state's (9, 4) setting probabilities, one RNG stream."""
+def simulate_tomography(
+    probs: np.ndarray, shots_per_setting: int, seed: int | np.random.Generator
+) -> np.ndarray:
+    """Multinomial tallies of one state's (9, 4) setting probabilities, one RNG stream.
+
+    ``seed`` is a seed for ``np.random.default_rng`` or a Generator to draw
+    from, which is used as it stands.
+    """
     if shots_per_setting < 1:
         raise ValueError("shots_per_setting must be at least 1")
     rng = np.random.default_rng(seed)

@@ -9,6 +9,8 @@ multinomial bootstrap is the four-channel redraw that the binomial one
 replaced; the two agree in distribution, not in bits.  The tomography
 references are the per-setting kron loop and the dict-accumulating
 inversion that the stacked library code replaced; they must agree bit for bit.
+The row seeds and generator states come from numpy's own SeedSequence and
+default_rng, one object per row, which the vectorised seeding must match.
 """
 
 from __future__ import annotations
@@ -195,3 +197,14 @@ def noisy_chain_oracle(beta: float, phi: float, visibility: float, white: float)
     noisy = visibility * pure_density_oracle(beta, phi) + (1.0 - visibility) * floor
     diag = np.clip((ROTATION_PAIR @ noisy @ ROTATION_PAIR.conj().T).diagonal().real, 0.0, None)
     return noisy, diag / float(diag.sum())
+
+
+def row_seeds_oracle(seed: int, index: int, count: int) -> list[int]:
+    """Row ``index``'s seeds straight from numpy's SeedSequence."""
+    sequence = np.random.SeedSequence([seed, index])
+    return [int(v) for v in sequence.generate_state(count, dtype=np.uint64)]
+
+
+def row_generator_oracle(seed: int, index: int) -> np.random.Generator:
+    """A fresh Generator on row ``index``'s counting stream."""
+    return np.random.default_rng(row_seeds_oracle(seed, index, 1)[0])

@@ -173,6 +173,15 @@ OUT_OF_RANGE = {
     "x-nan": ("phase-sweep", "[sweep]\nx_list = nanmm\n", []),
     "p-nan": ("mixture-sweep", "[sweep]\np_list = 0, nan\n", []),
     "visibility-inf": ("phase-sweep", "[noise]\nvisibility = inf\n", []),
+    # subnormal visibilities leaked an overflow warning or a bare division by zero
+    "visibility-1e-310": ("phase-sweep", "[noise]\nvisibility = 1e-310\n", []),
+    "visibility-5e-324": (
+        "phase-sweep",
+        "[noise]\nvisibility = 5e-324\n[sweep]\nbeta_list = 10deg\n",
+        [],
+    ),
+    "visibility-subnormal-counts": ("counts-demo", "[noise]\nvisibility = 1e-310\n", []),
+    "visibility-0-phase-sweep": ("phase-sweep", "[noise]\nvisibility = 0\n", []),
     "shots-1e20": ("phase-sweep", "[experiment]\nshots = 100000000000000000000\n", []),
     "shots-2^63": ("counts-demo", "[experiment]\nshots = 9223372036854775808\n", []),
     "x-beyond-plate": ("phase-sweep", "[sweep]\nx_list = 200mm\n", []),
@@ -263,6 +272,28 @@ def test_empty_poisson_row_exits_3_naming_the_row(command, row_pattern, tmp_path
     assert out == ""
     pattern = rf"error: row \d+ \({row_pattern}\): cannot estimate from zero counts\n"
     assert re.fullmatch(pattern, err), err
+
+
+def test_zero_visibility_still_runs_raw_count_scenarios(tmp_path, capsys):
+    # a fully spoiled state has well-defined counts and tomography; only the estimators need V > 0
+    for command in ("counts-demo", "tomography-demo"):
+        config = quick_config(tmp_path, SMALL[command] + "[noise]\nvisibility = 0\n")
+        code, out, err = run_cli([command, "--config", config], capsys)
+        assert code == 0, err
+        assert out.count("\n") >= 2
+
+
+def test_scale_below_normal_floats_exits_3(tmp_path, capsys):
+    # each factor passes the config checks, their product is subnormal
+    config = quick_config(
+        tmp_path, "[noise]\nvisibility = 1e-303\n[sweep]\nbeta_list = 1e-6rad\nphi_list = 0\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["phase-sweep", "--config", config], capsys)
+    assert code == 3
+    assert out == ""
+    assert re.fullmatch(r"error: visibility \* sin\(2\*beta\) = \S+ is below the smallest normal float\n", err), err
 
 
 def test_largest_u64_seed_is_accepted(tmp_path, capsys):

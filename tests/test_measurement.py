@@ -162,6 +162,34 @@ def test_sample_counts_poisson_mode():
         sample_counts(probs, 0, seed=2)
 
 
+@pytest.mark.parametrize(
+    "probs, total",
+    [
+        ((0.4, 0.1, 0.2, 0.3), 5000),
+        ((0.5, 0.0, 0.0, 0.5), 5000),  # lam = 0 draws nothing from the stream
+        ((0.0, 0.25, 0.75, 0.0), 3),
+        ((0.97, 0.01, 0.01, 0.01), 10**12),
+    ],
+)
+def test_poisson_channels_drawn_one_by_one_match_the_array_draw(probs, total):
+    # the per-channel scalar draws must consume the stream exactly as one array call
+    p = np.array(probs) / np.sum(probs)
+    for seed in range(50):
+        reference = np.random.default_rng(seed)
+        expected = reference.poisson(total * p).tolist()
+        rng = np.random.default_rng(seed)
+        counts = sample_counts(OutcomeProbs(*probs), total, rng, mode="poisson")
+        assert [counts.n13, counts.n14, counts.n23, counts.n24] == expected
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert counts == sample_counts(OutcomeProbs(*probs), total, seed, mode="poisson")
+
+
+def test_poisson_mean_beyond_the_sampler_range_is_rejected():
+    # a ValueError, which the CLI reports with exit 3
+    with pytest.raises(ValueError, match="lam value too large"):
+        sample_counts(OutcomeProbs(1.0, 0.0, 0.0, 0.0), 2**63 - 1, seed=1, mode="poisson")
+
+
 def test_estimate_zz():
     counts = CoincidenceCounts.from_channels(600, 100, 100, 200)
     assert estimate_zz(counts) == pytest.approx(0.6)
@@ -401,6 +429,9 @@ def test_estimate_phase_rejects_bad_inputs():
         ({"visibility": 0.0}, ValueError, "visibility must lie in (0, 1]"),
         ({"visibility": 1.5}, ValueError, "visibility must lie in (0, 1]"),
         ({"counts": CoincidenceCounts.from_channels(0, 0, 0, 0)}, ValueError, "counts are empty"),
+        # a subnormal scale overflowed the spread's division or divided by zero
+        ({"visibility": 1e-310}, ValueError, "visibility * sin(2*beta) = 1e-310 is below the smallest normal float"),
+        ({"visibility": 5e-324}, ValueError, "visibility * sin(2*beta) = 5e-324 is below the smallest normal float"),
     ],
 )
 def test_phase_and_weight_estimators_share_input_checks(change, error, message):
