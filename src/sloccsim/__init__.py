@@ -21,7 +21,6 @@ from .measurement import (
     CoincidenceCounts,
     OutcomeProbs,
     PhaseEstimate,
-    apply_rotation,
     estimate_phase,
     estimate_zz,
     expectation_zz,
@@ -36,7 +35,7 @@ from .mixture import (
     mixed_state,
     mixture_expectation,
 )
-from .noise import NoiseModel, fit_noise, noisy_expectation_scaling, noisy_state
+from .noise import NoiseModel, fit_noise, noisy_state
 from .plate import (
     PlateGeometry,
     PlatePhase,
@@ -65,7 +64,6 @@ from .states import (
     fidelity_pure,
     joint_amplitude,
     ket_to_density,
-    normalize,
 )
 from .tomography import (
     ExtractedParams,
@@ -88,7 +86,6 @@ __all__ = [
     "CoincidenceCounts",
     "OutcomeProbs",
     "PhaseEstimate",
-    "apply_rotation",
     "estimate_phase",
     "estimate_zz",
     "expectation_zz",
@@ -102,7 +99,6 @@ __all__ = [
     "mixture_expectation",
     "NoiseModel",
     "fit_noise",
-    "noisy_expectation_scaling",
     "noisy_state",
     "PlateGeometry",
     "PlatePhase",
@@ -127,7 +123,6 @@ __all__ = [
     "fidelity_pure",
     "joint_amplitude",
     "ket_to_density",
-    "normalize",
     "ExtractedParams",
     "extract_params",
     "reconstruct",

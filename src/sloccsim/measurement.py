@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LowIndistinguishabilityError
-from .states import ATOL, PSD_ATOL, JointKet
+from .states import ATOL, PSD_ATOL
 
-ROTATION_SINGLE = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=np.complex128) / math.sqrt(2.0)
-
-# kron(ROTATION_SINGLE, ROTATION_SINGLE) written with exact +-0.5 entries so
-# the two-spin rotation is exactly unitary in floating point.
+# kron(R, R) of the single-spin pi/4 mixing R = [[1, -1], [1, 1]] / sqrt(2),
+# written with exact +-0.5 entries so the two-spin rotation is exactly
+# unitary in floating point.
 ROTATION_PAIR = 0.5 * np.array(
     [
         [1.0, -1.0, -1.0, 1.0],
@@ -35,11 +34,6 @@ ROTATION_PAIR = 0.5 * np.array(
 ROTATION_PAIR.setflags(write=False)
 
 MIN_SIN_2BETA = 1e-6
-
-
-def apply_rotation(ket: JointKet) -> JointKet:
-    """Rotate both pseudospins by the fixed pi/4 mixing."""
-    return JointKet(ROTATION_PAIR @ ket.amps)
 
 
 def rotate_density(matrices: np.ndarray) -> np.ndarray:

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousFitError
-from .measurement import expectation_zz, rotate_density
 from .slocc import PreparationSettings, lr_kets
-from .states import DensityMatrix4, ket_to_density
+from .states import ket_to_density
 
 WHITE_NOISE = np.eye(4, dtype=np.complex128) / 4.0
 WHITE_NOISE.setflags(write=False)
@@ -61,21 +60,6 @@ def noisy_state(ideals: np.ndarray, model: NoiseModel) -> np.ndarray:
     return model.visibility * ideals + (1.0 - model.visibility) * noise_floor(model)
 
 
-def noisy_expectation_scaling(ideals: np.ndarray, model: NoiseModel) -> np.ndarray:
-    """Correlations of the rotated noisy states, checked against the scaling law.
-
-    The result must equal visibility times the ideal correlation because the
-    noise floor is invisible to the rotated z-basis readout.  A violation
-    would mean the fixed operators were edited inconsistently, so it raises
-    instead of returning silently.
-    """
-    noisy = expectation_zz(rotate_density(noisy_state(ideals, model)))
-    reference = model.visibility * expectation_zz(rotate_density(ideals))
-    if np.any(np.abs(noisy - reference) > 1e-12):
-        raise RuntimeError("visibility scaling law violated; operators inconsistent")
-    return noisy
-
-
 def least_squares(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Exact minimiser of ||design @ c - rhs|| on the physical triangle's edges.
 
@@ -97,22 +81,26 @@ def least_squares(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return best
 
 
-def fit_noise(
-    reconstructions: list[tuple[DensityMatrix4, PreparationSettings]],
-) -> NoiseModel:
+def fit_noise(targets: np.ndarray, settings: list[PreparationSettings]) -> NoiseModel:
     """Fit (visibility, white_weight) to reconstructed states by least squares.
 
-    Each entry pairs a reconstructed density matrix with the preparation it
-    came from; the ideal state is rebuilt from the settings and the model
-    visibility * ideal + (1 - visibility) * floor is matched in Frobenius
-    norm.  The model is linear in (c_vis, c_white) = (F, (1 - F) * a), so
-    the unconstrained optimum is solved directly; when it leaves the
-    physical triangle, ``least_squares`` finds the exact bounded optimum.
+    ``targets`` is an (N, 4, 4) stack of density matrices, such as
+    ``reconstruct`` returns, and ``settings[i]`` the preparation that
+    ``targets[i]`` came from.  The ideal states are rebuilt from the
+    settings and the model visibility * ideal + (1 - visibility) * floor is
+    matched in Frobenius norm.  The model is linear in (c_vis, c_white) =
+    (F, (1 - F) * a), so the unconstrained optimum is solved directly; when
+    it leaves the physical triangle, ``least_squares`` finds the exact
+    bounded optimum.
     """
-    if len(reconstructions) < 2:
+    if len(settings) < 2:
         raise ValueError("need at least two reconstructed states to fit noise")
-    ideals = ket_to_density(lr_kets([s for _, s in reconstructions]))
-    targets = np.stack([rec.matrix for rec, _ in reconstructions])
+    if np.shape(targets) != (len(settings), 4, 4):
+        raise ValueError(
+            f"targets must have shape ({len(settings)}, 4, 4), one per setting,"
+            f" got {np.shape(targets)}"
+        )
+    ideals = ket_to_density(lr_kets(settings))
 
     col_vis = (ideals - DEPHASED).ravel()
     col_white = np.tile((WHITE_NOISE - DEPHASED).ravel(), len(ideals))

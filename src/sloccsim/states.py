@@ -24,8 +24,6 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import DegenerateStateError
-
 ATOL = 1e-12
 PSD_ATOL = 1e-10
 NORM_ATOL = 1e-9  # input normalisation guard; internally produced kets hold 1e-12
@@ -54,11 +52,6 @@ class Region(IntEnum):
 
     LEFT = 0
     RIGHT = 1
-
-
-def basis_index(left_spin: Pseudospin, right_spin: Pseudospin) -> int:
-    """Index of |L left_spin, R right_spin> in the fixed basis order."""
-    return 2 * int(left_spin) + int(right_spin)
 
 
 @dataclass(frozen=True)
@@ -90,10 +83,6 @@ class StatisticsParameter:
     @classmethod
     def fermionic(cls) -> "StatisticsParameter":
         return cls(math.pi)
-
-    def conjugated(self) -> "StatisticsParameter":
-        """Statistics parameter with the opposite phase sign."""
-        return StatisticsParameter(-self.phi)
 
 
 @dataclass(frozen=True)
@@ -164,18 +153,12 @@ class JointKet:
         return abs(abs(self.overlap(other)) - 1.0) <= atol
 
 
-def normalize(ket: JointKet) -> JointKet:
-    """Rescale to unit norm, leaving direction and global phase alone."""
-    n = ket.norm()
-    if n <= 1e-15:
-        raise DegenerateStateError("cannot normalise a zero-norm ket")
-    return JointKet(ket.amps / n)
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix4:
     """4x4 density matrix in the fixed basis, validated on construction.
 
+    The one-matrix convenience over :func:`validate_densities`; the pipeline
+    itself validates whole (N, 4, 4) stacks and builds none of these.
     Accepts Hermiticity and trace defects up to 1e-12 and eigenvalues down
     to -1e-10; anything worse raises.
     """
@@ -209,15 +192,18 @@ def ket_to_density(kets: np.ndarray) -> np.ndarray:
     """Rank-one projectors |k><k| of a (..., 4) stack of unit kets, as (..., 4, 4)."""
     norm_sq = (kets.conj()[..., None, :] @ kets[..., :, None]).real
     if np.any(np.abs(norm_sq - 1.0) > 2.0 * NORM_ATOL):
-        raise ValueError("ket_to_density expects a unit ket; call normalize first")
+        raise ValueError("ket_to_density expects unit kets; rescale them to norm 1 first")
     return kets[..., :, None] * kets.conj()[..., None, :] / norm_sq
 
 
-def fidelity_pure(rho: DensityMatrix4, target: JointKet) -> float:
-    """<target|rho|target>, clipped into [0, 1] at the PSD tolerance."""
+def fidelity_pure(rho: np.ndarray, target: JointKet) -> float:
+    """<target|rho|target> for one (4, 4) density matrix, clipped into [0, 1] at the PSD tolerance.
+
+    ``rho`` is a plain array, such as one row of ``reconstruct``'s stack.
+    """
     if abs(target.norm() - 1.0) > NORM_ATOL:
         raise ValueError("fidelity target must be a unit ket")
-    value = float(np.real(np.vdot(target.amps, rho.matrix @ target.amps)))
+    value = float(np.real(np.vdot(target.amps, rho @ target.amps)))
     if value < -PSD_ATOL or value > 1.0 + PSD_ATOL:
         raise ValueError(f"fidelity {value!r} is outside [0, 1] beyond tolerance")
     return min(max(value, 0.0), 1.0)

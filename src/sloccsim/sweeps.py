@@ -324,11 +324,10 @@ def run_tomography_demo(cfg: ResolvedConfig):
     ]
     rho_hats = reconstruct(np.stack(tables))
     extracted = [extract_params(rho_hat) for rho_hat in rho_hats]
-    fitted = fit_noise(
-        [(rho_hat, PreparationSettings(p.beta, p.phi)) for rho_hat, p in zip(rho_hats, extracted)]
-    )
+    fitted = fit_noise(rho_hats, [PreparationSettings(p.beta, p.phi) for p in extracted])
+    cells = rho_hats.view(np.float64).reshape(len(rho_hats), 32).tolist()  # re, im interleaved
     rows = []
-    for (beta, phi), rho_hat, params in zip(grid, rho_hats, extracted):
+    for (beta, phi), params, rho_cells in zip(grid, extracted, cells):
         row = [
             math.degrees(beta),
             phi,
@@ -338,7 +337,7 @@ def run_tomography_demo(cfg: ResolvedConfig):
             fitted.visibility,
             fitted.white_weight,
         ]
-        rows.append(row + list(rho_hat.matrix.view(np.float64).ravel()))  # re, im interleaved
+        rows.append(row + rho_cells)
     return TOMOGRAPHY_HEADER, rows
 
 
@@ -356,17 +355,18 @@ def run_scenario(cfg: ResolvedConfig):
     return _RUNNERS[cfg.scenario](cfg)
 
 
-def format_cell(value) -> str:
-    """CSV cell: integers verbatim, floats with 12 significant digits."""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".12g")
+# The tally columns (n13, n14, n23, n24, total); every other column holds floats.
+COUNT_COLUMNS = frozenset(COUNTS_HEADER[2:])
 
 
 def render_csv(header, rows) -> str:
+    """CSV text: tally columns as integers, every other cell with 12 significant digits.
+
+    One ``%`` template per header, applied once per row: ``"%d"`` for the
+    tally columns and ``"%.12g"``, which formats a float exactly as
+    ``format(float(value), ".12g")`` does, for the rest.
+    """
+    template = ",".join("%d" if name in COUNT_COLUMNS else "%.12g" for name in header)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_cell(value) for value in row))
+    lines.extend(template % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"

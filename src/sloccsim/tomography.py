@@ -4,8 +4,8 @@ Per setting the two pseudospins are measured along a pair of Pauli axes and
 events are sorted into the four joint eigenvalue sectors.  Correlators feed
 the reconstruction directly; single-side terms come from marginals averaged
 over the partner axis, which keeps the inversion exact on infinite-shot
-data.  Eigenvalue clipping plus trace renormalisation restores physicality
-before any parameter is read off.
+data.  Projecting the eigenvalues onto the probability simplex, for the
+whole stack at once, restores physicality before any parameter is read off.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ExtractionError
 from .slocc import PreparationSettings, prepare_lr
-from .states import DensityMatrix4, canonical_phase, fidelity_pure
+from .states import canonical_phase, fidelity_pure, validate_densities
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -83,35 +83,31 @@ def simulate_tomography(
     return rng.multinomial(shots_per_setting, probs).astype(np.float64)
 
 
-def _simplex_projection(values: np.ndarray) -> np.ndarray:
-    """Nearest point on the probability simplex in Euclidean norm.
-
-    Shift all entries by a common threshold and clip at zero so the kept
-    mass renormalises to exactly 1.
-    """
-    ordered = np.sort(values)[::-1]
-    cumulative = np.cumsum(ordered) - 1.0
-    ranks = np.arange(1, values.size + 1)
-    keep = ordered - cumulative / ranks > 0.0
-    if not np.any(keep):
-        raise ValueError("reconstruction collapsed to the zero matrix")
-    threshold = cumulative[keep][-1] / float(ranks[keep][-1])
-    return np.clip(values - threshold, 0.0, None)
-
-
-def _project_physical(matrix: np.ndarray) -> DensityMatrix4:
-    """Nearest PSD unit-trace matrix in Frobenius norm.
+def _project_physical(matrices: np.ndarray) -> np.ndarray:
+    """Nearest PSD unit-trace matrices in Frobenius norm, over an (N, 4, 4) stack.
 
     The nearest such matrix shares the eigenvectors of the Hermitian part;
-    only the eigenvalues move, onto the probability simplex.
+    only the eigenvalues move, onto the probability simplex: each row is
+    shifted by a common threshold and clipped at zero so the kept mass
+    renormalises to exactly 1.  ``eigh`` returns ascending rows, so their
+    reverse is the descending order the threshold search needs, and the
+    last kept rank is the last True of each row.  Returns the validated stack.
     """
-    herm = (matrix + matrix.conj().T) / 2.0
+    herm = (matrices + matrices.conj().swapaxes(-1, -2)) / 2.0
     vals, vecs = np.linalg.eigh(herm)
-    vals = _simplex_projection(vals)
-    return DensityMatrix4((vecs * vals) @ vecs.conj().T)
+    ordered = vals[:, ::-1]
+    cumulative = np.cumsum(ordered, axis=1) - 1.0
+    ranks = np.arange(1.0, 5.0)
+    keep = ordered - cumulative / ranks > 0.0
+    if not keep.any(axis=1).all():
+        raise ValueError("reconstruction collapsed to the zero matrix")
+    last = 3 - np.argmax(keep[:, ::-1], axis=1)
+    threshold = cumulative[np.arange(len(vals)), last] / ranks[last]
+    vals = np.clip(vals - threshold[:, None], 0.0, None)
+    return validate_densities((vecs * vals[:, None, :]) @ vecs.conj().swapaxes(-1, -2))
 
 
-def reconstruct(tables: np.ndarray) -> list[DensityMatrix4]:
+def reconstruct(tables: np.ndarray) -> np.ndarray:
     """Linear inversion of (N, 9, 4) outcome weights over the Pauli basis, then projection.
 
     Weights are counts for sampled data or exact probabilities, in the
@@ -119,6 +115,8 @@ def reconstruct(tables: np.ndarray) -> list[DensityMatrix4]:
     each setting; a single-side term is the mean of its marginal over the
     three partner axes.  Exact on infinite-shot data; on sampled data the
     inversion may leave the PSD cone, which the final projection repairs.
+    Returns the (N, 4, 4) stack of density matrices, validated as one
+    :func:`validate_densities` call.
     """
     tables = np.asarray(tables, dtype=np.float64)
     if tables.ndim != 3 or tables.shape[1:] != (9, 4):
@@ -138,7 +136,7 @@ def reconstruct(tables: np.ndarray) -> list[DensityMatrix4]:
     acc = np.tile(np.eye(4, dtype=np.complex128), (len(p), 1, 1))
     for c, op in zip(coeffs.T, PAULI_BASIS):
         acc += c[:, None, None] * op
-    return [_project_physical(m) for m in acc / 4.0]
+    return _project_physical(acc / 4.0)
 
 
 @dataclass(frozen=True)
@@ -151,20 +149,20 @@ class ExtractedParams:
     low_coherence: bool = False
 
 
-def extract_params(rho_hat: DensityMatrix4) -> ExtractedParams:
-    """Read (phi, beta) off the one-per-region block and score the match.
+def extract_params(rho_hat: np.ndarray) -> ExtractedParams:
+    """Read (phi, beta) off one (4, 4) density matrix's one-per-region block and score the match.
 
     beta comes from the two populations, phi from the argument of the
     coherence between them.  Below 1e-6 coherence phi defaults to 0 and the
-    low_coherence flag marks the value unreliable.
+    low_coherence flag marks the value unreliable.  One state per call, such
+    as a row of :func:`reconstruct`'s stack.
     """
-    m = rho_hat.matrix
-    pop_ud = max(float(m[1, 1].real), 0.0)
-    pop_du = max(float(m[2, 2].real), 0.0)
+    pop_ud = max(float(rho_hat[1, 1].real), 0.0)
+    pop_du = max(float(rho_hat[2, 2].real), 0.0)
     if pop_ud + pop_du <= 1e-6:
         raise ExtractionError("one-per-region sector is empty")
     beta = math.atan2(math.sqrt(pop_du), math.sqrt(pop_ud))
-    coherence = complex(m[2, 1])  # carries exp(+i phi)
+    coherence = complex(rho_hat[2, 1])  # carries exp(+i phi)
     low_coherence = abs(coherence) < 1e-6
     phi = 0.0 if low_coherence else canonical_phase(cmath.phase(coherence))
     ideal = prepare_lr(PreparationSettings(beta, phi))

@@ -11,6 +11,12 @@ references are the per-setting kron loop and the dict-accumulating
 inversion that the stacked library code replaced; they must agree bit for bit.
 The row seeds and generator states come from numpy's own SeedSequence and
 default_rng, one object per row, which the vectorised seeding must match.
+The physical projection is the per-state eigh and simplex loop that the
+stacked projection replaced, and the CSV cell rule is the per-cell
+``format_cell`` that the per-header templates replaced; both must agree bit
+for bit.  The last section holds small helpers that only tests use: the
+basis index, ket normalisation, the single-spin rotation, the conjugate
+statistics parameter and the checked visibility scaling law.
 """
 
 from __future__ import annotations
@@ -20,7 +26,18 @@ import math
 
 import numpy as np
 
-from sloccsim import PlateGeometry
+from sloccsim import (
+    DegenerateStateError,
+    DensityMatrix4,
+    JointKet,
+    NoiseModel,
+    PlateGeometry,
+    Pseudospin,
+    StatisticsParameter,
+    expectation_zz,
+    noisy_state,
+    rotate_density,
+)
 from sloccsim.measurement import ROTATION_PAIR
 from sloccsim.noise import DEPHASED, WHITE_NOISE
 
@@ -55,10 +72,13 @@ def labelled_bracket(
     return complex(np.vdot(bra, state))
 
 
+# the single-spin pi/4 mixing that ROTATION_PAIR applies to both pseudospins
+ROTATION_SINGLE = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=np.complex128) / math.sqrt(2.0)
+
+
 def rotation_matrix_by_kron() -> np.ndarray:
     """The two-spin rotation built from the single-spin matrix by kron."""
-    single = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=np.complex128) / math.sqrt(2.0)
-    return np.kron(single, single)
+    return np.kron(ROTATION_SINGLE, ROTATION_SINGLE)
 
 
 def rotate_ket_oracle(amps: np.ndarray) -> np.ndarray:
@@ -208,3 +228,77 @@ def row_seeds_oracle(seed: int, index: int, count: int) -> list[int]:
 def row_generator_oracle(seed: int, index: int) -> np.random.Generator:
     """A fresh Generator on row ``index``'s counting stream."""
     return np.random.default_rng(row_seeds_oracle(seed, index, 1)[0])
+
+
+def simplex_projection_oracle(values: np.ndarray) -> np.ndarray:
+    """Nearest point on the probability simplex to one vector, by sort and scan."""
+    ordered = np.sort(values)[::-1]
+    cumulative = np.cumsum(ordered) - 1.0
+    ranks = np.arange(1, values.size + 1)
+    keep = ordered - cumulative / ranks > 0.0
+    if not np.any(keep):
+        raise ValueError("reconstruction collapsed to the zero matrix")
+    threshold = cumulative[keep][-1] / float(ranks[keep][-1])
+    return np.clip(values - threshold, 0.0, None)
+
+
+def project_physical_oracle(matrix: np.ndarray) -> np.ndarray:
+    """Nearest density matrix to one 4x4 matrix: one eigh, one simplex projection, one check."""
+    herm = (matrix + matrix.conj().T) / 2.0
+    vals, vecs = np.linalg.eigh(herm)
+    vals = simplex_projection_oracle(vals)
+    return DensityMatrix4((vecs * vals) @ vecs.conj().T).matrix
+
+
+def format_cell(value) -> str:
+    """CSV cell: integers verbatim, floats with 12 significant digits."""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".12g")
+
+
+def render_csv_oracle(header, rows) -> str:
+    """CSV text with one ``format_cell`` call per cell."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format_cell(value) for value in row))
+    return "\n".join(lines) + "\n"
+
+
+def basis_index(left_spin: Pseudospin, right_spin: Pseudospin) -> int:
+    """Index of |L left_spin, R right_spin> in the fixed basis order."""
+    return 2 * int(left_spin) + int(right_spin)
+
+
+def normalize(ket: JointKet) -> JointKet:
+    """Rescale to unit norm, leaving direction and global phase alone."""
+    n = ket.norm()
+    if n <= 1e-15:
+        raise DegenerateStateError("cannot normalise a zero-norm ket")
+    return JointKet(ket.amps / n)
+
+
+def apply_rotation(ket: JointKet) -> JointKet:
+    """Rotate both pseudospins of a ket by the fixed pi/4 mixing."""
+    return JointKet(ROTATION_PAIR @ ket.amps)
+
+
+def conjugated(eta: StatisticsParameter) -> StatisticsParameter:
+    """Statistics parameter with the opposite phase sign."""
+    return StatisticsParameter(-eta.phi)
+
+
+def noisy_expectation_scaling(ideals: np.ndarray, model: NoiseModel) -> np.ndarray:
+    """Correlations of the rotated noisy states, checked against the scaling law.
+
+    The result must equal visibility times the ideal correlation because the
+    noise floor is invisible to the rotated z-basis readout; a violation
+    raises instead of returning silently.
+    """
+    noisy = expectation_zz(rotate_density(noisy_state(ideals, model)))
+    reference = model.visibility * expectation_zz(rotate_density(ideals))
+    if np.any(np.abs(noisy - reference) > 1e-12):
+        raise RuntimeError("visibility scaling law violated; operators inconsistent")
+    return noisy

@@ -243,7 +243,7 @@ def test_criterion_08_tomography_inversion_fidelity_and_noise_fit():
             rho += w * np.outer(v, v.conj())
         state = DensityMatrix4(rho)
         rebuilt = reconstruct(setting_probabilities(state.matrix)[None])[0]
-        worst = max(worst, float(np.max(np.abs(rebuilt.matrix - state.matrix))))
+        worst = max(worst, float(np.max(np.abs(rebuilt - state.matrix))))
     assert worst <= 1e-12, f"criterion 08 FAIL: exact inversion error {worst:.3e}"
 
     bell = PreparationSettings(math.pi / 4, 0.0)
@@ -253,15 +253,16 @@ def test_criterion_08_tomography_inversion_fidelity_and_noise_fit():
     assert fid >= 0.999, f"criterion 08 FAIL: sampled fidelity {fid:.6f} < 0.999"
 
     model = NoiseModel()
-    records = []
+    targets, fitted_settings = [], []
     for k in range(8):
         settings = PreparationSettings(math.pi / 4, k * math.pi / 7.0)
         noisy = noisy_state(ket_to_density(prepare_lr(settings).amps), model)
         counts = simulate_tomography(setting_probabilities(noisy), 100_000, seed=STAT_SEED + k)
         rec = reconstruct(counts[None])[0]
         got = extract_params(rec)
-        records.append((rec, PreparationSettings(got.beta, got.phi)))
-    fitted = fit_noise(records)
+        targets.append(rec)
+        fitted_settings.append(PreparationSettings(got.beta, got.phi))
+    fitted = fit_noise(np.stack(targets), fitted_settings)
     fit_error = abs(fitted.visibility - model.visibility)
     assert fit_error <= 5e-3, f"criterion 08 FAIL: visibility error {fit_error:.2e}"
     print(

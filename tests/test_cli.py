@@ -6,9 +6,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sloccsim
+from sloccsim import sweeps, tomography
 from sloccsim.cli import main
 
 ALL_COMMANDS = (
@@ -163,6 +165,21 @@ def test_degenerate_run_exits_3(tmp_path, capsys):
     code, _, err = run_cli(["mixture-sweep", "--config", config], capsys)
     assert code == 3
     assert "error" in err
+
+
+def test_collapsed_reconstruction_exits_3(tmp_path, capsys, monkeypatch):
+    # a sampled table's inversion is bounded and never collapses, so one row
+    # of the real stack is replaced by a collapsing matrix before projection
+    def collapsing(tables):
+        stack = tomography.reconstruct(tables).copy()
+        stack[1] = np.diag([1e17, 1.0, 0.0, -1e17])
+        return tomography._project_physical(stack)
+
+    monkeypatch.setattr(sweeps, "reconstruct", collapsing)
+    config = quick_config(tmp_path, SMALL["tomography-demo"])
+    code, out, err = run_cli(["tomography-demo", "--config", config], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: reconstruction collapsed to the zero matrix\n"
 
 
 # case id -> (subcommand, config text, extra CLI arguments)

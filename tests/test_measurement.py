@@ -12,7 +12,6 @@ from sloccsim import (
     LowIndistinguishabilityError,
     OutcomeProbs,
     PreparationSettings,
-    apply_rotation,
     estimate_p,
     estimate_phase,
     estimate_zz,
@@ -23,10 +22,16 @@ from sloccsim import (
     rotate_density,
     sample_counts,
 )
-from sloccsim.measurement import ROTATION_PAIR, ROTATION_SINGLE, bootstrap_zz, zz_spread
+from sloccsim.measurement import ROTATION_PAIR, bootstrap_zz, zz_spread
 from sloccsim.states import DensityMatrix4
 
-from oracles import bootstrap_zz_multinomial, expectation_oracle, rotation_matrix_by_kron
+from oracles import (
+    ROTATION_SINGLE,
+    apply_rotation,
+    bootstrap_zz_multinomial,
+    expectation_oracle,
+    rotation_matrix_by_kron,
+)
 
 SQ2 = math.sqrt(0.5)
 

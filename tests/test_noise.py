@@ -11,7 +11,6 @@ from sloccsim import (
     expectation_zz,
     fit_noise,
     ket_to_density,
-    noisy_expectation_scaling,
     noisy_state,
     prepare_lr,
     rotate_density,
@@ -19,6 +18,8 @@ from sloccsim import (
 from sloccsim.config import ExperimentConfig, resolve
 from sloccsim.noise import DEPHASED, WHITE_NOISE, least_squares, noise_floor
 from sloccsim.states import DensityMatrix4
+
+from oracles import noisy_expectation_scaling
 
 
 def test_model_validation():
@@ -94,6 +95,11 @@ def test_visibility_scaling_law():
         )
 
 
+def stacked(records):
+    """(targets, settings) for fit_noise from (validated target, settings) pairs."""
+    return np.stack([rho.matrix for rho, _ in records]), [s for _, s in records]
+
+
 def grid_records(model, betas=(math.pi / 4,), phis=(0.0, 0.9, 1.7, 2.8, 4.1, 5.3)):
     records = []
     for beta in betas:
@@ -101,26 +107,26 @@ def grid_records(model, betas=(math.pi / 4,), phis=(0.0, 0.9, 1.7, 2.8, 4.1, 5.3
             settings = PreparationSettings(beta, phi)
             ideal = ket_to_density(prepare_lr(settings).amps)
             records.append((DensityMatrix4(noisy_state(ideal, model)), settings))
-    return records
+    return stacked(records)
 
 
 def test_fit_recovers_exact_model():
     model = NoiseModel(visibility=0.977, white_weight=0.5, dephasing_weight=0.5)
-    fitted = fit_noise(grid_records(model))
+    fitted = fit_noise(*grid_records(model))
     assert fitted.visibility == pytest.approx(0.977, abs=1e-12)
     assert fitted.white_weight == pytest.approx(0.5, abs=1e-10)
 
 
 def test_fit_recovers_uneven_split():
     model = NoiseModel(visibility=0.9, white_weight=0.8, dephasing_weight=0.2)
-    fitted = fit_noise(grid_records(model))
+    fitted = fit_noise(*grid_records(model))
     assert fitted.visibility == pytest.approx(0.9, abs=1e-10)
     assert fitted.white_weight == pytest.approx(0.8, abs=1e-9)
     assert fitted.dephasing_weight == pytest.approx(0.2, abs=1e-9)
 
 
 def test_fit_on_ideal_data_reports_default_split():
-    fitted = fit_noise(grid_records(NoiseModel.ideal()))
+    fitted = fit_noise(*grid_records(NoiseModel.ideal()))
     assert fitted.visibility == pytest.approx(1.0, abs=1e-12)
     assert fitted.white_weight == 0.5
 
@@ -130,10 +136,10 @@ def model_cost(records, visibility, white):
     vis = np.asarray(visibility, dtype=float)[..., None, None]
     wht = np.asarray(white, dtype=float)[..., None, None]
     total = 0.0
-    for rho, settings in records:
+    for rho, settings in zip(*records):
         ideal = ket_to_density(prepare_lr(settings).amps)
         floor = wht * WHITE_NOISE + (1.0 - wht) * DEPHASED
-        diff = vis * ideal + (1.0 - vis) * floor - rho.matrix
+        diff = vis * ideal + (1.0 - vis) * floor - rho
         total = total + np.sum(np.abs(diff) ** 2, axis=(-2, -1))
     return total
 
@@ -163,7 +169,7 @@ def edge_records(make_target):
         settings = PreparationSettings(math.pi / 4, phi)
         target = make_target(ket_to_density(prepare_lr(settings).amps), phi)
         records.append((DensityMatrix4(target), settings))
-    return records
+    return stacked(records)
 
 
 def test_fit_clips_unphysical_optimum_to_box(monkeypatch):
@@ -177,7 +183,7 @@ def test_fit_clips_unphysical_optimum_to_box(monkeypatch):
 
     records = edge_records(make_target)
     calls = count_edge_solves(monkeypatch)
-    fitted = fit_noise(records)
+    fitted = fit_noise(*records)
     assert len(calls) == 1
     assert 0.0 <= fitted.visibility <= 1.0
     assert fitted.white_weight == 1.0
@@ -193,7 +199,7 @@ def test_fit_clips_negative_visibility_to_zero(monkeypatch):
 
     records = edge_records(make_target)
     calls = count_edge_solves(monkeypatch)
-    fitted = fit_noise(records)
+    fitted = fit_noise(*records)
     assert len(calls) == 1
     assert fitted.visibility == 0.0
     assert fitted.white_weight == pytest.approx(0.3, abs=1e-12)
@@ -229,9 +235,9 @@ def tomography_records(seed):
     """The reconstructions that `tomography-demo --ideal --seed <seed>` fits."""
     captured = []
 
-    def capture(records):
-        captured.append(records)
-        return fit_noise(records)
+    def capture(targets, settings):
+        captured.append((targets, settings))
+        return fit_noise(targets, settings)
 
     cfg = resolve(ExperimentConfig(), "tomography-demo", seed=seed, ideal=True)
     with pytest.MonkeyPatch.context() as patch:
@@ -244,7 +250,7 @@ def tomography_records(seed):
 def test_fallback_seed_fit_is_exact(seed, monkeypatch):
     records = tomography_records(seed)
     calls = count_edge_solves(monkeypatch)
-    fitted = fit_noise(records)
+    fitted = fit_noise(*records)
     assert len(calls) == 1
     assert_no_grid_point_beats(records, fitted)
 
@@ -253,9 +259,9 @@ def test_fit_matches_scipy_on_fallback_seeds():
     optimize = pytest.importorskip("scipy.optimize")
     for seed in FALLBACK_SEEDS:
         records = tomography_records(seed)
-        fitted = fit_noise(records)
-        ideals = np.asarray([ket_to_density(prepare_lr(s).amps) for _, s in records])
-        targets = np.asarray([rho.matrix for rho, _ in records])
+        fitted = fit_noise(*records)
+        targets, settings = records
+        ideals = np.asarray([ket_to_density(prepare_lr(s).amps) for s in settings])
 
         def residuals(params):
             vis, white = params
@@ -276,4 +282,12 @@ def test_fit_needs_two_records():
     model = NoiseModel()
     records = grid_records(model, phis=(0.3,))
     with pytest.raises(ValueError):
-        fit_noise(records)
+        fit_noise(*records)
+
+
+def test_fit_needs_one_target_per_setting():
+    targets, settings = grid_records(NoiseModel())
+    with pytest.raises(ValueError, match=r"targets must have shape \(5, 4, 4\)"):
+        fit_noise(targets, settings[:5])
+    with pytest.raises(ValueError, match="one per setting"):
+        fit_noise(targets[0], settings)

@@ -28,6 +28,7 @@ from sloccsim.tomography import AXES, _project_physical, setting_probabilities
 from oracles import (
     linear_inversion_oracle,
     noisy_chain_oracle,
+    project_physical_oracle,
     pure_density_oracle,
     setting_probabilities_oracle,
 )
@@ -92,9 +93,46 @@ count_tables = st.lists(
 @given(tables=count_tables)
 def test_linear_inversion_matches_dict_accumulation(tables):
     for table, rho_hat in zip(tables, reconstruct(tables)):
-        expected = _project_physical(linear_inversion_oracle(table)).matrix
-        assert np.array_equal(rho_hat.matrix, expected)
-        assert np.array_equal(reconstruct(table[None])[0].matrix, expected)
+        expected = project_physical_oracle(linear_inversion_oracle(table))
+        assert np.array_equal(rho_hat, expected)
+        assert np.array_equal(reconstruct(table[None])[0], expected)
+
+
+# Hermitian unit-trace stacks: three drawn eigenvalues, and the fourth sets
+# the trace to 1.  Zeros give rank-deficient states, negatives unphysical ones.
+spectra = st.lists(
+    st.lists(st.just(0.0) | st.floats(-1.0, 1.5), min_size=3, max_size=3).map(
+        lambda vals: vals + [1.0 - sum(vals)]
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spectra=spectra, seed=st.integers(0, 2**32 - 1))
+@example(spectra=[[1.0, 0.0, 0.0, 0.0]], seed=0)  # one pure state
+@example(spectra=[[1.2, 0.05, -0.1, -0.15], [0.25, 0.25, 0.25, 0.25]], seed=1)
+def test_stacked_projection_matches_per_state_loop(spectra, seed):
+    rng = np.random.default_rng(seed)
+    shape = (len(spectra), 4, 4)
+    q, _ = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    stack = (q * np.array(spectra)[:, None, :]) @ q.conj().swapaxes(-1, -2)
+    once = _project_physical(stack)
+    assert np.array_equal(once, np.stack([project_physical_oracle(m) for m in stack]))
+    assert validate_densities(once) is once
+    assert np.max(np.abs(_project_physical(once) - once)) <= 1e-12
+
+
+def test_collapsed_row_raises_in_any_stack():
+    # 1e17 - 1 rounds to 1e17, so no rank keeps positive mass
+    collapsing = np.diag([1e17, 1.0, 0.0, -1e17]).astype(np.complex128)
+    with pytest.raises(ValueError, match="collapsed to the zero matrix"):
+        project_physical_oracle(collapsing)
+    valid = np.eye(4, dtype=np.complex128) / 4.0
+    for stack in (collapsing[None], np.stack([valid, collapsing, valid])):
+        with pytest.raises(ValueError, match="collapsed to the zero matrix"):
+            _project_physical(stack)
 
 
 def _non_hermitian(m):

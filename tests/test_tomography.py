@@ -90,7 +90,7 @@ def test_reconstruct_exact_on_infinite_shot_data():
     for _ in range(30):
         rho = random_mixture(rng)
         rebuilt = reconstruct(setting_probabilities(rho.matrix)[None])[0]
-        assert np.max(np.abs(rebuilt.matrix - rho.matrix)) < 1e-12
+        assert np.max(np.abs(rebuilt - rho.matrix)) < 1e-12
 
 
 def test_reconstruct_requires_all_settings():
@@ -108,24 +108,24 @@ def test_projection_fixes_negative_eigenvalue():
     q, _ = np.linalg.qr(raw)
     spectrum = np.array([1.2, 0.05, -0.1, -0.15])  # trace 1, one sector unphysical
     m = (q * spectrum) @ q.conj().T
-    fixed = _project_physical(m)
-    vals = np.linalg.eigvalsh(fixed.matrix)
+    fixed = _project_physical(m[None])[0]
+    vals = np.linalg.eigvalsh(fixed)
     assert np.all(vals >= -1e-14)
-    assert np.trace(fixed.matrix).real == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(fixed).real == pytest.approx(1.0, abs=1e-12)
     # closer in Frobenius norm than the clip-then-rescale shortcut
     naive_vals = np.clip(spectrum, 0.0, None)
     naive = (q * (naive_vals / naive_vals.sum())) @ q.conj().T
-    assert np.linalg.norm(fixed.matrix - m) < np.linalg.norm(naive - m)
+    assert np.linalg.norm(fixed - m) < np.linalg.norm(naive - m)
 
 
 def test_projection_is_idempotent():
     rng = np.random.default_rng(32)
     for _ in range(20):
         rho = random_mixture(rng)
-        once = _project_physical(rho.matrix)
-        assert np.max(np.abs(once.matrix - rho.matrix)) < 1e-12
-        twice = _project_physical(once.matrix)
-        assert np.max(np.abs(twice.matrix - once.matrix)) < 1e-12
+        once = _project_physical(rho.matrix[None])
+        assert np.max(np.abs(once[0] - rho.matrix)) < 1e-12
+        twice = _project_physical(once)
+        assert np.max(np.abs(twice - once)) < 1e-12
 
 
 def test_sampled_bell_reconstruction_fidelity():
@@ -136,7 +136,7 @@ def test_sampled_bell_reconstruction_fidelity():
     fid = fidelity_pure(rebuilt, target)
     assert fid >= 0.999
     assert fid <= 1.0 + 1e-12
-    assert fid == pytest.approx(fidelity_oracle(rebuilt.matrix, target.amps), abs=1e-12)
+    assert fid == pytest.approx(fidelity_oracle(rebuilt, target.amps), abs=1e-12)
 
 
 def test_extraction_round_trip_exact():
@@ -164,7 +164,7 @@ def test_extraction_on_noisy_sampled_state():
 
 def test_extraction_flags_low_coherence():
     mixed = DensityMatrix4(np.eye(4, dtype=np.complex128) / 4.0)
-    got = extract_params(mixed)
+    got = extract_params(mixed.matrix)
     assert got.low_coherence
     assert got.phi == 0.0
     assert got.beta == pytest.approx(math.pi / 4, abs=1e-12)
@@ -173,4 +173,4 @@ def test_extraction_flags_low_coherence():
 def test_extraction_rejects_empty_sector():
     rho = DensityMatrix4(np.diag([1.0, 0.0, 0.0, 0.0]).astype(np.complex128))
     with pytest.raises(ExtractionError):
-        extract_params(rho)
+        extract_params(rho.matrix)
