@@ -18,8 +18,6 @@ from .errors import (
     PostSelectionError,
 )
 from .measurement import (
-    CoincidenceCounts,
-    OutcomeProbs,
     PhaseEstimate,
     estimate_phase,
     estimate_zz,
@@ -83,8 +81,6 @@ __all__ = [
     "ExtractionError",
     "LowIndistinguishabilityError",
     "PostSelectionError",
-    "CoincidenceCounts",
-    "OutcomeProbs",
     "PhaseEstimate",
     "estimate_phase",
     "estimate_zz",

@@ -43,32 +43,8 @@ def rotate_density(matrices: np.ndarray) -> np.ndarray:
     return ROTATION_PAIR @ matrices @ ROTATION_PAIR.conj().T
 
 
-@dataclass(frozen=True)
-class OutcomeProbs:
-    """Probabilities of the four coincidences (13, 14, 23, 24); sum is 1."""
-
-    p13: float
-    p14: float
-    p23: float
-    p24: float
-
-    def __post_init__(self) -> None:
-        # plain floats: one object per sampled row, and a NaN fails the range test
-        vals = (self.p13, self.p14, self.p23, self.p24)
-        if not all(0.0 <= v <= 1.0 for v in vals):
-            raise ValueError("outcome probabilities must lie in [0, 1]")
-        if abs(sum(vals) - 1.0) > ATOL:
-            raise ValueError("outcome probabilities must sum to 1")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p13, self.p14, self.p23, self.p24])
-
-
 def outcome_probs(rotated: np.ndarray) -> np.ndarray:
-    """Coincidence probabilities (13, 14, 23, 24) of a (..., 4, 4) stack of rotated states.
-
-    Wrap one state's row as ``OutcomeProbs(*row)`` to sample it.
-    """
+    """Coincidence probabilities (13, 14, 23, 24) of a (..., 4, 4) stack of rotated states."""
     diag = rotated.diagonal(axis1=-2, axis2=-1).real
     if float(diag.min()) < -PSD_ATOL:
         raise ValueError("density matrix diagonal is negative beyond tolerance")
@@ -85,67 +61,59 @@ def expectation_zz(rotated: np.ndarray) -> np.ndarray:
     return p[..., 0] + p[..., 3] - p[..., 1] - p[..., 2]
 
 
-@dataclass(frozen=True)
-class CoincidenceCounts:
-    """Event tallies for the four coincidence channels of one setting."""
+def sample_counts(probs: np.ndarray, total: int, rngs, mode: str = "multinomial") -> np.ndarray:
+    """Draw coincidence tallies for an (N, 4) stack of outcome probabilities.
 
-    n13: int
-    n14: int
-    n23: int
-    n24: int
-    total: int
-
-    def __post_init__(self) -> None:
-        channels = (self.n13, self.n14, self.n23, self.n24)
-        if any(int(v) != v or v < 0 for v in channels):
-            raise ValueError("counts must be nonnegative integers")
-        if sum(channels) != self.total:
-            raise ValueError("channel counts must sum to total")
-
-    @classmethod
-    def from_channels(cls, n13, n14, n23, n24) -> "CoincidenceCounts":
-        vals = (int(n13), int(n14), int(n23), int(n24))
-        return cls(*vals, total=sum(vals))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.n13, self.n14, self.n23, self.n24], dtype=np.int64)
-
-
-def sample_counts(
-    probs: OutcomeProbs, total: int, seed: int | np.random.Generator, mode: str = "multinomial"
-) -> CoincidenceCounts:
-    """Draw coincidence tallies for one measurement setting.
-
+    Row i draws from the i-th Generator of ``rngs``, which may yield one
+    reused Generator moved to each row's stream (``sweeps.row_generators``).
     multinomial mode fixes the number of recorded pairs; poisson mode draws
     each channel independently with mean total * p, so the realised total
-    fluctuates.  ``seed`` is a seed for ``np.random.default_rng`` or a
-    Generator to draw from, which is used as it stands.  Identical (probs,
-    total, seed, mode) give identical counts.
+    fluctuates.  Returns the (N, 4) int64 tallies (n13, n14, n23, n24); sum
+    a row's total as Python ints, since Poisson totals can pass 2**63 - 1.
+    Identical (probs, total, generator states, mode) give identical counts.
     """
     if total < 1:
         raise ValueError("total must be at least 1")
-    rng = np.random.default_rng(seed)
-    p = probs.as_array()
-    p = p / p.sum()
-    if mode == "multinomial":
-        draws = rng.multinomial(total, p)
-    elif mode == "poisson":
-        # one scalar draw per channel consumes the stream as the array call does, faster
-        draws = [rng.poisson(total * v) for v in p.tolist()]
-    else:
+    if mode not in ("multinomial", "poisson"):
         raise ValueError(f"unknown sampling mode {mode!r}")
-    return CoincidenceCounts.from_channels(*draws)
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 2 or probs.shape[1] != 4:
+        raise ValueError(f"outcome probabilities must have shape (N, 4), got {probs.shape}")
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):  # a NaN fails both comparisons
+        raise ValueError("outcome probabilities must lie in [0, 1]")
+    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > ATOL):
+        raise ValueError("outcome probabilities must sum to 1")
+    probs = probs / probs.sum(axis=-1, keepdims=True)
+    tally = np.empty(probs.shape, dtype=np.int64)
+    if mode == "multinomial":
+        for row, p, rng in zip(tally, probs, rngs, strict=True):
+            row[:] = rng.multinomial(total, p)
+    else:
+        # one scalar draw per channel consumes the stream as the array call does, faster
+        for row, p, rng in zip(tally, probs.tolist(), rngs, strict=True):
+            row[:] = [rng.poisson(total * v) for v in p]
+    return tally
 
 
-def estimate_zz(counts: CoincidenceCounts) -> float:
-    """(n13 + n24 - n14 - n23) / total."""
-    if counts.total < 1:
+def _same_and_total(counts) -> tuple[int, int]:
+    """(n13 + n24, total) of one tally row (n13, n14, n23, n24), as exact Python ints."""
+    n13, n14, n23, n24 = counts
+    ints = (int(n13), int(n14), int(n23), int(n24))
+    if ints != (n13, n14, n23, n24) or min(ints) < 0:
+        raise ValueError("counts must be nonnegative integers")
+    return ints[0] + ints[3], sum(ints)
+
+
+def estimate_zz(counts) -> float:
+    """(n13 + n24 - n14 - n23) / total of one tally row."""
+    same, total = _same_and_total(counts)
+    if total < 1:
         raise ValueError("cannot estimate from zero counts")
-    return (counts.n13 + counts.n24 - counts.n14 - counts.n23) / counts.total
+    return (same - (total - same)) / total
 
 
-def bootstrap_zz(counts: CoincidenceCounts, n_boot: int, seed: int) -> np.ndarray:
-    """Resampled correlation estimates at the empirical rates.
+def bootstrap_zz(counts, n_boot: int, seed: int) -> np.ndarray:
+    """Resampled correlation estimates of one tally row, at its empirical rates.
 
     zz depends on the tallies only through same = n13 + n24, and under a
     multinomial redraw of all four channels same is Bin(total, same / total);
@@ -154,15 +122,14 @@ def bootstrap_zz(counts: CoincidenceCounts, n_boot: int, seed: int) -> np.ndarra
     (``zz_spread``); this Monte Carlo version is the reference it is tested
     against.
     """
+    same, total = _same_and_total(counts)
     rng = np.random.default_rng(seed)
-    same = rng.binomial(counts.total, (counts.n13 + counts.n24) / counts.total, size=n_boot)
-    # same - (total - same) stays inside int64; 2 * same leaves it for totals above 2**62
-    return (same - (counts.total - same)) / counts.total
+    draws = rng.binomial(total, same / total, size=n_boot)
+    # draws - (total - draws) stays inside int64; 2 * draws leaves it for totals above 2**62
+    return (draws - (total - draws)) / total
 
 
-def correlation_scale(
-    beta: float, visibility: float, counts: CoincidenceCounts, noun: str
-) -> float:
+def correlation_scale(beta: float, visibility: float, counts, noun: str) -> float:
     """visibility * sin(2 beta), after the input checks the phase and weight estimators share.
 
     ``noun`` names what the correlation would carry in the sin(2 beta) message.
@@ -174,7 +141,7 @@ def correlation_scale(
         )
     if not 0.0 < visibility <= 1.0:
         raise ValueError("visibility must lie in (0, 1]")
-    if counts.total < 1:
+    if _same_and_total(counts)[1] < 1:
         raise ValueError("counts are empty")
     scale = visibility * sin_2b
     if scale < sys.float_info.min:  # a subnormal scale overflows or divides by zero
@@ -193,35 +160,37 @@ WINDOW_SIGMAS = 12.0
 MAX_SPAN = 4096
 
 
-def zz_spread(counts: CoincidenceCounts) -> float:
-    """Exact bootstrap standard deviation of zz: 2 sqrt(q (1 - q) / total).
+def zz_spread(counts) -> float:
+    """Exact bootstrap standard deviation of zz for one tally row: 2 sqrt(q (1 - q) / total).
 
     q = (n13 + n24) / total.  This is ``bootstrap_zz``'s spread as the
     number of resamples goes to infinity (the "ideal bootstrap", Efron &
     Tibshirani 1993, ch. 6).
     """
-    same = counts.n13 + counts.n24
+    return _zz_spread(*_same_and_total(counts))
+
+
+def _zz_spread(same: int, total: int) -> float:
     # sqrt(same * other / total) is the count's sd; exact integers keep q near 0 or 1 exact
-    return 2.0 * math.sqrt(same * (counts.total - same) / counts.total) / counts.total
+    return 2.0 * math.sqrt(same * (total - same) / total) / total
 
 
-def _phase_spread(counts: CoincidenceCounts, scale: float) -> float:
+def _phase_spread(same: int, total: int, scale: float) -> float:
     """Exact bootstrap standard deviation of arccos(clip(zz* / scale, -1, 1)).
 
     zz* = (2 k - total) / total with k ~ Bin(total, q); the sum runs over
     the lattice, or over the fixed normal nodes for a wide window.
     """
-    same = counts.n13 + counts.n24
-    other = counts.total - same
+    other = total - same
     if same == 0 or other == 0:
         return 0.0
-    zz0 = (same - other) / counts.total  # exact integers, one rounding
-    half = math.ceil(WINDOW_SIGMAS * math.sqrt(same * other / counts.total))
+    zz0 = (same - other) / total  # exact integers, one rounding
+    half = math.ceil(WINDOW_SIGMAS * math.sqrt(same * other / total))
     if 2 * half > MAX_SPAN:
         nodes = np.linspace(-WINDOW_SIGMAS, WINDOW_SIGMAS, MAX_SPAN + 1)
         weights = np.exp(-0.5 * nodes**2)
         weights /= weights.sum()
-        zz = zz0 + zz_spread(counts) * nodes
+        zz = zz0 + _zz_spread(same, total) * nodes
     else:
         # k = same + j; pmf(k + 1) / pmf(k) = (other - j) / (same + j + 1) * same / other
         j = np.arange(-min(half, same), min(half, other) + 1, dtype=np.float64)
@@ -229,7 +198,7 @@ def _phase_spread(counts: CoincidenceCounts, scale: float) -> float:
         log_pmf = np.concatenate(([0.0], np.cumsum(steps)))
         weights = np.exp(log_pmf - log_pmf.max())
         weights /= weights.sum()
-        zz = zz0 + (2.0 / counts.total) * j
+        zz = zz0 + (2.0 / total) * j
     ratio = zz / scale
     if ratio[0] >= 1.0 or ratio[-1] <= -1.0:
         return 0.0  # every resample clamps to the same end
@@ -249,9 +218,7 @@ class PhaseEstimate:
     clamped: bool  # the arccos argument fell outside [-1, 1] and was clipped
 
 
-def estimate_phase(
-    zz_hat: float, beta: float, visibility: float, counts: CoincidenceCounts
-) -> PhaseEstimate:
+def estimate_phase(zz_hat: float, beta: float, visibility: float, counts) -> PhaseEstimate:
     """Invert zz = visibility * sin(2 beta) * cos(phi) for phi in [0, pi].
 
     Parameters
@@ -262,8 +229,9 @@ def estimate_phase(
         Splitting angle in radians; sin(2 beta) must exceed 1e-6.
     visibility : float
         Scale factor of the error model, in (0, 1]; 1 means no correction.
-    counts : CoincidenceCounts
-        Tallies behind zz_hat; their law propagates shot noise.
+    counts : sequence of int
+        The tally row (n13, n14, n23, n24) behind zz_hat; its law
+        propagates shot noise.
 
     Returns
     -------
@@ -280,11 +248,12 @@ def estimate_phase(
         clamps to the same end.
     """
     scale = correlation_scale(beta, visibility, counts, "phase")
+    same, total = _same_and_total(counts)
     ratio = zz_hat / scale
     return PhaseEstimate(
         phi_hat=math.acos(min(1.0, max(-1.0, ratio))),
-        sigma=_phase_spread(counts, scale),
+        sigma=_phase_spread(same, total, scale),
         zz_hat=float(zz_hat),
-        zz_sigma=zz_spread(counts),
+        zz_sigma=_zz_spread(same, total),
         clamped=abs(ratio) > 1.0,
     )

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegeneratePhasesError
-from .measurement import CoincidenceCounts, correlation_scale, zz_spread
+from .measurement import correlation_scale, zz_spread
 from .slocc import PreparationSettings, lr_kets
 from .states import canonical_phase, ket_to_density
 
@@ -69,11 +69,12 @@ def estimate_p(
     phi2: float,
     beta: float,
     visibility: float,
-    counts: CoincidenceCounts,
+    counts,
 ) -> MixtureEstimate:
     """Invert the linear weight relation, with the exact bootstrap spread.
 
-    The point estimate is (zz / (visibility * sin 2 beta) - cos phi2) divided
+    ``counts`` is the tally row (n13, n14, n23, n24) behind zz_hat.  The
+    point estimate is (zz / (visibility * sin 2 beta) - cos phi2) divided
     by the cosine contrast.  The weight is linear in zz, so sigma is the
     exact ("ideal") bootstrap standard deviation of zz, ``zz_spread(counts)``,
     over |visibility * sin 2 beta * contrast|.

@@ -17,14 +17,7 @@ import math
 import numpy as np
 
 from .config import ResolvedConfig
-from .measurement import (
-    OutcomeProbs,
-    estimate_phase,
-    estimate_zz,
-    outcome_probs,
-    rotate_density,
-    sample_counts,
-)
+from .measurement import estimate_phase, estimate_zz, outcome_probs, rotate_density, sample_counts
 from .mixture import MixtureSpec, estimate_p, mixed_state, mixture_expectation
 from .noise import fit_noise, noisy_state
 from .plate import phase_from_displacement
@@ -165,15 +158,15 @@ def _grid(cfg: ResolvedConfig):
 
 
 def _sample(cfg: ResolvedConfig, states: np.ndarray, describe=None):
-    """Rotate and read out the whole stack, then yield each row's counts.
+    """Rotate, read out and draw the whole stack, then yield each row's tally as Python ints.
 
     ``describe(index)`` names the rows of a sweep that estimates from its
     counts; there a row without a coincidence (Poisson can draw one) ends the run.
     """
-    rows = outcome_probs(rotate_density(states))
-    for index, (probs, rng) in enumerate(zip(rows, row_generators(cfg.seed, len(rows)))):
-        counts = sample_counts(OutcomeProbs(*probs), cfg.shots, rng, mode=cfg.sampling)
-        if describe is not None and counts.total < 1:
+    probs = outcome_probs(rotate_density(states))
+    rngs = row_generators(cfg.seed, len(probs))
+    for index, counts in enumerate(sample_counts(probs, cfg.shots, rngs, cfg.sampling).tolist()):
+        if describe is not None and not any(counts):
             raise ValueError(f"row {index} ({describe(index)}): cannot estimate from zero counts")
         yield counts
 
@@ -284,17 +277,8 @@ def run_counts_demo(cfg: ResolvedConfig):
     grid, states = _grid(cfg)
     rows = []
     for (beta, phi), counts in zip(grid, _sample(cfg, states)):
-        rows.append(
-            [
-                math.degrees(beta),
-                phi,
-                counts.n13,
-                counts.n14,
-                counts.n23,
-                counts.n24,
-                counts.total,
-            ]
-        )
+        # a Python int sum: Poisson totals can pass 2**63 - 1
+        rows.append([math.degrees(beta), phi, *counts, sum(counts)])
     return COUNTS_HEADER, rows
 
 
@@ -318,11 +302,8 @@ def run_tomography_demo(cfg: ResolvedConfig):
     file stays flat.
     """
     grid, states = _grid(cfg)
-    tables = [
-        simulate_tomography(probs, cfg.shots, rng)
-        for probs, rng in zip(setting_probabilities(states), row_generators(cfg.seed, len(states)))
-    ]
-    rho_hats = reconstruct(np.stack(tables))
+    rngs = row_generators(cfg.seed, len(states))
+    rho_hats = reconstruct(simulate_tomography(setting_probabilities(states), cfg.shots, rngs))
     extracted = [extract_params(rho_hat) for rho_hat in rho_hats]
     fitted = fit_noise(rho_hats, [PreparationSettings(p.beta, p.phi) for p in extracted])
     cells = rho_hats.view(np.float64).reshape(len(rho_hats), 32).tolist()  # re, im interleaved

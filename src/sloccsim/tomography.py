@@ -69,18 +69,21 @@ def setting_probabilities(matrices: np.ndarray) -> np.ndarray:
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def simulate_tomography(
-    probs: np.ndarray, shots_per_setting: int, seed: int | np.random.Generator
-) -> np.ndarray:
-    """Multinomial tallies of one state's (9, 4) setting probabilities, one RNG stream.
+def simulate_tomography(probs: np.ndarray, shots_per_setting: int, rngs) -> np.ndarray:
+    """Multinomial tallies of an (N, 9, 4) stack of setting probabilities, as (N, 9, 4) floats.
 
-    ``seed`` is a seed for ``np.random.default_rng`` or a Generator to draw
-    from, which is used as it stands.
+    State i draws from the i-th Generator of ``rngs``, one multinomial call
+    over its nine settings.
     """
     if shots_per_setting < 1:
         raise ValueError("shots_per_setting must be at least 1")
-    rng = np.random.default_rng(seed)
-    return rng.multinomial(shots_per_setting, probs).astype(np.float64)
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 3 or probs.shape[1:] != (9, 4):
+        raise ValueError(f"setting probabilities must have shape (N, 9, 4), got {probs.shape}")
+    tables = np.empty(probs.shape, dtype=np.float64)
+    for table, p, rng in zip(tables, probs, rngs, strict=True):
+        table[:] = rng.multinomial(shots_per_setting, p)
+    return tables
 
 
 def _project_physical(matrices: np.ndarray) -> np.ndarray:
@@ -121,6 +124,8 @@ def reconstruct(tables: np.ndarray) -> np.ndarray:
     tables = np.asarray(tables, dtype=np.float64)
     if tables.ndim != 3 or tables.shape[1:] != (9, 4):
         raise ValueError(f"outcome weights must have shape (N, 9, 4), got {tables.shape}")
+    if not np.all(np.isfinite(tables)):
+        raise ValueError("outcome weights must be finite")
     if np.any(tables < 0.0):
         raise ValueError("outcome weights must be nonnegative")
     totals = tables.sum(axis=-1, keepdims=True)

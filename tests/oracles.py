@@ -6,9 +6,11 @@ space and takes the bracket directly.  Rotation and expectation oracles use
 plain kron/matmul so they share no code with the shipped operators, and the
 plate phase is recomputed through the explicit refraction angle.  The
 multinomial bootstrap is the four-channel redraw that the binomial one
-replaced; the two agree in distribution, not in bits.  The tomography
-references are the per-setting kron loop and the dict-accumulating
-inversion that the stacked library code replaced; they must agree bit for bit.
+replaced; the two agree in distribution, not in bits.  The per-row draw
+chain is what the stacked ``sample_counts`` replaced; it must agree bit for
+bit, generator states included.  The tomography references are the
+per-setting kron loop and the dict-accumulating inversion that the stacked
+library code replaced; they must agree bit for bit.
 The row seeds and generator states come from numpy's own SeedSequence and
 default_rng, one object per row, which the vectorised seeding must match.
 The physical projection is the per-state eigh and simplex loop that the
@@ -40,6 +42,7 @@ from sloccsim import (
 )
 from sloccsim.measurement import ROTATION_PAIR
 from sloccsim.noise import DEPHASED, WHITE_NOISE
+from sloccsim.states import ATOL
 
 # labelled single-particle basis slots: (region, spin)
 SLOTS = {("L", "up"): 0, ("L", "down"): 1, ("R", "up"): 2, ("R", "down"): 3}
@@ -129,10 +132,32 @@ def phase_via_refraction(x: float, geom: PlateGeometry) -> float:
 
 
 def bootstrap_zz_multinomial(counts, n_boot: int, seed: int) -> np.ndarray:
-    """Correlation resamples from multinomial redraws of all four channels."""
-    empirical = counts.as_array() / counts.total
-    draws = np.random.default_rng(seed).multinomial(counts.total, empirical, size=n_boot)
-    return (draws[:, 0] + draws[:, 3] - draws[:, 1] - draws[:, 2]) / counts.total
+    """Correlation resamples of one tally row from multinomial redraws of all four channels."""
+    total = sum(counts)
+    empirical = np.array(counts, dtype=np.float64) / total
+    draws = np.random.default_rng(seed).multinomial(total, empirical, size=n_boot)
+    return (draws[:, 0] + draws[:, 3] - draws[:, 1] - draws[:, 2]) / total
+
+
+def sample_counts_oracle(probs, total: int, rng: np.random.Generator, mode: str) -> list[int]:
+    """One row's tallies, drawn by the per-row chain the stacked sampler replaced.
+
+    The four probabilities are checked as plain floats, renormalised as a
+    row (``p / p.sum()``) and drawn with one multinomial call or one scalar
+    Poisson draw per channel; the tallies come back as Python ints.
+    """
+    vals = [float(v) for v in probs]
+    if not all(0.0 <= v <= 1.0 for v in vals):
+        raise ValueError("outcome probabilities must lie in [0, 1]")
+    if abs(sum(vals) - 1.0) > ATOL:
+        raise ValueError("outcome probabilities must sum to 1")
+    p = np.array(vals)
+    p = p / p.sum()
+    if mode == "multinomial":
+        draws = rng.multinomial(total, p)
+    else:
+        draws = [rng.poisson(total * v) for v in p.tolist()]
+    return [int(v) for v in draws]
 
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)

@@ -15,7 +15,6 @@ from sloccsim import (
     DensityMatrix4,
     MixtureSpec,
     NoiseModel,
-    OutcomeProbs,
     PlateGeometry,
     PreparationSettings,
     StatisticsParameter,
@@ -164,8 +163,8 @@ def test_criterion_05_phase_estimation_under_noise():
     results = {}
     for label, phi in (("boson", 0.0), ("fermion", math.pi)):
         ideal = ket_to_density(prepare_lr(PreparationSettings(beta, phi)).amps)
-        probs = OutcomeProbs(*outcome_probs(rotate_density(noisy_state(ideal, model))))
-        counts = sample_counts(probs, 5000, seed=STAT_SEED)
+        probs = outcome_probs(rotate_density(noisy_state(ideal, model)))
+        counts = sample_counts(probs[None], 5000, [np.random.default_rng(STAT_SEED)])[0].tolist()
         est = estimate_phase(estimate_zz(counts), beta, model.visibility, counts)
         results[label] = est
     elapsed = time.perf_counter() - start
@@ -211,10 +210,9 @@ def test_criterion_07_mixture_weight_recovery():
         for step in range(11):
             p = step / 10.0
             spec = MixtureSpec(weight=p, phi1=phi1, phi2=phi2, beta=beta)
-            probs = OutcomeProbs(*outcome_probs(rotate_density(mixed_state([spec])[0])))
-            counts = sample_counts(
-                probs, 100_000, seed=STAT_SEED + 100 * pair_index + step
-            )
+            probs = outcome_probs(rotate_density(mixed_state([spec])))
+            rng = np.random.default_rng(STAT_SEED + 100 * pair_index + step)
+            counts = sample_counts(probs, 100_000, [rng])[0].tolist()
             est = estimate_p(estimate_zz(counts), phi1, phi2, beta, 1.0, counts)
             worst = max(worst, abs(est.p_hat - p))
         worst_by_pair[(phi1, phi2)] = worst
@@ -247,9 +245,9 @@ def test_criterion_08_tomography_inversion_fidelity_and_noise_fit():
     assert worst <= 1e-12, f"criterion 08 FAIL: exact inversion error {worst:.3e}"
 
     bell = PreparationSettings(math.pi / 4, 0.0)
-    probs = setting_probabilities(ket_to_density(prepare_lr(bell).amps))
-    data = simulate_tomography(probs, 100_000, seed=STAT_SEED)
-    fid = fidelity_pure(reconstruct(data[None])[0], prepare_lr(bell))
+    probs = setting_probabilities(ket_to_density(prepare_lr(bell).amps)[None])
+    data = simulate_tomography(probs, 100_000, [np.random.default_rng(STAT_SEED)])
+    fid = fidelity_pure(reconstruct(data)[0], prepare_lr(bell))
     assert fid >= 0.999, f"criterion 08 FAIL: sampled fidelity {fid:.6f} < 0.999"
 
     model = NoiseModel()
@@ -257,8 +255,9 @@ def test_criterion_08_tomography_inversion_fidelity_and_noise_fit():
     for k in range(8):
         settings = PreparationSettings(math.pi / 4, k * math.pi / 7.0)
         noisy = noisy_state(ket_to_density(prepare_lr(settings).amps), model)
-        counts = simulate_tomography(setting_probabilities(noisy), 100_000, seed=STAT_SEED + k)
-        rec = reconstruct(counts[None])[0]
+        rng = np.random.default_rng(STAT_SEED + k)
+        counts = simulate_tomography(setting_probabilities(noisy[None]), 100_000, [rng])
+        rec = reconstruct(counts)[0]
         got = extract_params(rec)
         targets.append(rec)
         fitted_settings.append(PreparationSettings(got.beta, got.phi))

@@ -313,6 +313,27 @@ def test_scale_below_normal_floats_exits_3(tmp_path, capsys):
     assert re.fullmatch(r"error: visibility \* sin\(2\*beta\) = \S+ is below the smallest normal float\n", err), err
 
 
+def test_poisson_totals_above_int64_are_summed_exactly(tmp_path, capsys):
+    # each channel fits int64, their sum does not: an int64 row sum would wrap negative
+    config = quick_config(
+        tmp_path, "[experiment]\nshots = 9223372036854775807\nsampling = poisson\n"
+    )
+    code, out, err = run_cli(["counts-demo", "--config", config, "--seed", "1"], capsys)
+    assert code == 0, err
+    row = out.splitlines()[1].split(",")
+    channels = [int(v) for v in row[2:6]]
+    assert channels == [
+        4558651628037387264,
+        53034389640990744,
+        53034389249440512,
+        4558651630753435136,
+    ]
+    assert int(row[6]) == sum(channels) == 9223372037681253656 > 2**63 - 1
+    code, out, err = run_cli(["phase-sweep", "--config", config, "--seed", "1"], capsys)
+    assert code == 0, err
+    assert out.count("\n") > 1
+
+
 def test_largest_u64_seed_is_accepted(tmp_path, capsys):
     config = quick_config(tmp_path, SMALL["counts-demo"])
     code, _, err = run_cli(

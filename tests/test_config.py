@@ -1,8 +1,14 @@
 import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sloccsim.config import (
+    _SCHEMA,
+    SAMPLING_MODES,
+    SCENARIOS,
     ExperimentConfig,
     dump_config,
     load_config,
@@ -105,6 +111,36 @@ wavelength = 800nm
     again = load_config(dumped)
     assert again == config
     assert dump_config(again) == dumped
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# One value strategy per kind of field in the schema; every field may also be unset.
+FIELD_VALUES = {
+    "scenario": st.sampled_from(SCENARIOS),
+    "sampling": st.sampled_from(SAMPLING_MODES),
+    "seed": st.integers(),
+    "shots": st.integers(),
+    "bootstrap": st.integers(),
+    **{
+        name: st.lists(finite, min_size=1, max_size=5)
+        for name in ("beta_list", "phi_list", "x_list", "p_list")
+    },
+}
+configs = st.fixed_dictionaries(
+    {f.name: st.none() | FIELD_VALUES.get(f.name, finite) for f in fields(ExperimentConfig)}
+).map(lambda values: ExperimentConfig(**values))
+
+
+def test_round_trip_strategy_covers_the_schema():
+    assert {field for field, _, _ in _SCHEMA.values()} == {f.name for f in fields(ExperimentConfig)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=configs)
+def test_dump_then_load_is_the_identity(config):
+    dumped = dump_config(config)
+    assert load_config(dumped) == config
+    assert dump_config(load_config(dumped)) == dumped
 
 
 def test_load_config_file(tmp_path):

@@ -7,10 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sloccsim import (
-    CoincidenceCounts,
     JointKet,
     LowIndistinguishabilityError,
-    OutcomeProbs,
     PreparationSettings,
     estimate_p,
     estimate_phase,
@@ -22,7 +20,7 @@ from sloccsim import (
     rotate_density,
     sample_counts,
 )
-from sloccsim.measurement import ROTATION_PAIR, bootstrap_zz, zz_spread
+from sloccsim.measurement import ROTATION_PAIR, bootstrap_zz, correlation_scale, zz_spread
 from sloccsim.states import DensityMatrix4
 
 from oracles import (
@@ -34,6 +32,12 @@ from oracles import (
 )
 
 SQ2 = math.sqrt(0.5)
+
+
+def draw(probs, total, seed, mode="multinomial"):
+    """One row's tallies from the stacked sampler, on a fresh generator."""
+    rng = np.random.default_rng(seed)
+    return sample_counts(np.array([probs], dtype=np.float64), total, [rng], mode)[0].tolist()
 
 
 def random_density(rng, n_terms=3):
@@ -77,22 +81,33 @@ def test_rotate_density_matches_ket_rotation():
 
 def test_outcome_probs_of_rotated_bell():
     rho = rotate_density(ket_to_density(prepare_lr(PreparationSettings(math.pi / 4, 0.0)).amps))
-    p = OutcomeProbs(*outcome_probs(rho))
-    assert np.allclose(p.as_array(), [0.5, 0.0, 0.0, 0.5], atol=1e-12)
+    assert np.allclose(outcome_probs(rho), [0.5, 0.0, 0.0, 0.5], atol=1e-12)
     assert expectation_zz(rho) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_outcome_probs_validation():
-    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-        OutcomeProbs(0.5, 0.5, 0.2, -0.2)
+    # the stack is checked once, before any row draws; one bad row anywhere fails it
+    good = (0.25, 0.25, 0.25, 0.25)
+    for bad, message in [
+        ((0.5, 0.5, 0.2, -0.2), r"must lie in \[0, 1\]"),
+        ((0.5, 0.5, 0.5, 0.5), "must sum to 1"),
+    ]:
+        for stack in ([bad], [good, bad, good]):
+            rngs = [np.random.default_rng(0) for _ in stack]
+            with pytest.raises(ValueError, match=message):
+                sample_counts(np.array(stack), 100, rngs)
+            fresh = np.random.default_rng(0).bit_generator.state
+            assert all(rng.bit_generator.state == fresh for rng in rngs)
+    # each row must sum to 1, not the stack on average
     with pytest.raises(ValueError, match="must sum to 1"):
-        OutcomeProbs(0.5, 0.5, 0.5, 0.5)
+        sample_counts(np.array([(0.25, 0.25, 0.0, 0.0), (0.5, 0.5, 0.25, 0.25)]), 100, [None, None])
 
 
 def test_outcome_probs_rejects_nan():
     # a NaN compares false both ways, so it must fail the range test itself
-    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-        OutcomeProbs(math.nan, 0.5, 0.25, 0.25)
+    for mode in ("multinomial", "poisson"):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            draw((math.nan, 0.5, 0.25, 0.25), 100, seed=0, mode=mode)
 
 
 def test_expectation_matches_trace_oracle():
@@ -130,41 +145,61 @@ def test_correlation_band():
         assert abs(expectation_zz(rho)) <= math.sin(2 * beta) + 1e-12
 
 
+TALLY_READERS = {
+    "estimate_zz": estimate_zz,
+    "zz_spread": zz_spread,
+    "bootstrap_zz": lambda counts: bootstrap_zz(counts, 10, 1),
+    "correlation_scale": lambda counts: correlation_scale(math.pi / 4, 1.0, counts, "phase"),
+    "estimate_phase": lambda counts: estimate_phase(0.5, math.pi / 4, 1.0, counts),
+    "estimate_p": lambda counts: estimate_p(0.5, 0.0, math.pi, math.pi / 4, 1.0, counts),
+}
+
+
 def test_counts_validation():
-    counts = CoincidenceCounts.from_channels(600, 100, 100, 200)
-    assert counts.total == 1000
-    with pytest.raises(ValueError):
-        CoincidenceCounts(1, 2, 3, 4, total=11)
-    with pytest.raises(ValueError):
-        CoincidenceCounts.from_channels(-1, 0, 0, 1)
+    # a tally row carries no total of its own: it is the exact sum of the channels
+    assert estimate_zz((600, 100, 100, 200)) == pytest.approx(0.6)
+    assert estimate_zz(np.array([1, 2, 3, 4], dtype=np.int64)) == 0.0
+    for reader in TALLY_READERS.values():
+        for bad in [(-1, 0, 0, 1), (1.5, 0, 0, 1), (1, 0, 0, np.int64(-2))]:
+            with pytest.raises(ValueError, match="counts must be nonnegative integers"):
+                reader(bad)
 
 
 def test_sample_counts_deterministic():
-    probs = OutcomeProbs(0.4, 0.1, 0.2, 0.3)
-    a = sample_counts(probs, 5000, seed=7)
-    b = sample_counts(probs, 5000, seed=7)
-    c = sample_counts(probs, 5000, seed=8)
+    probs = (0.4, 0.1, 0.2, 0.3)
+    a = draw(probs, 5000, seed=7)
+    b = draw(probs, 5000, seed=7)
+    c = draw(probs, 5000, seed=8)
     assert a == b
     assert a != c
-    assert a.total == 5000
+    assert sum(a) == 5000
 
 
 def test_sample_counts_concentrates():
-    probs = OutcomeProbs(0.4, 0.1, 0.2, 0.3)
-    counts = sample_counts(probs, 1_000_000, seed=1)
-    freq = counts.as_array() / counts.total
-    assert np.max(np.abs(freq - probs.as_array())) < 5e-3
+    probs = (0.4, 0.1, 0.2, 0.3)
+    counts = draw(probs, 1_000_000, seed=1)
+    freq = np.array(counts) / sum(counts)
+    assert np.max(np.abs(freq - probs)) < 5e-3
 
 
 def test_sample_counts_poisson_mode():
-    probs = OutcomeProbs(0.25, 0.25, 0.25, 0.25)
-    counts = sample_counts(probs, 5000, seed=2, mode="poisson")
-    assert counts.total == int(counts.as_array().sum())
-    assert abs(counts.total - 5000) < 500
-    with pytest.raises(ValueError):
-        sample_counts(probs, 5000, seed=2, mode="uniform")
-    with pytest.raises(ValueError):
-        sample_counts(probs, 0, seed=2)
+    probs = (0.25, 0.25, 0.25, 0.25)
+    tally = sample_counts(np.array([probs]), 5000, [np.random.default_rng(2)], mode="poisson")
+    assert tally.dtype == np.int64 and tally.shape == (1, 4)
+    assert abs(int(tally.sum()) - 5000) < 500
+    with pytest.raises(ValueError, match="unknown sampling mode 'uniform'"):
+        draw(probs, 5000, seed=2, mode="uniform")
+    with pytest.raises(ValueError, match="total must be at least 1"):
+        draw(probs, 0, seed=2)
+
+
+def test_sample_counts_takes_one_generator_per_row():
+    probs = np.array([(0.4, 0.1, 0.2, 0.3)] * 3)
+    with pytest.raises(ValueError, match="shape"):
+        sample_counts(probs[0], 100, [np.random.default_rng(0)])
+    for rngs in ([np.random.default_rng(0)] * 2, [np.random.default_rng(0)] * 4):
+        with pytest.raises(ValueError, match="zip"):
+            sample_counts(probs, 100, rngs)
 
 
 @pytest.mark.parametrize(
@@ -183,25 +218,25 @@ def test_poisson_channels_drawn_one_by_one_match_the_array_draw(probs, total):
         reference = np.random.default_rng(seed)
         expected = reference.poisson(total * p).tolist()
         rng = np.random.default_rng(seed)
-        counts = sample_counts(OutcomeProbs(*probs), total, rng, mode="poisson")
-        assert [counts.n13, counts.n14, counts.n23, counts.n24] == expected
+        counts = sample_counts(np.array([probs]), total, [rng], mode="poisson")
+        assert counts[0].tolist() == expected
         assert rng.bit_generator.state == reference.bit_generator.state
-        assert counts == sample_counts(OutcomeProbs(*probs), total, seed, mode="poisson")
+        assert counts[0].tolist() == draw(probs, total, seed, mode="poisson")
 
 
 def test_poisson_mean_beyond_the_sampler_range_is_rejected():
     # a ValueError, which the CLI reports with exit 3
     with pytest.raises(ValueError, match="lam value too large"):
-        sample_counts(OutcomeProbs(1.0, 0.0, 0.0, 0.0), 2**63 - 1, seed=1, mode="poisson")
+        draw((1.0, 0.0, 0.0, 0.0), 2**63 - 1, seed=1, mode="poisson")
 
 
 def test_estimate_zz():
-    counts = CoincidenceCounts.from_channels(600, 100, 100, 200)
+    counts = (600, 100, 100, 200)
     assert estimate_zz(counts) == pytest.approx(0.6)
 
 
 def test_bootstrap_zz_shape_and_determinism():
-    counts = CoincidenceCounts.from_channels(600, 100, 100, 200)
+    counts = (600, 100, 100, 200)
     a = bootstrap_zz(counts, 500, seed=3)
     b = bootstrap_zz(counts, 500, seed=3)
     assert a.shape == (500,)
@@ -212,9 +247,7 @@ def test_bootstrap_zz_shape_and_determinism():
 def counts_with(total, same):
     """Tallies with n13 + n24 = same, spread over all four channels."""
     other = total - same
-    return CoincidenceCounts.from_channels(
-        same - same // 3, other // 4, other - other // 4, same // 3
-    )
+    return (same - same // 3, other // 4, other - other // 4, same // 3)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 1.0])
@@ -248,13 +281,12 @@ seeds = st.integers(0, 2**64 - 1)
     seed=seeds,
 )
 def test_bootstrap_resamples_lie_on_the_count_lattice(channels, n_boot, seed):
-    counts = CoincidenceCounts.from_channels(*channels)
-    total = counts.total
-    resamples = bootstrap_zz(counts, n_boot, seed)
+    total = sum(channels)
+    resamples = bootstrap_zz(channels, n_boot, seed)
     k = np.rint((resamples + 1.0) * total / 2.0)
     assert np.all((k >= 0) & (k <= total))
     assert np.array_equal(resamples, (2.0 * k - total) / total)
-    assert np.array_equal(resamples, bootstrap_zz(counts, n_boot, seed))
+    assert np.array_equal(resamples, bootstrap_zz(channels, n_boot, seed))
 
 
 @settings(max_examples=40, deadline=None)
@@ -266,17 +298,17 @@ def test_bootstrap_resamples_lie_on_the_count_lattice(channels, n_boot, seed):
 def test_bootstrap_is_exact_when_one_channel_pair_is_empty(pair, all_same, seed):
     a, b = pair
     if all_same:  # q = 1
-        counts, zz = CoincidenceCounts.from_channels(a, 0, 0, b), 1.0
+        counts, zz = (a, 0, 0, b), 1.0
     else:  # q = 0
-        counts, zz = CoincidenceCounts.from_channels(0, a, b, 0), -1.0
+        counts, zz = (0, a, b, 0), -1.0
     assert np.all(bootstrap_zz(counts, 200, seed) == zz)
 
 
 def test_bootstrap_does_not_overflow_at_the_largest_total():
     # totals near 2**63: every resample stays exact and inside [-1, 1]
-    counts = CoincidenceCounts(2**62, 0, 0, 2**62 - 1, total=2**63 - 1)
+    counts = (2**62, 0, 0, 2**62 - 1)
     assert np.all(bootstrap_zz(counts, 100, seed=1) == 1.0)
-    counts = CoincidenceCounts(2**61, 2**61, 2**61, 2**61 - 1, total=2**63 - 1)
+    counts = (2**61, 2**61, 2**61, 2**61 - 1)
     assert np.all(np.abs(bootstrap_zz(counts, 100, seed=1)) < 1e-6)
 
 
@@ -345,18 +377,17 @@ def test_fully_clamped_rows_have_zero_phase_spread(total, same, scale):
     "channels", [(7, 0, 0, 5), (0, 3, 9, 0), (1, 0, 0, 0), (2**62, 0, 0, 2**62 - 1)]
 )
 def test_spreads_are_exactly_zero_when_q_is_0_or_1(channels):
-    counts = CoincidenceCounts.from_channels(*channels)
-    zz_hat = estimate_zz(counts)
-    est = estimate_phase(zz_hat, math.pi / 4, 1.0, counts)
+    zz_hat = estimate_zz(channels)
+    est = estimate_phase(zz_hat, math.pi / 4, 1.0, channels)
     assert est.zz_sigma == 0.0
     assert est.sigma == 0.0
-    assert estimate_p(zz_hat, 0.0, math.pi, math.pi / 4, 1.0, counts).sigma == 0.0
+    assert estimate_p(zz_hat, 0.0, math.pi, math.pi / 4, 1.0, channels).sigma == 0.0
 
 
 @pytest.mark.parametrize("same", [2**62, 2**63 - 4, 3])
 def test_largest_total_gives_a_finite_spread_in_bounded_time(same):
     total = 2**63 - 1
-    counts = CoincidenceCounts(same, 0, total - same, 0, total=total)
+    counts = (same, 0, total - same, 0)
     start = time.perf_counter()
     est = estimate_phase(estimate_zz(counts), math.pi / 4, 1.0, counts)
     assert time.perf_counter() - start < 1.0
@@ -378,7 +409,7 @@ def test_largest_total_gives_a_finite_spread_in_bounded_time(same):
 @example(phi=1e-8, beta=math.pi / 4, visibility=0.5)
 def test_estimate_phase_inverts_the_forward_model(phi, beta, visibility):
     zz = visibility * math.sin(2.0 * beta) * math.cos(phi)
-    est = estimate_phase(zz, beta, visibility, CoincidenceCounts.from_channels(1, 1, 1, 1))
+    est = estimate_phase(zz, beta, visibility, (1, 1, 1, 1))
     # within 1e-6 of 0 or pi, arccos turns one rounding of cos(phi) into up to
     # sqrt(2 * 2**-52) ~ 2.1e-8 of phase
     tolerance = 1e-9 if math.sin(phi) > 1e-6 else 3e-8
@@ -390,8 +421,7 @@ def test_estimate_phase_recovers_known_phase():
     beta = math.pi / 4
     for phi in (0.3, 1.1, 2.5):
         rho = rotate_density(ket_to_density(prepare_lr(PreparationSettings(beta, phi)).amps))
-        probs = OutcomeProbs(*outcome_probs(rho))
-        counts = sample_counts(probs, 2_000_000, seed=17)
+        counts = draw(outcome_probs(rho), 2_000_000, seed=17)
         est = estimate_phase(estimate_zz(counts), beta, 1.0, counts)
         assert abs(est.phi_hat - phi) < 5e-3
         assert est.sigma > 0.0
@@ -405,20 +435,20 @@ def test_estimate_phase_folds_reflected_phases():
     rho = rotate_density(
         ket_to_density(prepare_lr(PreparationSettings(beta, 2.0 * math.pi - phi)).amps)
     )
-    counts = sample_counts(OutcomeProbs(*outcome_probs(rho)), 2_000_000, seed=9)
+    counts = draw(outcome_probs(rho), 2_000_000, seed=9)
     est = estimate_phase(estimate_zz(counts), beta, 1.0, counts)
     assert abs(est.phi_hat - phi) < 5e-3
 
 
 def test_estimate_phase_clamps_out_of_range_ratio():
-    counts = CoincidenceCounts.from_channels(1000, 0, 0, 1000)
+    counts = (1000, 0, 0, 1000)
     est = estimate_phase(1.0, math.radians(10), 1.0, counts)
     assert est.clamped
     assert est.phi_hat == 0.0
 
 
 def test_estimate_phase_rejects_bad_inputs():
-    counts = CoincidenceCounts.from_channels(10, 10, 10, 10)
+    counts = (10, 10, 10, 10)
     with pytest.raises(LowIndistinguishabilityError):
         estimate_phase(0.5, 0.0, 1.0, counts)
     with pytest.raises(ValueError):
@@ -433,7 +463,7 @@ def test_estimate_phase_rejects_bad_inputs():
         ({"beta": 0.0}, LowIndistinguishabilityError, "sin(2*beta) <= 1e-6: the correlation carries no {} information"),
         ({"visibility": 0.0}, ValueError, "visibility must lie in (0, 1]"),
         ({"visibility": 1.5}, ValueError, "visibility must lie in (0, 1]"),
-        ({"counts": CoincidenceCounts.from_channels(0, 0, 0, 0)}, ValueError, "counts are empty"),
+        ({"counts": (0, 0, 0, 0)}, ValueError, "counts are empty"),
         # a subnormal scale overflowed the spread's division or divided by zero
         ({"visibility": 1e-310}, ValueError, "visibility * sin(2*beta) = 1e-310 is below the smallest normal float"),
         ({"visibility": 5e-324}, ValueError, "visibility * sin(2*beta) = 5e-324 is below the smallest normal float"),
@@ -441,7 +471,7 @@ def test_estimate_phase_rejects_bad_inputs():
 )
 def test_phase_and_weight_estimators_share_input_checks(change, error, message):
     args = {"beta": math.pi / 4, "visibility": 1.0}
-    args["counts"] = CoincidenceCounts.from_channels(10, 10, 10, 10)
+    args["counts"] = (10, 10, 10, 10)
     args.update(change)
     with pytest.raises(error) as phase:
         estimate_phase(0.5, **args)

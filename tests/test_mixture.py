@@ -7,7 +7,6 @@ from sloccsim import (
     DegeneratePhasesError,
     LowIndistinguishabilityError,
     MixtureSpec,
-    OutcomeProbs,
     estimate_p,
     estimate_zz,
     expectation_zz,
@@ -17,7 +16,13 @@ from sloccsim import (
     rotate_density,
     sample_counts,
 )
-from sloccsim.measurement import CoincidenceCounts, bootstrap_zz
+from sloccsim.measurement import bootstrap_zz
+
+
+def sampled(spec, total, seed):
+    """One mixture's tally row, drawn on a fresh generator."""
+    probs = outcome_probs(rotate_density(mixed_state([spec])))
+    return sample_counts(probs, total, [np.random.default_rng(seed)])[0].tolist()
 
 
 def test_spec_validation():
@@ -60,9 +65,7 @@ def test_density_route_matches_closed_form():
 def test_estimate_p_exact_inversion():
     spec = MixtureSpec(weight=0.37, phi1=0.0, phi2=math.pi, beta=math.pi / 4)
     zz = mixture_expectation(spec)
-    counts = sample_counts(
-        OutcomeProbs(*outcome_probs(rotate_density(mixed_state([spec])[0]))), 1000, seed=1
-    )
+    counts = sampled(spec, 1000, 1)
     est = estimate_p(zz, spec.phi1, spec.phi2, spec.beta, 1.0, counts)
     assert est.p_raw == pytest.approx(0.37, abs=1e-12)
     assert est.p_hat == est.p_raw
@@ -71,9 +74,7 @@ def test_estimate_p_exact_inversion():
 
 def test_estimate_p_clamps_to_unit_interval():
     spec = MixtureSpec(weight=1.0, phi1=0.0, phi2=math.pi, beta=math.pi / 4)
-    counts = sample_counts(
-        OutcomeProbs(*outcome_probs(rotate_density(mixed_state([spec])[0]))), 1000, seed=2
-    )
+    counts = sampled(spec, 1000, 2)
     est = estimate_p(1.002, spec.phi1, spec.phi2, spec.beta, 1.0, counts)
     assert est.p_raw > 1.0
     assert est.p_hat == 1.0
@@ -83,8 +84,7 @@ def test_estimate_p_end_to_end_sampled():
     rng_seeds = (101, 202, 303)
     for w, seed in zip((0.0, 0.5, 1.0), rng_seeds):
         spec = MixtureSpec(weight=w, phi1=0.0, phi2=math.pi, beta=math.pi / 4)
-        probs = OutcomeProbs(*outcome_probs(rotate_density(mixed_state([spec])[0])))
-        counts = sample_counts(probs, 100_000, seed=seed)
+        counts = sampled(spec, 100_000, seed)
         est = estimate_p(estimate_zz(counts), spec.phi1, spec.phi2, spec.beta, 1.0, counts)
         assert abs(est.p_hat - w) < 0.02
 
@@ -99,10 +99,9 @@ def test_estimate_p_end_to_end_sampled():
 )
 def test_p_err_is_the_bootstrap_sd_of_the_inverted_weight(phi1, phi2, beta, visibility, channels):
     # the weight is linear in zz, so its exact bootstrap sd is zz's over |scale * contrast|
-    counts = CoincidenceCounts.from_channels(*channels)
-    est = estimate_p(estimate_zz(counts), phi1, phi2, beta, visibility, counts)
+    est = estimate_p(estimate_zz(channels), phi1, phi2, beta, visibility, channels)
     scale = visibility * math.sin(2.0 * beta)
-    resamples = bootstrap_zz(counts, 200_000, seed=31)
+    resamples = bootstrap_zz(channels, 200_000, seed=31)
     weights = (resamples / scale - math.cos(phi2)) / (math.cos(phi1) - math.cos(phi2))
     dev = weights - weights.mean()
     kurtosis = np.mean(dev**4) / np.mean(dev**2) ** 2 - 3.0
@@ -112,11 +111,7 @@ def test_p_err_is_the_bootstrap_sd_of_the_inverted_weight(phi1, phi2, beta, visi
 
 def test_estimate_p_rejects_degenerate_settings():
     spec = MixtureSpec(weight=0.5, phi1=0.0, phi2=math.pi, beta=math.pi / 4)
-    counts = sample_counts(
-        OutcomeProbs(*outcome_probs(rotate_density(mixed_state([spec])[0]))),
-        1000,
-        seed=3,
-    )
+    counts = sampled(spec, 1000, 3)
     with pytest.raises(DegeneratePhasesError):
         estimate_p(0.0, 1.0, -1.0, math.pi / 4, 1.0, counts)
     with pytest.raises(DegeneratePhasesError):
@@ -133,8 +128,7 @@ def test_half_contrast_pair_needs_more_shots():
     sigmas = {}
     for label, phi2 in (("full", math.pi), ("half", math.pi / 2)):
         spec = MixtureSpec(weight=0.5, phi1=0.0, phi2=phi2, beta=math.pi / 4)
-        probs = OutcomeProbs(*outcome_probs(rotate_density(mixed_state([spec])[0])))
-        counts = sample_counts(probs, 100_000, seed=44)
+        counts = sampled(spec, 100_000, 44)
         est = estimate_p(estimate_zz(counts), spec.phi1, spec.phi2, spec.beta, 1.0, counts)
         sigmas[label] = est.sigma
     ratio = (sigmas["half"] / sigmas["full"]) ** 2

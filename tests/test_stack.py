@@ -1,9 +1,10 @@
 """The stacked pipeline against the per-point references, bit for bit.
 
 Golden digests pin whole CSV files; these properties pin each stacked stage
-(state build, noise mix, rotation and readout, tomography probabilities and
-linear inversion) against the per-point arithmetic it replaced, over drawn
-inputs, so a stage that rounds differently fails here by name.  The last
+(state build, noise mix, rotation and readout, count draws, tomography
+probabilities and linear inversion) against the per-point arithmetic it
+replaced, over drawn inputs, so a stage that rounds differently fails here
+by name.  The last
 test pins which public stage names each subcommand calls.
 """
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from sloccsim import DensityMatrix4, NoiseModel, PreparationSettings, reconstruct
 from sloccsim.cli import main
-from sloccsim.measurement import outcome_probs, rotate_density
+from sloccsim.measurement import outcome_probs, rotate_density, sample_counts
 from sloccsim.mixture import MixtureSpec, mixed_state
 from sloccsim.noise import noisy_state
 from sloccsim.slocc import lr_kets
@@ -30,6 +31,7 @@ from oracles import (
     noisy_chain_oracle,
     project_physical_oracle,
     pure_density_oracle,
+    sample_counts_oracle,
     setting_probabilities_oracle,
 )
 
@@ -57,6 +59,47 @@ def test_stacked_states_and_probabilities_match_per_point_chain(grid, visibility
         ref_state, ref_probs = noisy_chain_oracle(beta, phi, visibility, white)
         assert np.array_equal(state, ref_state)
         assert np.array_equal(row, ref_probs)
+
+
+# Probability rows as the pipeline makes them (exact zeros included at
+# visibility 1), and drawn ones renormalised by a row sum.
+drawn_rows = st.lists(
+    st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=4, max_size=4)
+    .filter(lambda row: sum(row) > 0.0)
+    .map(lambda row: [v / sum(row) for v in row]),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    grid=points,
+    visibility=unit,
+    drawn=drawn_rows,
+    total=st.integers(1, 10**6) | st.sampled_from([2**40, 10**12]),
+    mode=st.sampled_from(["multinomial", "poisson"]),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(
+    grid=[(math.pi / 4, 0.0)],
+    visibility=1.0,
+    drawn=[[0.5, 0.0, 0.0, 0.5]],
+    total=3,
+    mode="poisson",
+    seed=0,
+)
+def test_stacked_draws_match_per_row_chain(grid, visibility, drawn, total, mode, seed):
+    pipeline = outcome_probs(rotate_density(noisy_stack(grid, visibility, 0.5)))
+    probs = np.concatenate([pipeline, drawn])
+    seeds = np.random.SeedSequence(seed).generate_state(len(probs), np.uint64).tolist()
+    rngs = [np.random.default_rng(s) for s in seeds]
+    references = [np.random.default_rng(s) for s in seeds]
+    tally = sample_counts(probs, total, rngs, mode)
+    assert tally.dtype == np.int64 and tally.shape == probs.shape
+    for row, p, rng, reference in zip(tally.tolist(), probs, rngs, references):
+        assert row == sample_counts_oracle(p, total, reference, mode)
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 @settings(max_examples=40, deadline=None)
@@ -171,12 +214,13 @@ STAGES = (
     ("noise", "noisy_state"),
     ("measurement", "rotate_density"),
     ("measurement", "outcome_probs"),
+    ("measurement", "sample_counts"),
     ("mixture", "mixed_state"),
     ("tomography", "setting_probabilities"),
     ("tomography", "simulate_tomography"),
     ("tomography", "reconstruct"),
 )
-SAMPLED = {"ket_to_density", "noisy_state", "rotate_density", "outcome_probs"}
+SAMPLED = {"ket_to_density", "noisy_state", "rotate_density", "outcome_probs", "sample_counts"}
 
 
 @pytest.mark.parametrize(

@@ -74,15 +74,41 @@ def test_reconstruct_rejects_bad_weights():
 
 
 def test_simulate_tomography_deterministic():
-    probs = setting_probabilities(bell_rho().matrix)
-    a = simulate_tomography(probs, 2000, seed=5)
-    b = simulate_tomography(probs, 2000, seed=5)
-    c = simulate_tomography(probs, 2000, seed=6)
+    probs = setting_probabilities(bell_rho().matrix[None])
+    a = simulate_tomography(probs, 2000, [np.random.default_rng(5)])
+    b = simulate_tomography(probs, 2000, [np.random.default_rng(5)])
+    c = simulate_tomography(probs, 2000, [np.random.default_rng(6)])
     assert np.array_equal(a, b)
-    assert np.all(a.sum(axis=1) == 2000.0)
+    assert a.shape == (1, 9, 4) and a.dtype == np.float64
+    assert np.all(a.sum(axis=-1) == 2000.0)
     assert not np.array_equal(a, c)
-    with pytest.raises(ValueError):
-        simulate_tomography(probs, 0, seed=1)
+    with pytest.raises(ValueError, match="at least 1"):
+        simulate_tomography(probs, 0, [np.random.default_rng(1)])
+    with pytest.raises(ValueError, match=r"shape \(N, 9, 4\)"):
+        simulate_tomography(probs[0], 2000, [np.random.default_rng(1)])
+
+
+def test_simulate_tomography_draws_each_state_from_its_own_generator():
+    # state i is one multinomial call over its nine settings on the i-th generator
+    states = np.stack([bell_rho().matrix, np.eye(4, dtype=np.complex128) / 4.0])
+    probs = setting_probabilities(states)
+    rngs = [np.random.default_rng(seed) for seed in (11, 12)]
+    tables = simulate_tomography(probs, 500, rngs)
+    for table, p, seed, rng in zip(tables, probs, (11, 12), rngs):
+        reference = np.random.default_rng(seed)
+        assert np.array_equal(table, reference.multinomial(500, p))
+        assert rng.bit_generator.state == reference.bit_generator.state
+    with pytest.raises(ValueError, match="zip"):
+        simulate_tomography(probs, 500, rngs[:1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_reconstruct_rejects_non_finite_weights(bad):
+    # NaN passed the sign and total checks and broke eigh; inf also warned on division
+    tables = np.ones((1, 9, 4))
+    tables[0, 4, 2] = bad
+    with pytest.raises(ValueError, match="^outcome weights must be finite$"):
+        reconstruct(tables)
 
 
 def test_reconstruct_exact_on_infinite_shot_data():
@@ -130,8 +156,10 @@ def test_projection_is_idempotent():
 
 def test_sampled_bell_reconstruction_fidelity():
     rho = bell_rho()
-    data = simulate_tomography(setting_probabilities(rho.matrix), 100_000, seed=20260819)
-    rebuilt = reconstruct(data[None])[0]
+    data = simulate_tomography(
+        setting_probabilities(rho.matrix[None]), 100_000, [np.random.default_rng(20260819)]
+    )
+    rebuilt = reconstruct(data)[0]
     target = prepare_lr(PreparationSettings(math.pi / 4, 0.0))
     fid = fidelity_pure(rebuilt, target)
     assert fid >= 0.999
@@ -155,8 +183,9 @@ def test_extraction_on_noisy_sampled_state():
     phi = math.pi / 3
     ideal = ket_to_density(prepare_lr(PreparationSettings(math.pi / 4, phi)).amps)
     rho = noisy_state(ideal, NoiseModel())
-    data = simulate_tomography(setting_probabilities(rho), 20_000, seed=77)
-    got = extract_params(reconstruct(data[None])[0])
+    rng = np.random.default_rng(77)
+    data = simulate_tomography(setting_probabilities(rho[None]), 20_000, [rng])
+    got = extract_params(reconstruct(data)[0])
     assert abs(got.phi - phi) < 0.1
     assert abs(got.beta - math.pi / 4) < 0.05
     assert got.fidelity_to_ideal > 0.95
