@@ -26,6 +26,8 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .measurement import correlation_scale
+from .mixture import cosine_contrast
 from .noise import NoiseModel
 from .plate import PlateGeometry
 
@@ -255,7 +257,8 @@ _U64_MAX = 2**64 - 1
 _INT64_MAX = 2**63 - 1  # counts are sampled as int64
 DEFAULT_SHOTS = 5000
 
-_NEEDS_PHASE_CONTRAST = ("phase-sweep", "beta-sweep", "mixture-sweep")
+# scenarios that invert counts, and what their correlation carries
+_ESTIMATED = {"phase-sweep": "phase", "beta-sweep": "phase", "mixture-sweep": "weight"}
 
 
 def resolve(
@@ -293,12 +296,6 @@ def resolve(
     for beta in beta_list:
         if not 0.0 <= beta <= math.pi / 2 + 1e-12:
             raise ConfigError(f"beta {beta!r} outside [0, pi/2]")
-    if scenario in _NEEDS_PHASE_CONTRAST:
-        for beta in beta_list:
-            if math.sin(2.0 * beta) <= 1e-6:
-                raise ConfigError(
-                    f"beta {beta!r} gives sin(2*beta) <= 1e-6; no phase signal"
-                )
 
     x_list = tuple(config.x_list) if config.x_list is not None else None
     if config.phi_list is not None:
@@ -376,12 +373,15 @@ def resolve(
             if value is not None:
                 plate_kwargs[kwarg] = value
         plate = PlateGeometry(**plate_kwargs)
+        # the estimators' own input checks, so that they fail before any sampling
+        if scenario == "mixture-sweep":
+            cosine_contrast(*phi_list)
+        for beta in beta_list if scenario in _ESTIMATED else ():
+            correlation_scale(beta, noise.visibility, _ESTIMATED[scenario])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    # the estimators divide by visibility * sin(2 beta); the raw-count scenarios take 0 as well
-    if 0.0 < noise.visibility < sys.float_info.min or (
-        noise.visibility == 0.0 and scenario in _NEEDS_PHASE_CONTRAST
-    ):
+    # no scenario takes a subnormal visibility; the raw-count ones take 0
+    if 0.0 < noise.visibility < sys.float_info.min:
         raise ConfigError(
             f"visibility {noise.visibility!r} is below the smallest normal float "
             f"{sys.float_info.min!r}"

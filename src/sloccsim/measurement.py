@@ -96,19 +96,20 @@ def sample_counts(probs: np.ndarray, total: int, rngs, mode: str = "multinomial"
 
 
 def _same_and_total(counts) -> tuple[int, int]:
-    """(n13 + n24, total) of one tally row (n13, n14, n23, n24), as exact Python ints."""
+    """(n13 + n24, total) of one nonempty tally row (n13, n14, n23, n24), as exact Python ints."""
     n13, n14, n23, n24 = counts
     ints = (int(n13), int(n14), int(n23), int(n24))
     if ints != (n13, n14, n23, n24) or min(ints) < 0:
         raise ValueError("counts must be nonnegative integers")
-    return ints[0] + ints[3], sum(ints)
+    total = sum(ints)
+    if total < 1:
+        raise ValueError("cannot estimate from zero counts")
+    return ints[0] + ints[3], total
 
 
 def estimate_zz(counts) -> float:
     """(n13 + n24 - n14 - n23) / total of one tally row."""
     same, total = _same_and_total(counts)
-    if total < 1:
-        raise ValueError("cannot estimate from zero counts")
     return (same - (total - same)) / total
 
 
@@ -129,7 +130,7 @@ def bootstrap_zz(counts, n_boot: int, seed: int) -> np.ndarray:
     return (draws - (total - draws)) / total
 
 
-def correlation_scale(beta: float, visibility: float, counts, noun: str) -> float:
+def correlation_scale(beta: float, visibility: float, noun: str) -> float:
     """visibility * sin(2 beta), after the input checks the phase and weight estimators share.
 
     ``noun`` names what the correlation would carry in the sin(2 beta) message.
@@ -141,8 +142,6 @@ def correlation_scale(beta: float, visibility: float, counts, noun: str) -> floa
         )
     if not 0.0 < visibility <= 1.0:
         raise ValueError("visibility must lie in (0, 1]")
-    if _same_and_total(counts)[1] < 1:
-        raise ValueError("counts are empty")
     scale = visibility * sin_2b
     if scale < sys.float_info.min:  # a subnormal scale overflows or divides by zero
         raise ValueError(
@@ -218,20 +217,18 @@ class PhaseEstimate:
     clamped: bool  # the arccos argument fell outside [-1, 1] and was clipped
 
 
-def estimate_phase(zz_hat: float, beta: float, visibility: float, counts) -> PhaseEstimate:
+def estimate_phase(counts, beta: float, visibility: float) -> PhaseEstimate:
     """Invert zz = visibility * sin(2 beta) * cos(phi) for phi in [0, pi].
 
     Parameters
     ----------
-    zz_hat : float
-        Measured z-basis correlation, normally ``estimate_zz(counts)``.
+    counts : sequence of int
+        One tally row (n13, n14, n23, n24); zz_hat is ``estimate_zz`` of it,
+        and its law propagates shot noise.
     beta : float
         Splitting angle in radians; sin(2 beta) must exceed 1e-6.
     visibility : float
         Scale factor of the error model, in (0, 1]; 1 means no correction.
-    counts : sequence of int
-        The tally row (n13, n14, n23, n24) behind zz_hat; its law
-        propagates shot noise.
 
     Returns
     -------
@@ -247,13 +244,14 @@ def estimate_phase(zz_hat: float, beta: float, visibility: float, counts) -> Pha
         0 when q is 0 or 1, and sigma is 0 when every count in the window
         clamps to the same end.
     """
-    scale = correlation_scale(beta, visibility, counts, "phase")
+    scale = correlation_scale(beta, visibility, "phase")
     same, total = _same_and_total(counts)
+    zz_hat = (same - (total - same)) / total
     ratio = zz_hat / scale
     return PhaseEstimate(
         phi_hat=math.acos(min(1.0, max(-1.0, ratio))),
         sigma=_phase_spread(same, total, scale),
-        zz_hat=float(zz_hat),
+        zz_hat=zz_hat,
         zz_sigma=_zz_spread(same, total),
         clamped=abs(ratio) > 1.0,
     )

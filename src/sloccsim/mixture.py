@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegeneratePhasesError
-from .measurement import correlation_scale, zz_spread
+from .measurement import correlation_scale, estimate_zz, zz_spread
 from .slocc import PreparationSettings, lr_kets
 from .states import canonical_phase, ket_to_density
 
@@ -61,33 +61,35 @@ class MixtureEstimate:
     p_hat: float  # clamped into [0, 1]
     p_raw: float  # as inverted; shot noise can push it slightly outside
     sigma: float
+    zz_hat: float  # the tally row's correlation, ``estimate_zz(counts)``
 
 
-def estimate_p(
-    zz_hat: float,
-    phi1: float,
-    phi2: float,
-    beta: float,
-    visibility: float,
-    counts,
-) -> MixtureEstimate:
-    """Invert the linear weight relation, with the exact bootstrap spread.
-
-    ``counts`` is the tally row (n13, n14, n23, n24) behind zz_hat.  The
-    point estimate is (zz / (visibility * sin 2 beta) - cos phi2) divided
-    by the cosine contrast.  The weight is linear in zz, so sigma is the
-    exact ("ideal") bootstrap standard deviation of zz, ``zz_spread(counts)``,
-    over |visibility * sin 2 beta * contrast|.
-    """
+def cosine_contrast(phi1: float, phi2: float) -> float:
+    """cos(phi1) - cos(phi2), which must exceed 1e-6 in size for the weight to show in zz."""
     contrast = math.cos(phi1) - math.cos(phi2)
     if abs(contrast) <= MIN_COS_CONTRAST:
         raise DegeneratePhasesError(
             "cos(phi1) equals cos(phi2); the weight does not affect the signal"
         )
-    scale = correlation_scale(beta, visibility, counts, "weight")
+    return contrast
+
+
+def estimate_p(counts, phi1: float, phi2: float, beta: float, visibility: float) -> MixtureEstimate:
+    """Invert the linear weight relation for one tally row (n13, n14, n23, n24).
+
+    The point estimate is (zz / (visibility * sin 2 beta) - cos phi2) divided
+    by the cosine contrast, with zz = ``estimate_zz(counts)``.  The weight is
+    linear in zz, so sigma is the exact ("ideal") bootstrap standard
+    deviation of zz, ``zz_spread(counts)``, over
+    |visibility * sin 2 beta * contrast|.
+    """
+    contrast = cosine_contrast(phi1, phi2)
+    scale = correlation_scale(beta, visibility, "weight")
+    zz_hat = estimate_zz(counts)
     p_raw = (zz_hat / scale - math.cos(phi2)) / contrast
     return MixtureEstimate(
         p_hat=min(max(p_raw, 0.0), 1.0),
         p_raw=p_raw,
         sigma=zz_spread(counts) / abs(scale * contrast),
+        zz_hat=zz_hat,
     )

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .config import ResolvedConfig
-from .measurement import estimate_phase, estimate_zz, outcome_probs, rotate_density, sample_counts
+from .measurement import estimate_phase, outcome_probs, rotate_density, sample_counts
 from .mixture import MixtureSpec, estimate_p, mixed_state, mixture_expectation
 from .noise import fit_noise, noisy_state
 from .plate import phase_from_displacement
@@ -200,8 +200,7 @@ def run_phase_sweep(cfg: ResolvedConfig):
     rows = []
     for (beta, phi), counts in zip(grid, _sample(cfg, states, describe)):
         zz_ideal = math.sin(2.0 * beta) * math.cos(phi)
-        zz_hat = estimate_zz(counts)
-        est = estimate_phase(zz_hat, beta, vis, counts)
+        est = estimate_phase(counts, beta, vis)
         rows.append(
             [
                 math.degrees(beta),
@@ -209,7 +208,7 @@ def run_phase_sweep(cfg: ResolvedConfig):
                 math.cos(phi),
                 zz_ideal,
                 vis * zz_ideal,
-                zz_hat,
+                est.zz_hat,
                 est.zz_sigma,
                 est.phi_hat,
                 est.sigma,
@@ -240,15 +239,14 @@ def run_mixture_sweep(cfg: ResolvedConfig):
     sampled = _sample(cfg, states, lambda i: f"p {cfg.p_list[i]:.12g}")
     rows = []
     for p, spec, counts in zip(cfg.p_list, specs, sampled):
-        zz_hat = estimate_zz(counts)
-        est = estimate_p(zz_hat, phi1, phi2, beta, vis, counts)
+        est = estimate_p(counts, phi1, phi2, beta, vis)
         rows.append(
             [
                 p,
                 spec.phi1,
                 spec.phi2,
                 mixture_expectation(spec),
-                zz_hat,
+                est.zz_hat,
                 est.p_raw,
                 est.p_hat,
                 est.sigma,

@@ -18,13 +18,15 @@ stacked projection replaced, and the CSV cell rule is the per-cell
 ``format_cell`` that the per-header templates replaced; both must agree bit
 for bit.  The last section holds small helpers that only tests use: the
 basis index, ket normalisation, the single-spin rotation, the conjugate
-statistics parameter and the checked visibility scaling law.
+statistics parameter, the checked visibility scaling law and a tally row
+that carries a given correlation.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -327,3 +329,18 @@ def noisy_expectation_scaling(ideals: np.ndarray, model: NoiseModel) -> np.ndarr
     if np.any(np.abs(noisy - reference) > 1e-12):
         raise RuntimeError("visibility scaling law violated; operators inconsistent")
     return noisy
+
+
+# The largest power-of-two total the estimators' float arithmetic takes: it
+# divides by float(total), and 2**1024 overflows.
+LATTICE_TOTAL = 2**1023
+
+
+def tally_with_zz(zz: float, total: int = LATTICE_TOTAL) -> tuple[int, int, int, int]:
+    """The row (same, total - same, 0, 0) whose zz = (2 same - total) / total lies nearest ``zz``.
+
+    At the default total the lattice step is 2**-1022, so the row carries
+    exactly every zz whose last bit is at least 2**-1022 (|zz| >= 2**-970).
+    """
+    same = round((1 + Fraction(zz)) * total / 2)
+    return (same, total - same, 0, 0)

@@ -23,7 +23,6 @@ from sloccsim import (
     displacement_from_phase,
     estimate_p,
     estimate_phase,
-    estimate_zz,
     expectation_zz,
     extract_params,
     fidelity_pure,
@@ -165,7 +164,7 @@ def test_criterion_05_phase_estimation_under_noise():
         ideal = ket_to_density(prepare_lr(PreparationSettings(beta, phi)).amps)
         probs = outcome_probs(rotate_density(noisy_state(ideal, model)))
         counts = sample_counts(probs[None], 5000, [np.random.default_rng(STAT_SEED)])[0].tolist()
-        est = estimate_phase(estimate_zz(counts), beta, model.visibility, counts)
+        est = estimate_phase(counts, beta, model.visibility)
         results[label] = est
     elapsed = time.perf_counter() - start
     boson, fermion = results["boson"], results["fermion"]
@@ -213,7 +212,7 @@ def test_criterion_07_mixture_weight_recovery():
             probs = outcome_probs(rotate_density(mixed_state([spec])))
             rng = np.random.default_rng(STAT_SEED + 100 * pair_index + step)
             counts = sample_counts(probs, 100_000, [rng])[0].tolist()
-            est = estimate_p(estimate_zz(counts), phi1, phi2, beta, 1.0, counts)
+            est = estimate_p(counts, phi1, phi2, beta, 1.0)
             worst = max(worst, abs(est.p_hat - p))
         worst_by_pair[(phi1, phi2)] = worst
         assert worst <= window, (

@@ -20,7 +20,10 @@ from sloccsim import (
     rotate_density,
     sample_counts,
 )
-from sloccsim.measurement import ROTATION_PAIR, bootstrap_zz, correlation_scale, zz_spread
+from sloccsim import measurement
+from sloccsim.config import ExperimentConfig, resolve
+from sloccsim.measurement import ROTATION_PAIR, bootstrap_zz, zz_spread
+from sloccsim.sweeps import run_scenario
 from sloccsim.states import DensityMatrix4
 
 from oracles import (
@@ -29,6 +32,7 @@ from oracles import (
     bootstrap_zz_multinomial,
     expectation_oracle,
     rotation_matrix_by_kron,
+    tally_with_zz,
 )
 
 SQ2 = math.sqrt(0.5)
@@ -149,9 +153,8 @@ TALLY_READERS = {
     "estimate_zz": estimate_zz,
     "zz_spread": zz_spread,
     "bootstrap_zz": lambda counts: bootstrap_zz(counts, 10, 1),
-    "correlation_scale": lambda counts: correlation_scale(math.pi / 4, 1.0, counts, "phase"),
-    "estimate_phase": lambda counts: estimate_phase(0.5, math.pi / 4, 1.0, counts),
-    "estimate_p": lambda counts: estimate_p(0.5, 0.0, math.pi, math.pi / 4, 1.0, counts),
+    "estimate_phase": lambda counts: estimate_phase(counts, math.pi / 4, 1.0),
+    "estimate_p": lambda counts: estimate_p(counts, 0.0, math.pi, math.pi / 4, 1.0),
 }
 
 
@@ -163,6 +166,38 @@ def test_counts_validation():
         for bad in [(-1, 0, 0, 1), (1.5, 0, 0, 1), (1, 0, 0, np.int64(-2))]:
             with pytest.raises(ValueError, match="counts must be nonnegative integers"):
                 reader(bad)
+        with pytest.raises(ValueError, match="^cannot estimate from zero counts$"):
+            reader((0, 0, 0, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    row=st.tuples(*[st.integers(0, 2**70)] * 4).filter(any),
+    beta=st.floats(0.01, math.pi / 2 - 0.01),
+    visibility=st.floats(1e-3, 1.0),
+)
+@example(row=(2**64, 3, 2**63 + 5, 0), beta=math.pi / 4, visibility=1.0)
+@example(row=(0, 0, 0, 1), beta=0.3, visibility=0.977)
+def test_estimators_derive_zz_from_the_row_as_the_tally_readers_do(row, beta, visibility):
+    zz_hat = estimate_zz(row).hex()
+    phase = estimate_phase(row, beta, visibility)
+    assert phase.zz_hat.hex() == zz_hat
+    assert phase.zz_sigma.hex() == zz_spread(row).hex()
+    assert estimate_p(row, 0.0, math.pi, beta, visibility).zz_hat.hex() == zz_hat
+
+
+@pytest.mark.parametrize("scenario, reads_per_row", [("phase-sweep", 1), ("mixture-sweep", 2)])
+def test_phase_rows_are_read_once_and_mixture_rows_twice(scenario, reads_per_row, monkeypatch):
+    reads = []
+    original = measurement._same_and_total
+
+    def counted(row):
+        reads.append(row)
+        return original(row)
+
+    monkeypatch.setattr(measurement, "_same_and_total", counted)
+    _, rows = run_scenario(resolve(ExperimentConfig(shots=200), scenario))
+    assert len(reads) == reads_per_row * len(rows)
 
 
 def test_sample_counts_deterministic():
@@ -322,7 +357,7 @@ def sd_tolerance(sample, sd):
 @pytest.mark.parametrize("q", [0.02, 0.3, 0.5, 0.9])
 def test_zz_sigma_is_the_bootstrap_sd(q):
     counts = counts_with(1000, round(q * 1000))
-    est = estimate_phase(estimate_zz(counts), math.pi / 4, 1.0, counts)
+    est = estimate_phase(counts, math.pi / 4, 1.0)
     assert est.zz_sigma == zz_spread(counts) == pytest.approx(2.0 * math.sqrt(q * (1 - q) / 1000))
     resamples = bootstrap_zz(counts, 200_000, seed=21)
     assert abs(resamples.std(ddof=1) - est.zz_sigma) <= sd_tolerance(resamples, est.zz_sigma)
@@ -344,7 +379,7 @@ PHASE_SPREAD_CASES = {
 def test_phi_sigma_matches_the_bootstrap_oracle(case):
     total, same, scale = PHASE_SPREAD_CASES[case]
     counts = counts_with(total, same)
-    est = estimate_phase(estimate_zz(counts), math.pi / 4, scale, counts)
+    est = estimate_phase(counts, math.pi / 4, scale)
     phis = np.arccos(np.clip(bootstrap_zz(counts, 200_000, seed=23) / scale, -1.0, 1.0))
     assert est.sigma > 0.0
     assert abs(phis.std(ddof=1) - est.sigma) <= sd_tolerance(phis, est.sigma)
@@ -354,9 +389,9 @@ def test_phi_sigma_matches_the_bootstrap_oracle(case):
 def test_fixed_node_rule_agrees_with_the_lattice_sum(case, monkeypatch):
     total, same, scale = PHASE_SPREAD_CASES[case]
     counts = counts_with(total, same)
-    nodes = estimate_phase(estimate_zz(counts), math.pi / 4, scale, counts).sigma
+    nodes = estimate_phase(counts, math.pi / 4, scale).sigma
     monkeypatch.setattr("sloccsim.measurement.MAX_SPAN", 10**6)
-    lattice = estimate_phase(estimate_zz(counts), math.pi / 4, scale, counts).sigma
+    lattice = estimate_phase(counts, math.pi / 4, scale).sigma
     assert nodes == pytest.approx(lattice, rel=1e-3)
 
 
@@ -366,7 +401,7 @@ def test_fixed_node_rule_agrees_with_the_lattice_sum(case, monkeypatch):
 )
 def test_fully_clamped_rows_have_zero_phase_spread(total, same, scale):
     counts = counts_with(total, same)
-    est = estimate_phase(estimate_zz(counts), math.pi / 4, scale, counts)
+    est = estimate_phase(counts, math.pi / 4, scale)
     phis = np.arccos(np.clip(bootstrap_zz(counts, 200_000, seed=25) / scale, -1.0, 1.0))
     assert est.clamped
     assert est.sigma == 0.0
@@ -377,11 +412,10 @@ def test_fully_clamped_rows_have_zero_phase_spread(total, same, scale):
     "channels", [(7, 0, 0, 5), (0, 3, 9, 0), (1, 0, 0, 0), (2**62, 0, 0, 2**62 - 1)]
 )
 def test_spreads_are_exactly_zero_when_q_is_0_or_1(channels):
-    zz_hat = estimate_zz(channels)
-    est = estimate_phase(zz_hat, math.pi / 4, 1.0, channels)
+    est = estimate_phase(channels, math.pi / 4, 1.0)
     assert est.zz_sigma == 0.0
     assert est.sigma == 0.0
-    assert estimate_p(zz_hat, 0.0, math.pi, math.pi / 4, 1.0, channels).sigma == 0.0
+    assert estimate_p(channels, 0.0, math.pi, math.pi / 4, 1.0).sigma == 0.0
 
 
 @pytest.mark.parametrize("same", [2**62, 2**63 - 4, 3])
@@ -389,7 +423,7 @@ def test_largest_total_gives_a_finite_spread_in_bounded_time(same):
     total = 2**63 - 1
     counts = (same, 0, total - same, 0)
     start = time.perf_counter()
-    est = estimate_phase(estimate_zz(counts), math.pi / 4, 1.0, counts)
+    est = estimate_phase(counts, math.pi / 4, 1.0)
     assert time.perf_counter() - start < 1.0
     assert 0.0 < est.zz_sigma < 1e-9
     assert math.isfinite(est.sigma)
@@ -402,14 +436,16 @@ def test_largest_total_gives_a_finite_spread_in_bounded_time(same):
 @given(
     phi=st.floats(0.0, math.pi),
     beta=st.floats(0.0, math.pi / 2).filter(lambda b: math.sin(2.0 * b) > 1e-3),
-    visibility=st.floats(1e-300, 1.0),  # keeps the scale visibility * sin(2 beta) a normal float
+    # the row carries zz exactly down to |zz| = 2**-970 and to within 2**-1023 below;
+    # from this visibility on, that error is far below the phase tolerance
+    visibility=st.floats(1e-280, 1.0),
 )
 @example(phi=0.0, beta=math.pi / 4, visibility=1.0)
 @example(phi=math.pi, beta=0.3, visibility=0.977)
 @example(phi=1e-8, beta=math.pi / 4, visibility=0.5)
 def test_estimate_phase_inverts_the_forward_model(phi, beta, visibility):
     zz = visibility * math.sin(2.0 * beta) * math.cos(phi)
-    est = estimate_phase(zz, beta, visibility, (1, 1, 1, 1))
+    est = estimate_phase(tally_with_zz(zz), beta, visibility)
     # within 1e-6 of 0 or pi, arccos turns one rounding of cos(phi) into up to
     # sqrt(2 * 2**-52) ~ 2.1e-8 of phase
     tolerance = 1e-9 if math.sin(phi) > 1e-6 else 3e-8
@@ -422,7 +458,7 @@ def test_estimate_phase_recovers_known_phase():
     for phi in (0.3, 1.1, 2.5):
         rho = rotate_density(ket_to_density(prepare_lr(PreparationSettings(beta, phi)).amps))
         counts = draw(outcome_probs(rho), 2_000_000, seed=17)
-        est = estimate_phase(estimate_zz(counts), beta, 1.0, counts)
+        est = estimate_phase(counts, beta, 1.0)
         assert abs(est.phi_hat - phi) < 5e-3
         assert est.sigma > 0.0
         assert not est.clamped
@@ -436,13 +472,13 @@ def test_estimate_phase_folds_reflected_phases():
         ket_to_density(prepare_lr(PreparationSettings(beta, 2.0 * math.pi - phi)).amps)
     )
     counts = draw(outcome_probs(rho), 2_000_000, seed=9)
-    est = estimate_phase(estimate_zz(counts), beta, 1.0, counts)
+    est = estimate_phase(counts, beta, 1.0)
     assert abs(est.phi_hat - phi) < 5e-3
 
 
 def test_estimate_phase_clamps_out_of_range_ratio():
-    counts = (1000, 0, 0, 1000)
-    est = estimate_phase(1.0, math.radians(10), 1.0, counts)
+    counts = (1000, 0, 0, 1000)  # zz = 1 against a scale of sin(20 deg)
+    est = estimate_phase(counts, math.radians(10), 1.0)
     assert est.clamped
     assert est.phi_hat == 0.0
 
@@ -450,11 +486,11 @@ def test_estimate_phase_clamps_out_of_range_ratio():
 def test_estimate_phase_rejects_bad_inputs():
     counts = (10, 10, 10, 10)
     with pytest.raises(LowIndistinguishabilityError):
-        estimate_phase(0.5, 0.0, 1.0, counts)
+        estimate_phase(counts, 0.0, 1.0)
     with pytest.raises(ValueError):
-        estimate_phase(0.5, math.pi / 4, 0.0, counts)
+        estimate_phase(counts, math.pi / 4, 0.0)
     with pytest.raises(ValueError):
-        estimate_phase(0.5, math.pi / 4, 1.5, counts)
+        estimate_phase(counts, math.pi / 4, 1.5)
 
 
 @pytest.mark.parametrize(
@@ -463,7 +499,7 @@ def test_estimate_phase_rejects_bad_inputs():
         ({"beta": 0.0}, LowIndistinguishabilityError, "sin(2*beta) <= 1e-6: the correlation carries no {} information"),
         ({"visibility": 0.0}, ValueError, "visibility must lie in (0, 1]"),
         ({"visibility": 1.5}, ValueError, "visibility must lie in (0, 1]"),
-        ({"counts": (0, 0, 0, 0)}, ValueError, "counts are empty"),
+        ({"counts": (0, 0, 0, 0)}, ValueError, "cannot estimate from zero counts"),
         # a subnormal scale overflowed the spread's division or divided by zero
         ({"visibility": 1e-310}, ValueError, "visibility * sin(2*beta) = 1e-310 is below the smallest normal float"),
         ({"visibility": 5e-324}, ValueError, "visibility * sin(2*beta) = 5e-324 is below the smallest normal float"),
@@ -474,8 +510,8 @@ def test_phase_and_weight_estimators_share_input_checks(change, error, message):
     args["counts"] = (10, 10, 10, 10)
     args.update(change)
     with pytest.raises(error) as phase:
-        estimate_phase(0.5, **args)
+        estimate_phase(**args)
     with pytest.raises(error) as weight:
-        estimate_p(0.5, 0.0, math.pi, **args)
+        estimate_p(args["counts"], 0.0, math.pi, args["beta"], args["visibility"])
     assert str(phase.value) == message.format("phase")
     assert str(weight.value) == message.format("weight")

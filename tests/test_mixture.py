@@ -18,6 +18,8 @@ from sloccsim import (
 )
 from sloccsim.measurement import bootstrap_zz
 
+from oracles import tally_with_zz
+
 
 def sampled(spec, total, seed):
     """One mixture's tally row, drawn on a fresh generator."""
@@ -64,9 +66,8 @@ def test_density_route_matches_closed_form():
 
 def test_estimate_p_exact_inversion():
     spec = MixtureSpec(weight=0.37, phi1=0.0, phi2=math.pi, beta=math.pi / 4)
-    zz = mixture_expectation(spec)
-    counts = sampled(spec, 1000, 1)
-    est = estimate_p(zz, spec.phi1, spec.phi2, spec.beta, 1.0, counts)
+    counts = tally_with_zz(mixture_expectation(spec))
+    est = estimate_p(counts, spec.phi1, spec.phi2, spec.beta, 1.0)
     assert est.p_raw == pytest.approx(0.37, abs=1e-12)
     assert est.p_hat == est.p_raw
     assert est.sigma > 0.0
@@ -74,8 +75,9 @@ def test_estimate_p_exact_inversion():
 
 def test_estimate_p_clamps_to_unit_interval():
     spec = MixtureSpec(weight=1.0, phi1=0.0, phi2=math.pi, beta=math.pi / 4)
-    counts = sampled(spec, 1000, 2)
-    est = estimate_p(1.002, spec.phi1, spec.phi2, spec.beta, 1.0, counts)
+    counts = sampled(spec, 1000, 2)  # zz = 1, above the scale 0.998
+    assert estimate_zz(counts) == 1.0
+    est = estimate_p(counts, spec.phi1, spec.phi2, spec.beta, 0.998)
     assert est.p_raw > 1.0
     assert est.p_hat == 1.0
 
@@ -85,7 +87,7 @@ def test_estimate_p_end_to_end_sampled():
     for w, seed in zip((0.0, 0.5, 1.0), rng_seeds):
         spec = MixtureSpec(weight=w, phi1=0.0, phi2=math.pi, beta=math.pi / 4)
         counts = sampled(spec, 100_000, seed)
-        est = estimate_p(estimate_zz(counts), spec.phi1, spec.phi2, spec.beta, 1.0, counts)
+        est = estimate_p(counts, spec.phi1, spec.phi2, spec.beta, 1.0)
         assert abs(est.p_hat - w) < 0.02
 
 
@@ -99,7 +101,7 @@ def test_estimate_p_end_to_end_sampled():
 )
 def test_p_err_is_the_bootstrap_sd_of_the_inverted_weight(phi1, phi2, beta, visibility, channels):
     # the weight is linear in zz, so its exact bootstrap sd is zz's over |scale * contrast|
-    est = estimate_p(estimate_zz(channels), phi1, phi2, beta, visibility, channels)
+    est = estimate_p(channels, phi1, phi2, beta, visibility)
     scale = visibility * math.sin(2.0 * beta)
     resamples = bootstrap_zz(channels, 200_000, seed=31)
     weights = (resamples / scale - math.cos(phi2)) / (math.cos(phi1) - math.cos(phi2))
@@ -113,13 +115,13 @@ def test_estimate_p_rejects_degenerate_settings():
     spec = MixtureSpec(weight=0.5, phi1=0.0, phi2=math.pi, beta=math.pi / 4)
     counts = sampled(spec, 1000, 3)
     with pytest.raises(DegeneratePhasesError):
-        estimate_p(0.0, 1.0, -1.0, math.pi / 4, 1.0, counts)
+        estimate_p(counts, 1.0, -1.0, math.pi / 4, 1.0)
     with pytest.raises(DegeneratePhasesError):
-        estimate_p(0.0, 0.3, 0.3, math.pi / 4, 1.0, counts)
+        estimate_p(counts, 0.3, 0.3, math.pi / 4, 1.0)
     with pytest.raises(LowIndistinguishabilityError):
-        estimate_p(0.0, 0.0, math.pi, 0.0, 1.0, counts)
+        estimate_p(counts, 0.0, math.pi, 0.0, 1.0)
     with pytest.raises(ValueError):
-        estimate_p(0.0, 0.0, math.pi, math.pi / 4, 0.0, counts)
+        estimate_p(counts, 0.0, math.pi, math.pi / 4, 0.0)
 
 
 def test_half_contrast_pair_needs_more_shots():
@@ -129,7 +131,7 @@ def test_half_contrast_pair_needs_more_shots():
     for label, phi2 in (("full", math.pi), ("half", math.pi / 2)):
         spec = MixtureSpec(weight=0.5, phi1=0.0, phi2=phi2, beta=math.pi / 4)
         counts = sampled(spec, 100_000, 44)
-        est = estimate_p(estimate_zz(counts), spec.phi1, spec.phi2, spec.beta, 1.0, counts)
+        est = estimate_p(counts, spec.phi1, spec.phi2, spec.beta, 1.0)
         sigmas[label] = est.sigma
     ratio = (sigmas["half"] / sigmas["full"]) ** 2
     assert 2.5 < ratio < 6.0
