@@ -9,9 +9,15 @@ Sections and keys (all optional; scenario defaults fill the rest):
 
 Angles accept a ``deg`` or ``rad`` suffix (bare numbers are radians);
 lengths accept ``m``, ``mm``, ``um`` or ``nm`` (bare numbers are meters).
-Lists are comma separated; non-finite numbers are rejected.  ``dump_config``
-writes canonical units (radians and meters as bare repr floats), so
-parse -> dump -> parse is the identity.
+Lists are comma separated; non-finite numbers are rejected, and so is a
+``[DEFAULT]`` section.  ``dump_config`` writes canonical units (radians and
+meters as bare repr floats), so parse -> dump -> parse is the identity.
+
+``resolve`` takes each scenario's defaults from one table (``_SCENARIOS``)
+and leaves every physical rule to the type or function that owns it
+(``NoiseModel``, ``PlateGeometry``, ``PreparationSettings``,
+``phase_from_displacement`` and the estimators' input checks), turning its
+``ValueError`` into a ``ConfigError`` with the owner's message.
 
 ``bootstrap`` is kept so that older configs parse, and it must still be at
 least 100, but it no longer changes output: the error bars are the exact
@@ -22,23 +28,14 @@ from __future__ import annotations
 
 import configparser
 import math
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .measurement import correlation_scale
 from .mixture import cosine_contrast
 from .noise import NoiseModel
-from .plate import PlateGeometry
-
-SCENARIOS = (
-    "phase-sweep",
-    "beta-sweep",
-    "mixture-sweep",
-    "plate-calibration",
-    "counts-demo",
-    "tomography-demo",
-)
+from .plate import PlateGeometry, phase_from_displacement
+from .slocc import PreparationSettings
 
 SAMPLING_MODES = ("multinomial", "poisson")
 
@@ -118,49 +115,27 @@ class ExperimentConfig:
     plate_wavelength: float | None = None
 
 
-# (section, key) -> (config field, value parser, serializer)
-def _serialize_float(value: float) -> str:
-    return repr(float(value))
-
-
-def _serialize_float_list(values: list[float]) -> str:
-    return ", ".join(repr(float(v)) for v in values)
-
-
+# (section, key) -> (config field, value parser).  The section decides how a
+# value is written: [experiment] values as text, [sweep] values as lists of
+# floats, and [noise] and [plate] values as floats.
 _SCHEMA = {
-    ("experiment", "scenario"): ("scenario", str.strip, str),
-    ("experiment", "seed"): ("seed", lambda t: _parse_int(t, "seed"), str),
-    ("experiment", "shots"): ("shots", lambda t: _parse_int(t, "shots"), str),
-    ("experiment", "bootstrap"): ("bootstrap", lambda t: _parse_int(t, "bootstrap"), str),
-    ("experiment", "sampling"): ("sampling", str.strip, str),
-    ("sweep", "beta_list"): (
-        "beta_list",
-        lambda t: _parse_list(t, parse_angle),
-        _serialize_float_list,
-    ),
-    ("sweep", "phi_list"): (
-        "phi_list",
-        lambda t: _parse_list(t, parse_angle),
-        _serialize_float_list,
-    ),
-    ("sweep", "x_list"): (
-        "x_list",
-        lambda t: _parse_list(t, parse_length),
-        _serialize_float_list,
-    ),
-    ("sweep", "p_list"): (
-        "p_list",
-        lambda t: _parse_list(t, parse_bare),
-        _serialize_float_list,
-    ),
-    ("noise", "visibility"): ("visibility", parse_bare, _serialize_float),
-    ("noise", "white_weight"): ("white_weight", parse_bare, _serialize_float),
-    ("noise", "dephasing_weight"): ("dephasing_weight", parse_bare, _serialize_float),
-    ("plate", "thickness"): ("plate_thickness", parse_length, _serialize_float),
-    ("plate", "index"): ("plate_index", parse_bare, _serialize_float),
-    ("plate", "ambient_index"): ("plate_ambient_index", parse_bare, _serialize_float),
-    ("plate", "radius"): ("plate_radius", parse_length, _serialize_float),
-    ("plate", "wavelength"): ("plate_wavelength", parse_length, _serialize_float),
+    ("experiment", "scenario"): ("scenario", str.strip),
+    ("experiment", "seed"): ("seed", lambda t: _parse_int(t, "seed")),
+    ("experiment", "shots"): ("shots", lambda t: _parse_int(t, "shots")),
+    ("experiment", "bootstrap"): ("bootstrap", lambda t: _parse_int(t, "bootstrap")),
+    ("experiment", "sampling"): ("sampling", str.strip),
+    ("sweep", "beta_list"): ("beta_list", lambda t: _parse_list(t, parse_angle)),
+    ("sweep", "phi_list"): ("phi_list", lambda t: _parse_list(t, parse_angle)),
+    ("sweep", "x_list"): ("x_list", lambda t: _parse_list(t, parse_length)),
+    ("sweep", "p_list"): ("p_list", lambda t: _parse_list(t, parse_bare)),
+    ("noise", "visibility"): ("visibility", parse_bare),
+    ("noise", "white_weight"): ("white_weight", parse_bare),
+    ("noise", "dephasing_weight"): ("dephasing_weight", parse_bare),
+    ("plate", "thickness"): ("plate_thickness", parse_length),
+    ("plate", "index"): ("plate_index", parse_bare),
+    ("plate", "ambient_index"): ("plate_ambient_index", parse_bare),
+    ("plate", "radius"): ("plate_radius", parse_length),
+    ("plate", "wavelength"): ("plate_wavelength", parse_length),
 }
 
 _SECTION_ORDER = ("experiment", "sweep", "noise", "plate")
@@ -173,6 +148,8 @@ def load_config(text: str) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
+    if parser.defaults():  # its keys would leak into every other section
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
     config = ExperimentConfig()
     for section in parser.sections():
         if section not in _SECTION_ORDER:
@@ -181,7 +158,7 @@ def load_config(text: str) -> ExperimentConfig:
             entry = _SCHEMA.get((section, key))
             if entry is None:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            field_name, value_parser, _ = entry
+            field_name, value_parser = entry
             setattr(config, field_name, value_parser(value))
     return config
 
@@ -195,17 +172,25 @@ def load_config_file(path) -> ExperimentConfig:
     return load_config(text)
 
 
+def _dump_value(section: str, value) -> str:
+    if section == "experiment":
+        return str(value)
+    if section == "sweep":
+        return ", ".join(repr(float(v)) for v in value)
+    return repr(float(value))
+
+
 def dump_config(config: ExperimentConfig) -> str:
     """Serialize in canonical units; only explicitly set keys are written."""
     lines = []
     for section in _SECTION_ORDER:
         section_lines = []
-        for (sec, key), (field_name, _, serializer) in _SCHEMA.items():
+        for (sec, key), (field_name, _) in _SCHEMA.items():
             if sec != section:
                 continue
             value = getattr(config, field_name)
             if value is not None:
-                section_lines.append(f"{key} = {serializer(value)}")
+                section_lines.append(f"{key} = {_dump_value(section, value)}")
         if section_lines:
             lines.append(f"[{section}]")
             lines.extend(section_lines)
@@ -230,35 +215,36 @@ class ResolvedConfig:
 
 
 _DEG = math.pi / 180.0
+_AT_45_DEG = (45.0 * _DEG,)
 
-_DEFAULT_BETAS = {
-    "phase-sweep": tuple(b * _DEG for b in (45.0, 30.0, 20.0, 10.0)),
-    "beta-sweep": tuple(b * _DEG for b in range(5, 90, 5)),
-    "mixture-sweep": (45.0 * _DEG,),
-    "counts-demo": (45.0 * _DEG,),
-    "tomography-demo": (45.0 * _DEG,),
-    "plate-calibration": (45.0 * _DEG,),
+# scenario -> (default beta_list, default phi_list, default x_list, what the
+# correlation's estimator recovers, or None for a scenario that estimates nothing)
+_SCENARIOS = {
+    "phase-sweep": (
+        tuple(b * _DEG for b in (45.0, 30.0, 20.0, 10.0)),
+        tuple(k * math.pi / 12.0 for k in range(25)),
+        None,
+        "phase",
+    ),
+    "beta-sweep": (
+        tuple(b * _DEG for b in range(5, 90, 5)),
+        (0.0, math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi),
+        None,
+        "phase",
+    ),
+    "mixture-sweep": (_AT_45_DEG, (0.0, math.pi), None, "weight"),
+    "plate-calibration": (_AT_45_DEG, None, tuple(k * 0.5e-3 for k in range(81)), None),  # 0 .. 40 mm
+    "counts-demo": (_AT_45_DEG, (0.0, math.pi), None, None),
+    "tomography-demo": (_AT_45_DEG, tuple(k * math.pi / 7.0 for k in range(8)), None, None),
 }
+SCENARIOS = tuple(_SCENARIOS)
 
-_DEFAULT_PHIS = {
-    "phase-sweep": tuple(k * math.pi / 12.0 for k in range(25)),
-    "beta-sweep": (0.0, math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi),
-    "mixture-sweep": (0.0, math.pi),
-    "counts-demo": (0.0, math.pi),
-    "tomography-demo": tuple(k * math.pi / 7.0 for k in range(8)),
-    "plate-calibration": (0.0,),
-}
-
-_DEFAULT_XS = tuple(k * 0.5e-3 for k in range(81))  # 0 .. 40 mm
 _DEFAULT_PS = tuple(k / 10.0 for k in range(11))
 
 DEFAULT_SEED = 42
 _U64_MAX = 2**64 - 1
 _INT64_MAX = 2**63 - 1  # counts are sampled as int64
 DEFAULT_SHOTS = 5000
-
-# scenarios that invert counts, and what their correlation carries
-_ESTIMATED = {"phase-sweep": "phase", "beta-sweep": "phase", "mixture-sweep": "weight"}
 
 
 def resolve(
@@ -274,6 +260,7 @@ def resolve(
         raise ConfigError(f"unknown scenario {config.scenario!r} in config")
     if config.sampling is not None and config.sampling not in SAMPLING_MODES:
         raise ConfigError(f"sampling must be one of {SAMPLING_MODES}")
+    default_betas, default_phis, default_xs, estimates = _SCENARIOS[scenario]
 
     resolved_seed = seed if seed is not None else (
         config.seed if config.seed is not None else DEFAULT_SEED
@@ -290,107 +277,62 @@ def resolve(
     if config.bootstrap is not None and config.bootstrap < 100:
         raise ConfigError("bootstrap must be at least 100 resamples")
 
-    beta_list = tuple(config.beta_list) if config.beta_list is not None else _DEFAULT_BETAS[scenario]
-    if not beta_list:
-        raise ConfigError("beta_list is empty")
-    for beta in beta_list:
-        if not 0.0 <= beta <= math.pi / 2 + 1e-12:
-            raise ConfigError(f"beta {beta!r} outside [0, pi/2]")
-
-    x_list = tuple(config.x_list) if config.x_list is not None else None
+    beta_list = tuple(config.beta_list) if config.beta_list is not None else default_betas
+    x_list = tuple(config.x_list) if config.x_list is not None else default_xs
     if config.phi_list is not None:
         phi_list = tuple(config.phi_list)
-    elif x_list is not None or scenario == "plate-calibration":
-        phi_list = None
-    else:
-        phi_list = _DEFAULT_PHIS[scenario]
-    if scenario in ("phase-sweep", "beta-sweep", "counts-demo", "tomography-demo"):
-        if phi_list is not None and x_list is not None:
-            raise ConfigError("give phi_list or x_list, not both")
-        if phi_list is None and x_list is None:
-            raise ConfigError("need phi_list or x_list")
-        if phi_list is not None and not phi_list:
-            raise ConfigError("phi_list is empty")
-        if x_list is not None and not x_list:
-            raise ConfigError("x_list is empty")
-    if scenario == "plate-calibration" and x_list is None:
-        x_list = _DEFAULT_XS
+    else:  # an x_list drives the phase grid through the plate instead
+        phi_list = default_phis if x_list is None else None
+    p_list = tuple(config.p_list) if config.p_list is not None else _DEFAULT_PS
+    for name, values in (
+        ("beta_list", beta_list), ("phi_list", phi_list), ("x_list", x_list), ("p_list", p_list)
+    ):
+        if values == ():
+            raise ConfigError(f"{name} is empty")
     if scenario == "mixture-sweep":
         if phi_list is None or len(phi_list) != 2:
             raise ConfigError("mixture-sweep needs exactly two phases in phi_list")
         if len(beta_list) != 1:
             raise ConfigError("mixture-sweep uses a single beta")
+    elif default_phis is not None and phi_list is not None and x_list is not None:
+        raise ConfigError("give phi_list or x_list, not both")
     if scenario == "tomography-demo":
-        grid = len(beta_list) * len(phi_list or x_list or ())
-        if grid < 2:
+        if len(beta_list) * len(phi_list or x_list) < 2:
             raise ConfigError("tomography-demo needs at least two prepared states")
         if config.sampling == "poisson":
             raise ConfigError(
                 "tomography-demo samples every setting multinomially; "
                 "sampling = poisson is not supported"
             )
-
-    p_list = tuple(config.p_list) if config.p_list is not None else _DEFAULT_PS
-    if not p_list:
-        raise ConfigError("p_list is empty")
     for p in p_list:
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"mixture weight {p!r} outside [0, 1]")
 
+    white, dephasing = config.white_weight, config.dephasing_weight
+    if dephasing is None and white is not None:
+        dephasing = 1.0 - white
+    if white is None and dephasing is not None:
+        white = 1.0 - dephasing
+    noise_values = {
+        "visibility": 1.0 if ideal else config.visibility,
+        "white_weight": white,
+        "dephasing_weight": dephasing,
+    }
+    plate_values = {f.name: getattr(config, f"plate_{f.name}") for f in fields(PlateGeometry)}
     try:
-        noise = NoiseModel(
-            visibility=1.0 if ideal else (
-                config.visibility if config.visibility is not None else 0.977
-            ),
-            white_weight=(
-                config.white_weight
-                if config.white_weight is not None
-                else (
-                    1.0 - config.dephasing_weight
-                    if config.dephasing_weight is not None
-                    else 0.5
-                )
-            ),
-            dephasing_weight=(
-                config.dephasing_weight
-                if config.dephasing_weight is not None
-                else (
-                    1.0 - config.white_weight
-                    if config.white_weight is not None
-                    else 0.5
-                )
-            ),
-        )
-        plate_kwargs = {}
-        for field_name, kwarg in (
-            ("plate_thickness", "thickness"),
-            ("plate_index", "index"),
-            ("plate_ambient_index", "ambient_index"),
-            ("plate_radius", "radius"),
-            ("plate_wavelength", "wavelength"),
-        ):
-            value = getattr(config, field_name)
-            if value is not None:
-                plate_kwargs[kwarg] = value
-        plate = PlateGeometry(**plate_kwargs)
+        noise = NoiseModel(**{k: v for k, v in noise_values.items() if v is not None})
+        plate = PlateGeometry(**{k: v for k, v in plate_values.items() if v is not None})
+        for beta in beta_list:
+            PreparationSettings(beta)
+        for x in x_list or ():
+            phase_from_displacement(x, plate)
         # the estimators' own input checks, so that they fail before any sampling
         if scenario == "mixture-sweep":
             cosine_contrast(*phi_list)
-        for beta in beta_list if scenario in _ESTIMATED else ():
-            correlation_scale(beta, noise.visibility, _ESTIMATED[scenario])
+        for beta in beta_list if estimates else ():
+            correlation_scale(beta, noise.visibility, estimates)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    # no scenario takes a subnormal visibility; the raw-count ones take 0
-    if 0.0 < noise.visibility < sys.float_info.min:
-        raise ConfigError(
-            f"visibility {noise.visibility!r} is below the smallest normal float "
-            f"{sys.float_info.min!r}"
-        )
-    for x in x_list or ():
-        if abs(x) >= plate.max_displacement:
-            raise ConfigError(
-                f"x {x!r} m outside the plate domain |x| < {plate.max_displacement!r} m"
-            )
 
     return ResolvedConfig(
         scenario=scenario,

@@ -29,6 +29,11 @@ class PlateGeometry:
             raise ValueError("thickness, radius and wavelength must be positive")
         if not self.index > self.ambient_index >= 1.0:
             raise ValueError("plate index must exceed the ambient index (>= 1)")
+        if not math.isfinite(self.phase_scale):
+            raise ValueError(
+                f"plate phase scale 2*pi*index*thickness/wavelength = {self.phase_scale!r}"
+                " is not finite"
+            )
 
     @property
     def max_displacement(self) -> float:
@@ -63,6 +68,8 @@ def phase_from_displacement(x: float, geom: PlateGeometry) -> PlatePhase:
         )
     ratio = x * geom.ambient_index / (geom.radius * geom.index)
     raw = geom.phase_scale * (1.0 / math.sqrt(1.0 - ratio * ratio) - 1.0)
+    if not math.isfinite(raw):
+        raise ValueError(f"the plate phase at x = {x!r} m overflows")
     return PlatePhase(
         wrapped=wrap_phase(raw),
         unwrapped=raw,

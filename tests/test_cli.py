@@ -1,17 +1,23 @@
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sloccsim
 from sloccsim import sweeps, tomography
 from sloccsim.cli import main
+from sloccsim.config import _SCHEMA, SAMPLING_MODES, SCENARIOS
 
 ALL_COMMANDS = (
     "phase-sweep",
@@ -184,7 +190,8 @@ OUT_OF_RANGE = {
         "[noise]\nvisibility = 5e-324\n[sweep]\nbeta_list = 10deg\n",
         [],
     ),
-    "visibility-subnormal-counts": ("counts-demo", "[noise]\nvisibility = 1e-310\n", []),
+    # counts-demo takes a subnormal visibility, but not one below zero
+    "visibility-subnormal-counts": ("counts-demo", "[noise]\nvisibility = -1e-310\n", []),
     "visibility-0-phase-sweep": ("phase-sweep", "[noise]\nvisibility = 0\n", []),
     # each factor passes on its own, but the estimators' scale visibility * sin(2 beta) is subnormal
     "scale-subnormal-phase": (
@@ -203,6 +210,19 @@ OUT_OF_RANGE = {
     "shots-2^63": ("counts-demo", "[experiment]\nshots = 9223372036854775808\n", []),
     "x-beyond-plate": ("phase-sweep", "[sweep]\nx_list = 200mm\n", []),
     "x-beyond-plate-negative": ("calibrate-plate", "[sweep]\nx_list = 0mm, -160mm\n", []),
+    # 2*pi*index*thickness/wavelength overflows, so every plate phase would be inf or nan
+    "plate-scale-overflow": ("calibrate-plate", "[plate]\nwavelength = 5e-324\n", []),
+    "plate-scale-overflow-x": (
+        "phase-sweep",
+        "[plate]\nwavelength = 1e-300\nthickness = 1e10\n[sweep]\nx_list = 1mm\n",
+        [],
+    ),
+    # the scale is finite, but the phase at 150 mm overflows
+    "plate-phase-overflow": (
+        "calibrate-plate",
+        "[plate]\nwavelength = 1e-307\nthickness = 1\n[sweep]\nx_list = 0mm, 150mm\n",
+        [],
+    ),
     "seed-flag-huge": ("phase-sweep", "", ["--seed", "123456789012345678901234567890"]),
     "seed-flag-2^64": ("counts-demo", "", ["--seed", "18446744073709551616"]),
     "seed-key-2^64": ("counts-demo", "[experiment]\nseed = 18446744073709551616\n", []),
@@ -296,12 +316,19 @@ def test_empty_poisson_row_exits_3_naming_the_row(command, row_pattern, tmp_path
 
 
 def test_zero_visibility_still_runs_raw_count_scenarios(tmp_path, capsys):
-    # a fully spoiled state has well-defined counts and tomography; only the estimators need V > 0
+    # a fully spoiled state has well-defined counts and tomography; only the estimators need V > 0.
+    # A subnormal visibility rounds the noisy state to that same spoiled one.
     for command in ("counts-demo", "tomography-demo"):
-        config = quick_config(tmp_path, SMALL[command] + "[noise]\nvisibility = 0\n")
-        code, out, err = run_cli([command, "--config", config], capsys)
-        assert code == 0, err
-        assert out.count("\n") >= 2
+        outputs = []
+        for visibility in ("0", "1e-310", "5e-324"):
+            config = quick_config(tmp_path, SMALL[command] + f"[noise]\nvisibility = {visibility}\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli([command, "--config", config], capsys)
+            assert (code, err) == (0, "")
+            assert out.count("\n") >= 2
+            outputs.append(out)
+        assert outputs[1] == outputs[2] == outputs[0]
 
 
 def test_poisson_totals_above_int64_are_summed_exactly(tmp_path, capsys):
@@ -345,3 +372,69 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+EDGE_VALUES = ("nan", "inf", "5e-324", "1e-310", "0", "-1", "90deg", "200mm")
+
+
+def _numbers(*typical):
+    return st.sampled_from(EDGE_VALUES + typical)
+
+
+def _lists(item):
+    return st.lists(item, min_size=1, max_size=3).map(", ".join)
+
+
+# key -> strategy for its text; shots stays small so that every run is quick
+KEY_TEXTS = {
+    "scenario": st.sampled_from(SCENARIOS + ("warp-drive",)),
+    "seed": st.integers(-1, 2**64).map(str),
+    "shots": st.integers(-1, 30).map(str),
+    "bootstrap": st.integers(99, 101).map(str),
+    "sampling": st.sampled_from(SAMPLING_MODES + ("jackknife",)),
+    "beta_list": _lists(_numbers("45deg", "10deg", "0.001")),
+    "phi_list": _lists(_numbers("1", "-1", "180deg")),
+    "x_list": _lists(_numbers("1mm", "150mm")),
+    "p_list": _lists(_numbers("0.5", "1")),
+    "visibility": _numbers("0.977", "3e-308", "1"),
+    "white_weight": _numbers("0.3", "1"),
+    "dephasing_weight": _numbers("0.7", "1"),
+    "thickness": _numbers("199.94um", "1", "1e10"),
+    "index": _numbers("1.5", "1"),
+    "ambient_index": _numbers("1", "1.2"),
+    "radius": _numbers("102.36mm"),
+    "wavelength": _numbers("800nm", "1e-300", "1e-307"),
+}
+
+
+@st.composite
+def config_texts(draw):
+    sections = {"experiment": [f"shots = {draw(KEY_TEXTS['shots'])}"]}
+    for section, key in _SCHEMA:
+        if key != "shots" and (text := draw(st.none() | KEY_TEXTS[key])) is not None:
+            sections.setdefault(section, []).append(f"{key} = {text}")
+    return "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(ALL_COMMANDS), body=config_texts(), ideal=st.booleans())
+@example(
+    command="phase-sweep",
+    body="[experiment]\nshots = 10\n[sweep]\nx_list = 1mm\n[plate]\nthickness = 1e10\nwavelength = 1e-300\n",
+    ideal=False,
+)
+def test_every_cli_run_exits_0_2_or_3_with_one_line_on_failure(command, body, ideal):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "run.ini"
+        config.write_text(body, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(config), *["--ideal"] * ideal])
+    if code == 0:
+        assert err.getvalue() == ""
+        assert not re.search(r"nan|inf", out.getvalue())
+    else:
+        assert code in (2, 3)
+        assert out.getvalue() == ""
+        assert re.fullmatch(r"(config )?error: [^\n]*\n", err.getvalue())
