@@ -3,21 +3,26 @@
 Sections and keys (all optional; scenario defaults fill the rest):
 
 * ``[experiment]``: scenario, seed, shots, bootstrap, sampling
-* ``[sweep]``: beta_list, phi_list, x_list, p_list
+* ``[sweep]``: beta_list, phi_list, x_list, p_list.  mixture-sweep reads
+  beta_list, phi_list and p_list, calibrate-plate reads x_list, and the other
+  four subcommands read beta_list and phi_list, or x_list for plate phases.
+  A list that a subcommand does not read is range-checked, then ignored.
 * ``[noise]``: visibility, white_weight, dephasing_weight
 * ``[plate]``: thickness, index, ambient_index, radius, wavelength
 
-Angles accept a ``deg`` or ``rad`` suffix (bare numbers are radians);
-lengths accept ``m``, ``mm``, ``um`` or ``nm`` (bare numbers are meters).
-Lists are comma separated; non-finite numbers are rejected, and so is a
-``[DEFAULT]`` section.  ``dump_config`` writes canonical units (radians and
-meters as bare repr floats), so parse -> dump -> parse is the identity.
+Files are UTF-8, with or without a byte order mark.  Angles accept a ``deg``
+or ``rad`` suffix (bare numbers are radians); lengths accept ``m``, ``mm``,
+``um`` or ``nm`` (bare numbers are meters).  Lists are comma separated;
+non-finite numbers are rejected, and so is a ``[DEFAULT]`` section.
+``dump_config`` writes canonical units (radians and meters as bare repr
+floats), so parse -> dump -> parse is the identity.
 
-``resolve`` takes each scenario's defaults from one table (``_SCENARIOS``)
-and leaves every physical rule to the type or function that owns it
-(``NoiseModel``, ``PlateGeometry``, ``PreparationSettings``,
-``phase_from_displacement`` and the estimators' input checks), turning its
-``ValueError`` into a ``ConfigError`` with the owner's message.
+``resolve`` takes each scenario's defaults from one table (``_SCENARIOS``),
+turns an x_list into a grid's phases once, and leaves every physical rule to
+the type or function that owns it (``NoiseModel``, ``PlateGeometry``,
+``PreparationSettings``, ``phase_from_displacement``, ``check_weight`` and the
+estimators' input checks), turning its ``ValueError`` into a ``ConfigError``
+with the owner's message.
 
 ``bootstrap`` is kept so that older configs parse, and it must still be at
 least 100, but it no longer changes output: the error bars are the exact
@@ -32,7 +37,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .measurement import correlation_scale
-from .mixture import cosine_contrast
+from .mixture import MixtureSpec, check_weight, cosine_contrast
 from .noise import NoiseModel
 from .plate import PlateGeometry, phase_from_displacement
 from .slocc import PreparationSettings
@@ -146,8 +151,9 @@ def load_config(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from None
+    except configparser.Error as exc:  # its message quotes the offending line on lines of their own
+        flat = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"malformed config: {flat}") from None
     if parser.defaults():  # its keys would leak into every other section
         raise ConfigError(f"unknown config section [{parser.default_section}]")
     config = ExperimentConfig()
@@ -165,9 +171,9 @@ def load_config(text: str) -> ExperimentConfig:
 
 def load_config_file(path) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     return load_config(text)
 
@@ -207,7 +213,7 @@ class ResolvedConfig:
     shots: int
     sampling: str
     beta_list: tuple[float, ...]
-    phi_list: tuple[float, ...] | None
+    phi_list: tuple[float, ...] | None  # the phases the sweep runs at; a grid's x_list gives them
     x_list: tuple[float, ...] | None
     p_list: tuple[float, ...]
     noise: NoiseModel
@@ -266,47 +272,39 @@ def resolve(
         config.seed if config.seed is not None else DEFAULT_SEED
     )
     if not 0 <= resolved_seed <= _U64_MAX:
-        raise ConfigError(
-            f"seed must be an integer in [0, 2**64 - 1], got {resolved_seed}"
-        )
+        raise ConfigError(f"seed must be an integer in [0, 2**64 - 1], got {resolved_seed}")
     shots = config.shots if config.shots is not None else DEFAULT_SHOTS
     if not 1 <= shots <= _INT64_MAX:
-        raise ConfigError(
-            f"shots must be an integer in [1, 2**63 - 1], got {shots}"
-        )
+        raise ConfigError(f"shots must be an integer in [1, 2**63 - 1], got {shots}")
     if config.bootstrap is not None and config.bootstrap < 100:
         raise ConfigError("bootstrap must be at least 100 resamples")
 
     beta_list = tuple(config.beta_list) if config.beta_list is not None else default_betas
+    phi_list = tuple(config.phi_list) if config.phi_list is not None else default_phis
     x_list = tuple(config.x_list) if config.x_list is not None else default_xs
-    if config.phi_list is not None:
-        phi_list = tuple(config.phi_list)
-    else:  # an x_list drives the phase grid through the plate instead
-        phi_list = default_phis if x_list is None else None
     p_list = tuple(config.p_list) if config.p_list is not None else _DEFAULT_PS
     for name, values in (
         ("beta_list", beta_list), ("phi_list", phi_list), ("x_list", x_list), ("p_list", p_list)
     ):
         if values == ():
             raise ConfigError(f"{name} is empty")
+    # a phase grid given an x_list runs at the plate phases of its displacements
+    plate_grid = x_list is not None and scenario not in ("mixture-sweep", "plate-calibration")
+    if plate_grid and config.phi_list is not None:
+        raise ConfigError("give phi_list or x_list, not both")
     if scenario == "mixture-sweep":
-        if phi_list is None or len(phi_list) != 2:
+        if len(phi_list) != 2:
             raise ConfigError("mixture-sweep needs exactly two phases in phi_list")
         if len(beta_list) != 1:
             raise ConfigError("mixture-sweep uses a single beta")
-    elif default_phis is not None and phi_list is not None and x_list is not None:
-        raise ConfigError("give phi_list or x_list, not both")
     if scenario == "tomography-demo":
-        if len(beta_list) * len(phi_list or x_list) < 2:
+        if len(beta_list) * len(x_list if plate_grid else phi_list) < 2:
             raise ConfigError("tomography-demo needs at least two prepared states")
         if config.sampling == "poisson":
             raise ConfigError(
                 "tomography-demo samples every setting multinomially; "
                 "sampling = poisson is not supported"
             )
-    for p in p_list:
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError(f"mixture weight {p!r} outside [0, 1]")
 
     white, dephasing = config.white_weight, config.dephasing_weight
     if dephasing is None and white is not None:
@@ -320,15 +318,17 @@ def resolve(
     }
     plate_values = {f.name: getattr(config, f"plate_{f.name}") for f in fields(PlateGeometry)}
     try:
+        for p in p_list:
+            check_weight(p)
         noise = NoiseModel(**{k: v for k, v in noise_values.items() if v is not None})
         plate = PlateGeometry(**{k: v for k, v in plate_values.items() if v is not None})
         for beta in beta_list:
             PreparationSettings(beta)
-        for x in x_list or ():
-            phase_from_displacement(x, plate)
-        # the estimators' own input checks, so that they fail before any sampling
+        plate_phis = tuple(phase_from_displacement(x, plate).wrapped for x in x_list or ())
+        # the estimators' own input checks on the values they will see, before any sampling
         if scenario == "mixture-sweep":
-            cosine_contrast(*phi_list)
+            spec = MixtureSpec(p_list[0], *phi_list, beta_list[0])
+            cosine_contrast(spec.phi1, spec.phi2)
         for beta in beta_list if estimates else ():
             correlation_scale(beta, noise.visibility, estimates)
     except ValueError as exc:
@@ -340,7 +340,7 @@ def resolve(
         shots=shots,
         sampling=config.sampling if config.sampling is not None else "multinomial",
         beta_list=beta_list,
-        phi_list=phi_list,
+        phi_list=plate_phis if plate_grid else phi_list,
         x_list=x_list,
         p_list=p_list,
         noise=noise,

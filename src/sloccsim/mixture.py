@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegeneratePhasesError
-from .measurement import correlation_scale, estimate_zz, zz_spread
+from .measurement import _same_and_total, _zz_spread, correlation_scale
 from .slocc import PreparationSettings, lr_kets
-from .states import canonical_phase, ket_to_density
+from .states import ket_to_density
 
 import numpy as np
 
@@ -24,7 +24,7 @@ MIN_COS_CONTRAST = 1e-6
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """Weight of the first component and the two phases, at one beta."""
+    """First component's weight; beta and both phases as ``PreparationSettings`` stores them."""
 
     weight: float
     phi1: float
@@ -32,12 +32,17 @@ class MixtureSpec:
     beta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError(f"weight must lie in [0, 1], got {self.weight!r}")
-        if not 0.0 <= self.beta <= math.pi / 2 + 1e-12:
-            raise ValueError(f"beta must lie in [0, pi/2], got {self.beta!r}")
-        object.__setattr__(self, "phi1", canonical_phase(self.phi1))
-        object.__setattr__(self, "phi2", canonical_phase(self.phi2))
+        check_weight(self.weight)
+        first, second = (PreparationSettings(self.beta, phi) for phi in (self.phi1, self.phi2))
+        object.__setattr__(self, "beta", first.beta)
+        object.__setattr__(self, "phi1", first.phi)
+        object.__setattr__(self, "phi2", second.phi)
+
+
+def check_weight(weight: float) -> None:
+    """The rule for the first component's weight: it must lie in [0, 1]."""
+    if not 0.0 <= weight <= 1.0:
+        raise ValueError(f"weight must lie in [0, 1], got {weight!r}")
 
 
 def mixed_state(specs) -> np.ndarray:
@@ -85,11 +90,12 @@ def estimate_p(counts, phi1: float, phi2: float, beta: float, visibility: float)
     """
     contrast = cosine_contrast(phi1, phi2)
     scale = correlation_scale(beta, visibility, "weight")
-    zz_hat = estimate_zz(counts)
+    same, total = _same_and_total(counts)
+    zz_hat = (same - (total - same)) / total
     p_raw = (zz_hat / scale - math.cos(phi2)) / contrast
     return MixtureEstimate(
         p_hat=min(max(p_raw, 0.0), 1.0),
         p_raw=p_raw,
-        sigma=zz_spread(counts) / abs(scale * contrast),
+        sigma=_zz_spread(same, total) / abs(scale * contrast),
         zz_hat=zz_hat,
     )

@@ -148,11 +148,7 @@ def row_generators(seed: int, n: int):
 
 def _grid(cfg: ResolvedConfig):
     """The (beta, phi) rows of a grid scenario, beta outermost, and their noisy states."""
-    if cfg.x_list is not None:
-        phis = [phase_from_displacement(x, cfg.plate).wrapped for x in cfg.x_list]
-    else:
-        phis = cfg.phi_list
-    grid = [(beta, phi) for beta in cfg.beta_list for phi in phis]
+    grid = [(beta, phi) for beta in cfg.beta_list for phi in cfg.phi_list]
     kets = lr_kets([PreparationSettings(beta, phi) for beta, phi in grid])
     return grid, validate_densities(noisy_state(ket_to_density(kets), cfg.noise))
 
@@ -231,18 +227,15 @@ MIXTURE_HEADER = [
 
 def run_mixture_sweep(cfg: ResolvedConfig):
     """Sample each mixture on the weight grid and invert for the weight."""
-    beta = cfg.beta_list[0]
-    phi1, phi2 = cfg.phi_list
-    vis = cfg.noise.visibility
-    specs = [MixtureSpec(weight=p, phi1=phi1, phi2=phi2, beta=beta) for p in cfg.p_list]
+    specs = [MixtureSpec(p, *cfg.phi_list, cfg.beta_list[0]) for p in cfg.p_list]
     states = validate_densities(noisy_state(mixed_state(specs), cfg.noise))
     sampled = _sample(cfg, states, lambda i: f"p {cfg.p_list[i]:.12g}")
     rows = []
-    for p, spec, counts in zip(cfg.p_list, specs, sampled):
-        est = estimate_p(counts, phi1, phi2, beta, vis)
+    for spec, counts in zip(specs, sampled):
+        est = estimate_p(counts, spec.phi1, spec.phi2, spec.beta, cfg.noise.visibility)
         rows.append(
             [
-                p,
+                spec.weight,
                 spec.phi1,
                 spec.phi2,
                 mixture_expectation(spec),

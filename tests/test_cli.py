@@ -182,6 +182,8 @@ OUT_OF_RANGE = {
     "beta-inf": ("phase-sweep", "[sweep]\nbeta_list = -infdeg\n", []),
     "x-nan": ("phase-sweep", "[sweep]\nx_list = nanmm\n", []),
     "p-nan": ("mixture-sweep", "[sweep]\np_list = 0, nan\n", []),
+    # a list the subcommand does not read is still range-checked
+    "p-unread-2": ("counts-demo", "[sweep]\np_list = 2\n", []),
     "visibility-inf": ("phase-sweep", "[noise]\nvisibility = inf\n", []),
     # subnormal visibilities leaked an overflow warning or a bare division by zero
     "visibility-1e-310": ("phase-sweep", "[noise]\nvisibility = 1e-310\n", []),
@@ -247,6 +249,66 @@ def test_out_of_range_config_exits_2_before_running(case, tmp_path, capsys, monk
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+BOM = b"\xef\xbb\xbf"
+
+# case id -> config file bytes that are not clean UTF-8 INI
+DAMAGED_FILES = {
+    "byte-ff": b"[experiment]\nshots = 5\xff0\n",
+    "latin-1-degree": "[sweep]\nbeta_list = 45\xb0\n".encode("latin-1"),
+    "line-without-equals": b"[experiment]\nshots 50\n",
+    "key-before-header": b"shots = 50\n[experiment]\n",
+    "bom-then-line-without-equals": BOM + b"[experiment]\nshots 50\n",
+    "duplicate-key": b"[experiment]\nshots = 50\nshots = 40\n",
+    "duplicate-section": b"[experiment]\nshots = 50\n[experiment]\nseed = 1\n",
+}
+
+
+@pytest.mark.parametrize("case", DAMAGED_FILES)
+def test_damaged_config_file_exits_2_with_one_line(case, tmp_path, capsys, monkeypatch):
+    def run_scenario(cfg):
+        raise AssertionError("the scenario ran on a damaged config file")
+
+    monkeypatch.setattr("sloccsim.cli.run_scenario", run_scenario)
+    config = tmp_path / "run.ini"
+    config.write_bytes(DAMAGED_FILES[case])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["counts-demo", "--config", str(config)], capsys)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"config error: [^\n]*\n", err), err
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_byte_order_mark_does_not_change_the_csv(command, tmp_path, capsys):
+    outputs = []
+    for prefix in (b"", BOM):
+        config = tmp_path / "run.ini"
+        config.write_bytes(prefix + SMALL[command].encode("utf-8"))
+        code, out, err = run_cli([command, "--config", str(config)], capsys)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+# subcommand -> (config, a [sweep] line it does not read): one file can serve several subcommands
+UNREAD_LISTS = {
+    "counts-demo": ("[experiment]\nshots = 500\n[sweep]\n", "p_list = 0.5\n"),
+    "calibrate-plate": ("[sweep]\nx_list = 0mm, 1mm, 2mm\n", "phi_list = 1\n"),
+    "mixture-sweep": ("[experiment]\nshots = 500\n[sweep]\np_list = 0, 0.5, 1\n", "x_list = 1mm\n"),
+}
+
+
+@pytest.mark.parametrize("command", UNREAD_LISTS)
+def test_a_list_the_subcommand_does_not_read_leaves_its_csv_alone(command, tmp_path, capsys):
+    body, unread = UNREAD_LISTS[command]
+    outputs = []
+    for text in (body, body + unread):
+        code, out, err = run_cli([command, "--config", quick_config(tmp_path, text)], capsys)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("case", ["directory", "under-regular-file"])
@@ -416,17 +478,51 @@ def config_texts(draw):
     return "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
 
 
+FILE_DAMAGE = ("byte-ff", "no-equals", "key-before-header", "duplicate-line")
+
+
+@st.composite
+def config_files(draw):
+    """(file bytes, damage): drawn INI text, maybe after a BOM, with at most one file-level defect."""
+    lines = draw(config_texts()).splitlines(keepends=True)
+    damage = draw(st.none() | st.sampled_from(FILE_DAMAGE))
+    at = draw(st.integers(0, len(lines) - 1))
+    if damage == "no-equals":
+        lines.insert(at, "shots 10\n")
+    elif damage == "key-before-header":
+        lines.insert(0, "seed = 1\n")
+    elif damage == "duplicate-line":  # a duplicated key or section header
+        lines.insert(at, lines[at])
+    body = "".join(lines).encode("utf-8")
+    if damage == "byte-ff":  # never valid in UTF-8
+        cut = draw(st.integers(0, len(body)))
+        body = body[:cut] + b"\xff" + body[cut:]
+    return (BOM if draw(st.booleans()) else b"") + body, damage
+
+
 @settings(max_examples=200, deadline=None)
-@given(command=st.sampled_from(ALL_COMMANDS), body=config_texts(), ideal=st.booleans())
+@given(command=st.sampled_from(ALL_COMMANDS), config_file=config_files(), ideal=st.booleans())
 @example(
     command="phase-sweep",
-    body="[experiment]\nshots = 10\n[sweep]\nx_list = 1mm\n[plate]\nthickness = 1e10\nwavelength = 1e-300\n",
+    config_file=(
+        b"[experiment]\nshots = 10\n[sweep]\nx_list = 1mm\n[plate]\nthickness = 1e10\nwavelength = 1e-300\n",
+        None,
+    ),
     ideal=False,
 )
-def test_every_cli_run_exits_0_2_or_3_with_one_line_on_failure(command, body, ideal):
+@example(command="counts-demo", config_file=(BOM + b"[experiment]\nshots = 10\n", None), ideal=False)
+@example(command="counts-demo", config_file=(b"[experiment]\nshots = 1\xff0\n", "byte-ff"), ideal=False)
+@example(command="counts-demo", config_file=(b"[experiment]\nshots 10\n", "no-equals"), ideal=False)
+@example(
+    command="counts-demo",
+    config_file=(b"seed = 1\n[experiment]\nshots = 10\n", "key-before-header"),
+    ideal=False,
+)
+def test_every_cli_run_exits_0_2_or_3_with_one_line_on_failure(command, config_file, ideal):
+    body, damage = config_file
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "run.ini"
-        config.write_text(body, encoding="utf-8")
+        config.write_bytes(body)
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
             warnings.simplefilter("error")
@@ -438,3 +534,5 @@ def test_every_cli_run_exits_0_2_or_3_with_one_line_on_failure(command, body, id
         assert code in (2, 3)
         assert out.getvalue() == ""
         assert re.fullmatch(r"(config )?error: [^\n]*\n", err.getvalue())
+    if damage is not None:  # a file that is not clean UTF-8 INI is a config problem
+        assert code == 2

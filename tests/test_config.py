@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import fields
 
 import pytest
@@ -17,7 +18,9 @@ from sloccsim.config import (
     parse_length,
     resolve,
 )
+from sloccsim import plate
 from sloccsim.errors import ConfigError
+from sloccsim.sweeps import run_scenario
 
 
 def test_parse_angle_units():
@@ -228,5 +231,25 @@ def test_resolve_rejects_bad_values():
 
 def test_resolve_accepts_x_list_for_phase_sweep():
     resolved = resolve(ExperimentConfig(x_list=[0.0, 0.001]), "phase-sweep")
-    assert resolved.phi_list is None
+    # the grid runs at the wrapped plate phases of the displacements
+    assert resolved.phi_list == (0.0, 0.049959901896247605)
     assert resolved.x_list == (0.0, 0.001)
+
+
+def test_plate_phases_of_a_grid_are_computed_once(monkeypatch):
+    calls = []
+    original = plate.phase_from_displacement
+
+    def counted(x, geom):
+        calls.append(x)
+        return original(x, geom)
+
+    # every module that looks the function up, the resolver's included
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sloccsim") and vars(module).get("phase_from_displacement") is original:
+            monkeypatch.setattr(module, "phase_from_displacement", counted)
+    x_list = [k * 0.5e-3 for k in range(81)]
+    config = ExperimentConfig(shots=50, beta_list=[0.3, 0.7], x_list=x_list)
+    _, rows = run_scenario(resolve(config, "counts-demo"))
+    assert calls == x_list
+    assert len(rows) == 2 * len(x_list)

@@ -7,6 +7,7 @@ from sloccsim import (
     DegeneratePhasesError,
     LowIndistinguishabilityError,
     MixtureSpec,
+    PreparationSettings,
     estimate_p,
     estimate_zz,
     expectation_zz,
@@ -35,6 +36,14 @@ def test_spec_validation():
     spec = MixtureSpec(weight=0.5, phi1=-math.pi, phi2=3.0 * math.pi, beta=0.3)
     assert spec.phi1 == pytest.approx(math.pi)
     assert spec.phi2 == pytest.approx(math.pi)
+
+
+def test_spec_clamps_beta_as_preparation_settings_does():
+    # a beta within the tolerance above pi/2 is stored as pi/2, one beyond it is rejected
+    spec = MixtureSpec(0.5, 0, 1, math.pi / 2 + 1e-12)
+    assert spec.beta == math.pi / 2 == PreparationSettings(math.pi / 2 + 1e-12).beta
+    with pytest.raises(ValueError, match=r"beta must lie in \[0, pi/2\]"):
+        MixtureSpec(0.5, 0, 1, math.pi / 2 + 1e-11)
 
 
 def test_pure_limits():
