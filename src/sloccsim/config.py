@@ -13,16 +13,19 @@ Sections and keys (all optional; scenario defaults fill the rest):
 Files are UTF-8, with or without a byte order mark.  Angles accept a ``deg``
 or ``rad`` suffix (bare numbers are radians); lengths accept ``m``, ``mm``,
 ``um`` or ``nm`` (bare numbers are meters).  Lists are comma separated;
-non-finite numbers are rejected, and so is a ``[DEFAULT]`` section.
+non-finite numbers are rejected, and so is a ``[DEFAULT]`` section.  A value
+that does not parse is reported with its ``[section] key``, and a file that
+cannot be read, decoded or parsed with its path.
 ``dump_config`` writes canonical units (radians and meters as bare repr
 floats), so parse -> dump -> parse is the identity.
 
 ``resolve`` takes each scenario's defaults from one table (``_SCENARIOS``),
-turns an x_list into a grid's phases once, and leaves every physical rule to
-the type or function that owns it (``NoiseModel``, ``PlateGeometry``,
-``PreparationSettings``, ``phase_from_displacement``, ``check_weight`` and the
-estimators' input checks), turning its ``ValueError`` into a ``ConfigError``
-with the owner's message.
+turns an x_list into its plate phases once (calibrate-plate's table, and a
+grid's phases), and leaves every physical rule to the type or function that
+owns it (``NoiseModel``, ``PlateGeometry``, ``PreparationSettings``,
+``phase_from_displacement``, ``check_weight`` and the estimators' input
+checks), turning its ``ValueError`` into a ``ConfigError`` with the owner's
+message.
 
 ``bootstrap`` is kept so that older configs parse, and it must still be at
 least 100, but it no longer changes output: the error bars are the exact
@@ -39,7 +42,7 @@ from .errors import ConfigError
 from .measurement import correlation_scale
 from .mixture import MixtureSpec, check_weight, cosine_contrast
 from .noise import NoiseModel
-from .plate import PlateGeometry, phase_from_displacement
+from .plate import PlateGeometry, PlatePhase, phase_from_displacement
 from .slocc import PreparationSettings
 
 SAMPLING_MODES = ("multinomial", "poisson")
@@ -90,11 +93,11 @@ def _parse_list(text: str, item_parser) -> list[float]:
     return values
 
 
-def _parse_int(text: str, key: str) -> int:
+def _parse_int(text: str) -> int:
     try:
         return int(text.strip())
     except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {text!r}") from None
+        raise ConfigError(f"must be an integer, got {text!r}") from None
 
 
 @dataclass
@@ -125,9 +128,9 @@ class ExperimentConfig:
 # floats, and [noise] and [plate] values as floats.
 _SCHEMA = {
     ("experiment", "scenario"): ("scenario", str.strip),
-    ("experiment", "seed"): ("seed", lambda t: _parse_int(t, "seed")),
-    ("experiment", "shots"): ("shots", lambda t: _parse_int(t, "shots")),
-    ("experiment", "bootstrap"): ("bootstrap", lambda t: _parse_int(t, "bootstrap")),
+    ("experiment", "seed"): ("seed", _parse_int),
+    ("experiment", "shots"): ("shots", _parse_int),
+    ("experiment", "bootstrap"): ("bootstrap", _parse_int),
     ("experiment", "sampling"): ("sampling", str.strip),
     ("sweep", "beta_list"): ("beta_list", lambda t: _parse_list(t, parse_angle)),
     ("sweep", "phi_list"): ("phi_list", lambda t: _parse_list(t, parse_angle)),
@@ -146,11 +149,11 @@ _SCHEMA = {
 _SECTION_ORDER = ("experiment", "sweep", "noise", "plate")
 
 
-def load_config(text: str) -> ExperimentConfig:
-    """Parse configuration text; unknown sections or keys are errors."""
+def load_config(text: str, source: str = "<string>") -> ExperimentConfig:
+    """Parse configuration text named ``source``; unknown sections or keys are errors."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(text)
+        parser.read_string(text, source=source)
     except configparser.Error as exc:  # its message quotes the offending line on lines of their own
         flat = " ".join(line.strip() for line in str(exc).splitlines())
         raise ConfigError(f"malformed config: {flat}") from None
@@ -165,7 +168,10 @@ def load_config(text: str) -> ExperimentConfig:
             if entry is None:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             field_name, value_parser = entry
-            setattr(config, field_name, value_parser(value))
+            try:
+                setattr(config, field_name, value_parser(value))
+            except ConfigError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
     return config
 
 
@@ -174,8 +180,8 @@ def load_config_file(path) -> ExperimentConfig:
         with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
-    return load_config(text)
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    return load_config(text, source=str(path))
 
 
 def _dump_value(section: str, value) -> str:
@@ -217,7 +223,7 @@ class ResolvedConfig:
     x_list: tuple[float, ...] | None
     p_list: tuple[float, ...]
     noise: NoiseModel
-    plate: PlateGeometry
+    plate_phases: tuple[PlatePhase, ...] | None  # phase_from_displacement of each x_list entry
 
 
 _DEG = math.pi / 180.0
@@ -324,7 +330,7 @@ def resolve(
         plate = PlateGeometry(**{k: v for k, v in plate_values.items() if v is not None})
         for beta in beta_list:
             PreparationSettings(beta)
-        plate_phis = tuple(phase_from_displacement(x, plate).wrapped for x in x_list or ())
+        plate_phases = x_list and tuple(phase_from_displacement(x, plate) for x in x_list)
         # the estimators' own input checks on the values they will see, before any sampling
         if scenario == "mixture-sweep":
             spec = MixtureSpec(p_list[0], *phi_list, beta_list[0])
@@ -340,9 +346,9 @@ def resolve(
         shots=shots,
         sampling=config.sampling if config.sampling is not None else "multinomial",
         beta_list=beta_list,
-        phi_list=plate_phis if plate_grid else phi_list,
+        phi_list=tuple(phase.wrapped for phase in plate_phases) if plate_grid else phi_list,
         x_list=x_list,
         p_list=p_list,
         noise=noise,
-        plate=plate,
+        plate_phases=plate_phases,
     )

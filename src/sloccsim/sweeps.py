@@ -20,7 +20,6 @@ from .config import ResolvedConfig
 from .measurement import estimate_phase, outcome_probs, rotate_density, sample_counts
 from .mixture import MixtureSpec, estimate_p, mixed_state, mixture_expectation
 from .noise import fit_noise, noisy_state
-from .plate import phase_from_displacement
 from .slocc import PreparationSettings, lr_kets
 from .states import ket_to_density, validate_densities
 from .tomography import extract_params, reconstruct, setting_probabilities, simulate_tomography
@@ -153,18 +152,15 @@ def _grid(cfg: ResolvedConfig):
     return grid, validate_densities(noisy_state(ket_to_density(kets), cfg.noise))
 
 
-def _sample(cfg: ResolvedConfig, states: np.ndarray, describe=None):
-    """Rotate, read out and draw the whole stack, then yield each row's tally as Python ints.
+def _sample(cfg: ResolvedConfig, states: np.ndarray) -> list[list[int]]:
+    """Rotate, read out and draw the whole stack; each row's tally as Python ints, unchecked.
 
-    ``describe(index)`` names the rows of a sweep that estimates from its
-    counts; there a row without a coincidence (Poisson can draw one) ends the run.
+    The estimators reject a row they cannot use (Poisson can draw one without
+    a coincidence); the sweeps that estimate add the row's name to the message.
     """
     probs = outcome_probs(rotate_density(states))
     rngs = row_generators(cfg.seed, len(probs))
-    for index, counts in enumerate(sample_counts(probs, cfg.shots, rngs, cfg.sampling).tolist()):
-        if describe is not None and not any(counts):
-            raise ValueError(f"row {index} ({describe(index)}): cannot estimate from zero counts")
-        yield counts
+    return sample_counts(probs, cfg.shots, rngs, cfg.sampling).tolist()
 
 
 PHASE_SWEEP_HEADER = [
@@ -188,15 +184,14 @@ def run_phase_sweep(cfg: ResolvedConfig):
     """
     grid, states = _grid(cfg)
     vis = cfg.noise.visibility
-
-    def describe(index):
-        beta, phi = grid[index]
-        return f"beta {math.degrees(beta):.12g} deg, phi {phi:.12g} rad"
-
     rows = []
-    for (beta, phi), counts in zip(grid, _sample(cfg, states, describe)):
+    for index, ((beta, phi), counts) in enumerate(zip(grid, _sample(cfg, states))):
         zz_ideal = math.sin(2.0 * beta) * math.cos(phi)
-        est = estimate_phase(counts, beta, vis)
+        try:
+            est = estimate_phase(counts, beta, vis)
+        except ValueError as exc:
+            name = f"beta {math.degrees(beta):.12g} deg, phi {phi:.12g} rad"
+            raise ValueError(f"row {index} ({name}): {exc}") from None
         rows.append(
             [
                 math.degrees(beta),
@@ -229,10 +224,12 @@ def run_mixture_sweep(cfg: ResolvedConfig):
     """Sample each mixture on the weight grid and invert for the weight."""
     specs = [MixtureSpec(p, *cfg.phi_list, cfg.beta_list[0]) for p in cfg.p_list]
     states = validate_densities(noisy_state(mixed_state(specs), cfg.noise))
-    sampled = _sample(cfg, states, lambda i: f"p {cfg.p_list[i]:.12g}")
     rows = []
-    for spec, counts in zip(specs, sampled):
-        est = estimate_p(counts, spec.phi1, spec.phi2, spec.beta, cfg.noise.visibility)
+    for index, (spec, counts) in enumerate(zip(specs, _sample(cfg, states))):
+        try:
+            est = estimate_p(counts, spec.phi1, spec.phi2, spec.beta, cfg.noise.visibility)
+        except ValueError as exc:
+            raise ValueError(f"row {index} (p {spec.weight:.12g}): {exc}") from None
         rows.append(
             [
                 spec.weight,
@@ -252,12 +249,9 @@ PLATE_HEADER = ["x_mm", "phi_unwrapped_rad", "phi_wrapped_rad"]
 
 
 def run_plate_calibration(cfg: ResolvedConfig):
-    """Displacement to phase table for the configured plate geometry."""
-    rows = []
-    for x in cfg.x_list:
-        result = phase_from_displacement(x, cfg.plate)
-        rows.append([x * 1e3, result.unwrapped, result.wrapped])
-    return PLATE_HEADER, rows
+    """Displacement to phase table: the plate phases the config resolver computed."""
+    table = zip(cfg.x_list, cfg.plate_phases)
+    return PLATE_HEADER, [[x * 1e3, phase.unwrapped, phase.wrapped] for x, phase in table]
 
 
 COUNTS_HEADER = ["beta_deg", "phi_rad", "n13", "n14", "n23", "n24", "total"]

@@ -2,10 +2,11 @@
 
 perfbench/tracing.py looks every (module, attribute) of its TARGETS up with
 getattr, so a renamed or deleted function makes every traced run raise.  The
-table is read with ast, without importing the benchmark.  One smoke test
-does import the tracer, read-only, and runs small CLI operations under it:
-its tallies read the estimators' results, so a changed result type breaks
-traced runs only.
+table is read with ast, without importing the benchmark, and so is the
+subcommand-to-scenario table that perfbench/child.py times the set-up with.
+One smoke test does import the tracer, read-only, and runs small CLI
+operations under it: its tallies read the estimators' results, so a changed
+result type breaks traced runs only.
 """
 
 import ast
@@ -16,20 +17,36 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+CHILD = PERFBENCH / "child.py"
 
 
-def tracer_targets():
-    for node in ast.parse(TRACING.read_text(encoding="utf-8")).body:
+def assigned_literal(path, name):
+    """The literal that ``path`` assigns to the module-level ``name``, read with ast."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
         names = [getattr(target, "id", None) for target in getattr(node, "targets", ())]
-        if names == ["TARGETS"]:
+        if names == [name]:
             return ast.literal_eval(node.value)
-    raise AssertionError(f"{TRACING} assigns no TARGETS")
+    raise AssertionError(f"{path} assigns no {name}")
 
 
-@pytest.mark.parametrize("module, attr", tracer_targets())
+@pytest.mark.parametrize("module, attr", assigned_literal(TRACING, "TARGETS"))
 def test_tracer_target_resolves(module, attr):
     assert callable(getattr(importlib.import_module(f"sloccsim.{module}"), attr))
+
+
+def test_bench_setup_resolves_each_subcommand_as_the_cli_does():
+    from sloccsim.cli import _COMMAND_TO_SCENARIO
+    from sloccsim.config import ExperimentConfig, resolve
+
+    # child.py maps only the subcommands whose scenario has another name
+    child_scenario = assigned_literal(CHILD, "_SCENARIO")
+    assert set(child_scenario) <= set(_COMMAND_TO_SCENARIO)
+    for command, scenario in _COMMAND_TO_SCENARIO.items():
+        assert child_scenario.get(command, command) == scenario
+        for ideal in (False, True):
+            resolve(ExperimentConfig(), scenario=child_scenario.get(command, command), ideal=ideal)
 
 
 def test_density_validation_hook_exists():

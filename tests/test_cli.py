@@ -280,6 +280,52 @@ def test_damaged_config_file_exits_2_with_one_line(case, tmp_path, capsys, monke
     assert re.fullmatch(r"config error: [^\n]*\n", err), err
 
 
+@pytest.mark.parametrize("case", DAMAGED_FILES)
+def test_damaged_config_file_error_names_its_path(case, tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_bytes(DAMAGED_FILES[case])
+    code, _, err = run_cli(["counts-demo", "--config", str(config)], capsys)
+    assert code == 2
+    assert str(config) in err
+    assert "<string>" not in err
+
+
+# key -> (a value its parser rejects, the reason printed after "[section] key: ");
+# scenario and sampling are strings that resolve checks
+UNPARSABLE = {
+    "seed": ("12x", "must be an integer, got '12x'"),
+    "shots": ("5000.0", "must be an integer, got '5000.0'"),
+    "bootstrap": ("lots", "must be an integer, got 'lots'"),
+    "beta_list": ("45deg, abc", "cannot parse angle value 'abc'"),
+    "phi_list": ("0, 90 degrees", "cannot parse angle value '90 degrees'"),
+    "x_list": ("1mm, 2 feet", "cannot parse length value '2 feet'"),
+    "p_list": (" , ", "empty list value ','"),
+    "visibility": ("inf", "numeric value 'inf' is not finite"),
+    "white_weight": ("nan", "numeric value 'nan' is not finite"),
+    "dephasing_weight": ("half", "cannot parse numeric value 'half'"),
+    "thickness": ("200 um um", "cannot parse length value '200 um um'"),
+    "index": ("1,5", "cannot parse numeric value '1,5'"),
+    "ambient_index": ("", "cannot parse numeric value ''"),
+    "radius": ("-infmm", "length value '-infmm' is not finite"),
+    "wavelength": ("800 nanometers", "cannot parse length value '800 nanometers'"),
+}
+
+
+@pytest.mark.parametrize(
+    "section, key", [entry for entry in _SCHEMA if entry[1] not in ("scenario", "sampling")]
+)
+def test_unparsable_value_names_its_section_and_key(section, key, tmp_path, capsys, monkeypatch):
+    def run_scenario(cfg):
+        raise AssertionError("the scenario ran on an unparsable value")
+
+    monkeypatch.setattr("sloccsim.cli.run_scenario", run_scenario)
+    text, reason = UNPARSABLE[key]
+    config = quick_config(tmp_path, f"[{section}]\n{key} = {text}\n")
+    code, out, err = run_cli(["phase-sweep", "--config", config], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"config error: [{section}] {key}: {reason}\n"
+
+
 @pytest.mark.parametrize("command", ALL_COMMANDS)
 def test_byte_order_mark_does_not_change_the_csv(command, tmp_path, capsys):
     outputs = []

@@ -19,6 +19,7 @@ from sloccsim.config import (
     resolve,
 )
 from sloccsim import plate
+from sloccsim.plate import PlateGeometry, phase_from_displacement
 from sloccsim.errors import ConfigError
 from sloccsim.sweeps import run_scenario
 
@@ -169,13 +170,17 @@ def test_resolve_fills_scenario_defaults():
     assert len(resolved.phi_list) == 25
     assert resolved.phi_list[-1] == pytest.approx(2.0 * math.pi)
     assert resolved.noise.visibility == 0.977
-    assert resolved.plate.wavelength == pytest.approx(800e-9)
 
     beta = resolve(ExperimentConfig(), "beta-sweep")
     assert len(beta.beta_list) == 17
     plate = resolve(ExperimentConfig(), "plate-calibration")
     assert len(plate.x_list) == 81
     assert plate.phi_list is None
+    # the default geometry, whose wavelength stays pinned
+    assert plate.plate_phases == tuple(
+        phase_from_displacement(x, PlateGeometry()) for x in plate.x_list
+    )
+    assert PlateGeometry().wavelength == pytest.approx(800e-9)
     mix = resolve(ExperimentConfig(), "mixture-sweep")
     assert mix.phi_list == (0.0, math.pi)
     assert len(mix.p_list) == 11
@@ -236,7 +241,12 @@ def test_resolve_accepts_x_list_for_phase_sweep():
     assert resolved.x_list == (0.0, 0.001)
 
 
-def test_plate_phases_of_a_grid_are_computed_once(monkeypatch):
+# scenario -> CSV rows per x of the config below
+ROWS_PER_X = {"counts-demo": 2, "plate-calibration": 1}
+
+
+@pytest.mark.parametrize("scenario", ROWS_PER_X)
+def test_plate_phases_of_a_grid_are_computed_once(scenario, monkeypatch):
     calls = []
     original = plate.phase_from_displacement
 
@@ -250,6 +260,6 @@ def test_plate_phases_of_a_grid_are_computed_once(monkeypatch):
             monkeypatch.setattr(module, "phase_from_displacement", counted)
     x_list = [k * 0.5e-3 for k in range(81)]
     config = ExperimentConfig(shots=50, beta_list=[0.3, 0.7], x_list=x_list)
-    _, rows = run_scenario(resolve(config, "counts-demo"))
+    _, rows = run_scenario(resolve(config, scenario))
     assert calls == x_list
-    assert len(rows) == 2 * len(x_list)
+    assert len(rows) == ROWS_PER_X[scenario] * len(x_list)

@@ -1,10 +1,11 @@
-"""Every ```python block in README.md runs as written, and every ```ini block loads."""
+"""Every ```python block in README.md runs as written, and every ```ini block loads and runs."""
 
 import re
 from pathlib import Path
 
 import pytest
 
+from sloccsim.cli import _COMMAND_TO_SCENARIO, main
 from sloccsim.config import dump_config, load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -33,3 +34,12 @@ def test_readme_ini_block_loads_and_round_trips(index):
     dumped = dump_config(config)
     assert load_config(dumped) == config
     assert dump_config(load_config(dumped)) == dumped
+
+
+@pytest.mark.parametrize("command", _COMMAND_TO_SCENARIO)
+@pytest.mark.parametrize("index", range(len(INI_BLOCKS)))
+def test_readme_ini_block_runs_every_subcommand(index, command, tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text(INI_BLOCKS[index], encoding="utf-8")
+    code = main([command, "--config", str(config)])
+    assert code == 0, capsys.readouterr().err
