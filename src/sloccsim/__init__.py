@@ -28,7 +28,6 @@ from .measurement import (
 )
 from .mixture import (
     MixtureEstimate,
-    MixtureSpec,
     estimate_p,
     mixed_state,
     mixture_expectation,
@@ -89,7 +88,6 @@ __all__ = [
     "rotate_density",
     "sample_counts",
     "MixtureEstimate",
-    "MixtureSpec",
     "estimate_p",
     "mixed_state",
     "mixture_expectation",

@@ -20,12 +20,12 @@ cannot be read, decoded or parsed with its path.
 floats), so parse -> dump -> parse is the identity.
 
 ``resolve`` takes each scenario's defaults from one table (``_SCENARIOS``),
-turns an x_list into its plate phases once (calibrate-plate's table, and a
-grid's phases), and leaves every physical rule to the type or function that
-owns it (``NoiseModel``, ``PlateGeometry``, ``PreparationSettings``,
-``phase_from_displacement``, ``check_weight`` and the estimators' input
-checks), turning its ``ValueError`` into a ``ConfigError`` with the owner's
-message.
+computes once the phases a sweep runs at (a grid's and calibrate-plate's from
+an x_list, mixture-sweep's two reduced into [0, 2*pi)), and leaves every
+physical rule to the type or function that owns it (``NoiseModel``,
+``PlateGeometry``, ``PreparationSettings``, ``phase_from_displacement``,
+``check_weight`` and the estimators' input checks), turning its
+``ValueError`` into a ``ConfigError`` with the owner's message.
 
 ``bootstrap`` is kept so that older configs parse, and it must still be at
 least 100, but it no longer changes output: the error bars are the exact
@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .measurement import correlation_scale
-from .mixture import MixtureSpec, check_weight, cosine_contrast
+from .mixture import check_weight, cosine_contrast
 from .noise import NoiseModel
 from .plate import PlateGeometry, PlatePhase, phase_from_displacement
 from .slocc import PreparationSettings
@@ -179,8 +179,8 @@ def load_config_file(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # an OSError's own text repeats the path
+        raise ConfigError(f"cannot read config file {path}: {getattr(exc, 'strerror', exc)}") from None
     return load_config(text, source=str(path))
 
 
@@ -219,7 +219,8 @@ class ResolvedConfig:
     shots: int
     sampling: str
     beta_list: tuple[float, ...]
-    phi_list: tuple[float, ...] | None  # the phases the sweep runs at; a grid's x_list gives them
+    phi_list: tuple[float, ...] | None  # the phases the sweep runs at: a grid's x_list gives them,
+    # and mixture-sweep's two are reduced into [0, 2*pi) as PreparationSettings stores them
     x_list: tuple[float, ...] | None
     p_list: tuple[float, ...]
     noise: NoiseModel
@@ -332,9 +333,9 @@ def resolve(
             PreparationSettings(beta)
         plate_phases = x_list and tuple(phase_from_displacement(x, plate) for x in x_list)
         # the estimators' own input checks on the values they will see, before any sampling
-        if scenario == "mixture-sweep":
-            spec = MixtureSpec(p_list[0], *phi_list, beta_list[0])
-            cosine_contrast(spec.phi1, spec.phi2)
+        if scenario == "mixture-sweep":  # its phases as PreparationSettings stores them
+            phi_list = tuple(PreparationSettings(beta_list[0], phi).phi for phi in phi_list)
+            cosine_contrast(*phi_list)
         for beta in beta_list if estimates else ():
             correlation_scale(beta, noise.visibility, estimates)
     except ValueError as exc:

@@ -22,41 +22,25 @@ import numpy as np
 MIN_COS_CONTRAST = 1e-6
 
 
-@dataclass(frozen=True)
-class MixtureSpec:
-    """First component's weight; beta and both phases as ``PreparationSettings`` stores them."""
-
-    weight: float
-    phi1: float
-    phi2: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        check_weight(self.weight)
-        first, second = (PreparationSettings(self.beta, phi) for phi in (self.phi1, self.phi2))
-        object.__setattr__(self, "beta", first.beta)
-        object.__setattr__(self, "phi1", first.phi)
-        object.__setattr__(self, "phi2", second.phi)
-
-
 def check_weight(weight: float) -> None:
     """The rule for the first component's weight: it must lie in [0, 1]."""
     if not 0.0 <= weight <= 1.0:
         raise ValueError(f"weight must lie in [0, 1], got {weight!r}")
 
 
-def mixed_state(specs) -> np.ndarray:
-    """w |psi(phi1)><psi(phi1)| + (1 - w) |psi(phi2)><psi(phi2)| for each spec, as (N, 4, 4)."""
-    kets = lr_kets([PreparationSettings(s.beta, phi) for s in specs for phi in (s.phi1, s.phi2)])
-    pairs = ket_to_density(kets).reshape(-1, 2, 4, 4)
-    w = np.array([s.weight for s in specs], dtype=np.float64)[:, None, None]
-    return w * pairs[:, 0] + (1.0 - w) * pairs[:, 1]
+def mixed_state(weights, phi1: float, phi2: float, beta: float) -> np.ndarray:
+    """w |psi(phi1)><psi(phi1)| + (1 - w) |psi(phi2)><psi(phi2)| per weight w, as (N, 4, 4)."""
+    for weight in weights:
+        check_weight(weight)
+    first, second = ket_to_density(lr_kets([PreparationSettings(beta, phi) for phi in (phi1, phi2)]))
+    w = np.array(weights, dtype=np.float64)[:, None, None]
+    return w * first + (1.0 - w) * second
 
 
-def mixture_expectation(spec: MixtureSpec) -> float:
+def mixture_expectation(weight: float, phi1: float, phi2: float, beta: float) -> float:
     """sin(2 beta) * (w cos phi1 + (1 - w) cos phi2); linear in the weight."""
-    blend = spec.weight * math.cos(spec.phi1) + (1.0 - spec.weight) * math.cos(spec.phi2)
-    return math.sin(2.0 * spec.beta) * blend
+    blend = weight * math.cos(phi1) + (1.0 - weight) * math.cos(phi2)
+    return math.sin(2.0 * beta) * blend
 
 
 @dataclass(frozen=True)

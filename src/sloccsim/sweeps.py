@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ResolvedConfig
 from .measurement import estimate_phase, outcome_probs, rotate_density, sample_counts
-from .mixture import MixtureSpec, estimate_p, mixed_state, mixture_expectation
+from .mixture import estimate_p, mixed_state, mixture_expectation
 from .noise import fit_noise, noisy_state
 from .slocc import PreparationSettings, lr_kets
 from .states import ket_to_density, validate_densities
@@ -222,20 +222,21 @@ MIXTURE_HEADER = [
 
 def run_mixture_sweep(cfg: ResolvedConfig):
     """Sample each mixture on the weight grid and invert for the weight."""
-    specs = [MixtureSpec(p, *cfg.phi_list, cfg.beta_list[0]) for p in cfg.p_list]
-    states = validate_densities(noisy_state(mixed_state(specs), cfg.noise))
+    phi1, phi2 = cfg.phi_list
+    beta = cfg.beta_list[0]
+    states = validate_densities(noisy_state(mixed_state(cfg.p_list, phi1, phi2, beta), cfg.noise))
     rows = []
-    for index, (spec, counts) in enumerate(zip(specs, _sample(cfg, states))):
+    for index, (p, counts) in enumerate(zip(cfg.p_list, _sample(cfg, states))):
         try:
-            est = estimate_p(counts, spec.phi1, spec.phi2, spec.beta, cfg.noise.visibility)
+            est = estimate_p(counts, phi1, phi2, beta, cfg.noise.visibility)
         except ValueError as exc:
-            raise ValueError(f"row {index} (p {spec.weight:.12g}): {exc}") from None
+            raise ValueError(f"row {index} (p {p:.12g}): {exc}") from None
         rows.append(
             [
-                spec.weight,
-                spec.phi1,
-                spec.phi2,
-                mixture_expectation(spec),
+                p,
+                phi1,
+                phi2,
+                mixture_expectation(p, phi1, phi2, beta),
                 est.zz_hat,
                 est.p_raw,
                 est.p_hat,

@@ -13,7 +13,6 @@ import pytest
 
 from sloccsim import (
     DensityMatrix4,
-    MixtureSpec,
     NoiseModel,
     PlateGeometry,
     PreparationSettings,
@@ -208,8 +207,7 @@ def test_criterion_07_mixture_weight_recovery():
         worst = 0.0
         for step in range(11):
             p = step / 10.0
-            spec = MixtureSpec(weight=p, phi1=phi1, phi2=phi2, beta=beta)
-            probs = outcome_probs(rotate_density(mixed_state([spec])))
+            probs = outcome_probs(rotate_density(mixed_state([p], phi1, phi2, beta)))
             rng = np.random.default_rng(STAT_SEED + 100 * pair_index + step)
             counts = sample_counts(probs, 100_000, [rng])[0].tolist()
             est = estimate_p(counts, phi1, phi2, beta, 1.0)

@@ -290,6 +290,20 @@ def test_damaged_config_file_error_names_its_path(case, tmp_path, capsys):
     assert "<string>" not in err
 
 
+@pytest.mark.parametrize(
+    "name, reason", [("absent.ini", "No such file or directory"), ("", "Is a directory")]
+)
+def test_unreadable_config_file_names_its_path_once(name, reason, tmp_path, capsys, monkeypatch):
+    def run_scenario(cfg):
+        raise AssertionError("the scenario ran without its config file")
+
+    monkeypatch.setattr("sloccsim.cli.run_scenario", run_scenario)
+    path = str(tmp_path / name)  # an empty name leaves the directory itself
+    code, out, err = run_cli(["phase-sweep", "--config", path], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"config error: cannot read config file {path}: {reason}\n"
+
+
 # key -> (a value its parser rejects, the reason printed after "[section] key: ");
 # scenario and sampling are strings that resolve checks
 UNPARSABLE = {

@@ -20,6 +20,7 @@ from sloccsim.config import (
 )
 from sloccsim import plate
 from sloccsim.plate import PlateGeometry, phase_from_displacement
+from sloccsim.slocc import PreparationSettings
 from sloccsim.errors import ConfigError
 from sloccsim.sweeps import run_scenario
 
@@ -239,6 +240,16 @@ def test_resolve_accepts_x_list_for_phase_sweep():
     # the grid runs at the wrapped plate phases of the displacements
     assert resolved.phi_list == (0.0, 0.049959901896247605)
     assert resolved.x_list == (0.0, 0.001)
+
+
+@pytest.mark.parametrize(
+    "phis", [(-1e-300, 2.0), (10.0, -10.5), (0.3, -2.5), (100.0, 3.0), (-math.pi, 2.0)]
+)
+def test_resolve_reduces_the_mixture_phases_once(phis):
+    # the phases mixed_state, the CSV's phi columns and estimate_p all take
+    resolved = resolve(ExperimentConfig(beta_list=[0.5], phi_list=list(phis)), "mixture-sweep")
+    assert resolved.phi_list == tuple(PreparationSettings(0.5, phi).phi for phi in phis)
+    assert all(0.0 <= phi < 2.0 * math.pi for phi in resolved.phi_list)
 
 
 # scenario -> CSV rows per x of the config below

@@ -14,6 +14,8 @@ from sloccsim.cli import main
 
 POISSON = "[experiment]\nsampling = poisson\n"
 X_LIST = "[sweep]\nx_list = 0mm, 2.5mm, 5mm, 10mm, 20mm, 30mm\n"
+# phases outside [0, 2*pi), whose raw and reduced values print differently
+MIXTURE_PHASES = "[sweep]\nbeta_list = 30deg\nphi_list = 10, -10.5\np_list = 0, 0.25, 0.5, 0.75, 1\n"
 
 
 def _floats(values):
@@ -50,6 +52,8 @@ GOLDEN = {
     "mixture-sweep-default": (["mixture-sweep"], None, "631561eef09bd566ae9876af910e6316c118e73ba15fd01151ca161bca541ebe"),
     "mixture-sweep-ideal": (["mixture-sweep", "--ideal"], None, "02381b9c6e40a565e16ca276c4dc0edcebd68c2503f702d346910509c7494c7e"),
     "mixture-sweep-poisson": (["mixture-sweep"], POISSON, "f5e39744dc5d095dd7492f5fb0d02e45d22c8a5a873ccca24fc5278a0ad5cd0c"),
+    "mixture-sweep-phases": (["mixture-sweep"], MIXTURE_PHASES, "72a04663af03a88812270caa2b8b6a21c37409a5933d1a37435f1daa60ccd12a"),
+    "mixture-sweep-phases-poisson": (["mixture-sweep"], POISSON + MIXTURE_PHASES, "6c40a3e5e5db622b88abb4f9fbbb4fa0c6e53d22da9506fab5f6eaef0772bb06"),
     "calibrate-plate-default": (["calibrate-plate"], None, "7b555e566fcb8bb2def89b8e2a94cb93857dddc5965ad67ea809a679e9e9dafe"),
     "calibrate-plate-ideal": (["calibrate-plate", "--ideal"], None, "7b555e566fcb8bb2def89b8e2a94cb93857dddc5965ad67ea809a679e9e9dafe"),
     "calibrate-plate-poisson": (["calibrate-plate"], POISSON, "7b555e566fcb8bb2def89b8e2a94cb93857dddc5965ad67ea809a679e9e9dafe"),

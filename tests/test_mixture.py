@@ -6,7 +6,6 @@ import pytest
 from sloccsim import (
     DegeneratePhasesError,
     LowIndistinguishabilityError,
-    MixtureSpec,
     PreparationSettings,
     estimate_p,
     estimate_zz,
@@ -19,74 +18,70 @@ from sloccsim import (
 )
 from sloccsim.measurement import bootstrap_zz
 
-from oracles import tally_with_zz
+from oracles import pure_density_oracle, tally_with_zz
 
 
-def sampled(spec, total, seed):
+def sampled(weight, phi1, phi2, beta, total, seed):
     """One mixture's tally row, drawn on a fresh generator."""
-    probs = outcome_probs(rotate_density(mixed_state([spec])))
+    probs = outcome_probs(rotate_density(mixed_state([weight], phi1, phi2, beta)))
     return sample_counts(probs, total, [np.random.default_rng(seed)])[0].tolist()
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        MixtureSpec(weight=1.1, phi1=0.0, phi2=math.pi, beta=math.pi / 4)
-    with pytest.raises(ValueError):
-        MixtureSpec(weight=0.5, phi1=0.0, phi2=math.pi, beta=2.0)
-    spec = MixtureSpec(weight=0.5, phi1=-math.pi, phi2=3.0 * math.pi, beta=0.3)
-    assert spec.phi1 == pytest.approx(math.pi)
-    assert spec.phi2 == pytest.approx(math.pi)
-
-
-def test_spec_clamps_beta_as_preparation_settings_does():
-    # a beta within the tolerance above pi/2 is stored as pi/2, one beyond it is rejected
-    spec = MixtureSpec(0.5, 0, 1, math.pi / 2 + 1e-12)
-    assert spec.beta == math.pi / 2 == PreparationSettings(math.pi / 2 + 1e-12).beta
+def test_mixed_state_validation():
+    with pytest.raises(ValueError, match=r"weight must lie in \[0, 1\]"):
+        mixed_state([0.5, 1.1], 0.0, math.pi, math.pi / 4)
     with pytest.raises(ValueError, match=r"beta must lie in \[0, pi/2\]"):
-        MixtureSpec(0.5, 0, 1, math.pi / 2 + 1e-11)
+        mixed_state([0.5], 0.0, math.pi, 2.0)
+    # phases are reduced into [0, 2 pi) as PreparationSettings stores them
+    wound = mixed_state([0.5], -math.pi, 3.0 * math.pi, 0.3)
+    assert np.allclose(wound, mixed_state([0.5], math.pi, math.pi, 0.3), rtol=0.0, atol=1e-15)
+    assert np.array_equal(wound[0], pure_density_oracle(0.3, math.pi))
+
+
+def test_mixed_state_clamps_beta_as_preparation_settings_does():
+    # a beta within the tolerance above pi/2 blends as pi/2, one beyond it is rejected
+    assert PreparationSettings(math.pi / 2 + 1e-12).beta == math.pi / 2
+    blend = mixed_state([0.5], 0, 1, math.pi / 2 + 1e-12)
+    assert np.array_equal(blend, mixed_state([0.5], 0, 1, math.pi / 2))
+    with pytest.raises(ValueError, match=r"beta must lie in \[0, pi/2\]"):
+        mixed_state([0.5], 0, 1, math.pi / 2 + 1e-11)
 
 
 def test_pure_limits():
-    boson = MixtureSpec(weight=1.0, phi1=0.0, phi2=math.pi, beta=math.pi / 4)
-    fermion = MixtureSpec(weight=0.0, phi1=0.0, phi2=math.pi, beta=math.pi / 4)
-    assert mixture_expectation(boson) == pytest.approx(1.0, abs=1e-12)
-    assert mixture_expectation(fermion) == pytest.approx(-1.0, abs=1e-12)
+    assert mixture_expectation(1.0, 0.0, math.pi, math.pi / 4) == pytest.approx(1.0, abs=1e-12)
+    assert mixture_expectation(0.0, 0.0, math.pi, math.pi / 4) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_expectation_linear_in_weight():
     for w in np.linspace(0.0, 1.0, 11):
-        spec = MixtureSpec(weight=w, phi1=0.0, phi2=math.pi, beta=math.pi / 4)
-        assert mixture_expectation(spec) == pytest.approx(2.0 * w - 1.0, abs=1e-12)
+        expectation = mixture_expectation(w, 0.0, math.pi, math.pi / 4)
+        assert expectation == pytest.approx(2.0 * w - 1.0, abs=1e-12)
 
 
 def test_density_route_matches_closed_form():
     # trace route through the mixed density operator vs the averaged formula
     rng = np.random.default_rng(16)
     for _ in range(200):
-        spec = MixtureSpec(
-            weight=rng.uniform(0.0, 1.0),
-            phi1=rng.uniform(0.0, 2.0 * math.pi),
-            phi2=rng.uniform(0.0, 2.0 * math.pi),
-            beta=rng.uniform(0.0, math.pi / 2),
-        )
-        via_density = expectation_zz(rotate_density(mixed_state([spec])[0]))
-        assert via_density == pytest.approx(mixture_expectation(spec), abs=1e-12)
+        weight = rng.uniform(0.0, 1.0)
+        phi1 = rng.uniform(0.0, 2.0 * math.pi)
+        phi2 = rng.uniform(0.0, 2.0 * math.pi)
+        beta = rng.uniform(0.0, math.pi / 2)
+        via_density = expectation_zz(rotate_density(mixed_state([weight], phi1, phi2, beta)[0]))
+        assert via_density == pytest.approx(mixture_expectation(weight, phi1, phi2, beta), abs=1e-12)
 
 
 def test_estimate_p_exact_inversion():
-    spec = MixtureSpec(weight=0.37, phi1=0.0, phi2=math.pi, beta=math.pi / 4)
-    counts = tally_with_zz(mixture_expectation(spec))
-    est = estimate_p(counts, spec.phi1, spec.phi2, spec.beta, 1.0)
+    counts = tally_with_zz(mixture_expectation(0.37, 0.0, math.pi, math.pi / 4))
+    est = estimate_p(counts, 0.0, math.pi, math.pi / 4, 1.0)
     assert est.p_raw == pytest.approx(0.37, abs=1e-12)
     assert est.p_hat == est.p_raw
     assert est.sigma > 0.0
 
 
 def test_estimate_p_clamps_to_unit_interval():
-    spec = MixtureSpec(weight=1.0, phi1=0.0, phi2=math.pi, beta=math.pi / 4)
-    counts = sampled(spec, 1000, 2)  # zz = 1, above the scale 0.998
+    counts = sampled(1.0, 0.0, math.pi, math.pi / 4, 1000, 2)  # zz = 1, above the scale 0.998
     assert estimate_zz(counts) == 1.0
-    est = estimate_p(counts, spec.phi1, spec.phi2, spec.beta, 0.998)
+    est = estimate_p(counts, 0.0, math.pi, math.pi / 4, 0.998)
     assert est.p_raw > 1.0
     assert est.p_hat == 1.0
 
@@ -94,9 +89,8 @@ def test_estimate_p_clamps_to_unit_interval():
 def test_estimate_p_end_to_end_sampled():
     rng_seeds = (101, 202, 303)
     for w, seed in zip((0.0, 0.5, 1.0), rng_seeds):
-        spec = MixtureSpec(weight=w, phi1=0.0, phi2=math.pi, beta=math.pi / 4)
-        counts = sampled(spec, 100_000, seed)
-        est = estimate_p(counts, spec.phi1, spec.phi2, spec.beta, 1.0)
+        counts = sampled(w, 0.0, math.pi, math.pi / 4, 100_000, seed)
+        est = estimate_p(counts, 0.0, math.pi, math.pi / 4, 1.0)
         assert abs(est.p_hat - w) < 0.02
 
 
@@ -121,8 +115,7 @@ def test_p_err_is_the_bootstrap_sd_of_the_inverted_weight(phi1, phi2, beta, visi
 
 
 def test_estimate_p_rejects_degenerate_settings():
-    spec = MixtureSpec(weight=0.5, phi1=0.0, phi2=math.pi, beta=math.pi / 4)
-    counts = sampled(spec, 1000, 3)
+    counts = sampled(0.5, 0.0, math.pi, math.pi / 4, 1000, 3)
     with pytest.raises(DegeneratePhasesError):
         estimate_p(counts, 1.0, -1.0, math.pi / 4, 1.0)
     with pytest.raises(DegeneratePhasesError):
@@ -138,9 +131,8 @@ def test_half_contrast_pair_needs_more_shots():
     # (0, pi), so the inverted weight carries roughly twice the spread
     sigmas = {}
     for label, phi2 in (("full", math.pi), ("half", math.pi / 2)):
-        spec = MixtureSpec(weight=0.5, phi1=0.0, phi2=phi2, beta=math.pi / 4)
-        counts = sampled(spec, 100_000, 44)
-        est = estimate_p(counts, spec.phi1, spec.phi2, spec.beta, 1.0)
+        counts = sampled(0.5, 0.0, phi2, math.pi / 4, 100_000, 44)
+        est = estimate_p(counts, 0.0, phi2, math.pi / 4, 1.0)
         sigmas[label] = est.sigma
     ratio = (sigmas["half"] / sigmas["full"]) ** 2
     assert 2.5 < ratio < 6.0

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from sloccsim import DensityMatrix4, NoiseModel, PreparationSettings, reconstruct
 from sloccsim.cli import main
 from sloccsim.measurement import outcome_probs, rotate_density, sample_counts
-from sloccsim.mixture import MixtureSpec, mixed_state
+from sloccsim.mixture import mixed_state
 from sloccsim.noise import noisy_state
 from sloccsim.slocc import lr_kets
 from sloccsim.states import ket_to_density, validate_densities
@@ -106,12 +106,13 @@ def test_stacked_draws_match_per_row_chain(grid, visibility, drawn, total, mode,
 @given(weights=st.lists(unit, min_size=1, max_size=8), phi1=phis, phi2=phis, beta=betas)
 @example(weights=[0.0, 0.5], phi1=0.0, phi2=-4.2394487025754455e-230, beta=1.0)
 def test_stacked_mixtures_match_single_mixtures(weights, phi1, phi2, beta):
-    specs = [MixtureSpec(w, phi1, phi2, beta) for w in weights]
-    for spec, blend in zip(specs, mixed_state(specs)):
-        rho1 = pure_density_oracle(spec.beta, spec.phi1)
-        rho2 = pure_density_oracle(spec.beta, spec.phi2)
-        assert np.array_equal(blend, spec.weight * rho1 + (1.0 - spec.weight) * rho2)
-        assert np.array_equal(blend, mixed_state([spec])[0])
+    rho1 = pure_density_oracle(beta, phi1)
+    rho2 = pure_density_oracle(beta, phi2)
+    blends = mixed_state(weights, phi1, phi2, beta)
+    assert blends.shape == (len(weights), 4, 4)
+    for w, blend in zip(weights, blends):
+        assert np.array_equal(blend, w * rho1 + (1.0 - w) * rho2)
+        assert np.array_equal(blend, mixed_state([w], phi1, phi2, beta)[0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -258,3 +259,18 @@ def test_subcommands_call_the_public_stages(command, body, expected, tmp_path, m
     config.write_text("[experiment]\nshots = 200\nbootstrap = 100\n" + body, encoding="utf-8")
     assert main([command, "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 0
     assert called == expected
+
+
+def test_mixture_sweep_prepares_its_two_states_once(tmp_path, monkeypatch):
+    # eleven weights blend one pair of states: two kets, not two per weight
+    prepared = []
+
+    def counted(settings):
+        prepared.extend(settings)
+        return lr_kets(settings)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sloccsim" and module.__dict__.get("lr_kets") is lr_kets:
+            monkeypatch.setattr(module, "lr_kets", counted)
+    assert main(["mixture-sweep", "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(prepared) == 2

@@ -11,7 +11,6 @@ from sloccsim import (
     DensityMatrix4,
     DetectionMode,
     JointKet,
-    MixtureSpec,
     PreparationSettings,
     Pseudospin,
     Region,
@@ -21,6 +20,8 @@ from sloccsim import (
     joint_amplitude,
     ket_to_density,
 )
+from sloccsim.config import ExperimentConfig, resolve
+from sloccsim.mixture import mixed_state
 from sloccsim.states import TWO_PI, canonical_phase
 from sloccsim.tomography import extract_params
 
@@ -76,8 +77,10 @@ def test_tiny_negative_phases_are_stored_as_zero():
     # a bare -1e-300 % (2 pi) is exactly 2 pi
     assert StatisticsParameter(-1e-300).phi == 0.0
     assert PreparationSettings(0.3, -1e-300).phi == 0.0
-    spec = MixtureSpec(weight=0.5, phi1=-1e-300, phi2=-1e-300, beta=0.3)
-    assert (spec.phi1, spec.phi2) == (0.0, 0.0)
+    mixture = resolve(ExperimentConfig(phi_list=[-1e-300, 2.0]), "mixture-sweep")
+    assert mixture.phi_list == (0.0, 2.0)
+    tiny = mixed_state([0.5], -1e-300, -1e-300, 0.3)
+    assert np.array_equal(tiny, mixed_state([0.5], 0.0, 0.0, 0.3))
     coherence = complex(0.5, -1e-300)  # argument -1e-300
     rho = np.diag([0.0, 0.5, 0.5, 0.0]).astype(np.complex128)
     rho[2, 1], rho[1, 2] = coherence, coherence.conjugate()
