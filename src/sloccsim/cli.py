@@ -14,6 +14,7 @@ validated but does not override it.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -37,6 +38,7 @@ _COMMAND_TO_SCENARIO = {name: name for name, _ in _COMMANDS}
 _COMMAND_TO_SCENARIO["calibrate-plate"] = "plate-calibration"
 
 
+@functools.cache  # one parser per process: parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sloccsim",

@@ -177,33 +177,36 @@ def _zz_spread(same: int, total: int) -> float:
 def _phase_spread(same: int, total: int, scale: float) -> float:
     """Exact bootstrap standard deviation of arccos(clip(zz* / scale, -1, 1)).
 
-    zz* = (2 k - total) / total with k ~ Bin(total, q); the sum runs over
-    the lattice, or over the fixed normal nodes for a wide window.
+    zz* = (2 k - total) / total with k ~ Bin(total, q); the sum runs over the lattice,
+    or over the fixed normal nodes for a wide window.  Scaling, shift, exp and normalisation
+    run in place; the reductions keep their order, as a reordered sum rounds differently.
     """
     other = total - same
     if same == 0 or other == 0:
         return 0.0
     zz0 = (same - other) / total  # exact integers, one rounding
     half = math.ceil(WINDOW_SIGMAS * math.sqrt(same * other / total))
-    if 2 * half > MAX_SPAN:
-        nodes = np.linspace(-WINDOW_SIGMAS, WINDOW_SIGMAS, MAX_SPAN + 1)
-        weights = np.exp(-0.5 * nodes**2)
-        weights /= weights.sum()
-        zz = zz0 + _zz_spread(same, total) * nodes
+    lattice = 2 * half <= MAX_SPAN
+    if lattice:  # node j is the count k = same + j
+        nodes = np.arange(-min(half, same), min(half, other) + 1, dtype=np.float64)
     else:
-        # k = same + j; pmf(k + 1) / pmf(k) = (other - j) / (same + j + 1) * same / other
-        j = np.arange(-min(half, same), min(half, other) + 1, dtype=np.float64)
-        steps = np.log((other - j[:-1]) / (same + 1.0 + j[:-1])) + math.log(same / other)
-        log_pmf = np.concatenate(([0.0], np.cumsum(steps)))
-        weights = np.exp(log_pmf - log_pmf.max())
-        weights /= weights.sum()
-        zz = zz0 + (2.0 / total) * j
-    ratio = zz / scale
+        nodes = np.linspace(-WINDOW_SIGMAS, WINDOW_SIGMAS, MAX_SPAN + 1)
+    ratio = zz0 + (2.0 / total if lattice else _zz_spread(same, total)) * nodes
+    ratio /= scale  # zz / scale is non-decreasing, so its two ends bound it
     if ratio[0] >= 1.0 or ratio[-1] <= -1.0:
         return 0.0  # every resample clamps to the same end
-    phi = np.arccos(np.clip(ratio, -1.0, 1.0))
-    dev = phi - weights @ phi
-    return math.sqrt(weights @ (dev * dev))
+    weights = np.zeros(len(nodes)) if lattice else -0.5 * nodes**2  # log weights
+    if lattice:  # pmf(k + 1) / pmf(k) = (other - j) / (same + j + 1) * same / other
+        j = nodes[:-1]
+        np.cumsum(np.log((other - j) / (same + 1.0 + j)) + math.log(same / other), out=weights[1:])
+        weights -= weights.max()
+    np.exp(weights, out=weights)
+    weights /= weights.sum()
+    if ratio[0] < -1.0 or ratio[-1] > 1.0:
+        np.minimum(np.maximum(ratio, -1.0, out=ratio), 1.0, out=ratio)  # np.clip, minus its overhead
+    phi = np.arccos(ratio, out=ratio)
+    phi -= weights @ phi
+    return math.sqrt(weights @ (phi * phi))
 
 
 @dataclass(frozen=True)

@@ -165,12 +165,15 @@ def prepare_lr(settings: PreparationSettings) -> JointKet:
 
 
 def lr_kets(settings) -> np.ndarray:
-    """prepare_lr's kets for a sequence of PreparationSettings, as an (N, 4) array.
+    """prepare_lr's kets for a sequence of PreparationSettings, as (N, 4); the trig stays scalar."""
+    return lr_ket_blocks([(prep.beta, [cmath.exp(1j * prep.phi)]) for prep in settings])
 
-    The trigonometry stays scalar: numpy's vectorised cos/sin may differ in the last bit.
-    """
-    kets = np.zeros((len(settings), 4), dtype=np.complex128)
-    for ket, prep in zip(kets, settings):
-        ket[1] = math.cos(prep.beta)
-        ket[2] = cmath.exp(1j * prep.phi) * math.sin(prep.beta)
+
+def lr_ket_blocks(blocks) -> np.ndarray:
+    """lr_kets of (checked beta, [exp(1j * phi), ...]) blocks, block after block."""
+    # trig once per distinct angle, kept scalar: numpy's vectorised cos/sin may differ in the last bit
+    trig = [(math.cos(beta), math.sin(beta), phases) for beta, phases in blocks]
+    kets = np.zeros((sum(len(phases) for *_, phases in trig), 4), dtype=np.complex128)
+    kets[:, 1] = [cos_b for cos_b, _, phases in trig for _ in phases]
+    kets[:, 2] = [phase * sin_b for _, sin_b, phases in trig for phase in phases]
     return kets

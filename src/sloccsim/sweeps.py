@@ -12,6 +12,7 @@ every count, are the same as with the per-row objects.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -20,8 +21,8 @@ from .config import ResolvedConfig
 from .measurement import estimate_phase, outcome_probs, rotate_density, sample_counts
 from .mixture import estimate_p, mixed_state, mixture_expectation
 from .noise import fit_noise, noisy_state
-from .slocc import PreparationSettings, lr_kets
-from .states import ket_to_density, validate_densities
+from .slocc import PreparationSettings, lr_ket_blocks
+from .states import canonical_phase, ket_to_density, validate_densities
 from .tomography import extract_params, reconstruct, setting_probabilities, simulate_tomography
 
 
@@ -146,9 +147,10 @@ def row_generators(seed: int, n: int):
 
 
 def _grid(cfg: ResolvedConfig):
-    """The (beta, phi) rows of a grid scenario, beta outermost, and their noisy states."""
+    """A grid scenario's (beta, phi) rows, beta outermost, and noisy states; each angle checked once."""
     grid = [(beta, phi) for beta in cfg.beta_list for phi in cfg.phi_list]
-    kets = lr_kets([PreparationSettings(beta, phi) for beta, phi in grid])
+    phases = [cmath.exp(1j * canonical_phase(phi)) for phi in cfg.phi_list]
+    kets = lr_ket_blocks([(PreparationSettings(beta).beta, phases) for beta in cfg.beta_list])
     return grid, validate_densities(noisy_state(ket_to_density(kets), cfg.noise))
 
 

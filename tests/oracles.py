@@ -16,7 +16,8 @@ default_rng, one object per row, which the vectorised seeding must match.
 The physical projection is the per-state eigh and simplex loop that the
 stacked projection replaced, and the CSV cell rule is the per-cell
 ``format_cell`` that the per-header templates replaced; both must agree bit
-for bit.  The last section holds small helpers that only tests use: the
+for bit.  So must the exact phase bootstrap, kept here in the form that
+allocated a new array at every step, before its passes ran in place.  The last section holds small helpers that only tests use: the
 basis index, ket normalisation, the single-spin rotation, the conjugate
 statistics parameter, the checked visibility scaling law and a tally row
 that carries a given correlation.
@@ -42,7 +43,7 @@ from sloccsim import (
     noisy_state,
     rotate_density,
 )
-from sloccsim.measurement import ROTATION_PAIR
+from sloccsim.measurement import MAX_SPAN, ROTATION_PAIR, WINDOW_SIGMAS, _zz_spread
 from sloccsim.noise import DEPHASED, WHITE_NOISE
 from sloccsim.states import ATOL
 
@@ -139,6 +140,38 @@ def bootstrap_zz_multinomial(counts, n_boot: int, seed: int) -> np.ndarray:
     empirical = np.array(counts, dtype=np.float64) / total
     draws = np.random.default_rng(seed).multinomial(total, empirical, size=n_boot)
     return (draws[:, 0] + draws[:, 3] - draws[:, 1] - draws[:, 2]) / total
+
+
+def phase_spread_oracle(same: int, total: int, scale: float) -> float:
+    """Exact bootstrap standard deviation of arccos(clip(zz* / scale, -1, 1)).
+
+    zz* = (2 k - total) / total with k ~ Bin(total, q); the sum runs over
+    the lattice, or over the fixed normal nodes for a wide window.
+    """
+    other = total - same
+    if same == 0 or other == 0:
+        return 0.0
+    zz0 = (same - other) / total  # exact integers, one rounding
+    half = math.ceil(WINDOW_SIGMAS * math.sqrt(same * other / total))
+    if 2 * half > MAX_SPAN:
+        nodes = np.linspace(-WINDOW_SIGMAS, WINDOW_SIGMAS, MAX_SPAN + 1)
+        weights = np.exp(-0.5 * nodes**2)
+        weights /= weights.sum()
+        zz = zz0 + _zz_spread(same, total) * nodes
+    else:
+        # k = same + j; pmf(k + 1) / pmf(k) = (other - j) / (same + j + 1) * same / other
+        j = np.arange(-min(half, same), min(half, other) + 1, dtype=np.float64)
+        steps = np.log((other - j[:-1]) / (same + 1.0 + j[:-1])) + math.log(same / other)
+        log_pmf = np.concatenate(([0.0], np.cumsum(steps)))
+        weights = np.exp(log_pmf - log_pmf.max())
+        weights /= weights.sum()
+        zz = zz0 + (2.0 / total) * j
+    ratio = zz / scale
+    if ratio[0] >= 1.0 or ratio[-1] <= -1.0:
+        return 0.0  # every resample clamps to the same end
+    phi = np.arccos(np.clip(ratio, -1.0, 1.0))
+    dev = phi - weights @ phi
+    return math.sqrt(weights @ (dev * dev))
 
 
 def sample_counts_oracle(probs, total: int, rng: np.random.Generator, mode: str) -> list[int]:

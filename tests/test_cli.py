@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import sloccsim
 from sloccsim import sweeps, tomography
-from sloccsim.cli import main
+from sloccsim.cli import build_parser, main
 from sloccsim.config import _SCHEMA, SAMPLING_MODES, SCENARIOS
 
 ALL_COMMANDS = (
@@ -494,6 +494,34 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_one_parser_serves_every_call():
+    assert build_parser() is build_parser()
+
+
+def test_back_to_back_calls_write_what_a_fresh_process_writes(tmp_path, capsys):
+    # the shared parser carries no flag or seed from one call into the next
+    config = quick_config(tmp_path, SMALL["phase-sweep"])
+    src = str(Path(sloccsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    flag_sets = (["--ideal", "--seed", "7"], [], ["--seed", "7"], ["--ideal"], [])
+    outputs = []
+    for flags in flag_sets:
+        code, out, err = run_cli(["phase-sweep", "--config", config, *flags], capsys)
+        assert code == 0, err
+        outputs.append(out)
+    assert len(set(outputs)) == 4
+    for flags, out in zip(flag_sets, outputs):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "sloccsim", "phase-sweep", "--config", config, *flags],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert fresh.stdout == out
 
 
 EDGE_VALUES = ("nan", "inf", "5e-324", "1e-310", "0", "-1", "90deg", "200mm")

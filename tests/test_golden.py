@@ -40,6 +40,19 @@ COUNTS_GRID = (
     f"beta_list = {_GRID_BETAS}\nx_list = {_floats(k * 0.5e-3 for k in range(81))}\n"
 )
 
+# Two million shots put all but one row on the fixed normal nodes of the
+# phase bootstrap, the 45 deg, phi 0 row on its lattice.
+FIXED_NODES = (
+    "[experiment]\nshots = 2000000\n[sweep]\n"
+    "beta_list = 45deg, 20deg\nphi_list = 0, 0.5, 1.5, 2.5, 3\n"
+)
+# The grid's edge angles: beta at pi/2 and near 0, phases that
+# reduce to 0 (-1e-300, 2*pi) or wrap several times.
+EDGE_ANGLES = (
+    "[sweep]\nbeta_list = 90deg, 45deg, 0.001\n"
+    "phi_list = -1e-300, -2.5, 7, 6.283185307179586, 100\n"
+)
+
 # case id -> (CLI arguments, config text or None, sha256 of the CSV)
 GOLDEN = {
     "phase-sweep-default": (["phase-sweep"], None, "9df9e9bf49f2237e27de53fc26f717b442c90ed011a35a7753a404ccea2c7ddc"),
@@ -70,6 +83,8 @@ GOLDEN = {
     "phase-sweep-grid-17x37": (["phase-sweep"], PHASE_GRID, "d9215dbb7d9e3b1abc4fc1de4d8efb735bdcef0b3d144e42df09b990f50dba24"),
     "tomography-demo-grid-8x25": (["tomography-demo"], TOMOGRAPHY_GRID, "61b00c950209eaa9b6537b876f459e960195fb8501efaadb731251e51621a71b"),
     "counts-demo-grid-poisson-17x81": (["counts-demo"], COUNTS_GRID, "15368101a13a2f5a07971a3a6e77a756efb40c3494ac0572cb8c688633e0bd7c"),
+    "phase-sweep-fixed-nodes": (["phase-sweep"], FIXED_NODES, "cce560b452ca45e84e7541cb73aa5940a9e13c1746bfb6d0268d8a8dcb81aff3"),
+    "counts-demo-edge-angles": (["counts-demo"], EDGE_ANGLES, "25611ca771f6334f57c339bf464f00abdac65db1d825af3466cad64aabec169e"),
 }
 
 

@@ -31,6 +31,7 @@ from oracles import (
     apply_rotation,
     bootstrap_zz_multinomial,
     expectation_oracle,
+    phase_spread_oracle,
     rotation_matrix_by_kron,
     tally_with_zz,
 )
@@ -408,6 +409,58 @@ def test_fully_clamped_rows_have_zero_phase_spread(total, same, scale):
     assert est.clamped
     assert est.sigma == 0.0
     assert np.all(phis == phis[0])
+
+
+# (same, total, scale) rows for the in-place phase bootstrap against the
+# allocating form it replaced; the name says which branch and clamp each takes.
+PHASE_SPREAD_EXACT = {
+    "same-0": (0, 5000, 0.9),
+    "same-1": (1, 5000, 1.0),
+    "same-1-all-clamped": (1, 5000, 0.9),
+    "same-total-minus-1": (4999, 5000, 1.0),
+    "same-total": (5000, 5000, 0.9),
+    "interior": (3000, 5000, 0.9),
+    "all-clamped-high": (4990, 5000, 0.977),
+    "all-clamped-low": (2, 400, 0.9),
+    "partly-clamped-high": (4942, 5000, 0.977),
+    "partly-clamped-low": (60, 5000, 0.977),
+    "partly-clamped-both": (500, 1000, 1e-6),
+    "huge-total-same-1": (1, 10**9, 1.0),
+    "huge-total-all-clamped": (1, 10**9, 1e-6),
+    "fixed-nodes": (150_000, 200_000, 0.6),
+    "fixed-nodes-partly-clamped": (150_000, 200_000, 0.51),
+    "fixed-nodes-huge-total": (999_000_000, 10**9, 0.999),
+    "fixed-nodes-all-clamped": (9_970_000, 10**7, 0.99),
+    "fixed-nodes-both-clamped": (500_000_000, 10**9, 1e-6),
+}
+
+
+def _fixed_nodes(same, total):
+    other = total - same
+    return 2 * math.ceil(measurement.WINDOW_SIGMAS * math.sqrt(same * other / total)) > measurement.MAX_SPAN
+
+
+@pytest.mark.parametrize("case", sorted(PHASE_SPREAD_EXACT))
+def test_phase_spread_equals_the_allocating_oracle(case):
+    same, total, scale = PHASE_SPREAD_EXACT[case]
+    assert _fixed_nodes(same, total) == case.startswith("fixed-nodes")
+    assert measurement._phase_spread(same, total, scale) == phase_spread_oracle(same, total, scale)
+
+
+@st.composite
+def spread_rows(draw):
+    total = draw(st.one_of(st.integers(1, 300), st.integers(1, 10**9)))
+    same = draw(st.one_of(st.sampled_from([0, 1, total - 1, total]), st.integers(0, total)))
+    same = min(max(same, 0), total)
+    # a scale near |zz| puts an end of the window, or all of it, past the clamp
+    near = st.floats(0.5, 1.5).map(lambda f: min(1.0, max(1e-6, f * abs(2 * same - total) / total)))
+    return same, total, draw(st.one_of(st.floats(1e-6, 1.0), near))
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=spread_rows())
+def test_phase_spread_equals_the_allocating_oracle_on_drawn_rows(row):
+    assert measurement._phase_spread(*row) == phase_spread_oracle(*row)
 
 
 @pytest.mark.parametrize(

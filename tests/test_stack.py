@@ -4,13 +4,15 @@ Golden digests pin whole CSV files; these properties pin each stacked stage
 (state build, noise mix, rotation and readout, count draws, tomography
 probabilities and linear inversion) against the per-point arithmetic it
 replaced, over drawn inputs, so a stage that rounds differently fails here
-by name.  The last
-test pins which public stage names each subcommand calls.
+by name.  The last tests pin which public stage names each subcommand
+calls and how often a grid or a mixture builds its preparation settings.
 """
 
+import dataclasses
 import itertools
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sloccsim import DensityMatrix4, NoiseModel, PreparationSettings, reconstruct
+from sloccsim import sweeps
 from sloccsim.cli import main
+from sloccsim.config import ExperimentConfig, load_config_file, resolve
 from sloccsim.measurement import outcome_probs, rotate_density, sample_counts
 from sloccsim.mixture import mixed_state
 from sloccsim.noise import noisy_state
@@ -59,6 +63,39 @@ def test_stacked_states_and_probabilities_match_per_point_chain(grid, visibility
         ref_state, ref_probs = noisy_chain_oracle(beta, phi, visibility, white)
         assert np.array_equal(state, ref_state)
         assert np.array_equal(row, ref_probs)
+
+
+# A grid checks each beta and reduces each phi once; its kets must equal the
+# per-point lr_kets to the bit, signed zeros included.  pi/2 + 5e-13 is
+# clamped to pi/2, and -1e-300 and 2*pi reduce to 0.
+EDGE_BETAS = [0.0, math.pi / 2, math.pi / 2 + 5e-13]
+EDGE_PHIS = [-1e-300, -0.0, 2 * math.pi, -math.pi, 1e17]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grid_betas=st.lists(betas | st.sampled_from(EDGE_BETAS), min_size=1, max_size=5),
+    grid_phis=st.lists(phis | st.sampled_from(EDGE_PHIS + [-1e300]), min_size=1, max_size=6),
+)
+@example(grid_betas=EDGE_BETAS, grid_phis=EDGE_PHIS)
+def test_grid_kets_match_per_point_lr_kets(grid_betas, grid_phis):
+    cfg = dataclasses.replace(
+        resolve(ExperimentConfig(), scenario="counts-demo"),
+        beta_list=tuple(grid_betas),
+        phi_list=tuple(grid_phis),
+    )
+    built = []
+
+    def recorded(kets):
+        built.append(kets)
+        return ket_to_density(kets)
+
+    with mock.patch.object(sweeps, "ket_to_density", recorded):
+        sweeps._grid(cfg)
+    expected = lr_kets([PreparationSettings(b, p) for b in grid_betas for p in grid_phis])
+    (kets,) = built
+    assert kets.dtype == expected.dtype and kets.shape == expected.shape
+    assert np.array_equal(kets.view(np.uint64), expected.view(np.uint64))
 
 
 # Probability rows as the pipeline makes them (exact zeros included at
@@ -274,3 +311,25 @@ def test_mixture_sweep_prepares_its_two_states_once(tmp_path, monkeypatch):
             monkeypatch.setattr(module, "lr_kets", counted)
     assert main(["mixture-sweep", "--out", str(tmp_path / "out.csv")]) == 0
     assert len(prepared) == 2
+
+
+def test_grid_sweep_checks_each_beta_once(tmp_path, monkeypatch):
+    # 3 betas x 5 phis: one PreparationSettings per beta, not one per point
+    path = tmp_path / "run.ini"
+    path.write_text(
+        "[experiment]\nshots = 200\n[sweep]\n"
+        "beta_list = 45deg, 30deg, 20deg\nphi_list = 0, 0.5, 1, 1.5, 2\n",
+        encoding="utf-8",
+    )
+    cfg = resolve(load_config_file(path), scenario="phase-sweep")
+    built = []
+    check = PreparationSettings.__post_init__
+
+    def counted(self):
+        built.append(self.beta)
+        check(self)
+
+    monkeypatch.setattr(PreparationSettings, "__post_init__", counted)
+    header, rows = sweeps.run_scenario(cfg)
+    assert len(rows) == 15
+    assert built == list(cfg.beta_list)
