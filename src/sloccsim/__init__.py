@@ -16,6 +16,7 @@ from .errors import (
     ExtractionError,
     LowIndistinguishabilityError,
     PostSelectionError,
+    TallyRowError,
 )
 from .measurement import (
     PhaseEstimate,
@@ -80,6 +81,7 @@ __all__ = [
     "ExtractionError",
     "LowIndistinguishabilityError",
     "PostSelectionError",
+    "TallyRowError",
     "PhaseEstimate",
     "estimate_phase",
     "estimate_zz",

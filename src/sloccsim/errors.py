@@ -31,3 +31,11 @@ class ExtractionError(ValueError):
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
+
+
+class TallyRowError(ValueError):
+    """A row of a tally stack holds no usable counts; ``row`` is its index in the stack."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row

@@ -10,13 +10,14 @@ of |L-up R-up| and so on down the diagonal.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LowIndistinguishabilityError
+from .errors import LowIndistinguishabilityError, TallyRowError
 from .states import ATOL, PSD_ATOL
 
 # kron(R, R) of the single-spin pi/4 mixing R = [[1, -1], [1, 1]] / sqrt(2),
@@ -154,9 +155,11 @@ def correlation_scale(beta: float, visibility: float, noun: str) -> float:
 # deviations of its mean.  The binomial mass left outside is below 5e-12 (the
 # Poisson-like tail of a mean count of 1) and far smaller for larger counts.
 # A window wider than MAX_SPAN lattice steps is replaced by a fixed-node
-# normal rule, which bounds time and memory for any total.
+# normal rule, which bounds time and memory for any total.  Lattice rows are
+# summed in blocks of at most BLOCK_NODES nodes; a wider window fills a block alone.
 WINDOW_SIGMAS = 12.0
 MAX_SPAN = 4096
+BLOCK_NODES = 1 << 14
 
 
 def zz_spread(counts) -> float:
@@ -174,87 +177,123 @@ def _zz_spread(same: int, total: int) -> float:
     return 2.0 * math.sqrt(same * (total - same) / total) / total
 
 
-def _phase_spread(same: int, total: int, scale: float) -> float:
-    """Exact bootstrap standard deviation of arccos(clip(zz* / scale, -1, 1)).
+def _phase_spread(rows) -> np.ndarray:
+    """Exact bootstrap sd of arccos(clip(zz* / scale, -1, 1)) for each (same, total, scale) row.
 
-    zz* = (2 k - total) / total with k ~ Bin(total, q); the sum runs over the lattice,
-    or over the fixed normal nodes for a wide window.  Scaling, shift, exp and normalisation
-    run in place; the reductions keep their order, as a reordered sum rounds differently.
+    zz* = (2 k - total) / total, k ~ Bin(total, q), over the lattice or the fixed normal nodes.
     """
-    other = total - same
-    if same == 0 or other == 0:
-        return 0.0
-    zz0 = (same - other) / total  # exact integers, one rounding
-    half = math.ceil(WINDOW_SIGMAS * math.sqrt(same * other / total))
-    lattice = 2 * half <= MAX_SPAN
-    if lattice:  # node j is the count k = same + j
-        nodes = np.arange(-min(half, same), min(half, other) + 1, dtype=np.float64)
-    else:
-        nodes = np.linspace(-WINDOW_SIGMAS, WINDOW_SIGMAS, MAX_SPAN + 1)
-    ratio = zz0 + (2.0 / total if lattice else _zz_spread(same, total)) * nodes
-    ratio /= scale  # zz / scale is non-decreasing, so its two ends bound it
-    if ratio[0] >= 1.0 or ratio[-1] <= -1.0:
-        return 0.0  # every resample clamps to the same end
-    weights = np.zeros(len(nodes)) if lattice else -0.5 * nodes**2  # log weights
-    if lattice:  # pmf(k + 1) / pmf(k) = (other - j) / (same + j + 1) * same / other
-        j = nodes[:-1]
-        np.cumsum(np.log((other - j) / (same + 1.0 + j)) + math.log(same / other), out=weights[1:])
-        weights -= weights.max()
-    np.exp(weights, out=weights)
-    weights /= weights.sum()
-    if ratio[0] < -1.0 or ratio[-1] > 1.0:
-        np.minimum(np.maximum(ratio, -1.0, out=ratio), 1.0, out=ratio)  # np.clip, minus its overhead
+    sigma, lattice = np.zeros(len(rows)), []
+    for index, (same, total, scale) in enumerate(rows):
+        other = total - same
+        if same == 0 or other == 0:
+            continue
+        zz0 = (same - other) / total  # exact integers, one rounding
+        half = math.ceil(WINDOW_SIGMAS * math.sqrt(same * other / total))
+        if 2 * half > MAX_SPAN:
+            nodes = np.linspace(-WINDOW_SIGMAS, WINDOW_SIGMAS, MAX_SPAN + 1)
+            ratio = (zz0 + _zz_spread(same, total) * nodes) / scale
+            if not (ratio[0] >= 1.0 or ratio[-1] <= -1.0):  # else every resample clamps to the same end
+                weights = np.exp(-0.5 * nodes**2)
+                sigma[index] = _arccos_sd(ratio[None], (weights / weights.sum())[None], [len(nodes)])[0]
+            continue
+        lo, hi = -min(half, same), min(half, other)  # node j is the count k = same + j
+        step = 2.0 / total
+        first, last = (zz0 + step * lo) / scale, (zz0 + step * hi) / scale  # zz / scale rises with j
+        if not (first >= 1.0 or last <= -1.0):  # else every resample clamps to the same end
+            # other, same + 1 and log(same / other) rounded as the one-row sum rounds them
+            terms = (lo, hi - 1, zz0, step, scale, float(other), same + 1.0, math.log(same / other))
+            lattice.append((hi - lo + 1, index, hi, terms))
+    lattice.sort()  # short windows first, so that a block pads little
+    constants = np.array([row[3] for row in lattice]).reshape(len(lattice), 8)
+    start = 0
+    while start < len(lattice):
+        stop = start + 1
+        while stop < len(lattice) and (stop + 1 - start) * lattice[stop][0] <= BLOCK_NODES:
+            stop += 1
+        sigma[[row[1] for row in lattice[start:stop]]] = _lattice_block(lattice[start:stop], constants[start:stop])
+        start = stop
+    return sigma
+
+
+def _lattice_block(block, constants: np.ndarray) -> list[float]:
+    """Phase spreads of lattice rows sorted by window length: no pass here depends on the padding."""
+    lengths = [row[0] for row in block]
+    width = lengths[-1]
+    lo, top, zz0, step, scale, other, same_1, log_q = constants.T[:, :, None]
+    nodes = lo + np.arange(width, dtype=np.float64)
+    # pmf(k + 1) / pmf(k) = (other - j) / (same + j + 1) * same / other.  A pad step is
+    # taken at top = hi - 1, where other - j >= 1, then set to 0, so no pad tops its row.
+    j = np.minimum(nodes[:, :-1], top)
+    steps = np.log(np.divide(other - j, same_1 + j, out=j), out=j)
+    steps += log_q
+    for (n, _, hi, _), nodes_row, steps_row in zip(block[: lengths.index(width)], nodes, steps):
+        nodes_row[n:] = hi  # rows are sorted: the ones before the first full-width row are padded
+        steps_row[n - 1 :] = 0.0
+    log_pmf = np.zeros(nodes.shape)
+    np.add.accumulate(steps, axis=1, out=log_pmf[:, 1:])
+    log_pmf -= log_pmf.max(axis=1, keepdims=True)
+    weights = np.exp(log_pmf, out=log_pmf)
+    sums, start = np.empty(len(lengths)), 0
+    for n, group in itertools.groupby(lengths):  # pairwise summation: one call per length
+        stop = start + len(list(group))
+        np.add.reduce(weights[start:stop, :n], axis=1, out=sums[start:stop])
+        start = stop
+    weights /= sums[:, None]
+    nodes *= step
+    nodes += zz0
+    nodes /= scale
+    return _arccos_sd(nodes, weights, lengths)
+
+
+def _arccos_sd(ratio: np.ndarray, weights: np.ndarray, lengths) -> list[float]:
+    """sqrt(sum w (phi - sum w phi)**2), phi = arccos(clip(ratio, -1, 1)), on each row's first n."""
+    np.minimum(np.maximum(ratio, -1.0, out=ratio), 1.0, out=ratio)  # np.clip, minus its overhead
     phi = np.arccos(ratio, out=ratio)
-    phi -= weights @ phi
-    return math.sqrt(weights @ (phi * phi))
+    rows = [(w[:n], p[:n]) for w, p, n in zip(weights, phi, lengths)]
+    phi -= np.array([w.dot(p) for w, p in rows])[:, None]
+    phi *= phi
+    return [math.sqrt(w.dot(p)) for w, p in rows]
 
 
 @dataclass(frozen=True)
 class PhaseEstimate:
-    """Exchange-phase point estimate with its exact bootstrap spread."""
+    """Exchange-phase estimates of a tally stack, one per row, with their exact bootstrap spreads."""
 
-    phi_hat: float
-    sigma: float
-    zz_hat: float
-    zz_sigma: float
-    clamped: bool  # the arccos argument fell outside [-1, 1] and was clipped
+    phi_hat: np.ndarray
+    sigma: np.ndarray
+    zz_hat: np.ndarray
+    zz_sigma: np.ndarray
+    clamped: int  # rows whose arccos argument fell outside [-1, 1] and was clipped
 
 
-def estimate_phase(counts, beta: float, visibility: float) -> PhaseEstimate:
-    """Invert zz = visibility * sin(2 beta) * cos(phi) for phi in [0, pi].
+def estimate_phase(tallies, betas, visibility: float) -> PhaseEstimate:
+    """Invert zz = visibility * sin(2 beta) * cos(phi) for phi in [0, pi], row by row.
 
-    Parameters
-    ----------
-    counts : sequence of int
-        One tally row (n13, n14, n23, n24); zz_hat is ``estimate_zz`` of it,
-        and its law propagates shot noise.
-    beta : float
-        Splitting angle in radians; sin(2 beta) must exceed 1e-6.
-    visibility : float
-        Scale factor of the error model, in (0, 1]; 1 means no correction.
-
-    Returns
-    -------
-    PhaseEstimate
-        phi_hat is the arccos of the clamped ratio.  zz_sigma and sigma are
-        the exact ("ideal", infinitely many resamples) bootstrap standard
-        deviations of zz and of the clamped arccos: zz depends on the counts
-        only through same = n13 + n24 ~ Bin(total, q), so both are finite
-        sums over that law (see ``zz_spread``).  sigma weights every count
-        within 12 standard deviations of n13 + n24 by its binomial
-        probability, or, when that window spans more than 4096 counts,
-        4097 evenly spaced nodes by the normal density.  Both spreads are
-        0 when q is 0 or 1, and sigma is 0 when every count in the window
-        clamps to the same end.
+    ``tallies``: N rows (n13, n14, n23, n24) of Python ints, which may pass
+    2**63, or an (N, 4) int array; ``betas``: N angles in radians with
+    sin(2 beta) > 1e-6; ``visibility`` in (0, 1].  A row that is not
+    nonnegative integers, or is all zero, raises ``TallyRowError``.  The
+    length-N arrays are zz_hat (``estimate_zz``), phi_hat (the arccos of the
+    clamped ratio) and the exact bootstrap sds zz_sigma and sigma of zz and
+    of that arccos (``zz_spread``, ``_phase_spread``); ``clamped`` counts
+    the rows whose ratio was clamped.
     """
-    scale = correlation_scale(beta, visibility, "phase")
-    same, total = _same_and_total(counts)
-    zz_hat = (same - (total - same)) / total
-    ratio = zz_hat / scale
+    if np.ndim(betas) != 1 or len(betas) != len(tallies) or any(np.ndim(row) != 1 for row in tallies[:1]):
+        raise ValueError("estimate_phase takes a stack of N tally rows and N angles")
+    betas = list(betas)  # the same objects key the scales and are looked up, nan included
+    scales = {beta: correlation_scale(beta, visibility, "phase") for beta in dict.fromkeys(betas)}
+    rows = []  # (same, total, scale)
+    for index, (counts, beta) in enumerate(zip(tallies, betas)):
+        try:
+            rows.append((*_same_and_total(counts), scales[beta]))
+        except ValueError as exc:
+            raise TallyRowError(index, str(exc)) from None
+    zz_hat = [(same - (total - same)) / total for same, total, _ in rows]
+    ratios = [zz / scale for zz, (_, _, scale) in zip(zz_hat, rows)]
     return PhaseEstimate(
-        phi_hat=math.acos(min(1.0, max(-1.0, ratio))),
-        sigma=_phase_spread(same, total, scale),
-        zz_hat=zz_hat,
-        zz_sigma=_zz_spread(same, total),
-        clamped=abs(ratio) > 1.0,
+        phi_hat=np.array([math.acos(min(1.0, max(-1.0, ratio))) for ratio in ratios], dtype=np.float64),
+        sigma=_phase_spread(rows),
+        zz_hat=np.array(zz_hat, dtype=np.float64),
+        zz_sigma=np.array([_zz_spread(same, total) for same, total, _ in rows], dtype=np.float64),
+        clamped=sum(abs(ratio) > 1.0 for ratio in ratios),
     )

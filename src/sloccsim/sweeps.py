@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .config import ResolvedConfig
+from .errors import TallyRowError
 from .measurement import estimate_phase, outcome_probs, rotate_density, sample_counts
 from .mixture import estimate_p, mixed_state, mixture_expectation
 from .noise import fit_noise, noisy_state
@@ -186,28 +187,18 @@ def run_phase_sweep(cfg: ResolvedConfig):
     """
     grid, states = _grid(cfg)
     vis = cfg.noise.visibility
-    rows = []
-    for index, ((beta, phi), counts) in enumerate(zip(grid, _sample(cfg, states))):
-        zz_ideal = math.sin(2.0 * beta) * math.cos(phi)
-        try:
-            est = estimate_phase(counts, beta, vis)
-        except ValueError as exc:
-            name = f"beta {math.degrees(beta):.12g} deg, phi {phi:.12g} rad"
-            raise ValueError(f"row {index} ({name}): {exc}") from None
-        rows.append(
-            [
-                math.degrees(beta),
-                phi,
-                math.cos(phi),
-                zz_ideal,
-                vis * zz_ideal,
-                est.zz_hat,
-                est.zz_sigma,
-                est.phi_hat,
-                est.sigma,
-            ]
-        )
-    return PHASE_SWEEP_HEADER, rows
+    try:
+        est = estimate_phase(_sample(cfg, states), [beta for beta, _ in grid], vis)
+    except TallyRowError as exc:
+        beta, phi = grid[exc.row]
+        name = f"beta {math.degrees(beta):.12g} deg, phi {phi:.12g} rad"
+        raise ValueError(f"row {exc.row} ({name}): {exc}") from None
+    # the grid runs beta outermost: one sin per beta, one cos per phi
+    sines = [(math.degrees(beta), math.sin(2.0 * beta)) for beta in cfg.beta_list]
+    cosines = [(phi, math.cos(phi)) for phi in cfg.phi_list]
+    ideals = [(beta_deg, phi, cos_phi, sin_2b * cos_phi) for beta_deg, sin_2b in sines for phi, cos_phi in cosines]
+    columns = zip(ideals, est.zz_hat.tolist(), est.zz_sigma.tolist(), est.phi_hat.tolist(), est.sigma.tolist())
+    return PHASE_SWEEP_HEADER, [[*ideal, vis * ideal[3], *estimates] for ideal, *estimates in columns]
 
 
 MIXTURE_HEADER = [

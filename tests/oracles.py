@@ -17,7 +17,9 @@ The physical projection is the per-state eigh and simplex loop that the
 stacked projection replaced, and the CSV cell rule is the per-cell
 ``format_cell`` that the per-header templates replaced; both must agree bit
 for bit.  So must the exact phase bootstrap, kept here in the form that
-allocated a new array at every step, before its passes ran in place.  The last section holds small helpers that only tests use: the
+allocated a new array at every step, before its passes ran in place, and
+the phase estimator that read one tally row per call, before it read the
+whole stack and summed the lattice rows in padded blocks.  The last section holds small helpers that only tests use: the
 basis index, ket normalisation, the single-spin rotation, the conjugate
 statistics parameter, the checked visibility scaling law and a tally row
 that carries a given correlation.
@@ -28,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +46,14 @@ from sloccsim import (
     noisy_state,
     rotate_density,
 )
-from sloccsim.measurement import MAX_SPAN, ROTATION_PAIR, WINDOW_SIGMAS, _zz_spread
+from sloccsim.measurement import (
+    MAX_SPAN,
+    ROTATION_PAIR,
+    WINDOW_SIGMAS,
+    _same_and_total,
+    _zz_spread,
+    correlation_scale,
+)
 from sloccsim.noise import DEPHASED, WHITE_NOISE
 from sloccsim.states import ATOL
 
@@ -172,6 +182,31 @@ def phase_spread_oracle(same: int, total: int, scale: float) -> float:
     phi = np.arccos(np.clip(ratio, -1.0, 1.0))
     dev = phi - weights @ phi
     return math.sqrt(weights @ (dev * dev))
+
+
+class PhaseRowEstimate(NamedTuple):
+    """One row's exchange-phase estimate, as the per-row estimator returned it."""
+
+    phi_hat: float
+    sigma: float
+    zz_hat: float
+    zz_sigma: float
+    clamped: bool  # the arccos argument fell outside [-1, 1] and was clipped
+
+
+def estimate_phase_oracle(counts, beta: float, visibility: float) -> PhaseRowEstimate:
+    """Invert zz = visibility * sin(2 beta) * cos(phi) for phi in [0, pi], one tally row per call."""
+    scale = correlation_scale(beta, visibility, "phase")
+    same, total = _same_and_total(counts)
+    zz_hat = (same - (total - same)) / total
+    ratio = zz_hat / scale
+    return PhaseRowEstimate(
+        phi_hat=math.acos(min(1.0, max(-1.0, ratio))),
+        sigma=phase_spread_oracle(same, total, scale),
+        zz_hat=zz_hat,
+        zz_sigma=_zz_spread(same, total),
+        clamped=abs(ratio) > 1.0,
+    )
 
 
 def sample_counts_oracle(probs, total: int, rng: np.random.Generator, mode: str) -> list[int]:

@@ -7,6 +7,7 @@ window, so a pass here is reproducible bit for bit.
 
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -158,13 +159,18 @@ def test_criterion_05_phase_estimation_under_noise():
     start = time.perf_counter()
     model = NoiseModel()  # visibility 0.977
     beta = math.pi / 4
-    results = {}
-    for label, phi in (("boson", 0.0), ("fermion", math.pi)):
+    labels = ("boson", "fermion")
+    tallies = []
+    for phi in (0.0, math.pi):
         ideal = ket_to_density(prepare_lr(PreparationSettings(beta, phi)).amps)
         probs = outcome_probs(rotate_density(noisy_state(ideal, model)))
-        counts = sample_counts(probs[None], 5000, [np.random.default_rng(STAT_SEED)])[0].tolist()
-        est = estimate_phase(counts, beta, model.visibility)
-        results[label] = est
+        tallies.append(sample_counts(probs[None], 5000, [np.random.default_rng(STAT_SEED)])[0].tolist())
+    est = estimate_phase(tallies, [beta, beta], model.visibility)
+    # one (phi_hat, sigma) pair per label, as Python floats
+    results = {
+        label: SimpleNamespace(phi_hat=phi_hat, sigma=sigma)
+        for label, phi_hat, sigma in zip(labels, est.phi_hat.tolist(), est.sigma.tolist())
+    }
     elapsed = time.perf_counter() - start
     boson, fermion = results["boson"], results["fermion"]
     assert abs(boson.phi_hat) <= 0.15, f"criterion 05 FAIL: boson phase {boson.phi_hat:.4f}"

@@ -4,9 +4,11 @@ perfbench/tracing.py looks every (module, attribute) of its TARGETS up with
 getattr, so a renamed or deleted function makes every traced run raise.  The
 table is read with ast, without importing the benchmark, and so is the
 subcommand-to-scenario table that perfbench/child.py times the set-up with.
-One smoke test does import the tracer, read-only, and runs small CLI
+Two smoke tests do import the tracer, read-only, and run small CLI
 operations under it: its tallies read the estimators' results, so a changed
-result type breaks traced runs only.
+result type breaks traced runs only.  The second pins the phase sweep's
+contract: one ``estimate_phase`` span per sweep, whose tally is the number
+of clamped rows.
 """
 
 import ast
@@ -110,3 +112,32 @@ def test_traced_cli_runs_record_spans_and_uninstall(tmp_path, capsys):
         assert name in names
     assert set(tracer.tallies) >= {"measurement.estimate_phase", "tomography.extract_params"}
     assert all(type(count) is int for count in tracer.tallies.values())
+
+
+# Fifty pairs per row near phi = 0 and pi: some rows' ratios leave [-1, 1] and clamp.
+CLAMPING_SWEEP = "[experiment]\nshots = 50\n[sweep]\nbeta_list = 45deg, 30deg\nphi_list = 0, 0.1, 1, 3, 3.14159\n"
+
+
+def test_traced_phase_sweep_estimates_in_one_span_that_tallies_the_clamped_rows(tmp_path, capsys):
+    tracing = load_tracing()
+    from oracles import estimate_phase_oracle
+    from sloccsim import cli, sweeps
+    from sloccsim.config import load_config, resolve
+
+    cfg = resolve(load_config(CLAMPING_SWEEP), scenario="phase-sweep")
+    grid, states = sweeps._grid(cfg)
+    rows = zip(sweeps._sample(cfg, states), grid)
+    clamped = sum(estimate_phase_oracle(row, beta, cfg.noise.visibility).clamped for row, (beta, _) in rows)
+    assert clamped > 0
+
+    config = tmp_path / "sweep.ini"
+    config.write_text(CLAMPING_SWEEP, encoding="utf-8")
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        assert cli.main(["phase-sweep", "--config", str(config)]) == 0, capsys.readouterr().err
+    finally:
+        uninstall()
+    capsys.readouterr()
+    assert [s.name for s in tracer.spans].count("measurement.estimate_phase") == 1
+    assert tracer.tallies["measurement.estimate_phase"] == clamped

@@ -52,6 +52,10 @@ EDGE_ANGLES = (
     "[sweep]\nbeta_list = 90deg, 45deg, 0.001\n"
     "phi_list = -1e-300, -2.5, 7, 6.283185307179586, 100\n"
 )
+# Three shots per row: 49 rows have q in {0, 1} and so zero-width error bars.
+SHOTS_3 = "[experiment]\nshots = 3\n"
+# Poisson rows of about 40 pairs: many distinct totals and window lengths.
+SHOTS_40_POISSON = "[experiment]\nshots = 40\nsampling = poisson\n"
 
 # case id -> (CLI arguments, config text or None, sha256 of the CSV)
 GOLDEN = {
@@ -85,6 +89,8 @@ GOLDEN = {
     "counts-demo-grid-poisson-17x81": (["counts-demo"], COUNTS_GRID, "15368101a13a2f5a07971a3a6e77a756efb40c3494ac0572cb8c688633e0bd7c"),
     "phase-sweep-fixed-nodes": (["phase-sweep"], FIXED_NODES, "cce560b452ca45e84e7541cb73aa5940a9e13c1746bfb6d0268d8a8dcb81aff3"),
     "counts-demo-edge-angles": (["counts-demo"], EDGE_ANGLES, "25611ca771f6334f57c339bf464f00abdac65db1d825af3466cad64aabec169e"),
+    "phase-sweep-shots-3": (["phase-sweep"], SHOTS_3, "6516c33d0ff9347833bd48174906c3a6b324cc5435207289d7b4215179661828"),
+    "phase-sweep-shots-40-poisson": (["phase-sweep"], SHOTS_40_POISSON, "95b18b62ba584322a40ecb1643dc07365d2a5e5848870b591dd32a244f246cba"),
 }
 
 

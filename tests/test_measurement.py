@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sloccsim import (
     JointKet,
     LowIndistinguishabilityError,
     PreparationSettings,
+    TallyRowError,
     estimate_p,
     estimate_phase,
     estimate_zz,
@@ -26,10 +28,12 @@ from sloccsim.measurement import ROTATION_PAIR, bootstrap_zz, zz_spread
 from sloccsim.sweeps import run_scenario
 from sloccsim.states import DensityMatrix4
 
+import oracles
 from oracles import (
     ROTATION_SINGLE,
     apply_rotation,
     bootstrap_zz_multinomial,
+    estimate_phase_oracle,
     expectation_oracle,
     phase_spread_oracle,
     rotation_matrix_by_kron,
@@ -154,7 +158,7 @@ TALLY_READERS = {
     "estimate_zz": estimate_zz,
     "zz_spread": zz_spread,
     "bootstrap_zz": lambda counts: bootstrap_zz(counts, 10, 1),
-    "estimate_phase": lambda counts: estimate_phase(counts, math.pi / 4, 1.0),
+    "estimate_phase": lambda counts: estimate_phase([counts], [math.pi / 4], 1.0),
     "estimate_p": lambda counts: estimate_p(counts, 0.0, math.pi, math.pi / 4, 1.0),
 }
 
@@ -181,9 +185,9 @@ def test_counts_validation():
 @example(row=(0, 0, 0, 1), beta=0.3, visibility=0.977)
 def test_estimators_derive_zz_from_the_row_as_the_tally_readers_do(row, beta, visibility):
     zz_hat = estimate_zz(row).hex()
-    phase = estimate_phase(row, beta, visibility)
-    assert phase.zz_hat.hex() == zz_hat
-    assert phase.zz_sigma.hex() == zz_spread(row).hex()
+    phase = estimate_phase([row], [beta], visibility)
+    assert phase.zz_hat[0].hex() == zz_hat
+    assert phase.zz_sigma[0].hex() == zz_spread(row).hex()
     assert estimate_p(row, 0.0, math.pi, beta, visibility).zz_hat.hex() == zz_hat
 
 
@@ -360,10 +364,10 @@ def sd_tolerance(sample, sd):
 @pytest.mark.parametrize("q", [0.02, 0.3, 0.5, 0.9])
 def test_zz_sigma_is_the_bootstrap_sd(q):
     counts = counts_with(1000, round(q * 1000))
-    est = estimate_phase(counts, math.pi / 4, 1.0)
-    assert est.zz_sigma == zz_spread(counts) == pytest.approx(2.0 * math.sqrt(q * (1 - q) / 1000))
+    zz_sigma = estimate_phase([counts], [math.pi / 4], 1.0).zz_sigma[0]
+    assert zz_sigma == zz_spread(counts) == pytest.approx(2.0 * math.sqrt(q * (1 - q) / 1000))
     resamples = bootstrap_zz(counts, 200_000, seed=21)
-    assert abs(resamples.std(ddof=1) - est.zz_sigma) <= sd_tolerance(resamples, est.zz_sigma)
+    assert abs(resamples.std(ddof=1) - zz_sigma) <= sd_tolerance(resamples, zz_sigma)
 
 
 # (total, n13 + n24, visibility at beta = pi/4, so the scale is the visibility)
@@ -382,19 +386,19 @@ PHASE_SPREAD_CASES = {
 def test_phi_sigma_matches_the_bootstrap_oracle(case):
     total, same, scale = PHASE_SPREAD_CASES[case]
     counts = counts_with(total, same)
-    est = estimate_phase(counts, math.pi / 4, scale)
+    sigma = estimate_phase([counts], [math.pi / 4], scale).sigma[0]
     phis = np.arccos(np.clip(bootstrap_zz(counts, 200_000, seed=23) / scale, -1.0, 1.0))
-    assert est.sigma > 0.0
-    assert abs(phis.std(ddof=1) - est.sigma) <= sd_tolerance(phis, est.sigma)
+    assert sigma > 0.0
+    assert abs(phis.std(ddof=1) - sigma) <= sd_tolerance(phis, sigma)
 
 
 @pytest.mark.parametrize("case", ["fixed-nodes", "fixed-nodes-near-clamp"])
 def test_fixed_node_rule_agrees_with_the_lattice_sum(case, monkeypatch):
     total, same, scale = PHASE_SPREAD_CASES[case]
     counts = counts_with(total, same)
-    nodes = estimate_phase(counts, math.pi / 4, scale).sigma
+    nodes = estimate_phase([counts], [math.pi / 4], scale).sigma[0]
     monkeypatch.setattr("sloccsim.measurement.MAX_SPAN", 10**6)
-    lattice = estimate_phase(counts, math.pi / 4, scale).sigma
+    lattice = estimate_phase([counts], [math.pi / 4], scale).sigma[0]
     assert nodes == pytest.approx(lattice, rel=1e-3)
 
 
@@ -404,10 +408,10 @@ def test_fixed_node_rule_agrees_with_the_lattice_sum(case, monkeypatch):
 )
 def test_fully_clamped_rows_have_zero_phase_spread(total, same, scale):
     counts = counts_with(total, same)
-    est = estimate_phase(counts, math.pi / 4, scale)
+    est = estimate_phase([counts], [math.pi / 4], scale)
     phis = np.arccos(np.clip(bootstrap_zz(counts, 200_000, seed=25) / scale, -1.0, 1.0))
-    assert est.clamped
-    assert est.sigma == 0.0
+    assert est.clamped == 1
+    assert est.sigma[0] == 0.0
     assert np.all(phis == phis[0])
 
 
@@ -432,6 +436,9 @@ PHASE_SPREAD_EXACT = {
     "fixed-nodes-huge-total": (999_000_000, 10**9, 0.999),
     "fixed-nodes-all-clamped": (9_970_000, 10**7, 0.99),
     "fixed-nodes-both-clamped": (500_000_000, 10**9, 1e-6),
+    # other = 1 at a total near 1e16: the window's last step log(same / total)
+    # rounds up to +7.1e-15, so the row's padding must not repeat that step
+    "rising-last-step": (9_651_740_881_311_372, 9_651_740_881_311_373, 1.0),
 }
 
 
@@ -444,7 +451,12 @@ def _fixed_nodes(same, total):
 def test_phase_spread_equals_the_allocating_oracle(case):
     same, total, scale = PHASE_SPREAD_EXACT[case]
     assert _fixed_nodes(same, total) == case.startswith("fixed-nodes")
-    assert measurement._phase_spread(same, total, scale) == phase_spread_oracle(same, total, scale)
+    want = phase_spread_oracle(same, total, scale)
+    assert measurement._phase_spread([(same, total, scale)])[0] == want
+    # the same row in one stack with every case, where it is padded to a longer window
+    names = sorted(PHASE_SPREAD_EXACT)
+    stack = [PHASE_SPREAD_EXACT[name] for name in names]
+    assert measurement._phase_spread(stack)[names.index(case)] == want
 
 
 @st.composite
@@ -458,18 +470,129 @@ def spread_rows(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(row=spread_rows())
-def test_phase_spread_equals_the_allocating_oracle_on_drawn_rows(row):
-    assert measurement._phase_spread(*row) == phase_spread_oracle(*row)
+@given(rows=st.lists(spread_rows(), min_size=1, max_size=70))
+def test_phase_spread_equals_the_allocating_oracle_on_drawn_rows(rows):
+    got = measurement._phase_spread(rows).tolist()
+    assert [v.hex() for v in got] == [phase_spread_oracle(*row).hex() for row in rows]
+
+
+def assert_rows_match_the_oracle(tallies, betas, visibility):
+    """The stacked estimate equals the per-row reference on every row, bit for bit."""
+    est = estimate_phase(tallies, betas, visibility)
+    refs = [estimate_phase_oracle(row, beta, visibility) for row, beta in zip(tallies, betas)]
+    for field in ("phi_hat", "sigma", "zz_hat", "zz_sigma"):
+        column = getattr(est, field)
+        assert column.dtype == np.float64 and column.shape == (len(tallies),)
+        assert [v.hex() for v in column.tolist()] == [getattr(ref, field).hex() for ref in refs], field
+    assert type(est.clamped) is int
+    assert est.clamped == sum(ref.clamped for ref in refs)
+
+
+@st.composite
+def phase_rows(draw):
+    """A tally row, lattice or fixed-node, and a beta that may clamp part or all of its window."""
+    total = draw(st.one_of(st.integers(1, 300), st.integers(1, 10**9), st.integers(2**63, 2**70)))
+    same = draw(st.one_of(st.sampled_from([0, 1, total - 1, total]), st.integers(0, total)))
+    same = min(max(same, 0), total)
+    n13 = draw(st.integers(0, same))
+    n14 = draw(st.integers(0, total - same))
+    zz = abs(2 * same - total) / total
+    near = st.floats(0.5, 1.5).map(lambda f: min(1.0, max(1e-3, f * zz)))
+    scale = draw(st.one_of(st.floats(1e-3, 1.0), near))
+    return (n13, n14, total - same - n14, same - n13), 0.5 * math.asin(scale)
+
+
+@st.composite
+def phase_stacks(draw):
+    """1-70 rows; repeats give windows of equal length, and 70 rows cross block edges."""
+    rows = draw(st.lists(phase_rows(), min_size=1, max_size=40))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=70 - len(rows)))
+    return draw(st.permutations(rows)), draw(st.sampled_from([1.0, 0.977]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=phase_stacks())
+def test_stacked_phase_estimate_equals_the_per_row_reference(stack):
+    rows, visibility = stack
+    assert_rows_match_the_oracle([row for row, _ in rows], [beta for _, beta in rows], visibility)
+
+
+def test_stacked_phase_estimate_reads_an_int_array_as_its_rows():
+    tallies = np.array([(2000, 900, 600, 1500), (10, 0, 0, 5), (1, 2, 3, 4)], dtype=np.int64)
+    betas = [math.pi / 4, 0.3, 1.0]
+    stacked = estimate_phase(tallies, betas, 0.977)
+    listed = estimate_phase(tallies.tolist(), betas, 0.977)
+    for field in ("phi_hat", "sigma", "zz_hat", "zz_sigma"):
+        assert getattr(stacked, field).tolist() == getattr(listed, field).tolist()
+    assert_rows_match_the_oracle(tallies.tolist(), betas, 0.977)
+
+
+@pytest.mark.parametrize(
+    "tallies, betas",
+    [
+        ((10, 10, 10, 10), [math.pi / 4]),  # a flat row is not a stack
+        ((10, 10, 10, 10), [math.pi / 4] * 4),
+        ([(10, 10, 10, 10)], math.pi / 4),  # nor is a scalar beta
+        ([(10, 10, 10, 10)] * 2, [math.pi / 4]),
+        (np.array([10, 10, 10, 10]), [math.pi / 4] * 4),
+    ],
+)
+def test_estimate_phase_rejects_a_flat_row_or_a_scalar_beta(tallies, betas):
+    with pytest.raises(ValueError, match="^estimate_phase takes a stack of N tally rows and N angles$"):
+        estimate_phase(tallies, betas, 1.0)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [((0, 0, 0, 0), "cannot estimate from zero counts"), ((1, -1, 0, 0), "counts must be nonnegative integers")],
+)
+def test_estimate_phase_names_the_row_it_cannot_read(bad, message):
+    tallies = [(10, 10, 10, 10), (5, 0, 0, 5), bad, (0, 0, 0, 0)]
+    with pytest.raises(TallyRowError) as info:
+        estimate_phase(tallies, [math.pi / 4] * 4, 1.0)
+    assert info.value.row == 2
+    assert str(info.value) == message
+
+
+# (same, total, scale at beta = pi/4 and visibility 1) rows at the edges of the padded blocks
+EDGE_STACK = [
+    (4990, 5000, 0.999),  # hi == other: the window ends at the top of the lattice
+    (9, 5000, 0.999),  # lo == -same: it starts at the bottom
+    (1, 5000, 1.0),
+    (4999, 5000, 1.0),
+    (1, 10**9, 1.0),
+    (0, 5000, 0.9),
+    (5000, 5000, 0.9),
+    (4990, 5000, 0.977),  # all clamped high
+    (2, 400, 0.9),  # all clamped low
+    (4942, 5000, 0.977),  # partly clamped high
+    (60, 5000, 0.977),  # partly clamped low
+    (500, 1000, 2e-6),  # clamped at both ends
+    (9_651_740_881_311_372, 9_651_740_881_311_373, 1.0),  # its last step rounds above 0
+    (150_000, 200_000, 0.6),  # the lattice window of 4649 nodes under MAX_SPAN = 10**6
+    (200_000_000, 400_000_000, 0.9),  # a window of 240 001 nodes, a block of its own
+]
+
+
+@pytest.mark.parametrize("max_span", [measurement.MAX_SPAN, 10**6])
+def test_stacked_phase_estimate_raises_no_numpy_warning(max_span, monkeypatch):
+    monkeypatch.setattr(measurement, "MAX_SPAN", max_span)
+    monkeypatch.setattr(oracles, "MAX_SPAN", max_span)
+    tallies = [(same, total - same, 0, 0) for same, total, _ in EDGE_STACK]
+    betas = [0.5 * math.asin(scale) for _, _, scale in EDGE_STACK]
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_rows_match_the_oracle(tallies, betas, 1.0)
+        assert_rows_match_the_oracle(tallies[::-1], betas[::-1], 1.0)
 
 
 @pytest.mark.parametrize(
     "channels", [(7, 0, 0, 5), (0, 3, 9, 0), (1, 0, 0, 0), (2**62, 0, 0, 2**62 - 1)]
 )
 def test_spreads_are_exactly_zero_when_q_is_0_or_1(channels):
-    est = estimate_phase(channels, math.pi / 4, 1.0)
-    assert est.zz_sigma == 0.0
-    assert est.sigma == 0.0
+    est = estimate_phase([channels], [math.pi / 4], 1.0)
+    assert est.zz_sigma[0] == 0.0
+    assert est.sigma[0] == 0.0
     assert estimate_p(channels, 0.0, math.pi, math.pi / 4, 1.0).sigma == 0.0
 
 
@@ -478,13 +601,13 @@ def test_largest_total_gives_a_finite_spread_in_bounded_time(same):
     total = 2**63 - 1
     counts = (same, 0, total - same, 0)
     start = time.perf_counter()
-    est = estimate_phase(counts, math.pi / 4, 1.0)
+    est = estimate_phase([counts], [math.pi / 4], 1.0)
     assert time.perf_counter() - start < 1.0
-    assert 0.0 < est.zz_sigma < 1e-9
-    assert math.isfinite(est.sigma)
+    assert 0.0 < est.zz_sigma[0] < 1e-9
+    assert math.isfinite(est.sigma[0])
     if same == 2**62:
         # zz_hat ~ 0, where d(phi)/d(zz) = -1: the two spreads agree
-        assert est.sigma == pytest.approx(est.zz_sigma, rel=1e-6)
+        assert est.sigma[0] == pytest.approx(est.zz_sigma[0], rel=1e-6)
 
 
 @settings(max_examples=200, deadline=None)
@@ -500,23 +623,25 @@ def test_largest_total_gives_a_finite_spread_in_bounded_time(same):
 @example(phi=1e-8, beta=math.pi / 4, visibility=0.5)
 def test_estimate_phase_inverts_the_forward_model(phi, beta, visibility):
     zz = visibility * math.sin(2.0 * beta) * math.cos(phi)
-    est = estimate_phase(tally_with_zz(zz), beta, visibility)
+    est = estimate_phase([tally_with_zz(zz)], [beta], visibility)
     # within 1e-6 of 0 or pi, arccos turns one rounding of cos(phi) into up to
     # sqrt(2 * 2**-52) ~ 2.1e-8 of phase
     tolerance = 1e-9 if math.sin(phi) > 1e-6 else 3e-8
-    assert abs(est.phi_hat - phi) <= tolerance
-    assert not est.clamped
+    assert abs(est.phi_hat[0] - phi) <= tolerance
+    assert est.clamped == 0
 
 
 def test_estimate_phase_recovers_known_phase():
     beta = math.pi / 4
-    for phi in (0.3, 1.1, 2.5):
+    phis = (0.3, 1.1, 2.5)
+    tallies = []
+    for phi in phis:
         rho = rotate_density(ket_to_density(prepare_lr(PreparationSettings(beta, phi)).amps))
-        counts = draw(outcome_probs(rho), 2_000_000, seed=17)
-        est = estimate_phase(counts, beta, 1.0)
-        assert abs(est.phi_hat - phi) < 5e-3
-        assert est.sigma > 0.0
-        assert not est.clamped
+        tallies.append(draw(outcome_probs(rho), 2_000_000, seed=17))
+    est = estimate_phase(tallies, [beta] * len(phis), 1.0)
+    assert np.all(np.abs(est.phi_hat - phis) < 5e-3)
+    assert np.all(est.sigma > 0.0)
+    assert est.clamped == 0
 
 
 def test_estimate_phase_folds_reflected_phases():
@@ -527,25 +652,25 @@ def test_estimate_phase_folds_reflected_phases():
         ket_to_density(prepare_lr(PreparationSettings(beta, 2.0 * math.pi - phi)).amps)
     )
     counts = draw(outcome_probs(rho), 2_000_000, seed=9)
-    est = estimate_phase(counts, beta, 1.0)
-    assert abs(est.phi_hat - phi) < 5e-3
+    est = estimate_phase([counts], [beta], 1.0)
+    assert abs(est.phi_hat[0] - phi) < 5e-3
 
 
 def test_estimate_phase_clamps_out_of_range_ratio():
     counts = (1000, 0, 0, 1000)  # zz = 1 against a scale of sin(20 deg)
-    est = estimate_phase(counts, math.radians(10), 1.0)
-    assert est.clamped
-    assert est.phi_hat == 0.0
+    est = estimate_phase([counts], [math.radians(10)], 1.0)
+    assert est.clamped == 1
+    assert est.phi_hat[0] == 0.0
 
 
 def test_estimate_phase_rejects_bad_inputs():
     counts = (10, 10, 10, 10)
     with pytest.raises(LowIndistinguishabilityError):
-        estimate_phase(counts, 0.0, 1.0)
+        estimate_phase([counts], [0.0], 1.0)
     with pytest.raises(ValueError):
-        estimate_phase(counts, math.pi / 4, 0.0)
+        estimate_phase([counts], [math.pi / 4], 0.0)
     with pytest.raises(ValueError):
-        estimate_phase(counts, math.pi / 4, 1.5)
+        estimate_phase([counts], [math.pi / 4], 1.5)
 
 
 @pytest.mark.parametrize(
@@ -565,7 +690,7 @@ def test_phase_and_weight_estimators_share_input_checks(change, error, message):
     args["counts"] = (10, 10, 10, 10)
     args.update(change)
     with pytest.raises(error) as phase:
-        estimate_phase(**args)
+        estimate_phase([args["counts"]], [args["beta"]], args["visibility"])
     with pytest.raises(error) as weight:
         estimate_p(args["counts"], 0.0, math.pi, args["beta"], args["visibility"])
     assert str(phase.value) == message.format("phase")
