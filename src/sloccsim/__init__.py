@@ -27,12 +27,7 @@ from .measurement import (
     rotate_density,
     sample_counts,
 )
-from .mixture import (
-    MixtureEstimate,
-    estimate_p,
-    mixed_state,
-    mixture_expectation,
-)
+from .mixture import MixtureEstimate, estimate_p, mixed_state, mixture_expectation
 from .noise import NoiseModel, fit_noise, noisy_state
 from .plate import (
     PlateGeometry,

@@ -47,11 +47,11 @@ def rotate_density(matrices: np.ndarray) -> np.ndarray:
 def outcome_probs(rotated: np.ndarray) -> np.ndarray:
     """Coincidence probabilities (13, 14, 23, 24) of a (..., 4, 4) stack of rotated states."""
     diag = rotated.diagonal(axis1=-2, axis2=-1).real
-    if float(diag.min()) < -PSD_ATOL:
+    if not diag.min() >= -PSD_ATOL:  # a NaN fails each test
         raise ValueError("density matrix diagonal is negative beyond tolerance")
     clipped = np.clip(diag, 0.0, None)
     total = clipped.sum(axis=-1, keepdims=True)
-    if np.any(np.abs(total - 1.0) > 1e-9):
+    if not np.all(np.abs(total - 1.0) <= 1e-9):
         raise ValueError("density matrix diagonal does not sum to 1")
     return clipped / total
 
@@ -108,10 +108,14 @@ def _same_and_total(counts) -> tuple[int, int]:
     return ints[0] + ints[3], total
 
 
+def _zz(same, total):
+    # on int64 bootstrap draws same - (total - same) stays inside int64; 2 * same - total leaves it above 2**62
+    return (same - (total - same)) / total
+
+
 def estimate_zz(counts) -> float:
     """(n13 + n24 - n14 - n23) / total of one tally row."""
-    same, total = _same_and_total(counts)
-    return (same - (total - same)) / total
+    return _zz(*_same_and_total(counts))
 
 
 def bootstrap_zz(counts, n_boot: int, seed: int) -> np.ndarray:
@@ -126,9 +130,7 @@ def bootstrap_zz(counts, n_boot: int, seed: int) -> np.ndarray:
     """
     same, total = _same_and_total(counts)
     rng = np.random.default_rng(seed)
-    draws = rng.binomial(total, same / total, size=n_boot)
-    # draws - (total - draws) stays inside int64; 2 * draws leaves it for totals above 2**62
-    return (draws - (total - draws)) / total
+    return _zz(rng.binomial(total, same / total, size=n_boot), total)
 
 
 def correlation_scale(beta: float, visibility: float, noun: str) -> float:
@@ -177,6 +179,25 @@ def _zz_spread(same: int, total: int) -> float:
     return 2.0 * math.sqrt(same * (total - same) / total) / total
 
 
+def read_tallies(tallies, shape_error: str) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """Each row's exact (same, total), and the float64 columns ``estimate_zz`` and ``zz_spread``.
+
+    ``tallies``: N rows (n13, n14, n23, n24) of Python ints, which may pass 2**63, or an
+    (N, 4) int array.  A flat row raises ``ValueError(shape_error)``, and a row that
+    ``_same_and_total`` rejects a ``TallyRowError`` naming its index.
+    """
+    if any(np.ndim(row) != 1 for row in tallies[:1]):
+        raise ValueError(shape_error)
+    rows = []
+    for index, counts in enumerate(tallies):
+        try:
+            rows.append(_same_and_total(counts))
+        except ValueError as exc:
+            raise TallyRowError(index, str(exc)) from None
+    zz_hat = np.array([_zz(same, total) for same, total in rows], dtype=np.float64)
+    return rows, zz_hat, np.array([_zz_spread(same, total) for same, total in rows], dtype=np.float64)
+
+
 def _phase_spread(rows) -> np.ndarray:
     """Exact bootstrap sd of arccos(clip(zz* / scale, -1, 1)) for each (same, total, scale) row.
 
@@ -187,7 +208,7 @@ def _phase_spread(rows) -> np.ndarray:
         other = total - same
         if same == 0 or other == 0:
             continue
-        zz0 = (same - other) / total  # exact integers, one rounding
+        zz0 = _zz(same, total)  # exact integers, one rounding
         half = math.ceil(WINDOW_SIGMAS * math.sqrt(same * other / total))
         if 2 * half > MAX_SPAN:
             nodes = np.linspace(-WINDOW_SIGMAS, WINDOW_SIGMAS, MAX_SPAN + 1)
@@ -269,31 +290,23 @@ class PhaseEstimate:
 def estimate_phase(tallies, betas, visibility: float) -> PhaseEstimate:
     """Invert zz = visibility * sin(2 beta) * cos(phi) for phi in [0, pi], row by row.
 
-    ``tallies``: N rows (n13, n14, n23, n24) of Python ints, which may pass
-    2**63, or an (N, 4) int array; ``betas``: N angles in radians with
-    sin(2 beta) > 1e-6; ``visibility`` in (0, 1].  A row that is not
-    nonnegative integers, or is all zero, raises ``TallyRowError``.  The
-    length-N arrays are zz_hat (``estimate_zz``), phi_hat (the arccos of the
-    clamped ratio) and the exact bootstrap sds zz_sigma and sigma of zz and
-    of that arccos (``zz_spread``, ``_phase_spread``); ``clamped`` counts
-    the rows whose ratio was clamped.
+    ``tallies``: a stack as ``read_tallies`` takes it; ``betas``: N angles in radians with
+    sin(2 beta) > 1e-6; ``visibility`` in (0, 1].  Length-N arrays: zz_hat and zz_sigma from
+    ``read_tallies``, phi_hat the arccos of the clamped ratio and sigma its exact bootstrap
+    sd (``_phase_spread``); ``clamped`` counts the rows whose ratio was clamped.
     """
-    if np.ndim(betas) != 1 or len(betas) != len(tallies) or any(np.ndim(row) != 1 for row in tallies[:1]):
-        raise ValueError("estimate_phase takes a stack of N tally rows and N angles")
+    shape_error = "estimate_phase takes a stack of N tally rows and N angles"
+    if np.ndim(betas) != 1 or len(betas) != len(tallies):
+        raise ValueError(shape_error)
     betas = list(betas)  # the same objects key the scales and are looked up, nan included
     scales = {beta: correlation_scale(beta, visibility, "phase") for beta in dict.fromkeys(betas)}
-    rows = []  # (same, total, scale)
-    for index, (counts, beta) in enumerate(zip(tallies, betas)):
-        try:
-            rows.append((*_same_and_total(counts), scales[beta]))
-        except ValueError as exc:
-            raise TallyRowError(index, str(exc)) from None
-    zz_hat = [(same - (total - same)) / total for same, total, _ in rows]
-    ratios = [zz / scale for zz, (_, _, scale) in zip(zz_hat, rows)]
+    rows, zz_hat, zz_sigma = read_tallies(tallies, shape_error)
+    rows = [(same, total, scales[beta]) for (same, total), beta in zip(rows, betas)]
+    ratios = [zz / scale for zz, (_, _, scale) in zip(zz_hat.tolist(), rows)]
     return PhaseEstimate(
         phi_hat=np.array([math.acos(min(1.0, max(-1.0, ratio))) for ratio in ratios], dtype=np.float64),
         sigma=_phase_spread(rows),
-        zz_hat=np.array(zz_hat, dtype=np.float64),
-        zz_sigma=np.array([_zz_spread(same, total) for same, total, _ in rows], dtype=np.float64),
+        zz_hat=zz_hat,
+        zz_sigma=zz_sigma,
         clamped=sum(abs(ratio) > 1.0 for ratio in ratios),
     )

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegeneratePhasesError
-from .measurement import _same_and_total, _zz_spread, correlation_scale
+from .measurement import correlation_scale, read_tallies
 from .slocc import PreparationSettings, lr_kets
 from .states import ket_to_density
 
@@ -37,20 +37,20 @@ def mixed_state(weights, phi1: float, phi2: float, beta: float) -> np.ndarray:
     return w * first + (1.0 - w) * second
 
 
-def mixture_expectation(weight: float, phi1: float, phi2: float, beta: float) -> float:
-    """sin(2 beta) * (w cos phi1 + (1 - w) cos phi2); linear in the weight."""
-    blend = weight * math.cos(phi1) + (1.0 - weight) * math.cos(phi2)
-    return math.sin(2.0 * beta) * blend
+def mixture_expectation(weights, phi1: float, phi2: float, beta: float) -> np.ndarray:
+    """sin(2 beta) * (w cos phi1 + (1 - w) cos phi2) per weight w, as float64; linear in the weight."""
+    w = np.asarray(weights, dtype=np.float64)
+    return math.sin(2.0 * beta) * (w * math.cos(phi1) + (1.0 - w) * math.cos(phi2))
 
 
 @dataclass(frozen=True)
 class MixtureEstimate:
-    """Estimated weight of the first component, with its exact bootstrap spread."""
+    """Estimated weights of the first component, one per tally row, with their exact bootstrap spreads."""
 
-    p_hat: float  # clamped into [0, 1]
-    p_raw: float  # as inverted; shot noise can push it slightly outside
-    sigma: float
-    zz_hat: float  # the tally row's correlation, ``estimate_zz(counts)``
+    p_hat: np.ndarray  # clamped into [0, 1]
+    p_raw: np.ndarray  # as inverted; shot noise can push it slightly outside
+    sigma: np.ndarray
+    zz_hat: np.ndarray  # each row's correlation, ``estimate_zz(counts)``
 
 
 def cosine_contrast(phi1: float, phi2: float) -> float:
@@ -63,23 +63,20 @@ def cosine_contrast(phi1: float, phi2: float) -> float:
     return contrast
 
 
-def estimate_p(counts, phi1: float, phi2: float, beta: float, visibility: float) -> MixtureEstimate:
-    """Invert the linear weight relation for one tally row (n13, n14, n23, n24).
+def estimate_p(tallies, phi1: float, phi2: float, beta: float, visibility: float) -> MixtureEstimate:
+    """Invert the linear weight relation for each row of a tally stack, as length-N float64 arrays.
 
-    The point estimate is (zz / (visibility * sin 2 beta) - cos phi2) divided
-    by the cosine contrast, with zz = ``estimate_zz(counts)``.  The weight is
-    linear in zz, so sigma is the exact ("ideal") bootstrap standard
-    deviation of zz, ``zz_spread(counts)``, over
-    |visibility * sin 2 beta * contrast|.
+    p_raw = (zz / (visibility * sin 2 beta) - cos phi2) / contrast, with zz_hat and zz_sigma
+    from ``read_tallies``.  The weight is linear in zz, so sigma, its exact ("ideal")
+    bootstrap sd, is zz_sigma / |visibility * sin 2 beta * contrast|.
     """
     contrast = cosine_contrast(phi1, phi2)
     scale = correlation_scale(beta, visibility, "weight")
-    same, total = _same_and_total(counts)
-    zz_hat = (same - (total - same)) / total
+    _, zz_hat, zz_sigma = read_tallies(tallies, "estimate_p takes a stack of N tally rows")
     p_raw = (zz_hat / scale - math.cos(phi2)) / contrast
     return MixtureEstimate(
-        p_hat=min(max(p_raw, 0.0), 1.0),
+        p_hat=np.clip(p_raw, 0.0, 1.0),  # keeps a -0.0; np.maximum would turn it into 0.0
         p_raw=p_raw,
-        sigma=_zz_spread(same, total) / abs(scale * contrast),
+        sigma=zz_sigma / abs(scale * contrast),
         zz_hat=zz_hat,
     )

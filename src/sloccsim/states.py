@@ -34,9 +34,12 @@ TWO_PI = 2.0 * math.pi
 def canonical_phase(x: float) -> float:
     """x reduced into [0, 2*pi), so that reducing twice equals reducing once.
 
-    A bare ``x % TWO_PI`` rounds a tiny negative x up to exactly ``TWO_PI``.
+    A bare ``x % TWO_PI`` rounds a tiny negative x up to exactly ``TWO_PI``,
+    and turns an infinite or NaN x into NaN, which is rejected instead.
     """
     phi = float(x) % TWO_PI
+    if math.isnan(phi):
+        raise ValueError(f"phase must be finite, got {x!r}")
     return 0.0 if phi == TWO_PI else phi
 
 
@@ -191,7 +194,7 @@ def validate_densities(matrices: np.ndarray) -> np.ndarray:
 def ket_to_density(kets: np.ndarray) -> np.ndarray:
     """Rank-one projectors |k><k| of a (..., 4) stack of unit kets, as (..., 4, 4)."""
     norm_sq = (kets.conj()[..., None, :] @ kets[..., :, None]).real
-    if np.any(np.abs(norm_sq - 1.0) > 2.0 * NORM_ATOL):
+    if not np.all(np.abs(norm_sq - 1.0) <= 2.0 * NORM_ATOL):  # a NaN fails this test
         raise ValueError("ket_to_density expects unit kets; rescale them to norm 1 first")
     return kets[..., :, None] * kets.conj()[..., None, :] / norm_sq
 

@@ -218,25 +218,13 @@ def run_mixture_sweep(cfg: ResolvedConfig):
     phi1, phi2 = cfg.phi_list
     beta = cfg.beta_list[0]
     states = validate_densities(noisy_state(mixed_state(cfg.p_list, phi1, phi2, beta), cfg.noise))
-    rows = []
-    for index, (p, counts) in enumerate(zip(cfg.p_list, _sample(cfg, states))):
-        try:
-            est = estimate_p(counts, phi1, phi2, beta, cfg.noise.visibility)
-        except ValueError as exc:
-            raise ValueError(f"row {index} (p {p:.12g}): {exc}") from None
-        rows.append(
-            [
-                p,
-                phi1,
-                phi2,
-                mixture_expectation(p, phi1, phi2, beta),
-                est.zz_hat,
-                est.p_raw,
-                est.p_hat,
-                est.sigma,
-            ]
-        )
-    return MIXTURE_HEADER, rows
+    try:
+        est = estimate_p(_sample(cfg, states), phi1, phi2, beta, cfg.noise.visibility)
+    except TallyRowError as exc:
+        raise ValueError(f"row {exc.row} (p {cfg.p_list[exc.row]:.12g}): {exc}") from None
+    ideals = mixture_expectation(cfg.p_list, phi1, phi2, beta).tolist()
+    columns = zip(cfg.p_list, ideals, est.zz_hat.tolist(), est.p_raw.tolist(), est.p_hat.tolist(), est.sigma.tolist())
+    return MIXTURE_HEADER, [[p, phi1, phi2, *values] for p, *values in columns]
 
 
 PLATE_HEADER = ["x_mm", "phi_unwrapped_rad", "phi_wrapped_rad"]

@@ -18,8 +18,9 @@ stacked projection replaced, and the CSV cell rule is the per-cell
 ``format_cell`` that the per-header templates replaced; both must agree bit
 for bit.  So must the exact phase bootstrap, kept here in the form that
 allocated a new array at every step, before its passes ran in place, and
-the phase estimator that read one tally row per call, before it read the
-whole stack and summed the lattice rows in padded blocks.  The last section holds small helpers that only tests use: the
+the phase and weight estimators that read one tally row per call, before
+they read the whole stack (the phase one summing the lattice rows in padded
+blocks).  The last section holds small helpers that only tests use: the
 basis index, ket normalisation, the single-spin rotation, the conjugate
 statistics parameter, the checked visibility scaling law and a tally row
 that carries a given correlation.
@@ -54,6 +55,7 @@ from sloccsim.measurement import (
     _zz_spread,
     correlation_scale,
 )
+from sloccsim.mixture import cosine_contrast
 from sloccsim.noise import DEPHASED, WHITE_NOISE
 from sloccsim.states import ATOL
 
@@ -206,6 +208,30 @@ def estimate_phase_oracle(counts, beta: float, visibility: float) -> PhaseRowEst
         zz_hat=zz_hat,
         zz_sigma=_zz_spread(same, total),
         clamped=abs(ratio) > 1.0,
+    )
+
+
+class MixtureRowEstimate(NamedTuple):
+    """One row's mixing-weight estimate, as the per-row estimator returned it."""
+
+    p_hat: float  # clamped into [0, 1]
+    p_raw: float
+    sigma: float
+    zz_hat: float
+
+
+def estimate_p_oracle(counts, phi1: float, phi2: float, beta: float, visibility: float) -> MixtureRowEstimate:
+    """Invert the linear weight relation for one tally row (n13, n14, n23, n24)."""
+    contrast = cosine_contrast(phi1, phi2)
+    scale = correlation_scale(beta, visibility, "weight")
+    same, total = _same_and_total(counts)
+    zz_hat = (same - (total - same)) / total
+    p_raw = (zz_hat / scale - math.cos(phi2)) / contrast
+    return MixtureRowEstimate(
+        p_hat=min(max(p_raw, 0.0), 1.0),
+        p_raw=p_raw,
+        sigma=_zz_spread(same, total) / abs(scale * contrast),
+        zz_hat=zz_hat,
     )
 
 

@@ -216,8 +216,8 @@ def test_criterion_07_mixture_weight_recovery():
             probs = outcome_probs(rotate_density(mixed_state([p], phi1, phi2, beta)))
             rng = np.random.default_rng(STAT_SEED + 100 * pair_index + step)
             counts = sample_counts(probs, 100_000, [rng])[0].tolist()
-            est = estimate_p(counts, phi1, phi2, beta, 1.0)
-            worst = max(worst, abs(est.p_hat - p))
+            est = estimate_p([counts], phi1, phi2, beta, 1.0)
+            worst = max(worst, abs(est.p_hat[0] - p))
         worst_by_pair[(phi1, phi2)] = worst
         assert worst <= window, (
             f"criterion 07 FAIL: pair ({phi1:.2f}, {phi2:.2f}) "

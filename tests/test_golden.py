@@ -56,6 +56,10 @@ EDGE_ANGLES = (
 SHOTS_3 = "[experiment]\nshots = 3\n"
 # Poisson rows of about 40 pairs: many distinct totals and window lengths.
 SHOTS_40_POISSON = "[experiment]\nshots = 40\nsampling = poisson\n"
+# A negative cosine contrast; with --ideal the p = 0 row inverts to a weight of -0.
+MIXTURE_NEGATIVE_CONTRAST = "[sweep]\nphi_list = 180deg, 0\n"
+# Poisson totals near 2**62, past the 2**53 that a float holds exactly.
+MIXTURE_HUGE_POISSON = "[experiment]\nshots = 4611686018427387904\nsampling = poisson\n"
 
 # case id -> (CLI arguments, config text or None, sha256 of the CSV)
 GOLDEN = {
@@ -91,6 +95,10 @@ GOLDEN = {
     "counts-demo-edge-angles": (["counts-demo"], EDGE_ANGLES, "25611ca771f6334f57c339bf464f00abdac65db1d825af3466cad64aabec169e"),
     "phase-sweep-shots-3": (["phase-sweep"], SHOTS_3, "6516c33d0ff9347833bd48174906c3a6b324cc5435207289d7b4215179661828"),
     "phase-sweep-shots-40-poisson": (["phase-sweep"], SHOTS_40_POISSON, "95b18b62ba584322a40ecb1643dc07365d2a5e5848870b591dd32a244f246cba"),
+    "mixture-sweep-ideal-negative-contrast": (["mixture-sweep", "--ideal"], MIXTURE_NEGATIVE_CONTRAST, "a525d370d17f15b50687fc6210eddf3cfb846cf797c631cbc6b82cf58007433e"),
+    "mixture-sweep-poisson-shots-2^62": (["mixture-sweep"], MIXTURE_HUGE_POISSON, "6445a3e82ca9e9a9c4a9c3caf5186eb207ec0fa7e86a896224dc38ee823c7a47"),
+    # clamped weights and zero-width p_err
+    "mixture-sweep-shots-3": (["mixture-sweep"], SHOTS_3, "367f803aa22ed6733e96d4a11447fabe55fc041b48b10d2f423a6adcbc663ffd"),
 }
 
 

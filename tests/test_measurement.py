@@ -22,7 +22,7 @@ from sloccsim import (
     rotate_density,
     sample_counts,
 )
-from sloccsim import measurement, mixture
+from sloccsim import measurement
 from sloccsim.config import ExperimentConfig, resolve
 from sloccsim.measurement import ROTATION_PAIR, bootstrap_zz, zz_spread
 from sloccsim.sweeps import run_scenario
@@ -33,6 +33,7 @@ from oracles import (
     ROTATION_SINGLE,
     apply_rotation,
     bootstrap_zz_multinomial,
+    estimate_p_oracle,
     estimate_phase_oracle,
     expectation_oracle,
     phase_spread_oracle,
@@ -119,6 +120,18 @@ def test_outcome_probs_rejects_nan():
             draw((math.nan, 0.5, 0.25, 0.25), 100, seed=0, mode=mode)
 
 
+def test_outcome_probs_rejects_a_nan_density():
+    # NaN compares false both ways, so each check must be one that NaN fails
+    rho = rotate_density(ket_to_density(prepare_lr(PreparationSettings(math.pi / 4, 1.0)).amps))
+    for entry in [(0, 0), (2, 2), (1, 3)]:
+        stack = np.array([rho, rho])
+        stack[1][entry] = math.nan
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="negative beyond tolerance"):
+                outcome_probs(rotate_density(stack))
+
+
 def test_expectation_matches_trace_oracle():
     rng = np.random.default_rng(11)
     for _ in range(100):
@@ -159,7 +172,7 @@ TALLY_READERS = {
     "zz_spread": zz_spread,
     "bootstrap_zz": lambda counts: bootstrap_zz(counts, 10, 1),
     "estimate_phase": lambda counts: estimate_phase([counts], [math.pi / 4], 1.0),
-    "estimate_p": lambda counts: estimate_p(counts, 0.0, math.pi, math.pi / 4, 1.0),
+    "estimate_p": lambda counts: estimate_p([counts], 0.0, math.pi, math.pi / 4, 1.0),
 }
 
 
@@ -188,7 +201,7 @@ def test_estimators_derive_zz_from_the_row_as_the_tally_readers_do(row, beta, vi
     phase = estimate_phase([row], [beta], visibility)
     assert phase.zz_hat[0].hex() == zz_hat
     assert phase.zz_sigma[0].hex() == zz_spread(row).hex()
-    assert estimate_p(row, 0.0, math.pi, beta, visibility).zz_hat.hex() == zz_hat
+    assert estimate_p([row], 0.0, math.pi, beta, visibility).zz_hat[0].hex() == zz_hat
 
 
 @pytest.mark.parametrize("scenario", ["phase-sweep", "mixture-sweep"])
@@ -200,9 +213,8 @@ def test_phase_and_mixture_rows_are_read_once(scenario, monkeypatch):
         reads.append(row)
         return original(row)
 
-    # every module that looks the reader up: mixture imports it from measurement
-    for module in (measurement, mixture):
-        monkeypatch.setattr(module, "_same_and_total", counted)
+    # measurement's stack reader is the only caller, whichever estimator reads the stack
+    monkeypatch.setattr(measurement, "_same_and_total", counted)
     _, rows = run_scenario(resolve(ExperimentConfig(shots=200), scenario))
     assert len(reads) == len(rows)
 
@@ -542,16 +554,61 @@ def test_estimate_phase_rejects_a_flat_row_or_a_scalar_beta(tallies, betas):
         estimate_phase(tallies, betas, 1.0)
 
 
+STACK_ESTIMATORS = {
+    "estimate_phase": lambda tallies: estimate_phase(tallies, [math.pi / 4] * len(tallies), 1.0),
+    "estimate_p": lambda tallies: estimate_p(tallies, 0.0, math.pi, math.pi / 4, 1.0),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(STACK_ESTIMATORS))
 @pytest.mark.parametrize(
     "bad, message",
     [((0, 0, 0, 0), "cannot estimate from zero counts"), ((1, -1, 0, 0), "counts must be nonnegative integers")],
 )
-def test_estimate_phase_names_the_row_it_cannot_read(bad, message):
+def test_estimate_phase_names_the_row_it_cannot_read(bad, message, estimator):
     tallies = [(10, 10, 10, 10), (5, 0, 0, 5), bad, (0, 0, 0, 0)]
     with pytest.raises(TallyRowError) as info:
-        estimate_phase(tallies, [math.pi / 4] * 4, 1.0)
+        STACK_ESTIMATORS[estimator](tallies)
     assert info.value.row == 2
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("tallies", [(10, 10, 10, 10), np.array([10, 10, 10, 10])])
+def test_estimate_p_rejects_a_flat_row(tallies):
+    with pytest.raises(ValueError, match="^estimate_p takes a stack of N tally rows$"):
+        estimate_p(tallies, 0.0, math.pi, math.pi / 4, 1.0)
+
+
+def assert_weights_match_the_oracle(tallies, phi1, phi2, beta, visibility):
+    """The stacked weight estimate equals the per-row reference on every row, bit for bit."""
+    est = estimate_p(tallies, phi1, phi2, beta, visibility)
+    refs = [estimate_p_oracle(row, phi1, phi2, beta, visibility) for row in tallies]
+    for field in ("p_hat", "p_raw", "sigma", "zz_hat"):
+        column = getattr(est, field)
+        assert column.dtype == np.float64 and column.shape == (len(tallies),)
+        assert [v.hex() for v in column.tolist()] == [getattr(ref, field).hex() for ref in refs], field
+
+
+@st.composite
+def weight_stacks(draw):
+    """1-40 tally rows (totals up to 2**70) and phases whose cosine contrast has either sign."""
+    rows = draw(st.lists(phase_rows(), min_size=1, max_size=40))
+    angle = st.floats(0.0, 2.0 * math.pi)
+    phi1, phi2 = draw(st.tuples(angle, angle).filter(lambda p: abs(math.cos(p[0]) - math.cos(p[1])) > 1e-6))
+    # the first row's beta puts its zz near the scale, where a weight may leave [0, 1]
+    betas = st.floats(0.0, math.pi / 2).filter(lambda b: math.sin(2.0 * b) > 1e-6)
+    beta = draw(st.one_of(st.just(rows[0][1]), betas))
+    return [row for row, _ in rows], phi1, phi2, beta, draw(st.sampled_from([1.0, 0.977]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=weight_stacks())
+# negative contrast: zz = 1 at phi1 = pi, phi2 = 0 inverts to the weight -0.0, which the clamp keeps
+@example(stack=([(1, 0, 0, 0), (0, 1, 0, 0), (3, 1, 0, 0)], math.pi, 0.0, math.pi / 4, 1.0))
+# totals past 2**63, and a row whose weight clamps to 1
+@example(stack=([(2**64, 3, 2**63 + 5, 0), (7, 0, 0, 5), (1000, 0, 0, 1000)], 0.0, math.pi, 0.3, 0.977))
+def test_stacked_weight_estimate_equals_the_per_row_reference(stack):
+    assert_weights_match_the_oracle(*stack)
 
 
 # (same, total, scale at beta = pi/4 and visibility 1) rows at the edges of the padded blocks
@@ -593,7 +650,7 @@ def test_spreads_are_exactly_zero_when_q_is_0_or_1(channels):
     est = estimate_phase([channels], [math.pi / 4], 1.0)
     assert est.zz_sigma[0] == 0.0
     assert est.sigma[0] == 0.0
-    assert estimate_p(channels, 0.0, math.pi, math.pi / 4, 1.0).sigma == 0.0
+    assert estimate_p([channels], 0.0, math.pi, math.pi / 4, 1.0).sigma[0] == 0.0
 
 
 @pytest.mark.parametrize("same", [2**62, 2**63 - 4, 3])
@@ -692,6 +749,6 @@ def test_phase_and_weight_estimators_share_input_checks(change, error, message):
     with pytest.raises(error) as phase:
         estimate_phase([args["counts"]], [args["beta"]], args["visibility"])
     with pytest.raises(error) as weight:
-        estimate_p(args["counts"], 0.0, math.pi, args["beta"], args["visibility"])
+        estimate_p([args["counts"]], 0.0, math.pi, args["beta"], args["visibility"])
     assert str(phase.value) == message.format("phase")
     assert str(weight.value) == message.format("weight")

@@ -53,9 +53,18 @@ def test_pure_limits():
 
 
 def test_expectation_linear_in_weight():
-    for w in np.linspace(0.0, 1.0, 11):
-        expectation = mixture_expectation(w, 0.0, math.pi, math.pi / 4)
-        assert expectation == pytest.approx(2.0 * w - 1.0, abs=1e-12)
+    weights = np.linspace(0.0, 1.0, 11)
+    expectation = mixture_expectation(weights, 0.0, math.pi, math.pi / 4)
+    assert expectation.dtype == np.float64 and expectation.shape == weights.shape
+    assert np.allclose(expectation, 2.0 * weights - 1.0, rtol=0.0, atol=1e-12)
+
+
+def test_expectation_column_matches_each_weight_alone():
+    weights = [0.0, 0.1, 1 / 3, 0.5, 0.9, 1.0]
+    for phi1, phi2, beta in [(0.0, math.pi, math.pi / 4), (math.pi, 0.0, 0.3), (1.0, 2.5, 1.2)]:
+        column = mixture_expectation(weights, phi1, phi2, beta).tolist()
+        one_by_one = [math.sin(2.0 * beta) * (w * math.cos(phi1) + (1.0 - w) * math.cos(phi2)) for w in weights]
+        assert [v.hex() for v in column] == [v.hex() for v in one_by_one]
 
 
 def test_density_route_matches_closed_form():
@@ -72,26 +81,26 @@ def test_density_route_matches_closed_form():
 
 def test_estimate_p_exact_inversion():
     counts = tally_with_zz(mixture_expectation(0.37, 0.0, math.pi, math.pi / 4))
-    est = estimate_p(counts, 0.0, math.pi, math.pi / 4, 1.0)
-    assert est.p_raw == pytest.approx(0.37, abs=1e-12)
-    assert est.p_hat == est.p_raw
-    assert est.sigma > 0.0
+    est = estimate_p([counts], 0.0, math.pi, math.pi / 4, 1.0)
+    assert est.p_raw[0] == pytest.approx(0.37, abs=1e-12)
+    assert est.p_hat[0] == est.p_raw[0]
+    assert est.sigma[0] > 0.0
 
 
 def test_estimate_p_clamps_to_unit_interval():
     counts = sampled(1.0, 0.0, math.pi, math.pi / 4, 1000, 2)  # zz = 1, above the scale 0.998
     assert estimate_zz(counts) == 1.0
-    est = estimate_p(counts, 0.0, math.pi, math.pi / 4, 0.998)
-    assert est.p_raw > 1.0
-    assert est.p_hat == 1.0
+    est = estimate_p([counts], 0.0, math.pi, math.pi / 4, 0.998)
+    assert est.p_raw[0] > 1.0
+    assert est.p_hat[0] == 1.0
 
 
 def test_estimate_p_end_to_end_sampled():
     rng_seeds = (101, 202, 303)
     for w, seed in zip((0.0, 0.5, 1.0), rng_seeds):
         counts = sampled(w, 0.0, math.pi, math.pi / 4, 100_000, seed)
-        est = estimate_p(counts, 0.0, math.pi, math.pi / 4, 1.0)
-        assert abs(est.p_hat - w) < 0.02
+        est = estimate_p([counts], 0.0, math.pi, math.pi / 4, 1.0)
+        assert abs(est.p_hat[0] - w) < 0.02
 
 
 @pytest.mark.parametrize(
@@ -104,26 +113,26 @@ def test_estimate_p_end_to_end_sampled():
 )
 def test_p_err_is_the_bootstrap_sd_of_the_inverted_weight(phi1, phi2, beta, visibility, channels):
     # the weight is linear in zz, so its exact bootstrap sd is zz's over |scale * contrast|
-    est = estimate_p(channels, phi1, phi2, beta, visibility)
+    sigma = estimate_p([channels], phi1, phi2, beta, visibility).sigma[0]
     scale = visibility * math.sin(2.0 * beta)
     resamples = bootstrap_zz(channels, 200_000, seed=31)
     weights = (resamples / scale - math.cos(phi2)) / (math.cos(phi1) - math.cos(phi2))
     dev = weights - weights.mean()
     kurtosis = np.mean(dev**4) / np.mean(dev**2) ** 2 - 3.0
-    tolerance = 6.0 * est.sigma * math.sqrt((kurtosis + 2.0) / (4 * weights.size))
-    assert abs(weights.std(ddof=1) - est.sigma) <= tolerance
+    tolerance = 6.0 * sigma * math.sqrt((kurtosis + 2.0) / (4 * weights.size))
+    assert abs(weights.std(ddof=1) - sigma) <= tolerance
 
 
 def test_estimate_p_rejects_degenerate_settings():
-    counts = sampled(0.5, 0.0, math.pi, math.pi / 4, 1000, 3)
+    tallies = [sampled(0.5, 0.0, math.pi, math.pi / 4, 1000, 3)]
     with pytest.raises(DegeneratePhasesError):
-        estimate_p(counts, 1.0, -1.0, math.pi / 4, 1.0)
+        estimate_p(tallies, 1.0, -1.0, math.pi / 4, 1.0)
     with pytest.raises(DegeneratePhasesError):
-        estimate_p(counts, 0.3, 0.3, math.pi / 4, 1.0)
+        estimate_p(tallies, 0.3, 0.3, math.pi / 4, 1.0)
     with pytest.raises(LowIndistinguishabilityError):
-        estimate_p(counts, 0.0, math.pi, 0.0, 1.0)
+        estimate_p(tallies, 0.0, math.pi, 0.0, 1.0)
     with pytest.raises(ValueError):
-        estimate_p(counts, 0.0, math.pi, math.pi / 4, 0.0)
+        estimate_p(tallies, 0.0, math.pi, math.pi / 4, 0.0)
 
 
 def test_half_contrast_pair_needs_more_shots():
@@ -132,7 +141,6 @@ def test_half_contrast_pair_needs_more_shots():
     sigmas = {}
     for label, phi2 in (("full", math.pi), ("half", math.pi / 2)):
         counts = sampled(0.5, 0.0, phi2, math.pi / 4, 100_000, 44)
-        est = estimate_p(counts, 0.0, phi2, math.pi / 4, 1.0)
-        sigmas[label] = est.sigma
+        sigmas[label] = estimate_p([counts], 0.0, phi2, math.pi / 4, 1.0).sigma[0]
     ratio = (sigmas["half"] / sigmas["full"]) ** 2
     assert 2.5 < ratio < 6.0

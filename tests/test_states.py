@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,18 @@ def test_canonical_phase_is_in_range_and_idempotent(x):
     phi = canonical_phase(x)
     assert 0.0 <= phi < TWO_PI
     assert canonical_phase(phi) == phi
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_canonical_phase_rejects_a_non_finite_phase(x):
+    # x % (2 pi) is NaN for each of these, which no phase in [0, 2 pi) may be
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for reduce in (canonical_phase, lambda phi: PreparationSettings(0.5, phi), StatisticsParameter):
+            with pytest.raises(ValueError, match="^phase must be finite, got"):
+                reduce(x)
+        with pytest.raises(ValueError, match="^phase must be finite, got"):
+            mixed_state([0.5], x, 0.0, 0.5)
 
 
 def test_tiny_negative_phases_are_stored_as_zero():
@@ -206,6 +219,16 @@ def test_ket_to_density_is_projector():
         assert np.allclose(m @ m, m, atol=1e-12)
     with pytest.raises(ValueError):
         ket_to_density(JointKet([2.0, 0.0, 0.0, 0.0]).amps)
+
+
+def test_ket_to_density_rejects_a_nan_ket():
+    # a NaN norm fails a "deviation > tolerance" test, so the check must fail it instead
+    kets = np.array([[0.0, SQ2, SQ2, 0.0], [0.0, SQ2, math.nan, 0.0]], dtype=np.complex128)
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stack in (kets, kets[1]):
+            with pytest.raises(ValueError, match="expects unit kets"):
+                ket_to_density(stack)
 
 
 def test_density_matrix_validation():
