@@ -21,7 +21,6 @@ from .errors import (
 from .measurement import (
     PhaseEstimate,
     estimate_phase,
-    estimate_zz,
     expectation_zz,
     outcome_probs,
     rotate_density,
@@ -79,7 +78,6 @@ __all__ = [
     "TallyRowError",
     "PhaseEstimate",
     "estimate_phase",
-    "estimate_zz",
     "expectation_zz",
     "outcome_probs",
     "rotate_density",

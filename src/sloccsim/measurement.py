@@ -113,11 +113,6 @@ def _zz(same, total):
     return (same - (total - same)) / total
 
 
-def estimate_zz(counts) -> float:
-    """(n13 + n24 - n14 - n23) / total of one tally row."""
-    return _zz(*_same_and_total(counts))
-
-
 def bootstrap_zz(counts, n_boot: int, seed: int) -> np.ndarray:
     """Resampled correlation estimates of one tally row, at its empirical rates.
 
@@ -125,8 +120,8 @@ def bootstrap_zz(counts, n_boot: int, seed: int) -> np.ndarray:
     multinomial redraw of all four channels same is Bin(total, same / total);
     one binomial draw per resample therefore gives exactly the multinomial
     bootstrap's distribution.  The estimators use its exact spread instead
-    (``zz_spread``); this Monte Carlo version is the reference it is tested
-    against.
+    (the zz_sigma column of ``read_tallies``); this Monte Carlo version is
+    the reference it is tested against.
     """
     same, total = _same_and_total(counts)
     rng = np.random.default_rng(seed)
@@ -138,6 +133,8 @@ def correlation_scale(beta: float, visibility: float, noun: str) -> float:
 
     ``noun`` names what the correlation would carry in the sin(2 beta) message.
     """
+    if not math.isfinite(beta):  # sin would pass a NaN on, or raise a bare domain error for inf
+        raise ValueError(f"beta must be finite, got {beta!r}")
     sin_2b = math.sin(2.0 * beta)
     if sin_2b <= MIN_SIN_2BETA:
         raise LowIndistinguishabilityError(
@@ -164,34 +161,30 @@ MAX_SPAN = 4096
 BLOCK_NODES = 1 << 14
 
 
-def zz_spread(counts) -> float:
-    """Exact bootstrap standard deviation of zz for one tally row: 2 sqrt(q (1 - q) / total).
-
-    q = (n13 + n24) / total.  This is ``bootstrap_zz``'s spread as the
-    number of resamples goes to infinity (the "ideal bootstrap", Efron &
-    Tibshirani 1993, ch. 6).
-    """
-    return _zz_spread(*_same_and_total(counts))
-
-
 def _zz_spread(same: int, total: int) -> float:
+    """The B -> inf ("ideal") bootstrap sd of zz, 2 sqrt(q (1 - q) / total) for q = same / total."""
     # sqrt(same * other / total) is the count's sd; exact integers keep q near 0 or 1 exact
     return 2.0 * math.sqrt(same * (total - same) / total) / total
 
 
 def read_tallies(tallies, shape_error: str) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
-    """Each row's exact (same, total), and the float64 columns ``estimate_zz`` and ``zz_spread``.
+    """Each row's exact (same, total), and its zz and exact bootstrap sd as float64 columns.
 
     ``tallies``: N rows (n13, n14, n23, n24) of Python ints, which may pass 2**63, or an
-    (N, 4) int array.  A flat row raises ``ValueError(shape_error)``, and a row that
-    ``_same_and_total`` rejects a ``TallyRowError`` naming its index.
+    (N, 4) int array.  A flat stack or a row of other than four entries raises
+    ``ValueError(shape_error)``, and a row that ``_same_and_total`` rejects a
+    ``TallyRowError`` naming its index.
     """
     if any(np.ndim(row) != 1 for row in tallies[:1]):
         raise ValueError(shape_error)
     rows = []
     for index, counts in enumerate(tallies):
         try:
-            rows.append(_same_and_total(counts))
+            n13, n14, n23, n24 = counts
+        except (TypeError, ValueError):  # a scalar row, or one of another length
+            raise ValueError(shape_error) from None
+        try:
+            rows.append(_same_and_total((n13, n14, n23, n24)))
         except ValueError as exc:
             raise TallyRowError(index, str(exc)) from None
     zz_hat = np.array([_zz(same, total) for same, total in rows], dtype=np.float64)
@@ -298,7 +291,6 @@ def estimate_phase(tallies, betas, visibility: float) -> PhaseEstimate:
     shape_error = "estimate_phase takes a stack of N tally rows and N angles"
     if np.ndim(betas) != 1 or len(betas) != len(tallies):
         raise ValueError(shape_error)
-    betas = list(betas)  # the same objects key the scales and are looked up, nan included
     scales = {beta: correlation_scale(beta, visibility, "phase") for beta in dict.fromkeys(betas)}
     rows, zz_hat, zz_sigma = read_tallies(tallies, shape_error)
     rows = [(same, total, scales[beta]) for (same, total), beta in zip(rows, betas)]

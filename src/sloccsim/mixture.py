@@ -50,7 +50,7 @@ class MixtureEstimate:
     p_hat: np.ndarray  # clamped into [0, 1]
     p_raw: np.ndarray  # as inverted; shot noise can push it slightly outside
     sigma: np.ndarray
-    zz_hat: np.ndarray  # each row's correlation, ``estimate_zz(counts)``
+    zz_hat: np.ndarray  # each row's correlation, as ``read_tallies`` reads it
 
 
 def cosine_contrast(phi1: float, phi2: float) -> float:

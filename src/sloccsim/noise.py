@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousFitError
-from .slocc import PreparationSettings, lr_kets
 from .states import ket_to_density
 
 WHITE_NOISE = np.eye(4, dtype=np.complex128) / 4.0
@@ -81,26 +80,25 @@ def least_squares(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return best
 
 
-def fit_noise(targets: np.ndarray, settings: list[PreparationSettings]) -> NoiseModel:
+def fit_noise(targets: np.ndarray, kets: np.ndarray) -> NoiseModel:
     """Fit (visibility, white_weight) to reconstructed states by least squares.
 
     ``targets`` is an (N, 4, 4) stack of density matrices, such as
-    ``reconstruct`` returns, and ``settings[i]`` the preparation that
-    ``targets[i]`` came from.  The ideal states are rebuilt from the
-    settings and the model visibility * ideal + (1 - visibility) * floor is
-    matched in Frobenius norm.  The model is linear in (c_vis, c_white) =
+    ``reconstruct`` returns, and ``kets[i]`` the ideal unit ket that
+    ``targets[i]`` is matched against, such as ``extract_params`` returns.
+    The model visibility * |k><k| + (1 - visibility) * floor is matched in
+    Frobenius norm.  The model is linear in (c_vis, c_white) =
     (F, (1 - F) * a), so the unconstrained optimum is solved directly; when
     it leaves the physical triangle, ``least_squares`` finds the exact
     bounded optimum.
     """
-    if len(settings) < 2:
+    if len(kets) < 2:
         raise ValueError("need at least two reconstructed states to fit noise")
-    if np.shape(targets) != (len(settings), 4, 4):
+    if np.shape(targets) != (len(kets), 4, 4):
         raise ValueError(
-            f"targets must have shape ({len(settings)}, 4, 4), one per setting,"
-            f" got {np.shape(targets)}"
+            f"targets must have shape ({len(kets)}, 4, 4), one per ket, got {np.shape(targets)}"
         )
-    ideals = ket_to_density(lr_kets(settings))
+    ideals = ket_to_density(np.asarray(kets))
 
     col_vis = (ideals - DEPHASED).ravel()
     col_white = np.tile((WHITE_NOISE - DEPHASED).ravel(), len(ideals))

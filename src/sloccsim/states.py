@@ -199,14 +199,21 @@ def ket_to_density(kets: np.ndarray) -> np.ndarray:
     return kets[..., :, None] * kets.conj()[..., None, :] / norm_sq
 
 
-def fidelity_pure(rho: np.ndarray, target: JointKet) -> float:
-    """<target|rho|target> for one (4, 4) density matrix, clipped into [0, 1] at the PSD tolerance.
+def fidelity_pure(rhos: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """<k|rho|k> of an (N, 4, 4) stack and its (N, 4) unit kets, clipped into [0, 1] at the PSD tolerance.
 
-    ``rho`` is a plain array, such as one row of ``reconstruct``'s stack.
+    ``rhos`` is a plain array, such as ``reconstruct``'s stack; returns the
+    length-N float64 fidelities.
     """
-    if abs(target.norm() - 1.0) > NORM_ATOL:
+    rhos, kets = np.asarray(rhos), np.asarray(kets, dtype=np.complex128)
+    if kets.ndim != 2 or kets.shape[1] != 4 or rhos.shape != kets.shape + (4,):
+        raise ValueError(
+            f"fidelity_pure takes (N, 4, 4) matrices and (N, 4) kets, got {rhos.shape} and {kets.shape}"
+        )
+    if not np.all(np.abs(np.linalg.norm(kets, axis=1) - 1.0) <= NORM_ATOL):  # a NaN fails this test
         raise ValueError("fidelity target must be a unit ket")
-    value = float(np.real(np.vdot(target.amps, rho @ target.amps)))
-    if value < -PSD_ATOL or value > 1.0 + PSD_ATOL:
-        raise ValueError(f"fidelity {value!r} is outside [0, 1] beyond tolerance")
-    return min(max(value, 0.0), 1.0)
+    values = (kets.conj()[:, None, :] @ (rhos @ kets[:, :, None]))[:, 0, 0].real
+    inside = (values >= -PSD_ATOL) & (values <= 1.0 + PSD_ATOL)  # a NaN fails both comparisons
+    if not inside.all():
+        raise ValueError(f"fidelity {float(values[~inside][0])!r} is outside [0, 1] beyond tolerance")
+    return np.clip(values, 0.0, 1.0)  # keeps a -0.0; np.maximum would turn it into 0.0

@@ -271,22 +271,16 @@ def run_tomography_demo(cfg: ResolvedConfig):
     grid, states = _grid(cfg)
     rngs = row_generators(cfg.seed, len(states))
     rho_hats = reconstruct(simulate_tomography(setting_probabilities(states), cfg.shots, rngs))
-    extracted = [extract_params(rho_hat) for rho_hat in rho_hats]
-    fitted = fit_noise(rho_hats, [PreparationSettings(p.beta, p.phi) for p in extracted])
+    extracted = extract_params(rho_hats)
+    fitted = fit_noise(rho_hats, extracted.kets)
+    fit = (fitted.visibility, fitted.white_weight)
     cells = rho_hats.view(np.float64).reshape(len(rho_hats), 32).tolist()  # re, im interleaved
-    rows = []
-    for (beta, phi), params, rho_cells in zip(grid, extracted, cells):
-        row = [
-            math.degrees(beta),
-            phi,
-            math.degrees(params.beta),
-            params.phi,
-            params.fidelity_to_ideal,
-            fitted.visibility,
-            fitted.white_weight,
-        ]
-        rows.append(row + rho_cells)
-    return TOMOGRAPHY_HEADER, rows
+    reads = (extracted.beta.tolist(), extracted.phi.tolist(), extracted.fidelity_to_ideal.tolist())
+    columns = zip(grid, *reads, cells)
+    return TOMOGRAPHY_HEADER, [
+        [math.degrees(beta), phi, math.degrees(beta_hat), phi_hat, fidelity, *fit, *rho]
+        for (beta, phi), beta_hat, phi_hat, fidelity, rho in columns
+    ]
 
 
 _RUNNERS = {

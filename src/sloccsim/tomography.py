@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExtractionError
-from .slocc import PreparationSettings, prepare_lr
+from .slocc import lr_ket_blocks
 from .states import canonical_phase, fidelity_pure, validate_densities
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -146,34 +146,42 @@ def reconstruct(tables: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExtractedParams:
-    """Preparation parameters read off a reconstructed matrix."""
+    """Preparation parameters read off a stack of reconstructed matrices, one per row."""
 
-    phi: float
-    beta: float
-    fidelity_to_ideal: float
-    low_coherence: bool = False
+    phi: np.ndarray
+    beta: np.ndarray
+    fidelity_to_ideal: np.ndarray
+    low_coherence: int  # rows whose coherence fell below 1e-6 and so read phi = 0
+    kets: np.ndarray  # (N, 4): the ideal state of each row's (beta, phi), as fit_noise takes them
 
 
-def extract_params(rho_hat: np.ndarray) -> ExtractedParams:
-    """Read (phi, beta) off one (4, 4) density matrix's one-per-region block and score the match.
+def extract_params(rho_hats: np.ndarray) -> ExtractedParams:
+    """Read (phi, beta) off each one-per-region block of an (N, 4, 4) stack and score the match.
 
     beta comes from the two populations, phi from the argument of the
-    coherence between them.  Below 1e-6 coherence phi defaults to 0 and the
-    low_coherence flag marks the value unreliable.  One state per call, such
-    as a row of :func:`reconstruct`'s stack.
+    coherence between them; below 1e-6 coherence phi reads 0 and the row
+    counts in low_coherence.  The read-off stays scalar per row and the kets
+    take ``lr_ket_blocks``'s scalar trig, so each value has a one-state read's bits.
     """
-    pop_ud = max(float(rho_hat[1, 1].real), 0.0)
-    pop_du = max(float(rho_hat[2, 2].real), 0.0)
-    if pop_ud + pop_du <= 1e-6:
-        raise ExtractionError("one-per-region sector is empty")
-    beta = math.atan2(math.sqrt(pop_du), math.sqrt(pop_ud))
-    coherence = complex(rho_hat[2, 1])  # carries exp(+i phi)
-    low_coherence = abs(coherence) < 1e-6
-    phi = 0.0 if low_coherence else canonical_phase(cmath.phase(coherence))
-    ideal = prepare_lr(PreparationSettings(beta, phi))
+    rho_hats = np.asarray(rho_hats)
+    if rho_hats.ndim != 3 or rho_hats.shape[1:] != (4, 4):
+        raise ValueError(f"extract_params takes an (N, 4, 4) stack, got shape {rho_hats.shape}")
+    betas, phis, low_coherence = [], [], 0
+    # the populations of |L-up R-down> and |L-down R-up>, and the coherence carrying exp(+i phi)
+    columns = zip(rho_hats[:, 1, 1].real.tolist(), rho_hats[:, 2, 2].real.tolist(), rho_hats[:, 2, 1].tolist())
+    for pop_ud, pop_du, coherence in columns:
+        pop_ud, pop_du = max(pop_ud, 0.0), max(pop_du, 0.0)
+        if not pop_ud + pop_du > 1e-6:  # a NaN fails this test
+            raise ExtractionError("one-per-region sector is empty")
+        betas.append(math.atan2(math.sqrt(pop_du), math.sqrt(pop_ud)))
+        low = abs(coherence) < 1e-6
+        low_coherence += low
+        phis.append(0.0 if low else canonical_phase(cmath.phase(coherence)))
+    kets = lr_ket_blocks([(beta, [cmath.exp(1j * phi)]) for beta, phi in zip(betas, phis)])
     return ExtractedParams(
-        phi=phi,
-        beta=beta,
-        fidelity_to_ideal=fidelity_pure(rho_hat, ideal),
+        phi=np.array(phis, dtype=np.float64),
+        beta=np.array(betas, dtype=np.float64),
+        fidelity_to_ideal=fidelity_pure(rho_hats, kets),
         low_coherence=low_coherence,
+        kets=kets,
     )

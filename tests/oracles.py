@@ -14,9 +14,10 @@ library code replaced; they must agree bit for bit.
 The row seeds and generator states come from numpy's own SeedSequence and
 default_rng, one object per row, which the vectorised seeding must match.
 The physical projection is the per-state eigh and simplex loop that the
-stacked projection replaced, and the CSV cell rule is the per-cell
-``format_cell`` that the per-header templates replaced; both must agree bit
-for bit.  So must the exact phase bootstrap, kept here in the form that
+stacked projection replaced, the parameter read-off and its fidelity are
+the per-state ``extract_params`` and ``fidelity_pure`` that the stacked
+ones replaced, and the CSV cell rule is the per-cell ``format_cell`` that
+the per-header templates replaced; each must agree bit for bit.  So must the exact phase bootstrap, kept here in the form that
 allocated a new array at every step, before its passes ran in place, and
 the phase and weight estimators that read one tally row per call, before
 they read the whole stack (the phase one summing the lattice rows in padded
@@ -37,14 +38,17 @@ import numpy as np
 
 from sloccsim import (
     DegenerateStateError,
+    ExtractionError,
     DensityMatrix4,
     JointKet,
     NoiseModel,
     PlateGeometry,
+    PreparationSettings,
     Pseudospin,
     StatisticsParameter,
     expectation_zz,
     noisy_state,
+    prepare_lr,
     rotate_density,
 )
 from sloccsim.measurement import (
@@ -57,7 +61,7 @@ from sloccsim.measurement import (
 )
 from sloccsim.mixture import cosine_contrast
 from sloccsim.noise import DEPHASED, WHITE_NOISE
-from sloccsim.states import ATOL
+from sloccsim.states import ATOL, NORM_ATOL, PSD_ATOL, canonical_phase
 
 # labelled single-particle basis slots: (region, spin)
 SLOTS = {("L", "up"): 0, ("L", "down"): 1, ("R", "up"): 2, ("R", "down"): 3}
@@ -369,6 +373,53 @@ def project_physical_oracle(matrix: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(herm)
     vals = simplex_projection_oracle(vals)
     return DensityMatrix4((vecs * vals) @ vecs.conj().T).matrix
+
+
+class ExtractedRow(NamedTuple):
+    """Preparation parameters read off one reconstructed matrix, as the per-state extraction returned them."""
+
+    phi: float
+    beta: float
+    fidelity_to_ideal: float
+    low_coherence: bool = False
+
+
+def fidelity_pure_oracle(rho: np.ndarray, target: JointKet) -> float:
+    """<target|rho|target> for one (4, 4) density matrix, clipped into [0, 1] at the PSD tolerance.
+
+    ``rho`` is a plain array, such as one row of ``reconstruct``'s stack.
+    """
+    if abs(target.norm() - 1.0) > NORM_ATOL:
+        raise ValueError("fidelity target must be a unit ket")
+    value = float(np.real(np.vdot(target.amps, rho @ target.amps)))
+    if value < -PSD_ATOL or value > 1.0 + PSD_ATOL:
+        raise ValueError(f"fidelity {value!r} is outside [0, 1] beyond tolerance")
+    return min(max(value, 0.0), 1.0)
+
+
+def extract_params_oracle(rho_hat: np.ndarray) -> ExtractedRow:
+    """Read (phi, beta) off one (4, 4) density matrix's one-per-region block and score the match.
+
+    beta comes from the two populations, phi from the argument of the
+    coherence between them.  Below 1e-6 coherence phi defaults to 0 and the
+    low_coherence flag marks the value unreliable.  One state per call, such
+    as a row of :func:`reconstruct`'s stack.
+    """
+    pop_ud = max(float(rho_hat[1, 1].real), 0.0)
+    pop_du = max(float(rho_hat[2, 2].real), 0.0)
+    if pop_ud + pop_du <= 1e-6:
+        raise ExtractionError("one-per-region sector is empty")
+    beta = math.atan2(math.sqrt(pop_du), math.sqrt(pop_ud))
+    coherence = complex(rho_hat[2, 1])  # carries exp(+i phi)
+    low_coherence = abs(coherence) < 1e-6
+    phi = 0.0 if low_coherence else canonical_phase(cmath.phase(coherence))
+    ideal = prepare_lr(PreparationSettings(beta, phi))
+    return ExtractedRow(
+        phi=phi,
+        beta=beta,
+        fidelity_to_ideal=fidelity_pure_oracle(rho_hat, ideal),
+        low_coherence=low_coherence,
+    )
 
 
 def format_cell(value) -> str:

@@ -250,21 +250,19 @@ def test_criterion_08_tomography_inversion_fidelity_and_noise_fit():
     bell = PreparationSettings(math.pi / 4, 0.0)
     probs = setting_probabilities(ket_to_density(prepare_lr(bell).amps)[None])
     data = simulate_tomography(probs, 100_000, [np.random.default_rng(STAT_SEED)])
-    fid = fidelity_pure(reconstruct(data)[0], prepare_lr(bell))
+    fid = fidelity_pure(reconstruct(data), prepare_lr(bell).amps[None])[0]
     assert fid >= 0.999, f"criterion 08 FAIL: sampled fidelity {fid:.6f} < 0.999"
 
     model = NoiseModel()
-    targets, fitted_settings = [], []
+    targets = []
     for k in range(8):
         settings = PreparationSettings(math.pi / 4, k * math.pi / 7.0)
         noisy = noisy_state(ket_to_density(prepare_lr(settings).amps), model)
         rng = np.random.default_rng(STAT_SEED + k)
         counts = simulate_tomography(setting_probabilities(noisy[None]), 100_000, [rng])
-        rec = reconstruct(counts)[0]
-        got = extract_params(rec)
-        targets.append(rec)
-        fitted_settings.append(PreparationSettings(got.beta, got.phi))
-    fitted = fit_noise(np.stack(targets), fitted_settings)
+        targets.append(reconstruct(counts)[0])
+    targets = np.stack(targets)
+    fitted = fit_noise(targets, extract_params(targets).kets)
     fit_error = abs(fitted.visibility - model.visibility)
     assert fit_error <= 5e-3, f"criterion 08 FAIL: visibility error {fit_error:.2e}"
     print(

@@ -6,9 +6,10 @@ table is read with ast, without importing the benchmark, and so is the
 subcommand-to-scenario table that perfbench/child.py times the set-up with.
 Two smoke tests do import the tracer, read-only, and run small CLI
 operations under it: its tallies read the estimators' results, so a changed
-result type breaks traced runs only.  The second pins the phase sweep's
-contract: one ``estimate_phase`` span per sweep, whose tally is the number
-of clamped rows.
+result type breaks traced runs only.  Two more pin the stacked stages'
+contracts: one ``estimate_phase`` span per phase sweep, whose tally is the
+number of clamped rows, and one ``extract_params`` span per tomography run,
+whose tally is the number of low-coherence states.
 """
 
 import ast
@@ -108,7 +109,7 @@ def test_traced_cli_runs_record_spans_and_uninstall(tmp_path, capsys):
 
     assert [s.name for s in tracer.spans if s.error] == []
     names = {s.name for s in tracer.spans}
-    for name in ("measurement.estimate_phase", "mixture.estimate_p", "tomography.extract_params", "slocc.prepare_lr"):
+    for name in ("measurement.estimate_phase", "mixture.estimate_p", "tomography.extract_params"):
         assert name in names
     assert set(tracer.tallies) >= {"measurement.estimate_phase", "tomography.extract_params"}
     assert all(type(count) is int for count in tracer.tallies.values())
@@ -141,3 +142,36 @@ def test_traced_phase_sweep_estimates_in_one_span_that_tallies_the_clamped_rows(
     capsys.readouterr()
     assert [s.name for s in tracer.spans].count("measurement.estimate_phase") == 1
     assert tracer.tallies["measurement.estimate_phase"] == clamped
+
+
+# With --ideal, both beta = 90 deg states keep a coherence below 1e-6.
+LOW_COHERENCE_TOMOGRAPHY = (
+    "[experiment]\nshots = 1000000000000000\n[sweep]\nbeta_list = 90deg, 45deg\nphi_list = 0, 1\n"
+)
+
+
+def test_traced_tomography_extracts_in_one_span_that_tallies_the_low_coherence_states(tmp_path, capsys):
+    tracing = load_tracing()
+    from oracles import extract_params_oracle
+    from sloccsim import cli, sweeps
+    from sloccsim.config import load_config, resolve
+    from sloccsim.tomography import reconstruct, setting_probabilities, simulate_tomography
+
+    cfg = resolve(load_config(LOW_COHERENCE_TOMOGRAPHY), scenario="tomography-demo", ideal=True)
+    _, states = sweeps._grid(cfg)
+    rngs = sweeps.row_generators(cfg.seed, len(states))
+    rho_hats = reconstruct(simulate_tomography(setting_probabilities(states), cfg.shots, rngs))
+    low_coherence = sum(extract_params_oracle(rho).low_coherence for rho in rho_hats)
+    assert low_coherence == 2
+
+    config = tmp_path / "tomography.ini"
+    config.write_text(LOW_COHERENCE_TOMOGRAPHY, encoding="utf-8")
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        assert cli.main(["tomography-demo", "--ideal", "--config", str(config)]) == 0, capsys.readouterr().err
+    finally:
+        uninstall()
+    capsys.readouterr()
+    assert [s.name for s in tracer.spans].count("tomography.extract_params") == 1
+    assert tracer.tallies["tomography.extract_params"] == low_coherence

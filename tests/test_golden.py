@@ -60,6 +60,13 @@ SHOTS_40_POISSON = "[experiment]\nshots = 40\nsampling = poisson\n"
 MIXTURE_NEGATIVE_CONTRAST = "[sweep]\nphi_list = 180deg, 0\n"
 # Poisson totals near 2**62, past the 2**53 that a float holds exactly.
 MIXTURE_HUGE_POISSON = "[experiment]\nshots = 4611686018427387904\nsampling = poisson\n"
+# With --ideal, each beta = 90 deg reconstruction keeps a coherence below 1e-6,
+# so its phase is read as 0 (the low-coherence branch of extract_params).
+TOMOGRAPHY_LOW_COHERENCE = (
+    "[experiment]\nshots = 1000000000000000\n[sweep]\nbeta_list = 90deg, 45deg\nphi_list = 0, 1\n"
+)
+# One shot per setting: rank-deficient reconstructions.
+SHOTS_1 = "[experiment]\nshots = 1\n"
 
 # case id -> (CLI arguments, config text or None, sha256 of the CSV)
 GOLDEN = {
@@ -99,6 +106,9 @@ GOLDEN = {
     "mixture-sweep-poisson-shots-2^62": (["mixture-sweep"], MIXTURE_HUGE_POISSON, "6445a3e82ca9e9a9c4a9c3caf5186eb207ec0fa7e86a896224dc38ee823c7a47"),
     # clamped weights and zero-width p_err
     "mixture-sweep-shots-3": (["mixture-sweep"], SHOTS_3, "367f803aa22ed6733e96d4a11447fabe55fc041b48b10d2f423a6adcbc663ffd"),
+    "tomography-demo-low-coherence": (["tomography-demo", "--ideal"], TOMOGRAPHY_LOW_COHERENCE, "feedadf0c704062f2ada3f4089f51ba40c67c595288878af0c25c42ec5443b1c"),
+    "tomography-demo-edge-angles": (["tomography-demo"], EDGE_ANGLES, "bd9b81d87aec56ed9e1b1b06f2f9e005710cc23fe33fb8e69fdfe55ab883adcb"),
+    "tomography-demo-shots-1": (["tomography-demo"], SHOTS_1, "6b46b19813f73031709f122a08b8379f6e6dc47e25391681f19609b81dfd7799"),
 }
 
 

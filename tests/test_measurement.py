@@ -14,7 +14,6 @@ from sloccsim import (
     TallyRowError,
     estimate_p,
     estimate_phase,
-    estimate_zz,
     expectation_zz,
     ket_to_density,
     outcome_probs,
@@ -24,7 +23,7 @@ from sloccsim import (
 )
 from sloccsim import measurement
 from sloccsim.config import ExperimentConfig, resolve
-from sloccsim.measurement import ROTATION_PAIR, bootstrap_zz, zz_spread
+from sloccsim.measurement import ROTATION_PAIR, bootstrap_zz, read_tallies
 from sloccsim.sweeps import run_scenario
 from sloccsim.states import DensityMatrix4
 
@@ -42,6 +41,12 @@ from oracles import (
 )
 
 SQ2 = math.sqrt(0.5)
+
+
+def read_row(counts):
+    """One tally row's (zz_hat, zz_sigma), read as a one-row stack."""
+    _, zz_hat, zz_sigma = read_tallies([counts], "read_tallies takes a stack of N tally rows")
+    return zz_hat[0], zz_sigma[0]
 
 
 def draw(probs, total, seed, mode="multinomial"):
@@ -168,8 +173,7 @@ def test_correlation_band():
 
 
 TALLY_READERS = {
-    "estimate_zz": estimate_zz,
-    "zz_spread": zz_spread,
+    "read_tallies": read_row,
     "bootstrap_zz": lambda counts: bootstrap_zz(counts, 10, 1),
     "estimate_phase": lambda counts: estimate_phase([counts], [math.pi / 4], 1.0),
     "estimate_p": lambda counts: estimate_p([counts], 0.0, math.pi, math.pi / 4, 1.0),
@@ -178,8 +182,8 @@ TALLY_READERS = {
 
 def test_counts_validation():
     # a tally row carries no total of its own: it is the exact sum of the channels
-    assert estimate_zz((600, 100, 100, 200)) == pytest.approx(0.6)
-    assert estimate_zz(np.array([1, 2, 3, 4], dtype=np.int64)) == 0.0
+    assert read_row((600, 100, 100, 200))[0] == pytest.approx(0.6)
+    assert read_row(np.array([1, 2, 3, 4], dtype=np.int64))[0] == 0.0
     for reader in TALLY_READERS.values():
         for bad in [(-1, 0, 0, 1), (1.5, 0, 0, 1), (1, 0, 0, np.int64(-2))]:
             with pytest.raises(ValueError, match="counts must be nonnegative integers"):
@@ -197,10 +201,10 @@ def test_counts_validation():
 @example(row=(2**64, 3, 2**63 + 5, 0), beta=math.pi / 4, visibility=1.0)
 @example(row=(0, 0, 0, 1), beta=0.3, visibility=0.977)
 def test_estimators_derive_zz_from_the_row_as_the_tally_readers_do(row, beta, visibility):
-    zz_hat = estimate_zz(row).hex()
+    zz_hat, zz_sigma = (value.hex() for value in read_row(row))
     phase = estimate_phase([row], [beta], visibility)
     assert phase.zz_hat[0].hex() == zz_hat
-    assert phase.zz_sigma[0].hex() == zz_spread(row).hex()
+    assert phase.zz_sigma[0].hex() == zz_sigma
     assert estimate_p([row], 0.0, math.pi, beta, visibility).zz_hat[0].hex() == zz_hat
 
 
@@ -286,7 +290,7 @@ def test_poisson_mean_beyond_the_sampler_range_is_rejected():
 
 def test_estimate_zz():
     counts = (600, 100, 100, 200)
-    assert estimate_zz(counts) == pytest.approx(0.6)
+    assert read_row(counts)[0] == pytest.approx(0.6)
 
 
 def test_bootstrap_zz_shape_and_determinism():
@@ -377,7 +381,7 @@ def sd_tolerance(sample, sd):
 def test_zz_sigma_is_the_bootstrap_sd(q):
     counts = counts_with(1000, round(q * 1000))
     zz_sigma = estimate_phase([counts], [math.pi / 4], 1.0).zz_sigma[0]
-    assert zz_sigma == zz_spread(counts) == pytest.approx(2.0 * math.sqrt(q * (1 - q) / 1000))
+    assert zz_sigma == read_row(counts)[1] == pytest.approx(2.0 * math.sqrt(q * (1 - q) / 1000))
     resamples = bootstrap_zz(counts, 200_000, seed=21)
     assert abs(resamples.std(ddof=1) - zz_sigma) <= sd_tolerance(resamples, zz_sigma)
 
@@ -571,6 +575,37 @@ def test_estimate_phase_names_the_row_it_cannot_read(bad, message, estimator):
         STACK_ESTIMATORS[estimator](tallies)
     assert info.value.row == 2
     assert str(info.value) == message
+
+
+SHAPE_ERRORS = {
+    "estimate_phase": "estimate_phase takes a stack of N tally rows and N angles",
+    "estimate_p": "estimate_p takes a stack of N tally rows",
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(STACK_ESTIMATORS))
+@pytest.mark.parametrize("bad", [5, (1, 2, 3), (1, 2, 3, 4, 5)], ids=["scalar", "3-entry", "5-entry"])
+def test_a_later_row_of_another_shape_is_a_shape_error(bad, estimator):
+    # the first row has four entries; a scalar row leaked a bare TypeError, a short one an unpack message
+    with pytest.raises(ValueError) as info:
+        STACK_ESTIMATORS[estimator]([(1, 2, 3, 4), (10, 10, 10, 10), bad])
+    assert info.type is ValueError
+    assert str(info.value) == SHAPE_ERRORS[estimator]
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_estimators_name_a_non_finite_beta(beta):
+    # NaN gave phi_hat = pi with a NaN sigma (or a NaN weight) and no warning, under the
+    # suite's filterwarnings = error; inf raised a bare math domain error
+    estimators = (
+        lambda: estimate_phase([[10, 20, 30, 40]], [beta], 0.9),
+        lambda: estimate_p([[10, 20, 30, 40]], 0.0, math.pi, beta, 0.9),
+    )
+    for estimator in estimators:
+        with pytest.raises(ValueError) as info:
+            estimator()
+        assert info.type is ValueError
+        assert str(info.value) == f"beta must be finite, got {beta!r}"
 
 
 @pytest.mark.parametrize("tallies", [(10, 10, 10, 10), np.array([10, 10, 10, 10])])

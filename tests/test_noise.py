@@ -17,6 +17,7 @@ from sloccsim import (
 )
 from sloccsim.config import ExperimentConfig, resolve
 from sloccsim.noise import DEPHASED, WHITE_NOISE, least_squares, noise_floor
+from sloccsim.slocc import lr_kets
 from sloccsim.states import DensityMatrix4
 
 from oracles import noisy_expectation_scaling
@@ -96,8 +97,8 @@ def test_visibility_scaling_law():
 
 
 def stacked(records):
-    """(targets, settings) for fit_noise from (validated target, settings) pairs."""
-    return np.stack([rho.matrix for rho, _ in records]), [s for _, s in records]
+    """(targets, kets) for fit_noise from (validated target, settings) pairs."""
+    return np.stack([rho.matrix for rho, _ in records]), lr_kets([s for _, s in records])
 
 
 def grid_records(model, betas=(math.pi / 4,), phis=(0.0, 0.9, 1.7, 2.8, 4.1, 5.3)):
@@ -136,8 +137,8 @@ def model_cost(records, visibility, white):
     vis = np.asarray(visibility, dtype=float)[..., None, None]
     wht = np.asarray(white, dtype=float)[..., None, None]
     total = 0.0
-    for rho, settings in zip(*records):
-        ideal = ket_to_density(prepare_lr(settings).amps)
+    for rho, ket in zip(*records):
+        ideal = ket_to_density(ket)
         floor = wht * WHITE_NOISE + (1.0 - wht) * DEPHASED
         diff = vis * ideal + (1.0 - vis) * floor - rho
         total = total + np.sum(np.abs(diff) ** 2, axis=(-2, -1))
@@ -235,9 +236,9 @@ def tomography_records(seed):
     """The reconstructions that `tomography-demo --ideal --seed <seed>` fits."""
     captured = []
 
-    def capture(targets, settings):
-        captured.append((targets, settings))
-        return fit_noise(targets, settings)
+    def capture(targets, kets):
+        captured.append((targets, kets))
+        return fit_noise(targets, kets)
 
     cfg = resolve(ExperimentConfig(), "tomography-demo", seed=seed, ideal=True)
     with pytest.MonkeyPatch.context() as patch:
@@ -260,8 +261,8 @@ def test_fit_matches_scipy_on_fallback_seeds():
     for seed in FALLBACK_SEEDS:
         records = tomography_records(seed)
         fitted = fit_noise(*records)
-        targets, settings = records
-        ideals = np.asarray([ket_to_density(prepare_lr(s).amps) for s in settings])
+        targets, kets = records
+        ideals = ket_to_density(kets)
 
         def residuals(params):
             vis, white = params
@@ -286,8 +287,8 @@ def test_fit_needs_two_records():
 
 
 def test_fit_needs_one_target_per_setting():
-    targets, settings = grid_records(NoiseModel())
+    targets, kets = grid_records(NoiseModel())
     with pytest.raises(ValueError, match=r"targets must have shape \(5, 4, 4\)"):
-        fit_noise(targets, settings[:5])
-    with pytest.raises(ValueError, match="one per setting"):
-        fit_noise(targets[0], settings)
+        fit_noise(targets, kets[:5])
+    with pytest.raises(ValueError, match="one per ket"):
+        fit_noise(targets[0], kets)

@@ -97,7 +97,7 @@ def test_tiny_negative_phases_are_stored_as_zero():
     coherence = complex(0.5, -1e-300)  # argument -1e-300
     rho = np.diag([0.0, 0.5, 0.5, 0.0]).astype(np.complex128)
     rho[2, 1], rho[1, 2] = coherence, coherence.conjugate()
-    assert extract_params(DensityMatrix4(rho).matrix).phi == 0.0
+    assert extract_params(DensityMatrix4(rho).matrix[None]).phi[0] == 0.0
 
 
 def test_single_particle_state_requires_normalisation():
@@ -248,13 +248,31 @@ def test_density_matrix_validation():
 def test_fidelity_pure_basics():
     bell = normalize(JointKet([0.0, 1.0, 1.0, 0.0]))
     rho = DensityMatrix4(ket_to_density(bell.amps))
-    assert fidelity_pure(rho.matrix, bell) == pytest.approx(1.0, abs=1e-12)
+    assert fidelity_pure(rho.matrix[None], bell.amps[None])[0] == pytest.approx(1.0, abs=1e-12)
     other = normalize(JointKet([0.0, 1.0, -1.0, 0.0]))
-    assert fidelity_pure(rho.matrix, other) == pytest.approx(0.0, abs=1e-12)
+    assert fidelity_pure(rho.matrix[None], other.amps[None])[0] == pytest.approx(0.0, abs=1e-12)
     mixed = DensityMatrix4(np.eye(4, dtype=complex) / 4.0)
-    assert fidelity_pure(mixed.matrix, bell) == pytest.approx(0.25, abs=1e-12)
+    assert fidelity_pure(mixed.matrix[None], bell.amps[None])[0] == pytest.approx(0.25, abs=1e-12)
     with pytest.raises(ValueError):
-        fidelity_pure(mixed.matrix, JointKet([2.0, 0.0, 0.0, 0.0]))
+        fidelity_pure(mixed.matrix[None], np.array([[2.0, 0.0, 0.0, 0.0]]))
+
+
+def test_fidelity_pure_reads_a_stack_and_rejects_nan():
+    bell = normalize(JointKet([0.0, 1.0, 1.0, 0.0])).amps
+    other = normalize(JointKet([0.0, 1.0, -1.0, 0.0])).amps
+    rhos = np.stack([ket_to_density(bell), np.eye(4, dtype=complex) / 4.0])
+    got = fidelity_pure(rhos, np.stack([bell, other]))
+    assert got.dtype == np.float64 and got.shape == (2,)
+    assert got.tolist() == pytest.approx([1.0, 0.25], abs=1e-12)
+    # a NaN matrix gave a NaN fidelity, and a NaN ket passed the unit-norm check
+    nan_rho = rhos.copy()
+    nan_rho[1, 0, 0] = math.nan
+    with pytest.raises(ValueError, match=r"^fidelity nan is outside \[0, 1\] beyond tolerance$"):
+        fidelity_pure(nan_rho, np.stack([bell, other]))
+    with pytest.raises(ValueError, match="^fidelity target must be a unit ket$"):
+        fidelity_pure(rhos, np.stack([bell, np.full(4, math.nan)]))
+    with pytest.raises(ValueError, match=r"takes \(N, 4, 4\) matrices and \(N, 4\) kets"):
+        fidelity_pure(rhos, bell[None])
 
 
 def test_fidelity_of_noisy_bell_matches_contraction_oracle():
@@ -265,5 +283,5 @@ def test_fidelity_of_noisy_bell_matches_contraction_oracle():
     noisy = 0.977 * ket_to_density(bell.amps) + 0.023 * (0.5 * white + 0.5 * dephased)
     expected = fidelity_oracle(noisy, bell.amps)
     assert expected == pytest.approx(0.985625, abs=1e-12)
-    got = fidelity_pure(DensityMatrix4(noisy).matrix, bell)
+    got = fidelity_pure(DensityMatrix4(noisy).matrix[None], bell.amps[None])[0]
     assert got == pytest.approx(expected, abs=1e-12)

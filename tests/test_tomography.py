@@ -1,8 +1,11 @@
+import cmath
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sloccsim import (
     DensityMatrix4,
@@ -21,7 +24,7 @@ from sloccsim import (
 )
 from sloccsim.tomography import AXES, _project_physical
 
-from oracles import fidelity_oracle
+from oracles import extract_params_oracle, fidelity_oracle
 
 
 def bell_rho():
@@ -161,7 +164,7 @@ def test_sampled_bell_reconstruction_fidelity():
     )
     rebuilt = reconstruct(data)[0]
     target = prepare_lr(PreparationSettings(math.pi / 4, 0.0))
-    fid = fidelity_pure(rebuilt, target)
+    fid = fidelity_pure(rebuilt[None], target.amps[None])[0]
     assert fid >= 0.999
     assert fid <= 1.0 + 1e-12
     assert fid == pytest.approx(fidelity_oracle(rebuilt, target.amps), abs=1e-12)
@@ -172,11 +175,11 @@ def test_extraction_round_trip_exact():
         for phi in (0.0, 0.8, math.pi / 2, 2.4, math.pi, 4.5):
             settings = PreparationSettings(math.radians(beta_deg), phi)
             rho = ket_to_density(prepare_lr(settings).amps)
-            got = extract_params(reconstruct(setting_probabilities(rho)[None])[0])
-            assert got.beta == pytest.approx(settings.beta, abs=1e-7)
-            assert circular_diff(got.phi, settings.phi) < 1e-7
-            assert got.fidelity_to_ideal == pytest.approx(1.0, abs=1e-9)
-            assert not got.low_coherence
+            got = extract_params(reconstruct(setting_probabilities(rho)[None]))
+            assert got.beta[0] == pytest.approx(settings.beta, abs=1e-7)
+            assert circular_diff(got.phi[0], settings.phi) < 1e-7
+            assert got.fidelity_to_ideal[0] == pytest.approx(1.0, abs=1e-9)
+            assert got.low_coherence == 0
 
 
 def test_extraction_on_noisy_sampled_state():
@@ -185,21 +188,92 @@ def test_extraction_on_noisy_sampled_state():
     rho = noisy_state(ideal, NoiseModel())
     rng = np.random.default_rng(77)
     data = simulate_tomography(setting_probabilities(rho[None]), 20_000, [rng])
-    got = extract_params(reconstruct(data)[0])
-    assert abs(got.phi - phi) < 0.1
-    assert abs(got.beta - math.pi / 4) < 0.05
-    assert got.fidelity_to_ideal > 0.95
+    got = extract_params(reconstruct(data))
+    assert abs(got.phi[0] - phi) < 0.1
+    assert abs(got.beta[0] - math.pi / 4) < 0.05
+    assert got.fidelity_to_ideal[0] > 0.95
 
 
 def test_extraction_flags_low_coherence():
     mixed = DensityMatrix4(np.eye(4, dtype=np.complex128) / 4.0)
-    got = extract_params(mixed.matrix)
-    assert got.low_coherence
-    assert got.phi == 0.0
-    assert got.beta == pytest.approx(math.pi / 4, abs=1e-12)
+    got = extract_params(mixed.matrix[None])
+    assert got.low_coherence == 1
+    assert got.phi[0] == 0.0
+    assert got.beta[0] == pytest.approx(math.pi / 4, abs=1e-12)
 
 
 def test_extraction_rejects_empty_sector():
     rho = DensityMatrix4(np.diag([1.0, 0.0, 0.0, 0.0]).astype(np.complex128))
-    with pytest.raises(ExtractionError):
-        extract_params(rho.matrix)
+    with pytest.raises(ExtractionError, match="^one-per-region sector is empty$"):
+        extract_params(rho.matrix[None])
+    # one empty state fails the whole stack, wherever it sits
+    with pytest.raises(ExtractionError, match="^one-per-region sector is empty$"):
+        extract_params(np.stack([bell_rho().matrix, rho.matrix]))
+
+
+@pytest.mark.parametrize("entry", [(1, 1), (2, 2), (2, 1), (0, 0), (3, 3)])
+def test_extraction_rejects_a_nan_state(entry):
+    # the per-state reading raised for most of these, and gave a NaN fidelity for (0, 0) and (3, 3)
+    rho = bell_rho().matrix.copy()
+    rho[entry] = math.nan
+    with pytest.raises(ValueError):
+        extract_params(np.stack([bell_rho().matrix, rho]))
+
+
+def _random_state(rng, support, coherence=None):
+    """A PSD unit-trace matrix supported on the basis states ``support``.
+
+    With ``coherence`` the matrix is instead diagonal on the support with
+    rho[2, 1] = coherence, a magnitude far below the populations.
+    """
+    rho = np.zeros((4, 4), dtype=np.complex128)
+    if coherence is None:
+        for w in rng.dirichlet(np.ones(rng.integers(1, 5))):
+            v = np.zeros(4, dtype=np.complex128)
+            v[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+            rho += w * np.outer(v, v.conj()) / np.vdot(v, v).real
+        for index in {1, 2} & set(support):
+            rho[index, index] += 0.01  # keeps the one-per-region sector away from empty
+    else:
+        rho[support, support] = rng.dirichlet(np.ones(len(support))) * 0.99 + 0.0025
+        rho[2, 1], rho[1, 2] = coherence, np.conj(coherence)
+    return rho / np.trace(rho).real
+
+
+# (support, whether rho[2, 1] is set below 1e-6): a general state, a coherence
+# below the flag threshold, and the one-populated sector edges beta-hat = 0 and pi/2
+STATE_KINDS = {
+    "general": ([0, 1, 2, 3], False),
+    "low coherence": ([0, 1, 2, 3], True),
+    "beta 0": ([0, 1, 3], False),
+    "beta pi/2": ([0, 2, 3], False),
+}
+
+
+@st.composite
+def density_stacks(draw):
+    """1-40 reconstructed-like states of the kinds above."""
+    kinds = st.tuples(st.sampled_from(sorted(STATE_KINDS)), st.integers(0, 2**32 - 1))
+    rows = draw(st.lists(kinds, min_size=1, max_size=40))
+    stack = []
+    for kind, seed in rows:
+        rng = np.random.default_rng(seed)
+        support, low = STATE_KINDS[kind]
+        coherence = cmath.rect(rng.uniform(0.0, 1e-6), rng.uniform(0.0, 2.0 * math.pi)) if low else None
+        stack.append(_random_state(rng, support, coherence))
+    return np.stack(stack)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=density_stacks())
+def test_stacked_extraction_equals_the_per_state_reference(stack):
+    got = extract_params(stack)
+    refs = [extract_params_oracle(rho) for rho in stack]
+    for field in ("phi", "beta", "fidelity_to_ideal"):
+        column = getattr(got, field)
+        assert column.dtype == np.float64 and column.shape == (len(stack),)
+        assert [v.hex() for v in column.tolist()] == [getattr(ref, field).hex() for ref in refs], field
+    assert type(got.low_coherence) is int
+    assert got.low_coherence == sum(ref.low_coherence for ref in refs)
+    ideals = [prepare_lr(PreparationSettings(ref.beta, ref.phi)).amps for ref in refs]
+    assert got.kets.tobytes() == np.array(ideals).tobytes()
