@@ -99,8 +99,11 @@ def sample_counts(probs: np.ndarray, total: int, rngs, mode: str = "multinomial"
 def _same_and_total(counts) -> tuple[int, int]:
     """(n13 + n24, total) of one nonempty tally row (n13, n14, n23, n24), as exact Python ints."""
     n13, n14, n23, n24 = counts
-    ints = (int(n13), int(n14), int(n23), int(n24))
-    if ints != (n13, n14, n23, n24) or min(ints) < 0:
+    try:
+        ints = (int(n13), int(n14), int(n23), int(n24))
+    except (TypeError, ValueError, OverflowError):  # None, a list, a NaN or an infinity
+        ints = None
+    if ints is None or ints != (n13, n14, n23, n24) or min(ints) < 0:
         raise ValueError("counts must be nonnegative integers")
     total = sum(ints)
     if total < 1:

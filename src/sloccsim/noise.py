@@ -92,13 +92,16 @@ def fit_noise(targets: np.ndarray, kets: np.ndarray) -> NoiseModel:
     it leaves the physical triangle, ``least_squares`` finds the exact
     bounded optimum.
     """
+    kets = np.asarray(kets)
     if len(kets) < 2:
         raise ValueError("need at least two reconstructed states to fit noise")
     if np.shape(targets) != (len(kets), 4, 4):
         raise ValueError(
             f"targets must have shape ({len(kets)}, 4, 4), one per ket, got {np.shape(targets)}"
         )
-    ideals = ket_to_density(np.asarray(kets))
+    if kets.shape != (len(kets), 4):
+        raise ValueError(f"kets must have shape ({len(kets)}, 4), one per target, got {kets.shape}")
+    ideals = ket_to_density(kets)
 
     col_vis = (ideals - DEPHASED).ravel()
     col_white = np.tile((WHITE_NOISE - DEPHASED).ravel(), len(ideals))

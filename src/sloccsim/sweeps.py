@@ -1,6 +1,9 @@
 """Experiment drivers: resolved config in, CSV header plus rows out.
 
-A scenario's states form one validated (N, 4, 4) stack.  Row i draws its
+A scenario's states form one validated (N, 4, 4) stack.  The per-row stages
+that build, read out and tomograph it run on blocks of ``BLOCK_ROWS`` rows
+written into one result, so none of their temporaries spans more than a
+block; the blocks give the bits of a whole-stack call.  Row i draws its
 counts from the stream of ``default_rng(SeedSequence([seed, i]).generate_state(1,
 uint64)[0])``, so rows never depend on evaluation order and identical configs
 reproduce identical files.  ``row_seeds`` and ``row_generators`` reach those
@@ -36,6 +39,9 @@ _SHIFT = np.uint32(16)
 # PCG64's 128-bit LCG multiplier
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+
+# Rows per block of the per-row stack stages: a (256, 4, 4) complex128 block is 64 KiB.
+BLOCK_ROWS = 256
 
 
 def _hashmix(value, const, mult):
@@ -147,21 +153,38 @@ def row_generators(seed: int, n: int):
         yield rng
 
 
+def _in_blocks(stage, rows: np.ndarray) -> np.ndarray:
+    """``stage(rows)``, run on consecutive BLOCK_ROWS-row blocks and written into one result.
+
+    ``stage`` must act row by row, so that the blocks give the bits of one
+    whole-stack call; only one block's temporaries are alive at a time, and
+    a stack of at most one block is returned as the stage returns it.
+    """
+    first = stage(rows[:BLOCK_ROWS])
+    if len(rows) <= BLOCK_ROWS:
+        return first
+    out = np.empty((len(rows), *first.shape[1:]), dtype=first.dtype)
+    out[:BLOCK_ROWS] = first
+    for start in range(BLOCK_ROWS, len(rows), BLOCK_ROWS):
+        out[start : start + BLOCK_ROWS] = stage(rows[start : start + BLOCK_ROWS])
+    return out
+
+
 def _grid(cfg: ResolvedConfig):
     """A grid scenario's (beta, phi) rows, beta outermost, and noisy states; each angle checked once."""
     grid = [(beta, phi) for beta in cfg.beta_list for phi in cfg.phi_list]
     phases = [cmath.exp(1j * canonical_phase(phi)) for phi in cfg.phi_list]
     kets = lr_ket_blocks([(PreparationSettings(beta).beta, phases) for beta in cfg.beta_list])
-    return grid, validate_densities(noisy_state(ket_to_density(kets), cfg.noise))
+    return grid, _in_blocks(lambda block: validate_densities(noisy_state(ket_to_density(block), cfg.noise)), kets)
 
 
 def _sample(cfg: ResolvedConfig, states: np.ndarray) -> list[list[int]]:
-    """Rotate, read out and draw the whole stack; each row's tally as Python ints, unchecked.
+    """Rotate and read out the stack in blocks, then draw it; each row's tally as Python ints, unchecked.
 
     The estimators reject a row they cannot use (Poisson can draw one without
     a coincidence); the sweeps that estimate add the row's name to the message.
     """
-    probs = outcome_probs(rotate_density(states))
+    probs = _in_blocks(lambda block: outcome_probs(rotate_density(block)), states)
     rngs = row_generators(cfg.seed, len(probs))
     return sample_counts(probs, cfg.shots, rngs, cfg.sampling).tolist()
 
@@ -270,7 +293,8 @@ def run_tomography_demo(cfg: ResolvedConfig):
     """
     grid, states = _grid(cfg)
     rngs = row_generators(cfg.seed, len(states))
-    rho_hats = reconstruct(simulate_tomography(setting_probabilities(states), cfg.shots, rngs))
+    tables = simulate_tomography(_in_blocks(setting_probabilities, states), cfg.shots, rngs)
+    rho_hats = _in_blocks(reconstruct, tables)
     extracted = extract_params(rho_hats)
     fitted = fit_noise(rho_hats, extracted.kets)
     fit = (fitted.visibility, fitted.white_weight)

@@ -185,7 +185,7 @@ def test_counts_validation():
     assert read_row((600, 100, 100, 200))[0] == pytest.approx(0.6)
     assert read_row(np.array([1, 2, 3, 4], dtype=np.int64))[0] == 0.0
     for reader in TALLY_READERS.values():
-        for bad in [(-1, 0, 0, 1), (1.5, 0, 0, 1), (1, 0, 0, np.int64(-2))]:
+        for bad in [(-1, 0, 0, 1), (1.5, 0, 0, 1), (1, 0, 0, np.int64(-2)), (1, 0, 0, None), (1, 0, 0, math.inf)]:
             with pytest.raises(ValueError, match="counts must be nonnegative integers"):
                 reader(bad)
         with pytest.raises(ValueError, match="^cannot estimate from zero counts$"):
@@ -575,6 +575,35 @@ def test_estimate_phase_names_the_row_it_cannot_read(bad, message, estimator):
         STACK_ESTIMATORS[estimator](tallies)
     assert info.value.row == 2
     assert str(info.value) == message
+
+
+# Cells that int() rejects, and non-finite floats: None and list cells leaked a bare
+# TypeError, an infinity an OverflowError and a NaN Python's own conversion message.
+JUNK_CELLS = {
+    "none": (1, 2, 3, None),
+    "list-cells": [[1, 2, 3, 4]] * 4,
+    "string": (1, "x", 3, 4),
+    "inf": (1, 2, math.inf, 4),
+    "minus-inf": (-math.inf, 2, 3, 4),
+    "nan": (math.nan, 2, 3, 4),
+    "numpy-nan": (1, 2, 3, np.float64(math.nan)),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(STACK_ESTIMATORS))
+@pytest.mark.parametrize("bad", list(JUNK_CELLS.values()), ids=list(JUNK_CELLS))
+def test_a_cell_that_is_no_count_names_its_row(bad, estimator):
+    with pytest.raises(TallyRowError) as info:
+        STACK_ESTIMATORS[estimator]([(10, 10, 10, 10), bad])
+    assert info.value.row == 1
+    assert str(info.value) == "counts must be nonnegative integers"
+
+
+@pytest.mark.parametrize("estimator", sorted(STACK_ESTIMATORS))
+def test_integral_cells_of_any_type_are_counts(estimator):
+    plain = STACK_ESTIMATORS[estimator]([(3, 1, 1, 3), (3, 1, 1, 3), (2**70, 0, 1, 2**70)])
+    typed = STACK_ESTIMATORS[estimator]([(3.0, 1, 1, 3), (np.int64(3), np.uint8(1), 1, 3), (2**70, 0, 1.0, 2**70)])
+    assert typed.zz_hat.tobytes() == plain.zz_hat.tobytes()
 
 
 SHAPE_ERRORS = {

@@ -292,3 +292,14 @@ def test_fit_needs_one_target_per_setting():
         fit_noise(targets, kets[:5])
     with pytest.raises(ValueError, match="one per ket"):
         fit_noise(targets[0], kets)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3,), (3, 4, 1)], ids=["3x3", "flat", "3x4x1"])
+def test_fit_needs_four_amplitude_kets(shape):
+    # (3, 3) kets raised numpy's "operands could not be broadcast together"
+    targets = np.broadcast_to(WHITE_NOISE, (3, 4, 4))
+    kets = np.zeros(shape, dtype=np.complex128)
+    kets.reshape(3, -1)[:, 0] = 1.0
+    with pytest.raises(ValueError) as info:
+        fit_noise(targets, kets)
+    assert str(info.value) == f"kets must have shape (3, 4), one per target, got {shape}"
