@@ -6,7 +6,8 @@ a relative --out is placed under $SLOCCSIM_OUT_DIR when that variable is
 set.  An --out that cannot be written (a directory, or a path under a
 regular file) is a configuration problem: one ``config error: cannot write``
 line and exit 2, before anything is computed.  Its parent directory is made
-then, but the file itself is written only once the run has succeeded.  The
+then, but the file itself is opened only once the run has succeeded, and
+the rows are streamed into it (or to stdout) one block of lines at a time.  The
 subcommand decides the scenario; a scenario key in the config file is
 validated but does not override it.
 """
@@ -101,13 +102,13 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    text = render_csv(header, rows)
     if target is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            target.write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print(f"config error: cannot write {target}: {exc}", file=sys.stderr)
-            return 2
+        render_csv(header, rows, sys.stdout)
+        return 0
+    try:
+        with target.open("w", encoding="utf-8") as out:
+            render_csv(header, rows, out)
+    except OSError as exc:
+        print(f"config error: cannot write {target}: {exc}", file=sys.stderr)
+        return 2
     return 0

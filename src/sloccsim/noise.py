@@ -101,14 +101,19 @@ def fit_noise(targets: np.ndarray, kets: np.ndarray) -> NoiseModel:
         )
     if kets.shape != (len(kets), 4):
         raise ValueError(f"kets must have shape ({len(kets)}, 4), one per target, got {kets.shape}")
-    ideals = ket_to_density(kets)
-
-    col_vis = (ideals - DEPHASED).ravel()
-    col_white = np.tile((WHITE_NOISE - DEPHASED).ravel(), len(ideals))
-    offset = (targets - DEPHASED).ravel()
-    columns = np.stack([col_vis, col_white], axis=1)
-    design = np.concatenate([columns.real, columns.imag])
-    rhs = np.concatenate([offset.real, offset.imag])
+    # Rows run over the real parts of every state's 16 cells, then the
+    # imaginary parts; each half is written in place from one difference.
+    design = np.empty((2, len(kets), 16, 2))  # (real, imag), state, cell, (c_vis, c_white)
+    col_vis = ket_to_density(kets) - DEPHASED
+    design[0, :, :, 0], design[1, :, :, 0] = col_vis.real.reshape(-1, 16), col_vis.imag.reshape(-1, 16)
+    del col_vis
+    col_white = (WHITE_NOISE - DEPHASED).ravel()
+    design[0, :, :, 1], design[1, :, :, 1] = col_white.real, col_white.imag
+    rhs = np.empty((2, len(kets), 16))
+    offset = targets - DEPHASED
+    rhs[0], rhs[1] = offset.real.reshape(-1, 16), offset.imag.reshape(-1, 16)
+    del offset
+    design, rhs = design.reshape(-1, 2), rhs.reshape(-1)
 
     if float(np.linalg.norm(design[:, 0])) <= 1e-12:
         raise AmbiguousFitError("objective is flat in the visibility parameter")

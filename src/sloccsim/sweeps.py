@@ -1,5 +1,11 @@
 """Experiment drivers: resolved config in, CSV header plus rows out.
 
+A runner finishes every stage that can raise before it returns, and drops
+each N-row stack once the next stage has read it.  Its rows are a one-pass
+iterator that converts the numeric result columns ``BLOCK_ROWS`` rows at a
+time, and ``render_csv`` writes them to a text stream block by block, so
+neither the rows nor the CSV text are ever held whole.
+
 A scenario's states form one validated (N, 4, 4) stack.  The per-row stages
 that build, read out and tomograph it run on blocks of ``BLOCK_ROWS`` rows
 written into one result, so none of their temporaries spans more than a
@@ -16,6 +22,7 @@ every count, are the same as with the per-row objects.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -171,22 +178,31 @@ def _in_blocks(stage, rows: np.ndarray) -> np.ndarray:
 
 
 def _grid(cfg: ResolvedConfig):
-    """A grid scenario's (beta, phi) rows, beta outermost, and noisy states; each angle checked once."""
-    grid = [(beta, phi) for beta in cfg.beta_list for phi in cfg.phi_list]
+    """A grid scenario's (beta, phi) rows, beta outermost, as one pass, and noisy states; each angle checked once."""
     phases = [cmath.exp(1j * canonical_phase(phi)) for phi in cfg.phi_list]
     kets = lr_ket_blocks([(PreparationSettings(beta).beta, phases) for beta in cfg.beta_list])
-    return grid, _in_blocks(lambda block: validate_densities(noisy_state(ket_to_density(block), cfg.noise)), kets)
+    states = _in_blocks(lambda block: validate_densities(noisy_state(ket_to_density(block), cfg.noise)), kets)
+    return itertools.product(cfg.beta_list, cfg.phi_list), states
 
 
-def _sample(cfg: ResolvedConfig, states: np.ndarray) -> list[list[int]]:
-    """Rotate and read out the stack in blocks, then draw it; each row's tally as Python ints, unchecked.
+def _sample(cfg: ResolvedConfig, states: np.ndarray) -> np.ndarray:
+    """Rotate and read out the stack in blocks, then draw it: the (N, 4) int64 tallies, unchecked.
 
     The estimators reject a row they cannot use (Poisson can draw one without
     a coincidence); the sweeps that estimate add the row's name to the message.
     """
     probs = _in_blocks(lambda block: outcome_probs(rotate_density(block)), states)
-    rngs = row_generators(cfg.seed, len(probs))
-    return sample_counts(probs, cfg.shots, rngs, cfg.sampling).tolist()
+    return sample_counts(probs, cfg.shots, row_generators(cfg.seed, len(probs)), cfg.sampling)
+
+
+def _column_rows(*columns):
+    """The rows of equal-length numeric columns, as tuples of Python numbers, in one pass.
+
+    A 2-D column gives each row a list.  Each block of BLOCK_ROWS rows is
+    converted by ``tolist`` when the pass reaches it, so no N-row list is built.
+    """
+    for start in range(0, len(columns[0]), BLOCK_ROWS):
+        yield from zip(*(column[start : start + BLOCK_ROWS].tolist() for column in columns))
 
 
 PHASE_SWEEP_HEADER = [
@@ -209,19 +225,24 @@ def run_phase_sweep(cfg: ResolvedConfig):
     the configuration varies.
     """
     grid, states = _grid(cfg)
+    tallies = _sample(cfg, states).tolist()  # Python-int rows, which the estimator reads fastest
+    del states  # the estimator's working set need not hold the states beside it
     vis = cfg.noise.visibility
+    betas = [beta for beta in cfg.beta_list for _ in cfg.phi_list]
     try:
-        est = estimate_phase(_sample(cfg, states), [beta for beta, _ in grid], vis)
+        est = estimate_phase(tallies, betas, vis)
     except TallyRowError as exc:
-        beta, phi = grid[exc.row]
+        beta_index, phi_index = divmod(exc.row, len(cfg.phi_list))
+        beta, phi = cfg.beta_list[beta_index], cfg.phi_list[phi_index]
         name = f"beta {math.degrees(beta):.12g} deg, phi {phi:.12g} rad"
         raise ValueError(f"row {exc.row} ({name}): {exc}") from None
     # the grid runs beta outermost: one sin per beta, one cos per phi
-    sines = [(math.degrees(beta), math.sin(2.0 * beta)) for beta in cfg.beta_list]
-    cosines = [(phi, math.cos(phi)) for phi in cfg.phi_list]
-    ideals = [(beta_deg, phi, cos_phi, sin_2b * cos_phi) for beta_deg, sin_2b in sines for phi, cos_phi in cosines]
-    columns = zip(ideals, est.zz_hat.tolist(), est.zz_sigma.tolist(), est.phi_hat.tolist(), est.sigma.tolist())
-    return PHASE_SWEEP_HEADER, [[*ideal, vis * ideal[3], *estimates] for ideal, *estimates in columns]
+    sines = np.array([math.sin(2.0 * beta) for beta in cfg.beta_list])
+    cosines = np.array([math.cos(phi) for phi in cfg.phi_list])
+    zz_ideal = np.multiply.outer(sines, cosines).ravel()
+    columns = (np.tile(cosines, len(sines)), zz_ideal, vis * zz_ideal, est.zz_hat, est.zz_sigma, est.phi_hat, est.sigma)
+    rows = zip(grid, _column_rows(*columns))
+    return PHASE_SWEEP_HEADER, ((math.degrees(beta), phi, *values) for (beta, phi), values in rows)
 
 
 MIXTURE_HEADER = [
@@ -241,13 +262,15 @@ def run_mixture_sweep(cfg: ResolvedConfig):
     phi1, phi2 = cfg.phi_list
     beta = cfg.beta_list[0]
     states = validate_densities(noisy_state(mixed_state(cfg.p_list, phi1, phi2, beta), cfg.noise))
+    tallies = _sample(cfg, states).tolist()  # Python-int rows, which the estimator reads fastest
+    del states  # the estimator's working set need not hold the states beside it
     try:
-        est = estimate_p(_sample(cfg, states), phi1, phi2, beta, cfg.noise.visibility)
+        est = estimate_p(tallies, phi1, phi2, beta, cfg.noise.visibility)
     except TallyRowError as exc:
         raise ValueError(f"row {exc.row} (p {cfg.p_list[exc.row]:.12g}): {exc}") from None
-    ideals = mixture_expectation(cfg.p_list, phi1, phi2, beta).tolist()
-    columns = zip(cfg.p_list, ideals, est.zz_hat.tolist(), est.p_raw.tolist(), est.p_hat.tolist(), est.sigma.tolist())
-    return MIXTURE_HEADER, [[p, phi1, phi2, *values] for p, *values in columns]
+    ideals = mixture_expectation(cfg.p_list, phi1, phi2, beta)
+    rows = zip(cfg.p_list, _column_rows(ideals, est.zz_hat, est.p_raw, est.p_hat, est.sigma))
+    return MIXTURE_HEADER, ((p, phi1, phi2, *values) for p, values in rows)
 
 
 PLATE_HEADER = ["x_mm", "phi_unwrapped_rad", "phi_wrapped_rad"]
@@ -256,7 +279,7 @@ PLATE_HEADER = ["x_mm", "phi_unwrapped_rad", "phi_wrapped_rad"]
 def run_plate_calibration(cfg: ResolvedConfig):
     """Displacement to phase table: the plate phases the config resolver computed."""
     table = zip(cfg.x_list, cfg.plate_phases)
-    return PLATE_HEADER, [[x * 1e3, phase.unwrapped, phase.wrapped] for x, phase in table]
+    return PLATE_HEADER, ((x * 1e3, phase.unwrapped, phase.wrapped) for x, phase in table)
 
 
 COUNTS_HEADER = ["beta_deg", "phi_rad", "n13", "n14", "n23", "n24", "total"]
@@ -265,11 +288,9 @@ COUNTS_HEADER = ["beta_deg", "phi_rad", "n13", "n14", "n23", "n24", "total"]
 def run_counts_demo(cfg: ResolvedConfig):
     """Raw coincidence tallies per (beta, phi)."""
     grid, states = _grid(cfg)
-    rows = []
-    for (beta, phi), counts in zip(grid, _sample(cfg, states)):
-        # a Python int sum: Poisson totals can pass 2**63 - 1
-        rows.append([math.degrees(beta), phi, *counts, sum(counts)])
-    return COUNTS_HEADER, rows
+    rows = zip(grid, _column_rows(_sample(cfg, states)))
+    # each tally row as Python ints, whose sum is exact: Poisson totals can pass 2**63 - 1
+    return COUNTS_HEADER, ((math.degrees(beta), phi, *counts, sum(counts)) for (beta, phi), (counts,) in rows)
 
 
 TOMOGRAPHY_HEADER = [
@@ -289,22 +310,24 @@ def run_tomography_demo(cfg: ResolvedConfig):
     """Tomograph each prepared state, then jointly fit the noise model.
 
     The fitted visibility and white weight are repeated on every row so the
-    file stays flat.
+    file stays flat.  Each N-row stack is dropped once the next stage has read it.
     """
     grid, states = _grid(cfg)
-    rngs = row_generators(cfg.seed, len(states))
-    tables = simulate_tomography(_in_blocks(setting_probabilities, states), cfg.shots, rngs)
+    probs = _in_blocks(setting_probabilities, states)
+    del states
+    tables = simulate_tomography(probs, cfg.shots, row_generators(cfg.seed, len(probs)))
+    del probs
     rho_hats = _in_blocks(reconstruct, tables)
+    del tables
     extracted = extract_params(rho_hats)
     fitted = fit_noise(rho_hats, extracted.kets)
     fit = (fitted.visibility, fitted.white_weight)
-    cells = rho_hats.view(np.float64).reshape(len(rho_hats), 32).tolist()  # re, im interleaved
-    reads = (extracted.beta.tolist(), extracted.phi.tolist(), extracted.fidelity_to_ideal.tolist())
-    columns = zip(grid, *reads, cells)
-    return TOMOGRAPHY_HEADER, [
-        [math.degrees(beta), phi, math.degrees(beta_hat), phi_hat, fidelity, *fit, *rho]
-        for (beta, phi), beta_hat, phi_hat, fidelity, rho in columns
-    ]
+    cells = rho_hats.view(np.float64).reshape(len(rho_hats), 32)  # re, im interleaved
+    rows = zip(grid, _column_rows(extracted.beta, extracted.phi, extracted.fidelity_to_ideal, cells))
+    return TOMOGRAPHY_HEADER, (
+        (math.degrees(beta), phi, math.degrees(beta_hat), phi_hat, fidelity, *fit, *rho)
+        for (beta, phi), (beta_hat, phi_hat, fidelity, rho) in rows
+    )
 
 
 _RUNNERS = {
@@ -318,6 +341,7 @@ _RUNNERS = {
 
 
 def run_scenario(cfg: ResolvedConfig):
+    """The scenario's CSV header and a one-pass iterator over its rows; every stage that can raise has run."""
     return _RUNNERS[cfg.scenario](cfg)
 
 
@@ -325,14 +349,17 @@ def run_scenario(cfg: ResolvedConfig):
 COUNT_COLUMNS = frozenset(COUNTS_HEADER[2:])
 
 
-def render_csv(header, rows) -> str:
-    """CSV text: tally columns as integers, every other cell with 12 significant digits.
+def render_csv(header, rows, out) -> None:
+    """Write CSV to the text stream ``out``: tally columns as integers, every other cell with 12 significant digits.
 
     One ``%`` template per header, applied once per row: ``"%d"`` for the
     tally columns and ``"%.12g"``, which formats a float exactly as
-    ``format(float(value), ".12g")`` does, for the rest.
+    ``format(float(value), ".12g")`` does, for the rest.  ``rows`` is read
+    in one pass, and each block of BLOCK_ROWS lines goes to ``out`` as one
+    string, so neither the rows nor the text are ever held whole.
     """
-    template = ",".join("%d" if name in COUNT_COLUMNS else "%.12g" for name in header)
-    lines = [",".join(header)]
-    lines.extend(template % tuple(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    line = ",".join("%d" if name in COUNT_COLUMNS else "%.12g" for name in header) + "\n"
+    out.write(",".join(header) + "\n")
+    rows = iter(rows)
+    while text := "".join([line % tuple(row) for row in itertools.islice(rows, BLOCK_ROWS)]):
+        out.write(text)

@@ -2,7 +2,9 @@
 
 Every blocked stage acts row by row, so the blocks must give the bits of one
 whole-stack call, up to a last block of a single row; and no call may hold
-an N-row (N, 4, 4) temporary beside its result.
+an N-row (N, 4, 4) temporary beside its result.  A whole CLI run streams its
+rows to the file, so its working set stays a small multiple of one row's
+numbers.
 """
 
 import contextlib
@@ -11,8 +13,9 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 
-from sloccsim import sweeps
+from sloccsim import cli, sweeps
 from sloccsim.config import ExperimentConfig, resolve
 from sloccsim.measurement import outcome_probs, rotate_density, sample_counts
 from sloccsim.noise import noisy_state
@@ -76,7 +79,7 @@ def test_block_edges_keep_every_bit():
 
     probs = outcome_probs(rotate_density(whole))
     expected = sample_counts(probs, cfg.shots, sweeps.row_generators(cfg.seed, n), cfg.sampling)
-    assert tallies == expected.tolist()
+    assert tallies.dtype == expected.dtype and tallies.tobytes() == expected.tobytes()
 
     tables = simulate_tomography(setting_probabilities(whole), cfg.shots, sweeps.row_generators(cfg.seed, n))
     whole_rho_hats = reconstruct(tables)
@@ -105,6 +108,28 @@ def test_grid_and_sample_hold_no_n_row_temporary():
     kets_bytes = len(states) * 4 * 16
     assert peak - kept <= kets_bytes + 8 * BLOCK_BYTES, (peak - kept) / 1e6
     tallies, kept, peak = traced(lambda: sweeps._sample(cfg, states))
-    assert len(tallies) == 4000
-    # beyond the tally rows it returns: the (N, 4) probabilities and row streams, and a few blocks' temporaries
-    assert peak - kept <= 8 * BLOCK_BYTES, (peak - kept) / 1e6
+    assert tallies.shape == (4000, 4)
+    # the (N, 4) int64 tallies it returns, the (N, 4) probabilities, and the rows' PCG64 words
+    # and their hashing: a few (N, 4) arrays in all, and no Python object per row
+    assert peak <= 6 * tallies.nbytes, peak / 1e6
+
+
+# Traced bytes per row a 4000-row run may peak at: rows of Python objects, the whole
+# CSV text or a second N-row state stack beside the estimators would pass them.
+RUN_BYTES_PER_ROW = {"phase-sweep": 1150, "tomography-demo": 2500}
+
+
+@pytest.mark.parametrize("command", RUN_BYTES_PER_ROW)
+def test_a_cli_run_holds_a_bounded_working_set_per_row(command, tmp_path):
+    # 40 x 100 = 4000 rows, written to --out
+    betas = ", ".join(map(repr, np.linspace(0.1, 1.4, 40).tolist()))
+    phis = ", ".join(map(repr, np.linspace(-3.0, 3.0, 100).tolist()))
+    config = tmp_path / "grid.ini"
+    config.write_text(f"[sweep]\nbeta_list = {betas}\nphi_list = {phis}\n", encoding="utf-8")
+    out = tmp_path / "grid.csv"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    assert cli.main(argv) == 0  # first calls may allocate caches
+    code, _, peak = traced(lambda: cli.main(argv))
+    assert code == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 4001
+    assert peak <= RUN_BYTES_PER_ROW[command] * 4000, peak / 4000

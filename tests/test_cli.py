@@ -404,14 +404,17 @@ def test_unwritable_out_is_caught_before_computing(case, tmp_path, capsys, monke
     assert err.count("\n") == 1
 
 
-def test_failed_run_leaves_no_out_file(tmp_path, capsys):
-    # the parent directory is made before the run, the file only after it succeeds
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("command", ["phase-sweep", "mixture-sweep"])
+def test_failed_run_leaves_no_out_file(command, to_file, tmp_path, capsys):
+    # the parent directory is made before the run, the file only after it succeeds;
+    # rows stream to the output, so no header may come before the exit 3
     config = quick_config(tmp_path, "[experiment]\nshots = 1\nsampling = poisson\n")
     out = tmp_path / "made" / "table.csv"
-    code, stdout, err = run_cli(["phase-sweep", "--config", config, "--out", str(out)], capsys)
+    code, stdout, err = run_cli([command, "--config", config, *(["--out", str(out)] if to_file else [])], capsys)
     assert code == 3, err
     assert stdout == ""
-    assert out.parent.is_dir()
+    assert out.parent.is_dir() == to_file
     assert not out.exists()
 
 

@@ -271,6 +271,6 @@ def test_plate_phases_of_a_grid_are_computed_once(scenario, monkeypatch):
             monkeypatch.setattr(module, "phase_from_displacement", counted)
     x_list = [k * 0.5e-3 for k in range(81)]
     config = ExperimentConfig(shots=50, beta_list=[0.3, 0.7], x_list=x_list)
-    _, rows = run_scenario(resolve(config, scenario))
+    rows = list(run_scenario(resolve(config, scenario))[1])
     assert calls == x_list
     assert len(rows) == ROWS_PER_X[scenario] * len(x_list)

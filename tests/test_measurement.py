@@ -219,7 +219,7 @@ def test_phase_and_mixture_rows_are_read_once(scenario, monkeypatch):
 
     # measurement's stack reader is the only caller, whichever estimator reads the stack
     monkeypatch.setattr(measurement, "_same_and_total", counted)
-    _, rows = run_scenario(resolve(ExperimentConfig(shots=200), scenario))
+    rows = list(run_scenario(resolve(ExperimentConfig(shots=200), scenario))[1])
     assert len(reads) == len(rows)
 
 

@@ -331,5 +331,5 @@ def test_grid_sweep_checks_each_beta_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(PreparationSettings, "__post_init__", counted)
     header, rows = sweeps.run_scenario(cfg)
-    assert len(rows) == 15
+    assert len(list(rows)) == 15
     assert built == list(cfg.beta_list)
