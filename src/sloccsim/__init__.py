@@ -12,51 +12,16 @@ from .errors import (
     AmbiguousFitError,
     ConfigError,
     DegeneratePhasesError,
-    DegenerateStateError,
     ExtractionError,
     LowIndistinguishabilityError,
-    PostSelectionError,
     TallyRowError,
 )
-from .measurement import (
-    PhaseEstimate,
-    estimate_phase,
-    expectation_zz,
-    outcome_probs,
-    rotate_density,
-    sample_counts,
-)
+from .measurement import PhaseEstimate, estimate_phase, outcome_probs, rotate_density, sample_counts
 from .mixture import MixtureEstimate, estimate_p, mixed_state, mixture_expectation
 from .noise import NoiseModel, fit_noise, noisy_state
-from .plate import (
-    PlateGeometry,
-    PlatePhase,
-    displacement_from_phase,
-    phase_from_displacement,
-    wrap_phase,
-)
-from .slocc import (
-    DeformedPair,
-    PreparationSettings,
-    SloccResult,
-    beta_indistinguishability,
-    deform,
-    indistinguishability,
-    prepare_lr,
-    project_slocc,
-)
-from .states import (
-    DensityMatrix4,
-    DetectionMode,
-    JointKet,
-    Pseudospin,
-    Region,
-    SingleParticleState,
-    StatisticsParameter,
-    fidelity_pure,
-    joint_amplitude,
-    ket_to_density,
-)
+from .plate import PlateGeometry, PlatePhase, phase_from_displacement, wrap_phase
+from .slocc import PreparationSettings, prepare_lr
+from .states import DensityMatrix4, JointKet, fidelity_pure, ket_to_density
 from .tomography import (
     ExtractedParams,
     extract_params,
@@ -71,14 +36,11 @@ __all__ = [
     "AmbiguousFitError",
     "ConfigError",
     "DegeneratePhasesError",
-    "DegenerateStateError",
     "ExtractionError",
     "LowIndistinguishabilityError",
-    "PostSelectionError",
     "TallyRowError",
     "PhaseEstimate",
     "estimate_phase",
-    "expectation_zz",
     "outcome_probs",
     "rotate_density",
     "sample_counts",
@@ -91,26 +53,13 @@ __all__ = [
     "noisy_state",
     "PlateGeometry",
     "PlatePhase",
-    "displacement_from_phase",
     "phase_from_displacement",
     "wrap_phase",
-    "DeformedPair",
     "PreparationSettings",
-    "SloccResult",
-    "beta_indistinguishability",
-    "deform",
-    "indistinguishability",
     "prepare_lr",
-    "project_slocc",
     "DensityMatrix4",
-    "DetectionMode",
     "JointKet",
-    "Pseudospin",
-    "Region",
-    "SingleParticleState",
-    "StatisticsParameter",
     "fidelity_pure",
-    "joint_amplitude",
     "ket_to_density",
     "ExtractedParams",
     "extract_params",

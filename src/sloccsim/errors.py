@@ -5,14 +5,6 @@ one clause; the CLI maps ConfigError to exit code 2 and the rest to 3.
 """
 
 
-class DegenerateStateError(ValueError):
-    """A state vector or amplitude pair has numerically zero norm."""
-
-
-class PostSelectionError(ValueError):
-    """The one-particle-per-region sector is empty; no coincidence can occur."""
-
-
 class LowIndistinguishabilityError(ValueError):
     """sin(2*beta) is too small for the correlation to carry phase information."""
 

@@ -36,6 +36,10 @@ ROTATION_PAIR.setflags(write=False)
 
 MIN_SIN_2BETA = 1e-6
 
+# Rows per block wherever a stack is worked through in blocks: the sweeps' per-row
+# stages, the Poisson draws and the CSV rows.  A (256, 4, 4) complex128 block is 64 KiB.
+BLOCK_ROWS = 256
+
 
 def rotate_density(matrices: np.ndarray) -> np.ndarray:
     """The two-spin rotation applied by conjugation to a (..., 4, 4) stack."""
@@ -54,12 +58,6 @@ def outcome_probs(rotated: np.ndarray) -> np.ndarray:
     if not np.all(np.abs(total - 1.0) <= 1e-9):
         raise ValueError("density matrix diagonal does not sum to 1")
     return clipped / total
-
-
-def expectation_zz(rotated: np.ndarray) -> np.ndarray:
-    """<sigma_z x sigma_z> of already-rotated states: p13 + p24 - p14 - p23."""
-    p = outcome_probs(rotated)
-    return p[..., 0] + p[..., 3] - p[..., 1] - p[..., 2]
 
 
 def sample_counts(probs: np.ndarray, total: int, rngs, mode: str = "multinomial") -> np.ndarray:
@@ -90,8 +88,10 @@ def sample_counts(probs: np.ndarray, total: int, rngs, mode: str = "multinomial"
         for row, p, rng in zip(tally, probs, rngs, strict=True):
             row[:] = rng.multinomial(total, p)
     else:
-        # one scalar draw per channel consumes the stream as the array call does, faster
-        for row, p, rng in zip(tally, probs.tolist(), rngs, strict=True):
+        # one scalar draw per channel consumes the stream as the array call does, faster;
+        # the probabilities become Python floats one block at a time, never as one N-row list
+        blocks = (probs[start : start + BLOCK_ROWS].tolist() for start in range(0, len(probs), BLOCK_ROWS))
+        for row, p, rng in zip(tally, itertools.chain.from_iterable(blocks), rngs, strict=True):
             row[:] = [rng.poisson(total * v) for v in p]
     return tally
 

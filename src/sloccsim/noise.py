@@ -44,10 +44,6 @@ class NoiseModel:
         if abs(self.white_weight + self.dephasing_weight - 1.0) > 1e-12:
             raise ValueError("white and dephasing weights must sum to 1")
 
-    @classmethod
-    def ideal(cls) -> "NoiseModel":
-        return cls(visibility=1.0)
-
 
 def noise_floor(model: NoiseModel) -> np.ndarray:
     """The spoiled component: white/dephased convex mix (a raw 4x4 array)."""

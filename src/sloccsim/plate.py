@@ -50,7 +50,6 @@ class PlateGeometry:
 class PlatePhase:
     wrapped: float  # in [0, pi]
     unwrapped: float  # monotone in |x|, unbounded
-    small_angle: bool  # False once |x| exceeds half the rotation radius
 
 
 def wrap_phase(phi: float) -> float:
@@ -70,16 +69,4 @@ def phase_from_displacement(x: float, geom: PlateGeometry) -> PlatePhase:
     raw = geom.phase_scale * (1.0 / math.sqrt(1.0 - ratio * ratio) - 1.0)
     if not math.isfinite(raw):
         raise ValueError(f"the plate phase at x = {x!r} m overflows")
-    return PlatePhase(
-        wrapped=wrap_phase(raw),
-        unwrapped=raw,
-        small_angle=abs(x) <= 0.5 * geom.radius,
-    )
-
-
-def displacement_from_phase(phi_raw: float, geom: PlateGeometry) -> float:
-    """Drive displacement (meters) producing the given unwrapped phase."""
-    if phi_raw < 0.0:
-        raise ValueError("phi_raw must be nonnegative")
-    inner = 1.0 / (1.0 + phi_raw / geom.phase_scale)
-    return geom.max_displacement * math.sqrt(1.0 - inner * inner)
+    return PlatePhase(wrapped=wrap_phase(raw), unwrapped=raw)

@@ -1,26 +1,24 @@
-"""Amplitude algebra for two particles over the left/right x pseudospin basis.
+"""Kets and density matrices of the post-selected two-particle state.
 
 Conventions fixed once for the whole package:
 
-* pseudospin ``UP`` is horizontal polarization (H) and ``DOWN`` is vertical
-  (V); the correspondence is global and never remapped;
+* pseudospin up is horizontal polarization (H) and down is vertical (V);
+  the correspondence is global and never remapped;
 * four-component kets and 4x4 matrices use the basis order
   ``[L-up R-up, L-up R-down, L-down R-up, L-down R-down]``;
 * the global phase of a ket carries no physics, so ket comparisons test
-  ``|<a|b>| = 1`` rather than componentwise equality.
+  ``|<a|b>| = 1`` rather than componentwise equality;
+* phases are stored reduced into [0, 2*pi) by :func:`canonical_phase`.
 
-The central object is :func:`joint_amplitude`, the no-label detection
-amplitude for two independently prepared particles.  The statistics
-parameter weights the exchanged term, and that single weight is the only
-place where bosonic, fermionic or anyonic behaviour enters the package.
+The kets themselves come from the closed form in :mod:`.slocc`; this module
+turns stacks of them into density matrices, validates density stacks and
+scores fidelities.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
@@ -41,96 +39,6 @@ def canonical_phase(x: float) -> float:
     if math.isnan(phi):
         raise ValueError(f"phase must be finite, got {x!r}")
     return 0.0 if phi == TWO_PI else phi
-
-
-class Pseudospin(IntEnum):
-    """Internal two-level label; UP maps to H, DOWN to V, globally fixed."""
-
-    UP = 0
-    DOWN = 1
-
-
-class Region(IntEnum):
-    """Detection region: the left or right output arm."""
-
-    LEFT = 0
-    RIGHT = 1
-
-
-@dataclass(frozen=True)
-class DetectionMode:
-    """One detector port: a region and the pseudospin it selects."""
-
-    region: Region
-    spin: Pseudospin
-
-
-@dataclass(frozen=True)
-class StatisticsParameter:
-    """Exchange phase phi, stored canonically in [0, 2*pi)."""
-
-    phi: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phi", canonical_phase(self.phi))
-
-    @property
-    def eta(self) -> complex:
-        """exp(i*phi), the weight attached to the exchanged amplitude."""
-        return cmath.exp(1j * self.phi)
-
-    @classmethod
-    def bosonic(cls) -> "StatisticsParameter":
-        return cls(0.0)
-
-    @classmethod
-    def fermionic(cls) -> "StatisticsParameter":
-        return cls(math.pi)
-
-
-@dataclass(frozen=True)
-class SingleParticleState:
-    """One particle spread over the two regions with a definite pseudospin."""
-
-    amp_l: complex
-    amp_r: complex
-    spin: Pseudospin
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "amp_l", complex(self.amp_l))
-        object.__setattr__(self, "amp_r", complex(self.amp_r))
-        norm_sq = abs(self.amp_l) ** 2 + abs(self.amp_r) ** 2
-        if abs(norm_sq - 1.0) > ATOL:
-            raise ValueError(
-                f"amplitude pair is not normalised: |l|^2 + |r|^2 = {norm_sq!r}"
-            )
-
-    def overlap(self, mode: DetectionMode) -> complex:
-        """<mode|state>: the region amplitude, gated by spin agreement."""
-        if mode.spin is not self.spin:
-            return 0j
-        return self.amp_l if mode.region is Region.LEFT else self.amp_r
-
-
-def joint_amplitude(
-    chi_l: DetectionMode,
-    chi_r: DetectionMode,
-    first: SingleParticleState,
-    second: SingleParticleState,
-    eta: StatisticsParameter,
-) -> complex:
-    """Unnormalised amplitude for one detection per region.
-
-    The direct term sends ``first`` to the left port and ``second`` to the
-    right one; the exchanged term swaps those roles and is weighted by
-    ``eta.eta``.  The left port must sit in region L and the right port in
-    region R.
-    """
-    if chi_l.region is not Region.LEFT or chi_r.region is not Region.RIGHT:
-        raise ValueError("ports must be one in the left region, one in the right")
-    direct = first.overlap(chi_l) * second.overlap(chi_r)
-    exchanged = second.overlap(chi_l) * first.overlap(chi_r)
-    return direct + eta.eta * exchanged
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import ResolvedConfig
 from .errors import TallyRowError
-from .measurement import estimate_phase, outcome_probs, rotate_density, sample_counts
+from .measurement import BLOCK_ROWS, estimate_phase, outcome_probs, rotate_density, sample_counts
 from .mixture import estimate_p, mixed_state, mixture_expectation
 from .noise import fit_noise, noisy_state
 from .slocc import PreparationSettings, lr_ket_blocks
@@ -46,9 +46,6 @@ _SHIFT = np.uint32(16)
 # PCG64's 128-bit LCG multiplier
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
-
-# Rows per block of the per-row stack stages: a (256, 4, 4) complex128 block is 64 KiB.
-BLOCK_ROWS = 256
 
 
 def _hashmix(value, const, mult):

@@ -21,10 +21,13 @@ the per-header templates replaced; each must agree bit for bit.  So must the exa
 allocated a new array at every step, before its passes ran in place, and
 the phase and weight estimators that read one tally row per call, before
 they read the whole stack (the phase one summing the lattice rows in padded
-blocks).  The last section holds small helpers that only tests use: the
-basis index, ket normalisation, the single-spin rotation, the conjugate
-statistics parameter, the checked visibility scaling law and a tally row
-that carries a given correlation.
+blocks).  The last section holds small helpers that only tests use, several
+of them over the reference model in ``physics``: the basis index of
+``physics.Pseudospin`` labels, ket normalisation (which raises
+``physics.DegenerateStateError``), the single-spin rotation, the conjugate
+``physics.StatisticsParameter``, the visibility scaling law checked through
+``physics.expectation_zz``, and a tally row that carries a given
+correlation.
 """
 
 from __future__ import annotations
@@ -37,16 +40,12 @@ from typing import NamedTuple
 import numpy as np
 
 from sloccsim import (
-    DegenerateStateError,
     ExtractionError,
     DensityMatrix4,
     JointKet,
     NoiseModel,
     PlateGeometry,
     PreparationSettings,
-    Pseudospin,
-    StatisticsParameter,
-    expectation_zz,
     noisy_state,
     prepare_lr,
     rotate_density,
@@ -62,6 +61,8 @@ from sloccsim.measurement import (
 from sloccsim.mixture import cosine_contrast
 from sloccsim.noise import DEPHASED, WHITE_NOISE
 from sloccsim.states import ATOL, NORM_ATOL, PSD_ATOL, canonical_phase
+
+from physics import DegenerateStateError, Pseudospin, StatisticsParameter, expectation_zz
 
 # labelled single-particle basis slots: (region, spin)
 SLOTS = {("L", "up"): 0, ("L", "down"): 1, ("R", "up"): 2, ("R", "down"): 3}

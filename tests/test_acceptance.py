@@ -17,24 +17,17 @@ from sloccsim import (
     NoiseModel,
     PlateGeometry,
     PreparationSettings,
-    StatisticsParameter,
-    beta_indistinguishability,
-    deform,
-    displacement_from_phase,
     estimate_p,
     estimate_phase,
-    expectation_zz,
     extract_params,
     fidelity_pure,
     fit_noise,
-    joint_amplitude,
     ket_to_density,
     mixed_state,
     noisy_state,
     outcome_probs,
     phase_from_displacement,
     prepare_lr,
-    project_slocc,
     reconstruct,
     rotate_density,
     sample_counts,
@@ -43,9 +36,21 @@ from sloccsim import (
 )
 from sloccsim.cli import main as cli_main
 from sloccsim.noise import DEPHASED, WHITE_NOISE
-from sloccsim.states import DetectionMode, Pseudospin, Region, SingleParticleState
 
 from oracles import labelled_bracket, labelled_single, random_real_unit_pair
+from physics import (
+    DetectionMode,
+    Pseudospin,
+    Region,
+    SingleParticleState,
+    StatisticsParameter,
+    beta_indistinguishability,
+    deform,
+    displacement_from_phase,
+    expectation_zz,
+    joint_amplitude,
+    project_slocc,
+)
 
 STAT_SEED = 20260819  # pinned; the statistical windows below were sized for it
 

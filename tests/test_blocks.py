@@ -23,6 +23,8 @@ from sloccsim.slocc import PreparationSettings, lr_kets
 from sloccsim.states import ket_to_density, validate_densities
 from sloccsim.tomography import reconstruct, setting_probabilities, simulate_tomography
 
+from oracles import row_generator_oracle, sample_counts_oracle
+
 # one (BLOCK_ROWS, 4, 4) complex128 block: 64 KiB
 BLOCK_BYTES = sweeps.BLOCK_ROWS * 4 * 4 * 16
 
@@ -112,6 +114,24 @@ def test_grid_and_sample_hold_no_n_row_temporary():
     # the (N, 4) int64 tallies it returns, the (N, 4) probabilities, and the rows' PCG64 words
     # and their hashing: a few (N, 4) arrays in all, and no Python object per row
     assert peak <= 6 * tallies.nbytes, peak / 1e6
+
+
+def test_poisson_draws_convert_one_block_at_a_time():
+    # 50 x 400 = 20 000 rows: a list of every row's four probabilities as Python
+    # floats would add about 190 B per row to the arrays the draw holds
+    cfg = grid_config("counts-demo", 50, 400, shots=100_000, sampling="poisson")
+    states = sweeps._grid(cfg)[1]
+    sweeps._sample(cfg, states[: sweeps.BLOCK_ROWS])  # first calls may allocate caches
+    tallies, _, peak = traced(lambda: sweeps._sample(cfg, states))
+    assert tallies.shape == (20_000, 4)
+    # the few (N, 4) arrays of a multinomial draw, and one block's Python floats
+    assert peak <= 6 * tallies.nbytes, peak / len(tallies)
+    # the rows on either side of a block edge, and the last block's, draw what one row drawn alone does
+    probs = outcome_probs(rotate_density(states))
+    block, n = sweeps.BLOCK_ROWS, len(tallies)
+    for row in (0, block - 1, block, n // block * block, n - 1):
+        rng = row_generator_oracle(cfg.seed, row)
+        assert tallies[row].tolist() == sample_counts_oracle(probs[row], cfg.shots, rng, "poisson")
 
 
 # Traced bytes per row a 4000-row run may peak at: rows of Python objects, the whole

@@ -14,7 +14,6 @@ from sloccsim import (
     TallyRowError,
     estimate_p,
     estimate_phase,
-    expectation_zz,
     ket_to_density,
     outcome_probs,
     prepare_lr,
@@ -39,6 +38,7 @@ from oracles import (
     rotation_matrix_by_kron,
     tally_with_zz,
 )
+from physics import expectation_zz
 
 SQ2 = math.sqrt(0.5)
 

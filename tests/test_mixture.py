@@ -8,7 +8,6 @@ from sloccsim import (
     LowIndistinguishabilityError,
     PreparationSettings,
     estimate_p,
-    expectation_zz,
     mixed_state,
     mixture_expectation,
     outcome_probs,
@@ -18,6 +17,7 @@ from sloccsim import (
 from sloccsim.measurement import bootstrap_zz, read_tallies
 
 from oracles import pure_density_oracle, tally_with_zz
+from physics import expectation_zz
 
 
 def sampled(weight, phi1, phi2, beta, total, seed):

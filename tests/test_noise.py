@@ -8,7 +8,6 @@ from sloccsim import noise, sweeps
 from sloccsim import (
     NoiseModel,
     PreparationSettings,
-    expectation_zz,
     fit_noise,
     ket_to_density,
     noisy_state,
@@ -21,6 +20,7 @@ from sloccsim.slocc import lr_kets
 from sloccsim.states import DensityMatrix4
 
 from oracles import noisy_expectation_scaling
+from physics import expectation_zz
 
 
 def test_model_validation():
@@ -30,7 +30,7 @@ def test_model_validation():
         NoiseModel(visibility=-0.1)
     with pytest.raises(ValueError):
         NoiseModel(white_weight=0.6, dephasing_weight=0.6)
-    assert NoiseModel.ideal().visibility == 1.0
+    assert NoiseModel(visibility=1.0).visibility == 1.0
     assert NoiseModel().visibility == 0.977
 
 
@@ -43,7 +43,7 @@ def test_noise_floor_components():
 
 def test_noisy_state_limits():
     ideal = ket_to_density(prepare_lr(PreparationSettings(math.pi / 4, 0.7)).amps)
-    assert np.allclose(noisy_state(ideal, NoiseModel.ideal()), ideal)
+    assert np.allclose(noisy_state(ideal, NoiseModel(visibility=1.0)), ideal)
     fully = noisy_state(ideal, NoiseModel(visibility=0.0, white_weight=1.0, dephasing_weight=0.0))
     assert np.allclose(fully, WHITE_NOISE)
 
@@ -127,7 +127,7 @@ def test_fit_recovers_uneven_split():
 
 
 def test_fit_on_ideal_data_reports_default_split():
-    fitted = fit_noise(*grid_records(NoiseModel.ideal()))
+    fitted = fit_noise(*grid_records(NoiseModel(visibility=1.0)))
     assert fitted.visibility == pytest.approx(1.0, abs=1e-12)
     assert fitted.white_weight == 0.5
 

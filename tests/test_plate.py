@@ -3,14 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sloccsim import (
-    PlateGeometry,
-    displacement_from_phase,
-    phase_from_displacement,
-    wrap_phase,
-)
+from sloccsim import PlateGeometry, phase_from_displacement, wrap_phase
 
 from oracles import phase_via_refraction
+from physics import displacement_from_phase
 
 GEOM = PlateGeometry()
 
@@ -30,7 +26,6 @@ def test_zero_displacement_gives_zero_phase():
     phase = phase_from_displacement(0.0, GEOM)
     assert phase.unwrapped == 0.0
     assert phase.wrapped == 0.0
-    assert phase.small_angle
 
 
 def test_phase_is_even_in_displacement():
@@ -90,11 +85,6 @@ def test_displacement_for_pi_phase():
     x_pi = displacement_from_phase(math.pi, GEOM)
     assert x_pi == pytest.approx(7.922038874405478e-3, abs=1e-12)
     assert phase_from_displacement(x_pi, GEOM).wrapped == pytest.approx(math.pi, abs=1e-9)
-
-
-def test_small_angle_flag():
-    assert phase_from_displacement(0.05, GEOM).small_angle
-    assert not phase_from_displacement(0.06, GEOM).small_angle
 
 
 def test_domain_errors():

@@ -1,18 +1,20 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from sloccsim import (
+from sloccsim import JointKet, PreparationSettings, prepare_lr, sweeps
+from sloccsim.config import ExperimentConfig, resolve
+from sloccsim.slocc import lr_ket_blocks
+
+from physics import (
     DegenerateStateError,
-    JointKet,
     PostSelectionError,
-    PreparationSettings,
     StatisticsParameter,
     beta_indistinguishability,
     deform,
     indistinguishability,
-    prepare_lr,
     project_slocc,
 )
 
@@ -90,15 +92,41 @@ def test_prepare_lr_examples():
     assert np.allclose(quarter.amps, [0.0, SQ2, 1j * SQ2, 0.0], atol=1e-12)
 
 
+def grid_kets(scenario):
+    """The (beta, phi) rows of a default grid and the kets ``sweeps._grid`` builds for them.
+
+    The kets come from the grid's one ``lr_ket_blocks`` call, with one block
+    of every phase per beta, as the CLI runs it.
+    """
+    cfg = resolve(ExperimentConfig(), scenario)
+    calls = []
+
+    def recorded(blocks):
+        calls.append((blocks, lr_ket_blocks(blocks)))
+        return calls[-1][1]
+
+    with mock.patch.object(sweeps, "lr_ket_blocks", recorded):
+        grid, _ = sweeps._grid(cfg)
+    ((blocks, kets),) = calls
+    assert [len(phases) for _, phases in blocks] == [len(cfg.phi_list)] * len(cfg.beta_list)
+    assert len(cfg.phi_list) > 1
+    return list(grid), kets
+
+
 def test_prepare_lr_equals_pipeline():
-    for beta in np.linspace(0.0, math.pi / 2, 7):
-        for phi in np.linspace(0.0, 2.0 * math.pi, 9):
-            settings = PreparationSettings(beta, phi)
-            direct = prepare_lr(settings)
-            pair = deform(SQ2, SQ2, math.sin(beta), math.cos(beta), StatisticsParameter(phi))
-            result = project_slocc(pair)
-            assert result.ket.agrees_up_to_phase(direct, atol=1e-12)
-            assert result.p_lr == pytest.approx(0.5, abs=1e-12)
+    cases = [
+        ((beta, phi), prepare_lr(PreparationSettings(beta, phi)))
+        for beta in np.linspace(0.0, math.pi / 2, 7)
+        for phi in np.linspace(0.0, 2.0 * math.pi, 9)
+    ]
+    for scenario in ("phase-sweep", "beta-sweep"):
+        grid, kets = grid_kets(scenario)
+        cases += [(point, JointKet(ket)) for point, ket in zip(grid, kets, strict=True)]
+    for (beta, phi), direct in cases:
+        pair = deform(SQ2, SQ2, math.sin(beta), math.cos(beta), StatisticsParameter(phi))
+        result = project_slocc(pair)
+        assert result.ket.agrees_up_to_phase(direct, atol=1e-12)
+        assert result.p_lr == pytest.approx(0.5, abs=1e-12)
 
 
 def test_preparation_settings_validation():

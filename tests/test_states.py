@@ -7,20 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sloccsim import (
-    DegenerateStateError,
-    DensityMatrix4,
-    DetectionMode,
-    JointKet,
-    PreparationSettings,
-    Pseudospin,
-    Region,
-    SingleParticleState,
-    StatisticsParameter,
-    fidelity_pure,
-    joint_amplitude,
-    ket_to_density,
-)
+from sloccsim import DensityMatrix4, JointKet, PreparationSettings, fidelity_pure, ket_to_density
 from sloccsim.config import ExperimentConfig, resolve
 from sloccsim.mixture import mixed_state
 from sloccsim.states import TWO_PI, canonical_phase
@@ -34,6 +21,15 @@ from oracles import (
     labelled_single,
     normalize,
     random_unit_pair,
+)
+from physics import (
+    DegenerateStateError,
+    DetectionMode,
+    Pseudospin,
+    Region,
+    SingleParticleState,
+    StatisticsParameter,
+    joint_amplitude,
 )
 
 SQ2 = math.sqrt(0.5)
