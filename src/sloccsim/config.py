@@ -255,6 +255,8 @@ SCENARIOS = tuple(_SCENARIOS)
 _DEFAULT_PS = tuple(k / 10.0 for k in range(11))
 
 DEFAULT_SEED = 42
+# A run draws fewer rows than this: each row's seed holds its index in one uint32 word.
+ROW_LIMIT = 2**32
 _U64_MAX = 2**64 - 1
 _INT64_MAX = 2**63 - 1  # counts are sampled as int64
 DEFAULT_SHOTS = 5000
@@ -304,8 +306,18 @@ def resolve(
             raise ConfigError("mixture-sweep needs exactly two phases in phi_list")
         if len(beta_list) != 1:
             raise ConfigError("mixture-sweep uses a single beta")
+    if scenario == "mixture-sweep":
+        rows = len(p_list)
+    elif scenario == "plate-calibration":
+        rows = len(x_list)
+    else:
+        rows = len(beta_list) * len(x_list if plate_grid else phi_list)
+    if rows >= ROW_LIMIT:
+        raise ConfigError(
+            f"the run has {rows} rows, more than 2**32 - 1: a row's seed holds its index in one uint32 word"
+        )
     if scenario == "tomography-demo":
-        if len(beta_list) * len(x_list if plate_grid else phi_list) < 2:
+        if rows < 2:
             raise ConfigError("tomography-demo needs at least two prepared states")
         if config.sampling == "poisson":
             raise ConfigError(

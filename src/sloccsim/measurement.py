@@ -37,7 +37,8 @@ ROTATION_PAIR.setflags(write=False)
 MIN_SIN_2BETA = 1e-6
 
 # Rows per block wherever a stack is worked through in blocks: the sweeps' per-row
-# stages, the Poisson draws and the CSV rows.  A (256, 4, 4) complex128 block is 64 KiB.
+# stages, the sampler's checks, the estimators and the CSV rows.  A (256, 4, 4)
+# complex128 block is 64 KiB.
 BLOCK_ROWS = 256
 
 
@@ -70,6 +71,8 @@ def sample_counts(probs: np.ndarray, total: int, rngs, mode: str = "multinomial"
     fluctuates.  Returns the (N, 4) int64 tallies (n13, n14, n23, n24); sum
     a row's total as Python ints, since Poisson totals can pass 2**63 - 1.
     Identical (probs, total, generator states, mode) give identical counts.
+    The probabilities are checked and renormalised a block at a time, as the
+    draws reach them (``_renormalised_rows``).
     """
     if total < 1:
         raise ValueError("total must be at least 1")
@@ -78,22 +81,34 @@ def sample_counts(probs: np.ndarray, total: int, rngs, mode: str = "multinomial"
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[1] != 4:
         raise ValueError(f"outcome probabilities must have shape (N, 4), got {probs.shape}")
-    if not np.all((probs >= 0.0) & (probs <= 1.0)):  # a NaN fails both comparisons
-        raise ValueError("outcome probabilities must lie in [0, 1]")
-    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > ATOL):
-        raise ValueError("outcome probabilities must sum to 1")
-    probs = probs / probs.sum(axis=-1, keepdims=True)
     tally = np.empty(probs.shape, dtype=np.int64)
+    rows = _renormalised_rows(probs, mode)
     if mode == "multinomial":
-        for row, p, rng in zip(tally, probs, rngs, strict=True):
+        for row, p, rng in zip(tally, rows, rngs, strict=True):
             row[:] = rng.multinomial(total, p)
     else:
-        # one scalar draw per channel consumes the stream as the array call does, faster;
-        # the probabilities become Python floats one block at a time, never as one N-row list
-        blocks = (probs[start : start + BLOCK_ROWS].tolist() for start in range(0, len(probs), BLOCK_ROWS))
-        for row, p, rng in zip(tally, itertools.chain.from_iterable(blocks), rngs, strict=True):
+        # one scalar draw per channel consumes the stream as the array call does, faster
+        for row, p, rng in zip(tally, rows, rngs, strict=True):
             row[:] = [rng.poisson(total * v) for v in p]
     return tally
+
+
+def _renormalised_rows(probs: np.ndarray, mode: str):
+    """The rows of an (N, 4) probability stack, checked and renormalised one BLOCK_ROWS block at a time.
+
+    A block is checked when the pass reaches it, so a bad row raises after the
+    rows before its block are drawn.  Poisson mode gets each row as Python
+    floats, converted a block at a time, never as one N-row list.
+    """
+    for start in range(0, len(probs), BLOCK_ROWS):
+        block = probs[start : start + BLOCK_ROWS]
+        if not np.all((block >= 0.0) & (block <= 1.0)):  # a NaN fails both comparisons
+            raise ValueError("outcome probabilities must lie in [0, 1]")
+        sums = block.sum(axis=-1, keepdims=True)
+        if np.any(np.abs(sums - 1.0) > ATOL):
+            raise ValueError("outcome probabilities must sum to 1")
+        block = block / sums
+        yield from (block.tolist() if mode == "poisson" else block)
 
 
 def _same_and_total(counts) -> tuple[int, int]:
@@ -170,18 +185,27 @@ def _zz_spread(same: int, total: int) -> float:
     return 2.0 * math.sqrt(same * (total - same) / total) / total
 
 
-def read_tallies(tallies, shape_error: str) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+def row_blocks(n: int):
+    """Slices of consecutive BLOCK_ROWS-row blocks covering n rows; the last may be shorter."""
+    return (slice(start, start + BLOCK_ROWS) for start in range(0, n, BLOCK_ROWS))
+
+
+def read_tallies(tallies, shape_error: str, start: int = 0) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
     """Each row's exact (same, total), and its zz and exact bootstrap sd as float64 columns.
 
-    ``tallies``: N rows (n13, n14, n23, n24) of Python ints, which may pass 2**63, or an
-    (N, 4) int array.  A flat stack or a row of other than four entries raises
+    ``tallies``: rows (n13, n14, n23, n24) of Python ints, which may pass 2**63, or an
+    (n, 4) int array, which one ``tolist`` turns into Python ints.  The estimators hand
+    it their stack one ``row_blocks`` block at a time, ``start`` being the block's first
+    row.  A flat stack or a row of other than four entries raises
     ``ValueError(shape_error)``, and a row that ``_same_and_total`` rejects a
-    ``TallyRowError`` naming its index.
+    ``TallyRowError`` naming its index in the stack, ``start`` plus its place here.
     """
+    if isinstance(tallies, np.ndarray):
+        tallies = tallies.tolist()  # exact Python ints, which read faster than numpy scalars
     if any(np.ndim(row) != 1 for row in tallies[:1]):
         raise ValueError(shape_error)
     rows = []
-    for index, counts in enumerate(tallies):
+    for index, counts in enumerate(tallies, start):
         try:
             n13, n14, n23, n24 = counts
         except (TypeError, ValueError):  # a scalar row, or one of another length
@@ -233,21 +257,29 @@ def _phase_spread(rows) -> np.ndarray:
 
 
 def _lattice_block(block, constants: np.ndarray) -> list[float]:
-    """Phase spreads of lattice rows sorted by window length: no pass here depends on the padding."""
+    """Phase spreads of lattice rows sorted by window length: no pass here depends on the padding.
+
+    No more than two (rows, width) arrays are alive at a time: the nodes are
+    built only once the weights are done.
+    """
     lengths = [row[0] for row in block]
     width = lengths[-1]
+    padded = block[: lengths.index(width)]  # rows are sorted: the ones before the first full-width row
     lo, top, zz0, step, scale, other, same_1, log_q = constants.T[:, :, None]
-    nodes = lo + np.arange(width, dtype=np.float64)
-    # pmf(k + 1) / pmf(k) = (other - j) / (same + j + 1) * same / other.  A pad step is
+    # pmf(k + 1) / pmf(k) = (other - j) / (same + j + 1) * same / other at node j.  A pad step is
     # taken at top = hi - 1, where other - j >= 1, then set to 0, so no pad tops its row.
-    j = np.minimum(nodes[:, :-1], top)
-    steps = np.log(np.divide(other - j, same_1 + j, out=j), out=j)
+    j = lo + np.arange(width - 1, dtype=np.float64)
+    np.minimum(j, top, out=j)
+    steps = other - j
+    steps /= np.add(j, same_1, out=j)
+    del j
+    np.log(steps, out=steps)
     steps += log_q
-    for (n, _, hi, _), nodes_row, steps_row in zip(block[: lengths.index(width)], nodes, steps):
-        nodes_row[n:] = hi  # rows are sorted: the ones before the first full-width row are padded
-        steps_row[n - 1 :] = 0.0
-    log_pmf = np.zeros(nodes.shape)
+    for row, (n, *_) in enumerate(padded):
+        steps[row, n - 1 :] = 0.0
+    log_pmf = np.zeros((len(lengths), width))
     np.add.accumulate(steps, axis=1, out=log_pmf[:, 1:])
+    del steps
     log_pmf -= log_pmf.max(axis=1, keepdims=True)
     weights = np.exp(log_pmf, out=log_pmf)
     sums, start = np.empty(len(lengths)), 0
@@ -256,6 +288,9 @@ def _lattice_block(block, constants: np.ndarray) -> list[float]:
         np.add.reduce(weights[start:stop, :n], axis=1, out=sums[start:stop])
         start = stop
     weights /= sums[:, None]
+    nodes = lo + np.arange(width, dtype=np.float64)
+    for row, (n, _, hi, _) in enumerate(padded):
+        nodes[row, n:] = hi
     nodes *= step
     nodes += zz0
     nodes /= scale
@@ -295,13 +330,13 @@ def estimate_phase(tallies, betas, visibility: float) -> PhaseEstimate:
     if np.ndim(betas) != 1 or len(betas) != len(tallies):
         raise ValueError(shape_error)
     scales = {beta: correlation_scale(beta, visibility, "phase") for beta in dict.fromkeys(betas)}
-    rows, zz_hat, zz_sigma = read_tallies(tallies, shape_error)
-    rows = [(same, total, scales[beta]) for (same, total), beta in zip(rows, betas)]
-    ratios = [zz / scale for zz, (_, _, scale) in zip(zz_hat.tolist(), rows)]
-    return PhaseEstimate(
-        phi_hat=np.array([math.acos(min(1.0, max(-1.0, ratio))) for ratio in ratios], dtype=np.float64),
-        sigma=_phase_spread(rows),
-        zz_hat=zz_hat,
-        zz_sigma=zz_sigma,
-        clamped=sum(abs(ratio) > 1.0 for ratio in ratios),
-    )
+    phi_hat, sigma, zz_hat, zz_sigma = (np.empty(len(betas)) for _ in range(4))
+    clamped = 0
+    for block in row_blocks(len(betas)):  # per-row Python objects live for one block
+        rows, zz_hat[block], zz_sigma[block] = read_tallies(tallies[block], shape_error, block.start)
+        rows = [(same, total, scales[beta]) for (same, total), beta in zip(rows, betas[block])]
+        ratios = [zz / scale for zz, (_, _, scale) in zip(zz_hat[block].tolist(), rows)]
+        phi_hat[block] = [math.acos(min(1.0, max(-1.0, ratio))) for ratio in ratios]
+        sigma[block] = _phase_spread(rows)
+        clamped += sum(abs(ratio) > 1.0 for ratio in ratios)
+    return PhaseEstimate(phi_hat=phi_hat, sigma=sigma, zz_hat=zz_hat, zz_sigma=zz_sigma, clamped=clamped)

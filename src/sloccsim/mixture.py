@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegeneratePhasesError
-from .measurement import correlation_scale, read_tallies
+from .measurement import correlation_scale, read_tallies, row_blocks
 from .slocc import PreparationSettings, lr_kets
 from .states import ket_to_density
 
@@ -72,7 +72,10 @@ def estimate_p(tallies, phi1: float, phi2: float, beta: float, visibility: float
     """
     contrast = cosine_contrast(phi1, phi2)
     scale = correlation_scale(beta, visibility, "weight")
-    _, zz_hat, zz_sigma = read_tallies(tallies, "estimate_p takes a stack of N tally rows")
+    shape_error = "estimate_p takes a stack of N tally rows"
+    zz_hat, zz_sigma = np.empty(len(tallies)), np.empty(len(tallies))
+    for block in row_blocks(len(tallies)):
+        _, zz_hat[block], zz_sigma[block] = read_tallies(tallies[block], shape_error, block.start)
     p_raw = (zz_hat / scale - math.cos(phi2)) / contrast
     return MixtureEstimate(
         p_hat=np.clip(p_raw, 0.0, 1.0),  # keeps a -0.0; np.maximum would turn it into 0.0

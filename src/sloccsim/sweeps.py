@@ -6,17 +6,21 @@ iterator that converts the numeric result columns ``BLOCK_ROWS`` rows at a
 time, and ``render_csv`` writes them to a text stream block by block, so
 neither the rows nor the CSV text are ever held whole.
 
-A scenario's states form one validated (N, 4, 4) stack.  The per-row stages
-that build, read out and tomograph it run on blocks of ``BLOCK_ROWS`` rows
-written into one result, so none of their temporaries spans more than a
-block; the blocks give the bits of a whole-stack call.  Row i draws its
+A grid scenario holds its points as one (N, 4) ket stack, a mixture sweep as
+its weights; no (N, 4, 4) state stack is ever built.  One pass over blocks of
+``BLOCK_ROWS`` rows builds each block's validated noisy states and reads them
+out at once (rotation and diagonal, or the tomography settings), writing the
+readouts into one result, so no state or temporary spans more than a block;
+the blocks give the bits of a whole-stack call.  The sampler and the
+estimators work through their stacks a block at a time too.  Row i draws its
 counts from the stream of ``default_rng(SeedSequence([seed, i]).generate_state(1,
 uint64)[0])``, so rows never depend on evaluation order and identical configs
 reproduce identical files.  ``row_seeds`` and ``row_generators`` reach those
 streams without building a SeedSequence or a generator per row: both
-SeedSequence hashes run as uint32 array operations over all rows at once, and
-one reused PCG64 is set to each row's starting state.  The streams, and so
-every count, are the same as with the per-row objects.
+SeedSequence hashes run as uint32 array operations over many rows at once
+(``HASH_ROWS`` rows at a time in ``row_generators``), and one reused PCG64 is
+set to each row's starting state.  The streams, and so every count, are the same as with
+the per-row objects.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ import math
 
 import numpy as np
 
-from .config import ResolvedConfig
+from .config import ROW_LIMIT, ResolvedConfig
 from .errors import TallyRowError
-from .measurement import BLOCK_ROWS, estimate_phase, outcome_probs, rotate_density, sample_counts
+from .measurement import BLOCK_ROWS, estimate_phase, outcome_probs, rotate_density, row_blocks, sample_counts
 from .mixture import estimate_p, mixed_state, mixture_expectation
 from .noise import fit_noise, noisy_state
 from .slocc import PreparationSettings, lr_ket_blocks
@@ -100,11 +104,10 @@ def _row_words(seed: int, indices: np.ndarray, count: int) -> np.ndarray:
     return _seed_sequence(entropy, 2 * count)
 
 
-def _row_indices(n: int) -> np.ndarray:
+def _check_row_count(n: int) -> None:
     # the row index is one uint32 word of the entropy
-    if not 0 <= n < 2**32:
+    if not 0 <= n < ROW_LIMIT:
         raise ValueError(f"the row count must lie in [0, 2**32 - 1], got {n}")
-    return np.arange(n, dtype=np.uint32)
 
 
 def row_seeds(seed: int, n: int, count: int = 1) -> np.ndarray:
@@ -113,15 +116,22 @@ def row_seeds(seed: int, n: int, count: int = 1) -> np.ndarray:
     Returns an (n, count) uint64 array, computed for all rows at once.
     Column 0 does not depend on ``count``.
     """
-    return _as_uint64(_row_words(int(seed), _row_indices(n), count))
+    _check_row_count(n)
+    return _as_uint64(_row_words(int(seed), np.arange(n, dtype=np.uint32), count))
 
 
 def point_seeds(seed: int, index: int, count: int = 2) -> list[int]:
     """Deterministic per-point seeds, independent of evaluation order: row ``index`` of ``row_seeds``."""
-    if not 0 <= index < 2**32:
+    if not 0 <= index < ROW_LIMIT:
         raise ValueError(f"row index must lie in [0, 2**32 - 1], got {index}")
     words = _row_words(int(seed), np.array([index], dtype=np.uint32), count)
     return _as_uint64(words)[0].tolist()
+
+
+# Rows whose seeds row_generators hashes in one pass.  A pass makes about a hundred small
+# numpy calls whatever its size (hashing each block of BLOCK_ROWS rows apart made the
+# streams about 30% slower), and its arrays hold about 60 bytes per row.
+HASH_ROWS = 8 * BLOCK_ROWS
 
 
 def row_generators(seed: int, n: int):
@@ -134,27 +144,30 @@ def row_generators(seed: int, n: int):
     Row i's state is what ``PCG64(count_seed)`` seeds: the count seed's two
     uint32 words hashed into four uint64 words v0..v3, then, mod 2**128,
     init = v0 * 2**64 + v1, inc = 2 * (v2 * 2**64 + v3) + 1 and
-    state = (inc + init) * multiplier + inc.  The hashes run over all rows
-    at once; the 128-bit states are computed one row at a time, as the rows
-    are drawn.
+    state = (inc + init) * multiplier + inc.  The hashes run over HASH_ROWS
+    rows at a time, when the pass reaches them; the 128-bit states are
+    computed one row at a time, as the rows are drawn.
     """
-    # each count seed as its two uint32 words; a zero high word hashes as if absent
-    count_seeds = _row_words(int(seed), _row_indices(n), 1)
-    # PCG64(count_seed) seeds from SeedSequence(count_seed).generate_state(4, uint64)
-    words = _as_uint64(_seed_sequence(count_seeds, 8))
+    _check_row_count(n)
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
-    for row in words:  # one row at a time: a list of all rows' words raised peak RSS
-        v0, v1, v2, v3 = row.tolist()
-        inc = ((v2 << 64 | v3) << 1 | 1) & _MASK128
-        state = ((inc + (v0 << 64 | v1)) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+    for start in range(0, n, HASH_ROWS):
+        # each count seed as its two uint32 words; a zero high word hashes as if absent
+        indices = np.arange(start, min(start + HASH_ROWS, n), dtype=np.uint32)
+        count_seeds = _row_words(int(seed), indices, 1)
+        # PCG64(count_seed) seeds from SeedSequence(count_seed).generate_state(4, uint64)
+        words = _as_uint64(_seed_sequence(count_seeds, 8))
+        for block in row_blocks(len(words)):
+            for v0, v1, v2, v3 in words[block].tolist():
+                inc = ((v2 << 64 | v3) << 1 | 1) & _MASK128
+                state = ((inc + (v0 << 64 | v1)) * _PCG_MULT + inc) & _MASK128
+                bit_generator.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                yield rng
 
 
 def _in_blocks(stage, rows: np.ndarray) -> np.ndarray:
@@ -175,20 +188,26 @@ def _in_blocks(stage, rows: np.ndarray) -> np.ndarray:
 
 
 def _grid(cfg: ResolvedConfig):
-    """A grid scenario's (beta, phi) rows, beta outermost, as one pass, and noisy states; each angle checked once."""
+    """A grid scenario's (beta, phi) rows, beta outermost, as one pass, and its (N, 4) kets; each angle checked once."""
     phases = [cmath.exp(1j * canonical_phase(phi)) for phi in cfg.phi_list]
     kets = lr_ket_blocks([(PreparationSettings(beta).beta, phases) for beta in cfg.beta_list])
-    states = _in_blocks(lambda block: validate_densities(noisy_state(ket_to_density(block), cfg.noise)), kets)
-    return itertools.product(cfg.beta_list, cfg.phi_list), states
+    return itertools.product(cfg.beta_list, cfg.phi_list), kets
 
 
-def _sample(cfg: ResolvedConfig, states: np.ndarray) -> np.ndarray:
-    """Rotate and read out the stack in blocks, then draw it: the (N, 4) int64 tallies, unchecked.
+def _noisy(cfg: ResolvedConfig, ideals: np.ndarray) -> np.ndarray:
+    """A block of ideal density matrices with the run's noise mixed in, validated."""
+    return validate_densities(noisy_state(ideals, cfg.noise))
 
-    The estimators reject a row they cannot use (Poisson can draw one without
-    a coincidence); the sweeps that estimate add the row's name to the message.
+
+def _sample(cfg: ResolvedConfig, rows, ideals) -> np.ndarray:
+    """Build each block's states, rotate and read them out, then draw: the (N, 4) int64 tallies, unchecked.
+
+    ``ideals`` maps a block of ``rows`` (kets, or mixture weights) to its ideal
+    density matrices, so no state spans more than a block.  The estimators reject
+    a row they cannot use (Poisson can draw one without a coincidence); the
+    sweeps that estimate add the row's name to the message.
     """
-    probs = _in_blocks(lambda block: outcome_probs(rotate_density(block)), states)
+    probs = _in_blocks(lambda block: outcome_probs(rotate_density(_noisy(cfg, ideals(block)))), rows)
     return sample_counts(probs, cfg.shots, row_generators(cfg.seed, len(probs)), cfg.sampling)
 
 
@@ -198,8 +217,8 @@ def _column_rows(*columns):
     A 2-D column gives each row a list.  Each block of BLOCK_ROWS rows is
     converted by ``tolist`` when the pass reaches it, so no N-row list is built.
     """
-    for start in range(0, len(columns[0]), BLOCK_ROWS):
-        yield from zip(*(column[start : start + BLOCK_ROWS].tolist() for column in columns))
+    for block in row_blocks(len(columns[0])):
+        yield from zip(*(column[block].tolist() for column in columns))
 
 
 PHASE_SWEEP_HEADER = [
@@ -221,9 +240,9 @@ def run_phase_sweep(cfg: ResolvedConfig):
     Also serves the beta-sweep scenario; the two differ only in which list
     the configuration varies.
     """
-    grid, states = _grid(cfg)
-    tallies = _sample(cfg, states).tolist()  # Python-int rows, which the estimator reads fastest
-    del states  # the estimator's working set need not hold the states beside it
+    grid, kets = _grid(cfg)
+    tallies = _sample(cfg, kets, ket_to_density)
+    del kets  # the estimator's working set need not hold the kets beside it
     vis = cfg.noise.visibility
     betas = [beta for beta in cfg.beta_list for _ in cfg.phi_list]
     try:
@@ -258,9 +277,7 @@ def run_mixture_sweep(cfg: ResolvedConfig):
     """Sample each mixture on the weight grid and invert for the weight."""
     phi1, phi2 = cfg.phi_list
     beta = cfg.beta_list[0]
-    states = validate_densities(noisy_state(mixed_state(cfg.p_list, phi1, phi2, beta), cfg.noise))
-    tallies = _sample(cfg, states).tolist()  # Python-int rows, which the estimator reads fastest
-    del states  # the estimator's working set need not hold the states beside it
+    tallies = _sample(cfg, cfg.p_list, lambda weights: mixed_state(weights, phi1, phi2, beta))
     try:
         est = estimate_p(tallies, phi1, phi2, beta, cfg.noise.visibility)
     except TallyRowError as exc:
@@ -284,8 +301,8 @@ COUNTS_HEADER = ["beta_deg", "phi_rad", "n13", "n14", "n23", "n24", "total"]
 
 def run_counts_demo(cfg: ResolvedConfig):
     """Raw coincidence tallies per (beta, phi)."""
-    grid, states = _grid(cfg)
-    rows = zip(grid, _column_rows(_sample(cfg, states)))
+    grid, kets = _grid(cfg)
+    rows = zip(grid, _column_rows(_sample(cfg, kets, ket_to_density)))
     # each tally row as Python ints, whose sum is exact: Poisson totals can pass 2**63 - 1
     return COUNTS_HEADER, ((math.degrees(beta), phi, *counts, sum(counts)) for (beta, phi), (counts,) in rows)
 
@@ -309,9 +326,9 @@ def run_tomography_demo(cfg: ResolvedConfig):
     The fitted visibility and white weight are repeated on every row so the
     file stays flat.  Each N-row stack is dropped once the next stage has read it.
     """
-    grid, states = _grid(cfg)
-    probs = _in_blocks(setting_probabilities, states)
-    del states
+    grid, kets = _grid(cfg)
+    probs = _in_blocks(lambda block: setting_probabilities(_noisy(cfg, ket_to_density(block))), kets)
+    del kets
     tables = simulate_tomography(probs, cfg.shots, row_generators(cfg.seed, len(probs)))
     del probs
     rho_hats = _in_blocks(reconstruct, tables)

@@ -126,8 +126,8 @@ def test_traced_phase_sweep_estimates_in_one_span_that_tallies_the_clamped_rows(
     from sloccsim.config import load_config, resolve
 
     cfg = resolve(load_config(CLAMPING_SWEEP), scenario="phase-sweep")
-    grid, states = sweeps._grid(cfg)
-    rows = zip(sweeps._sample(cfg, states), grid)
+    grid, kets = sweeps._grid(cfg)
+    rows = zip(sweeps._sample(cfg, kets, sweeps.ket_to_density), grid)
     clamped = sum(estimate_phase_oracle(row, beta, cfg.noise.visibility).clamped for row, (beta, _) in rows)
     assert clamped > 0
 
@@ -158,7 +158,8 @@ def test_traced_tomography_extracts_in_one_span_that_tallies_the_low_coherence_s
     from sloccsim.tomography import reconstruct, setting_probabilities, simulate_tomography
 
     cfg = resolve(load_config(LOW_COHERENCE_TOMOGRAPHY), scenario="tomography-demo", ideal=True)
-    _, states = sweeps._grid(cfg)
+    _, kets = sweeps._grid(cfg)
+    states = sweeps._noisy(cfg, sweeps.ket_to_density(kets))
     rngs = sweeps.row_generators(cfg.seed, len(states))
     rho_hats = reconstruct(simulate_tomography(setting_probabilities(states), cfg.shots, rngs))
     low_coherence = sum(extract_params_oracle(rho).low_coherence for rho in rho_hats)

@@ -58,26 +58,38 @@ def test_block_edges_keep_every_bit():
     assert n == 2 * sweeps.BLOCK_ROWS + 1
     blocks = [sweeps.BLOCK_ROWS, sweeps.BLOCK_ROWS, 1]
 
-    stages = ["ket_to_density", "rotate_density", "setting_probabilities", "reconstruct", "extract_params"]
+    stages = [
+        "ket_to_density",
+        "validate_densities",
+        "rotate_density",
+        "setting_probabilities",
+        "reconstruct",
+        "extract_params",
+    ]
     patches, calls = recording(stages)
     with contextlib.ExitStack() as stack:
         for patch in patches:
             stack.enter_context(patch)
-        grid, states = sweeps._grid(cfg)
-        tallies = sweeps._sample(cfg, states)
+        grid, kets = sweeps._grid(cfg)
+        tallies = sweeps._sample(cfg, kets, sweeps.ket_to_density)
         sweeps.run_tomography_demo(cfg)  # builds the grid's states a second time
     sizes = {name: [len(rows) for rows in calls[name]] for name in stages}
     assert sizes == {
         "ket_to_density": blocks * 2,
+        "validate_densities": blocks * 2,
         "rotate_density": blocks,
         "setting_probabilities": blocks,
         "reconstruct": blocks,
         "extract_params": [n],
     }
 
-    kets = lr_kets([PreparationSettings(beta, phi) for beta, phi in grid])
-    whole = validate_densities(noisy_state(ket_to_density(kets), cfg.noise))
-    assert states.shape == whole.shape and states.tobytes() == whole.tobytes()
+    whole_kets = lr_kets([PreparationSettings(beta, phi) for beta, phi in grid])
+    assert kets.shape == whole_kets.shape and kets.tobytes() == whole_kets.tobytes()
+    whole = validate_densities(noisy_state(ket_to_density(whole_kets), cfg.noise))
+    # validate_densities returns the block it is given: each run's blocks are its states
+    for run in (calls["validate_densities"][:3], calls["validate_densities"][3:]):
+        states = np.concatenate(run)
+        assert states.shape == whole.shape and states.tobytes() == whole.tobytes()
 
     probs = outcome_probs(rotate_density(whole))
     expected = sample_counts(probs, cfg.shots, sweeps.row_generators(cfg.seed, n), cfg.sampling)
@@ -101,55 +113,74 @@ def traced(call):
 
 
 def test_grid_and_sample_hold_no_n_row_temporary():
-    # 40 x 100 = 4000 rows: the (N, 4, 4) states are 1.02 MB, 16 blocks' worth
+    # 40 x 100 = 4000 rows: (N, 4, 4) states would be 1.02 MB, 16 blocks' worth
     cfg = grid_config("phase-sweep", 40, 100)
-    sweeps._sample(cfg, sweeps._grid(cfg)[1])  # first calls may allocate caches
-    (grid, states), kept, peak = traced(lambda: sweeps._grid(cfg))
-    assert len(states) == 4000
-    # beyond the states and rows it returns, the grid holds its (N, 4) kets and a few blocks' temporaries
-    kets_bytes = len(states) * 4 * 16
-    assert peak - kept <= kets_bytes + 8 * BLOCK_BYTES, (peak - kept) / 1e6
-    tallies, kept, peak = traced(lambda: sweeps._sample(cfg, states))
+    sweeps._sample(cfg, sweeps._grid(cfg)[1], sweeps.ket_to_density)  # first calls may allocate caches
+    (grid, kets), kept, peak = traced(lambda: sweeps._grid(cfg))
+    assert kets.shape == (4000, 4)
+    # beyond the kets and rows it returns, the grid holds only the Python lists that fill two ket columns
+    assert peak - kept <= kets.nbytes, (peak - kept) / 1e6
+    tallies, kept, peak = traced(lambda: sweeps._sample(cfg, kets, sweeps.ket_to_density))
     assert tallies.shape == (4000, 4)
-    # the (N, 4) int64 tallies it returns, the (N, 4) probabilities, and the rows' PCG64 words
-    # and their hashing: a few (N, 4) arrays in all, and no Python object per row
-    assert peak <= 6 * tallies.nbytes, peak / 1e6
+    # the (N, 4) int64 tallies it returns and the (N, 4) probabilities, beside one block's states
+    # and readout and one HASH_ROWS pass of seed hashing: no (N, 4, 4) states, no renormalised
+    # copy and no N-row hash pool (before: 692 kB, 5.4 times the tallies; now 509 kB)
+    assert peak <= 2 * tallies.nbytes + 6 * BLOCK_BYTES, peak / 1e6
 
 
 def test_poisson_draws_convert_one_block_at_a_time():
     # 50 x 400 = 20 000 rows: a list of every row's four probabilities as Python
     # floats would add about 190 B per row to the arrays the draw holds
     cfg = grid_config("counts-demo", 50, 400, shots=100_000, sampling="poisson")
-    states = sweeps._grid(cfg)[1]
-    sweeps._sample(cfg, states[: sweeps.BLOCK_ROWS])  # first calls may allocate caches
-    tallies, _, peak = traced(lambda: sweeps._sample(cfg, states))
+    kets = sweeps._grid(cfg)[1]
+    sweeps._sample(cfg, kets[: sweeps.BLOCK_ROWS], sweeps.ket_to_density)  # first calls may allocate caches
+    tallies, _, peak = traced(lambda: sweeps._sample(cfg, kets, sweeps.ket_to_density))
     assert tallies.shape == (20_000, 4)
-    # the few (N, 4) arrays of a multinomial draw, and one block's Python floats
-    assert peak <= 6 * tallies.nbytes, peak / len(tallies)
+    # the two (N, 4) arrays of a multinomial draw, one block's states and Python floats and
+    # one HASH_ROWS pass of seed hashing (before: 3.49 MB; now 1.58 MB)
+    assert peak <= 2 * tallies.nbytes + 6 * BLOCK_BYTES, peak / len(tallies)
     # the rows on either side of a block edge, and the last block's, draw what one row drawn alone does
-    probs = outcome_probs(rotate_density(states))
+    probs = outcome_probs(rotate_density(validate_densities(noisy_state(ket_to_density(kets), cfg.noise))))
     block, n = sweeps.BLOCK_ROWS, len(tallies)
     for row in (0, block - 1, block, n // block * block, n - 1):
         rng = row_generator_oracle(cfg.seed, row)
         assert tallies[row].tolist() == sample_counts_oracle(probs[row], cfg.shots, rng, "poisson")
 
 
-# Traced bytes per row a 4000-row run may peak at: rows of Python objects, the whole
-# CSV text or a second N-row state stack beside the estimators would pass them.
-RUN_BYTES_PER_ROW = {"phase-sweep": 1150, "tomography-demo": 2500}
-
-
-@pytest.mark.parametrize("command", RUN_BYTES_PER_ROW)
-def test_a_cli_run_holds_a_bounded_working_set_per_row(command, tmp_path):
-    # 40 x 100 = 4000 rows, written to --out
+def sweep_lists(scenario):
+    """The [sweep] lists of a 4000-row ``scenario`` run: a 40 x 100 grid, or 4000 weights."""
+    if scenario == "mixture-sweep":
+        return f"p_list = {', '.join(map(repr, np.linspace(0.0, 1.0, 4000).tolist()))}\n"
     betas = ", ".join(map(repr, np.linspace(0.1, 1.4, 40).tolist()))
     phis = ", ".join(map(repr, np.linspace(-3.0, 3.0, 100).tolist()))
-    config = tmp_path / "grid.ini"
-    config.write_text(f"[sweep]\nbeta_list = {betas}\nphi_list = {phis}\n", encoding="utf-8")
-    out = tmp_path / "grid.csv"
+    return f"beta_list = {betas}\nphi_list = {phis}\n"
+
+
+POISSON = "[experiment]\nshots = 100000\nsampling = poisson\n"
+
+# Traced bytes per row a 4000-row run may peak at.  Rows of Python objects, the whole
+# CSV text, an N-row state stack or per-row estimator tuples would pass them: with
+# its (N, 4, 4) states and whole-stack estimator lists a phase-sweep peaked at 997 B
+# per row, a mixture-sweep at 958 B and a counts-demo at 433 B (multinomial) and
+# 445 B (Poisson).  Tomography keeps its (N, 4, 4) reconstructions and fit design.
+RUN_BYTES_PER_ROW = {
+    "phase-sweep": ("phase-sweep", "", 300),
+    "tomography-demo": ("tomography-demo", "", 2500),
+    "counts-demo": ("counts-demo", "", 250),
+    "counts-demo-poisson": ("counts-demo", POISSON, 250),
+    "mixture-sweep": ("mixture-sweep", "", 250),
+}
+
+
+@pytest.mark.parametrize("run", RUN_BYTES_PER_ROW)
+def test_a_cli_run_holds_a_bounded_working_set_per_row(run, tmp_path):
+    command, experiment, bound = RUN_BYTES_PER_ROW[run]
+    config = tmp_path / "run.ini"
+    config.write_text(f"{experiment}[sweep]\n{sweep_lists(command)}", encoding="utf-8")
+    out = tmp_path / "run.csv"
     argv = [command, "--config", str(config), "--out", str(out)]
     assert cli.main(argv) == 0  # first calls may allocate caches
     code, _, peak = traced(lambda: cli.main(argv))
     assert code == 0
     assert len(out.read_text(encoding="utf-8").splitlines()) == 4001
-    assert peak <= RUN_BYTES_PER_ROW[command] * 4000, peak / 4000
+    assert peak <= bound * 4000, peak / 4000

@@ -440,6 +440,57 @@ def test_empty_poisson_row_exits_3_naming_the_row(command, row_pattern, tmp_path
     assert re.fullmatch(pattern, err), err
 
 
+def test_empty_poisson_row_past_the_first_blocks_is_named_by_its_row(tmp_path, capsys):
+    # 20 x 40 = 800 rows, seven expected coincidences per row: at this seed the first
+    # row that records none lies in the estimators' third block of BLOCK_ROWS rows
+    betas = np.linspace(0.1, 1.4, 20).tolist()
+    phis = np.linspace(-3.0, 3.0, 40).tolist()
+    config = quick_config(
+        tmp_path,
+        "[experiment]\nshots = 7\nsampling = poisson\nseed = 5\n[sweep]\n"
+        f"beta_list = {', '.join(map(repr, betas))}\nphi_list = {', '.join(map(repr, phis))}\n",
+    )
+    code, out, err = run_cli(["counts-demo", "--config", config], capsys)
+    assert (code, err) == (0, "")
+    totals = [int(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]]
+    row = totals.index(0)  # counts-demo draws the tallies the phase sweep estimates from
+    assert row >= 2 * sweeps.BLOCK_ROWS
+    code, out, err = run_cli(["phase-sweep", "--config", config], capsys)
+    assert (code, out) == (3, "")
+    beta, phi = betas[row // len(phis)], phis[row % len(phis)]
+    name = f"beta {math.degrees(beta):.12g} deg, phi {phi:.12g} rad"
+    assert err == f"error: row {row} ({name}): cannot estimate from zero counts\n"
+
+
+# 2**16 betas by 2**16 phases or displacements: 2**32 rows, one more than a uint32 row index names
+HUGE_GRID = {
+    "phi": ("phase-sweep", "phi_list"),
+    "x": ("phase-sweep", "x_list"),
+    "counts": ("counts-demo", "phi_list"),
+    "tomography": ("tomography-demo", "phi_list"),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_GRID)
+def test_a_grid_of_2_to_the_32_rows_exits_2_before_computing(case, tmp_path, capsys, monkeypatch):
+    def computed(*args):
+        raise AssertionError("a config of 2**32 rows was computed on")
+
+    # neither the per-beta checks nor the plate phases of the displacements may run
+    monkeypatch.setattr("sloccsim.config.PreparationSettings", computed)
+    monkeypatch.setattr("sloccsim.config.phase_from_displacement", computed)
+    monkeypatch.setattr("sloccsim.cli.run_scenario", computed)
+    command, key = HUGE_GRID[case]
+    values = ", ".join(["0.5"] * 2**16)
+    config = quick_config(tmp_path, f"[sweep]\nbeta_list = {values}\n{key} = {values}\n")
+    code, out, err = run_cli([command, "--config", config], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "config error: the run has 4294967296 rows, more than 2**32 - 1: "
+        "a row's seed holds its index in one uint32 word\n"
+    )
+
+
 def test_zero_visibility_still_runs_raw_count_scenarios(tmp_path, capsys):
     # a fully spoiled state has well-defined counts and tomography; only the estimators need V > 0.
     # A subnormal visibility rounds the noisy state to that same spoiled one.

@@ -274,3 +274,15 @@ def test_plate_phases_of_a_grid_are_computed_once(scenario, monkeypatch):
     rows = list(run_scenario(resolve(config, scenario))[1])
     assert calls == x_list
     assert len(rows) == ROWS_PER_X[scenario] * len(x_list)
+
+
+def test_resolve_rejects_a_grid_whose_row_index_leaves_uint32():
+    # a row's seed holds its index in one uint32 word, so a run has at most 2**32 - 1 rows
+    betas = [0.5] * 2**16
+    with pytest.raises(ConfigError, match=r"^the run has 4294967296 rows, more than 2\*\*32 - 1: "):
+        resolve(ExperimentConfig(beta_list=betas, phi_list=[1.0] * 2**16), scenario="counts-demo")
+    cfg = resolve(ExperimentConfig(beta_list=betas[1:], phi_list=[1.0] * (2**16 + 1)), scenario="counts-demo")
+    assert len(cfg.beta_list) * len(cfg.phi_list) == 2**32 - 1
+    # calibrate-plate reads no beta_list: its rows are its displacements
+    calibration = resolve(ExperimentConfig(beta_list=betas, phi_list=[1.0] * 2**16), scenario="plate-calibration")
+    assert len(calibration.x_list) == 81

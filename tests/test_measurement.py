@@ -816,3 +816,58 @@ def test_phase_and_weight_estimators_share_input_checks(change, error, message):
         estimate_p([args["counts"]], 0.0, math.pi, args["beta"], args["visibility"])
     assert str(phase.value) == message.format("phase")
     assert str(weight.value) == message.format("weight")
+
+
+# 2 * BLOCK_ROWS + 1 rows: the estimators read two full blocks and a last block of one row.
+EDGE_ROWS = (0, 255, 256, 511, 512)
+EDGE_BETAS = (math.pi / 4, math.pi / 6, 0.3)
+MIXTURE = (0.0, math.pi, math.pi / 4)  # phi1, phi2, beta
+
+
+def edge_stack(kind):
+    """513 tally rows and their betas: an int64 array, or Python-int rows whose even rows total past 2**63.
+
+    The correlations spread over [-1, 1], so that at visibility 0.9 rows in every
+    block clamp, and the small totals take the lattice sum, the large the fixed nodes.
+    """
+    n = 2 * measurement.BLOCK_ROWS + 1
+    rng = np.random.default_rng(2718)
+    rows = []
+    for index in range(n):
+        big = kind == "python-ints" and index % 2 == 0
+        total = 2**64 + int(rng.integers(1, 2**40)) if big else int(rng.integers(1, 2000))
+        same = round(float(rng.uniform()) * total)
+        n13, n14 = same // 3, (total - same) // 2
+        rows.append((n13, n14, total - same - n14, same - n13))
+    assert min(map(sum, rows)) >= 1 and (kind != "python-ints" or max(map(sum, rows)) > 2**63)
+    betas = [EDGE_BETAS[index % 3] for index in range(n)]
+    return (np.array(rows, dtype=np.int64) if kind == "int64" else rows), rows, betas
+
+
+@pytest.mark.parametrize("kind", ["int64", "python-ints"])
+def test_estimators_read_block_edges_as_the_per_row_references(kind):
+    tallies, rows, betas = edge_stack(kind)
+    phase = estimate_phase(tallies, betas, 0.9)
+    weight = estimate_p(tallies, *MIXTURE, 0.9)
+    for index in EDGE_ROWS:
+        ref = estimate_phase_oracle(rows[index], betas[index], 0.9)
+        for field in ("phi_hat", "sigma", "zz_hat", "zz_sigma"):
+            assert getattr(phase, field)[index].hex() == getattr(ref, field).hex(), (index, field)
+        ref = estimate_p_oracle(rows[index], *MIXTURE, 0.9)
+        for field in ("p_hat", "p_raw", "sigma", "zz_hat"):
+            assert getattr(weight, field)[index].hex() == getattr(ref, field).hex(), (index, field)
+    clamped = [estimate_phase_oracle(row, beta, 0.9).clamped for row, beta in zip(rows, betas)]
+    block = measurement.BLOCK_ROWS
+    assert all(any(clamped[start : start + block]) for start in (0, block))
+    assert type(phase.clamped) is int and phase.clamped == sum(clamped)
+
+
+@pytest.mark.parametrize("estimator", sorted(STACK_ESTIMATORS))
+@pytest.mark.parametrize("kind", ["int64", "python-ints"])
+def test_an_empty_row_in_a_later_block_is_named_by_its_index_in_the_stack(kind, estimator):
+    tallies, _, _ = edge_stack(kind)
+    tallies[-1] = (0, 0, 0, 0)
+    with pytest.raises(TallyRowError) as info:
+        STACK_ESTIMATORS[estimator](tallies)
+    assert info.value.row == 2 * measurement.BLOCK_ROWS
+    assert str(info.value) == "cannot estimate from zero counts"

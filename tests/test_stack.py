@@ -12,7 +12,6 @@ import dataclasses
 import itertools
 import math
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -84,16 +83,8 @@ def test_grid_kets_match_per_point_lr_kets(grid_betas, grid_phis):
         beta_list=tuple(grid_betas),
         phi_list=tuple(grid_phis),
     )
-    built = []
-
-    def recorded(kets):
-        built.append(kets)
-        return ket_to_density(kets)
-
-    with mock.patch.object(sweeps, "ket_to_density", recorded):
-        sweeps._grid(cfg)
+    _, kets = sweeps._grid(cfg)
     expected = lr_kets([PreparationSettings(b, p) for b in grid_betas for p in grid_phis])
-    (kets,) = built
     assert kets.dtype == expected.dtype and kets.shape == expected.shape
     assert np.array_equal(kets.view(np.uint64), expected.view(np.uint64))
 
