@@ -9,7 +9,6 @@ calibration then dress up to match a real optical run.
 """
 
 from .errors import (
-    AmbiguousFitError,
     ConfigError,
     DegeneratePhasesError,
     ExtractionError,
@@ -21,7 +20,7 @@ from .mixture import MixtureEstimate, estimate_p, mixed_state, mixture_expectati
 from .noise import NoiseModel, fit_noise, noisy_state
 from .plate import PlateGeometry, PlatePhase, phase_from_displacement, wrap_phase
 from .slocc import PreparationSettings, prepare_lr
-from .states import DensityMatrix4, JointKet, fidelity_pure, ket_to_density
+from .states import DensityMatrix4, fidelity_pure, ket_to_density
 from .tomography import (
     ExtractedParams,
     extract_params,
@@ -33,7 +32,6 @@ from .tomography import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousFitError",
     "ConfigError",
     "DegeneratePhasesError",
     "ExtractionError",
@@ -58,7 +56,6 @@ __all__ = [
     "PreparationSettings",
     "prepare_lr",
     "DensityMatrix4",
-    "JointKet",
     "fidelity_pure",
     "ket_to_density",
     "ExtractedParams",

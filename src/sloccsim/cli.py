@@ -1,15 +1,17 @@
 """Command-line driver: one subcommand per experiment family, CSV output.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical or
-degenerate-input failures.  Output goes to stdout unless --out names a file;
-a relative --out is placed under $SLOCCSIM_OUT_DIR when that variable is
-set.  An --out that cannot be written (a directory, or a path under a
-regular file) is a configuration problem: one ``config error: cannot write``
-line and exit 2, before anything is computed.  Its parent directory is made
-then, but the file itself is opened only once the run has succeeded, and
-the rows are streamed into it (or to stdout) one block of lines at a time.  The
-subcommand decides the scenario; a scenario key in the config file is
-validated but does not override it.
+degenerate-input failures, and 141 (128 + SIGPIPE, with nothing on stderr)
+when the reader of a piped stdout leaves early.  Output goes to stdout
+unless --out names a file; a relative --out is placed under
+$SLOCCSIM_OUT_DIR when that variable is set.  An --out that cannot be
+written (a directory, or a path under a regular file) is a configuration
+problem: one ``config error: cannot write`` line and exit 2, before anything
+is computed.  Its parent directory is made then, but the file itself is
+opened only once the run has succeeded, and the rows are streamed into it
+(or to stdout) one block of lines at a time; a write that fails there, on a
+full device say, ends the same way.  The subcommand decides the scenario; a
+scenario key in the config file is validated but does not override it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import functools
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config_file, resolve
@@ -102,13 +105,16 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if target is None:
-        render_csv(header, rows, sys.stdout)
-        return 0
     try:
-        with target.open("w", encoding="utf-8") as out:
+        with nullcontext(sys.stdout) if target is None else target.open("w", encoding="utf-8") as out:
             render_csv(header, rows, out)
+            out.flush()  # stdout may hold its last block until here
     except OSError as exc:
-        print(f"config error: cannot write {target}: {exc}", file=sys.stderr)
+        if target is None:  # drop what stdout still buffers, so that the exit flush cannot fail again
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return 141  # the reader has gone: end quietly, as a SIGPIPE would
+        print(f"config error: cannot write {target or 'standard output'}: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -86,8 +86,7 @@ def parse_bare(text: str) -> float:
 
 
 def _parse_list(text: str, item_parser) -> list[float]:
-    items = [chunk.strip() for chunk in text.split(",")]
-    values = [item_parser(chunk) for chunk in items if chunk]
+    values = [item_parser(chunk) for chunk in map(str.strip, text.split(",")) if chunk]
     if not values:
         raise ConfigError(f"empty list value {text!r}")
     return values

@@ -13,10 +13,6 @@ class DegeneratePhasesError(ValueError):
     """cos(phi1) equals cos(phi2); the mixing weight drops out of the signal."""
 
 
-class AmbiguousFitError(ValueError):
-    """The noise-fit objective is flat; the data do not constrain the model."""
-
-
 class ExtractionError(ValueError):
     """The reconstructed matrix has no usable one-per-region sector."""
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousFitError
 from .states import ket_to_density
 
 WHITE_NOISE = np.eye(4, dtype=np.complex128) / 4.0
@@ -85,8 +84,8 @@ def fit_noise(targets: np.ndarray, kets: np.ndarray) -> NoiseModel:
     The model visibility * |k><k| + (1 - visibility) * floor is matched in
     Frobenius norm.  The model is linear in (c_vis, c_white) =
     (F, (1 - F) * a), so the unconstrained optimum is solved directly; when
-    it leaves the physical triangle, ``least_squares`` finds the exact
-    bounded optimum.
+    it leaves the physical triangle, ``least_squares`` finds the exact bounded
+    optimum.  It is never flat: ||k><k| - DEPHASED||^2 >= 1/2 for a unit k.
     """
     kets = np.asarray(kets)
     if len(kets) < 2:
@@ -110,10 +109,6 @@ def fit_noise(targets: np.ndarray, kets: np.ndarray) -> NoiseModel:
     rhs[0], rhs[1] = offset.real.reshape(-1, 16), offset.imag.reshape(-1, 16)
     del offset
     design, rhs = design.reshape(-1, 2), rhs.reshape(-1)
-
-    if float(np.linalg.norm(design[:, 0])) <= 1e-12:
-        raise AmbiguousFitError("objective is flat in the visibility parameter")
-
     coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     c_vis, c_white = float(coeffs[0]), float(coeffs[1])
     slack = 1e-12

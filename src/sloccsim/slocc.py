@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import ATOL, JointKet, canonical_phase
+from .states import ATOL, canonical_phase
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,14 @@ class PreparationSettings:
         object.__setattr__(self, "phi", canonical_phase(self.phi))
 
 
-def prepare_lr(settings: PreparationSettings) -> JointKet:
-    """Post-selected unit ket of the half/half vs (sin b, cos b) preparation.
+def prepare_lr(settings: PreparationSettings) -> np.ndarray:
+    """Post-selected unit ket of the half/half vs (sin b, cos b) preparation: ``lr_kets([settings])[0]``.
 
-    The closed form (0, cos b, exp(i phi) sin b, 0), which the amplitude
-    rule gives up to a global phase for every (beta, phi).
+    The (4,) complex array (0, cos b, exp(i phi) sin b, 0), which the
+    amplitude rule gives up to a global phase for every (beta, phi).  The
+    pipeline builds stacks with lr_kets; perfbench's tracer pins this name.
     """
-    return JointKet(lr_kets([settings])[0])
+    return lr_kets([settings])[0]
 
 
 def lr_kets(settings) -> np.ndarray:

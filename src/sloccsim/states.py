@@ -1,13 +1,12 @@
-"""Kets and density matrices of the post-selected two-particle state.
+"""Density matrices of the post-selected two-particle state, from its kets.
 
 Conventions fixed once for the whole package:
 
 * pseudospin up is horizontal polarization (H) and down is vertical (V);
   the correspondence is global and never remapped;
-* four-component kets and 4x4 matrices use the basis order
+* a ket is a plain complex array with four components on its last axis;
+  kets and 4x4 matrices use the basis order
   ``[L-up R-up, L-up R-down, L-down R-up, L-down R-down]``;
-* the global phase of a ket carries no physics, so ket comparisons test
-  ``|<a|b>| = 1`` rather than componentwise equality;
 * phases are stored reduced into [0, 2*pi) by :func:`canonical_phase`.
 
 The kets themselves come from the closed form in :mod:`.slocc`; this module
@@ -39,29 +38,6 @@ def canonical_phase(x: float) -> float:
     if math.isnan(phi):
         raise ValueError(f"phase must be finite, got {x!r}")
     return 0.0 if phi == TWO_PI else phi
-
-
-@dataclass(frozen=True, eq=False)
-class JointKet:
-    """Two-particle state, one particle per region, in the fixed basis order."""
-
-    amps: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.array(self.amps, dtype=np.complex128).reshape(4)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def overlap(self, other: "JointKet") -> complex:
-        """<self|other>."""
-        return complex(np.vdot(self.amps, other.amps))
-
-    def agrees_up_to_phase(self, other: "JointKet", atol: float = ATOL) -> bool:
-        """Physical equality of unit kets: |<self|other>| = 1 within atol."""
-        return abs(abs(self.overlap(other)) - 1.0) <= atol
 
 
 @dataclass(frozen=True, eq=False)

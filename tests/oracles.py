@@ -24,7 +24,8 @@ they read the whole stack (the phase one summing the lattice rows in padded
 blocks).  The last section holds small helpers that only tests use, several
 of them over the reference model in ``physics``: the basis index of
 ``physics.Pseudospin`` labels, ket normalisation (which raises
-``physics.DegenerateStateError``), the single-spin rotation, the conjugate
+``physics.DegenerateStateError``), the comparison of kets up to their
+global phase, the single-spin rotation, the conjugate
 ``physics.StatisticsParameter``, the visibility scaling law checked through
 ``physics.expectation_zz``, and a tally row that carries a given
 correlation.
@@ -42,7 +43,6 @@ import numpy as np
 from sloccsim import (
     ExtractionError,
     DensityMatrix4,
-    JointKet,
     NoiseModel,
     PlateGeometry,
     PreparationSettings,
@@ -102,11 +102,6 @@ ROTATION_SINGLE = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=np.complex128) / mat
 def rotation_matrix_by_kron() -> np.ndarray:
     """The two-spin rotation built from the single-spin matrix by kron."""
     return np.kron(ROTATION_SINGLE, ROTATION_SINGLE)
-
-
-def rotate_ket_oracle(amps: np.ndarray) -> np.ndarray:
-    """Direct matrix multiplication with the kron-built rotation."""
-    return rotation_matrix_by_kron() @ np.asarray(amps, dtype=np.complex128)
 
 
 def expectation_oracle(matrix: np.ndarray) -> float:
@@ -385,14 +380,14 @@ class ExtractedRow(NamedTuple):
     low_coherence: bool = False
 
 
-def fidelity_pure_oracle(rho: np.ndarray, target: JointKet) -> float:
-    """<target|rho|target> for one (4, 4) density matrix, clipped into [0, 1] at the PSD tolerance.
+def fidelity_pure_oracle(rho: np.ndarray, target: np.ndarray) -> float:
+    """<target|rho|target> for one (4, 4) density matrix and a (4,) ket, clipped into [0, 1] at the PSD tolerance.
 
     ``rho`` is a plain array, such as one row of ``reconstruct``'s stack.
     """
-    if abs(target.norm() - 1.0) > NORM_ATOL:
+    if abs(float(np.linalg.norm(target)) - 1.0) > NORM_ATOL:
         raise ValueError("fidelity target must be a unit ket")
-    value = float(np.real(np.vdot(target.amps, rho @ target.amps)))
+    value = float(np.real(np.vdot(target, rho @ target)))
     if value < -PSD_ATOL or value > 1.0 + PSD_ATOL:
         raise ValueError(f"fidelity {value!r} is outside [0, 1] beyond tolerance")
     return min(max(value, 0.0), 1.0)
@@ -445,17 +440,23 @@ def basis_index(left_spin: Pseudospin, right_spin: Pseudospin) -> int:
     return 2 * int(left_spin) + int(right_spin)
 
 
-def normalize(ket: JointKet) -> JointKet:
-    """Rescale to unit norm, leaving direction and global phase alone."""
-    n = ket.norm()
+def normalize(ket) -> np.ndarray:
+    """A (4,) ket rescaled to unit norm, leaving direction and global phase alone."""
+    ket = np.asarray(ket, dtype=np.complex128)
+    n = float(np.linalg.norm(ket))
     if n <= 1e-15:
         raise DegenerateStateError("cannot normalise a zero-norm ket")
-    return JointKet(ket.amps / n)
+    return ket / n
 
 
-def apply_rotation(ket: JointKet) -> JointKet:
-    """Rotate both pseudospins of a ket by the fixed pi/4 mixing."""
-    return JointKet(ROTATION_PAIR @ ket.amps)
+def agrees_up_to_phase(a, b, atol: float = ATOL) -> bool:
+    """Physical equality of unit kets, whose global phase carries no physics: |<a|b>| = 1 within atol."""
+    return abs(abs(np.vdot(a, b)) - 1.0) <= atol
+
+
+def apply_rotation(ket) -> np.ndarray:
+    """Rotate both pseudospins of a (4,) ket by the fixed pi/4 mixing."""
+    return ROTATION_PAIR @ np.asarray(ket, dtype=np.complex128)
 
 
 def conjugated(eta: StatisticsParameter) -> StatisticsParameter:

@@ -29,7 +29,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from sloccsim import JointKet, PlateGeometry, outcome_probs
+from sloccsim import PlateGeometry, outcome_probs
 from sloccsim.states import ATOL, canonical_phase
 
 # Below this success probability the post-selected state is undefined.
@@ -176,9 +176,9 @@ def deform(l, r, lp, rp, eta: StatisticsParameter) -> DeformedPair:
 
 @dataclass(frozen=True)
 class SloccResult:
-    """Post-selected state, its success probability, and the path entropy."""
+    """Post-selected (4,) ket, its success probability, and the path entropy."""
 
-    ket: JointKet
+    ket: np.ndarray
     p_lr: float
     indist: float
 
@@ -209,8 +209,7 @@ def project_slocc(pair: DeformedPair) -> SloccResult:
     p_lr = float(np.sum(np.abs(amps) ** 2))
     if p_lr <= P_LR_FLOOR:
         raise PostSelectionError("no one-per-region component to post-select")
-    ket = JointKet(amps / math.sqrt(p_lr))
-    return SloccResult(ket=ket, p_lr=p_lr, indist=indistinguishability(pair))
+    return SloccResult(ket=amps / math.sqrt(p_lr), p_lr=p_lr, indist=indistinguishability(pair))
 
 
 def _binary_entropy(w: float) -> float:

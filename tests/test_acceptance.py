@@ -60,7 +60,7 @@ def pipeline_zz(beta: float, phi: float) -> float:
         math.sqrt(0.5), math.sqrt(0.5), math.sin(beta), math.cos(beta),
         StatisticsParameter(phi),
     )
-    rho = rotate_density(ket_to_density(project_slocc(pair).ket.amps))
+    rho = rotate_density(ket_to_density(project_slocc(pair).ket))
     return expectation_zz(rho)
 
 
@@ -90,7 +90,7 @@ def test_criterion_02_general_amplitude_identity():
         if weight <= 1e-9:
             continue
         pair = deform(l, r, lp, rp, StatisticsParameter(phi))
-        zz = expectation_zz(rotate_density(ket_to_density(project_slocc(pair).ket.amps)))
+        zz = expectation_zz(rotate_density(ket_to_density(project_slocc(pair).ket)))
         expected = 2.0 * l * rp * r * lp * math.cos(phi) / weight
         worst = max(worst, abs(zz - expected))
     elapsed = time.perf_counter() - start
@@ -149,7 +149,7 @@ def test_criterion_04_noise_floor_invisibility_and_scaling():
             white_weight=white,
             dephasing_weight=1.0 - white,
         )
-        ideal = ket_to_density(prepare_lr(PreparationSettings(beta, phi)).amps)
+        ideal = ket_to_density(prepare_lr(PreparationSettings(beta, phi)))
         zz_noisy = expectation_zz(rotate_density(noisy_state(ideal, model)))
         zz_ideal = expectation_zz(rotate_density(ideal))
         scale_worst = max(scale_worst, abs(zz_noisy - model.visibility * zz_ideal))
@@ -167,7 +167,7 @@ def test_criterion_05_phase_estimation_under_noise():
     labels = ("boson", "fermion")
     tallies = []
     for phi in (0.0, math.pi):
-        ideal = ket_to_density(prepare_lr(PreparationSettings(beta, phi)).amps)
+        ideal = ket_to_density(prepare_lr(PreparationSettings(beta, phi)))
         probs = outcome_probs(rotate_density(noisy_state(ideal, model)))
         tallies.append(sample_counts(probs[None], 5000, [np.random.default_rng(STAT_SEED)])[0].tolist())
     est = estimate_phase(tallies, [beta, beta], model.visibility)
@@ -253,16 +253,16 @@ def test_criterion_08_tomography_inversion_fidelity_and_noise_fit():
     assert worst <= 1e-12, f"criterion 08 FAIL: exact inversion error {worst:.3e}"
 
     bell = PreparationSettings(math.pi / 4, 0.0)
-    probs = setting_probabilities(ket_to_density(prepare_lr(bell).amps)[None])
+    probs = setting_probabilities(ket_to_density(prepare_lr(bell))[None])
     data = simulate_tomography(probs, 100_000, [np.random.default_rng(STAT_SEED)])
-    fid = fidelity_pure(reconstruct(data), prepare_lr(bell).amps[None])[0]
+    fid = fidelity_pure(reconstruct(data), prepare_lr(bell)[None])[0]
     assert fid >= 0.999, f"criterion 08 FAIL: sampled fidelity {fid:.6f} < 0.999"
 
     model = NoiseModel()
     targets = []
     for k in range(8):
         settings = PreparationSettings(math.pi / 4, k * math.pi / 7.0)
-        noisy = noisy_state(ket_to_density(prepare_lr(settings).amps), model)
+        noisy = noisy_state(ket_to_density(prepare_lr(settings)), model)
         rng = np.random.default_rng(STAT_SEED + k)
         counts = simulate_tomography(setting_probabilities(noisy[None]), 100_000, [rng])
         targets.append(reconstruct(counts)[0])

@@ -550,6 +550,36 @@ def test_cli_import_does_not_load_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def _cli_process(tmp_path, command, **popen_args):
+    """``python -m sloccsim`` on a 100 x 60 grid whose CSV, about 200 KB, passes a 64 KiB pipe buffer."""
+    betas = ", ".join(f"{0.9 * k:g}deg" for k in range(100))
+    phis = ", ".join(f"{6 * k}deg" for k in range(60))
+    config = quick_config(tmp_path, f"[experiment]\nshots = 100\n[sweep]\nbeta_list = {betas}\nphi_list = {phis}\n")
+    src = str(Path(sloccsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "sloccsim", command, "--config", config],
+        env=env, stderr=subprocess.PIPE, text=True, **popen_args,
+    )
+
+
+def test_a_closed_stdout_pipe_ends_quietly_with_141(tmp_path):
+    with _cli_process(tmp_path, "counts-demo", stdout=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == "beta_deg,phi_rad,n13,n14,n23,n24,total\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (141, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_device_is_one_config_error(tmp_path):
+    with open("/dev/full", "w") as full, _cli_process(tmp_path, "counts-demo", stdout=full) as proc:
+        err = proc.stderr.read()
+    assert proc.returncode == 2
+    assert err == "config error: cannot write standard output: [Errno 28] No space left on device\n"
+
+
 def test_one_parser_serves_every_call():
     assert build_parser() is build_parser()
 

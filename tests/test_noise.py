@@ -1,8 +1,11 @@
+import cmath
 import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sloccsim import noise, sweeps
 from sloccsim import (
@@ -42,7 +45,7 @@ def test_noise_floor_components():
 
 
 def test_noisy_state_limits():
-    ideal = ket_to_density(prepare_lr(PreparationSettings(math.pi / 4, 0.7)).amps)
+    ideal = ket_to_density(prepare_lr(PreparationSettings(math.pi / 4, 0.7)))
     assert np.allclose(noisy_state(ideal, NoiseModel(visibility=1.0)), ideal)
     fully = noisy_state(ideal, NoiseModel(visibility=0.0, white_weight=1.0, dephasing_weight=0.0))
     assert np.allclose(fully, WHITE_NOISE)
@@ -58,7 +61,7 @@ def test_noisy_state_is_elementwise_convex_mix():
             white_weight=(w := rng.uniform(0.0, 1.0)),
             dephasing_weight=1.0 - w,
         )
-        ideal = ket_to_density(prepare_lr(PreparationSettings(beta, phi)).amps)
+        ideal = ket_to_density(prepare_lr(PreparationSettings(beta, phi)))
         got = noisy_state(ideal, model)
         # reference mix built entry by entry, no shared code path
         expected = np.empty((4, 4), dtype=np.complex128)
@@ -89,7 +92,7 @@ def test_visibility_scaling_law():
             white_weight=(w := rng.uniform(0.0, 1.0)),
             dephasing_weight=1.0 - w,
         )
-        ideal = ket_to_density(prepare_lr(PreparationSettings(beta, phi)).amps)
+        ideal = ket_to_density(prepare_lr(PreparationSettings(beta, phi)))
         got = noisy_expectation_scaling(ideal, model)
         assert got == pytest.approx(
             model.visibility * math.sin(2 * beta) * math.cos(phi), abs=1e-12
@@ -106,7 +109,7 @@ def grid_records(model, betas=(math.pi / 4,), phis=(0.0, 0.9, 1.7, 2.8, 4.1, 5.3
     for beta in betas:
         for phi in phis:
             settings = PreparationSettings(beta, phi)
-            ideal = ket_to_density(prepare_lr(settings).amps)
+            ideal = ket_to_density(prepare_lr(settings))
             records.append((DensityMatrix4(noisy_state(ideal, model)), settings))
     return stacked(records)
 
@@ -168,7 +171,7 @@ def edge_records(make_target):
     records = []
     for phi in (0.0, 1.0, 2.2, 3.3, 4.4):
         settings = PreparationSettings(math.pi / 4, phi)
-        target = make_target(ket_to_density(prepare_lr(settings).amps), phi)
+        target = make_target(ket_to_density(prepare_lr(settings)), phi)
         records.append((DensityMatrix4(target), settings))
     return stacked(records)
 
@@ -195,7 +198,7 @@ def test_fit_clips_negative_visibility_to_zero(monkeypatch):
     # the state orthogonal to the ideal one (phi + pi) gives a negative
     # unconstrained visibility; the bounded optimum lies on the edge c_vis = 0
     def make_target(ideal, phi):
-        flipped = ket_to_density(prepare_lr(PreparationSettings(math.pi / 4, phi + math.pi)).amps)
+        flipped = ket_to_density(prepare_lr(PreparationSettings(math.pi / 4, phi + math.pi)))
         return 0.5 * flipped + 0.3 * WHITE_NOISE + 0.2 * DEPHASED
 
     records = edge_records(make_target)
@@ -303,3 +306,32 @@ def test_fit_needs_four_amplitude_kets(shape):
     with pytest.raises(ValueError) as info:
         fit_noise(targets, kets)
     assert str(info.value) == f"kets must have shape (3, 4), one per target, got {shape}"
+
+
+@st.composite
+def unit_kets(draw):
+    """A random unit ket, or one of the (0, 1, e^{i theta}, 0)/sqrt(2) kets that sit closest to the floor."""
+    if draw(st.booleans()):
+        return np.array([0.0, 1.0, cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi))), 0.0]) / math.sqrt(2.0)
+    raw = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)))
+    ket = raw[:4] + 1j * raw[4:]
+    assume(np.linalg.norm(ket) > 0.1)
+    return ket / np.linalg.norm(ket)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kets=st.lists(unit_kets(), min_size=2, max_size=6),
+    visibility=st.floats(0.0, 0.99),
+    white=st.floats(0.0, 1.0),
+)
+def test_fit_is_determined_for_any_unit_kets(kets, visibility, white):
+    # ||P - DEPHASED||^2 = 3/2 - |k_1|^2 - |k_2|^2 >= 1/2 for P = |k><k|, so the
+    # visibility column of the design never vanishes and no input leaves the fit flat
+    kets = np.array(kets)
+    projectors = ket_to_density(kets)
+    assert np.all(np.sum(np.abs(projectors - DEPHASED) ** 2, axis=(1, 2)) >= 0.5 - 1e-12)
+    assert isinstance(fit_noise(projectors[::-1], kets), NoiseModel)
+    fitted = fit_noise(noisy_state(projectors, NoiseModel(visibility, white, 1.0 - white)), kets)
+    assert fitted.visibility == pytest.approx(visibility, abs=1e-9)
+    assert fitted.white_weight == pytest.approx(white, abs=1e-9)

@@ -4,10 +4,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from sloccsim import JointKet, PreparationSettings, prepare_lr, sweeps
+from sloccsim import PreparationSettings, prepare_lr, sweeps
 from sloccsim.config import ExperimentConfig, resolve
-from sloccsim.slocc import lr_ket_blocks
+from sloccsim.slocc import lr_ket_blocks, lr_kets
 
+from oracles import agrees_up_to_phase
 from physics import (
     DegenerateStateError,
     PostSelectionError,
@@ -37,8 +38,7 @@ def test_deform_rejects_bad_pairs():
 def test_project_slocc_maximally_entangled():
     pair = deform(SQ2, SQ2, SQ2, SQ2, StatisticsParameter.bosonic())
     result = project_slocc(pair)
-    bell = JointKet([0.0, SQ2, SQ2, 0.0])
-    assert result.ket.agrees_up_to_phase(bell)
+    assert agrees_up_to_phase(result.ket, [0.0, SQ2, SQ2, 0.0])
     assert result.p_lr == pytest.approx(0.5, abs=1e-12)
     assert result.indist == pytest.approx(1.0, abs=1e-12)
 
@@ -46,7 +46,7 @@ def test_project_slocc_maximally_entangled():
 def test_project_slocc_distinguishable_pair():
     pair = deform(1.0, 0.0, 0.0, 1.0, StatisticsParameter(1.3))
     result = project_slocc(pair)
-    assert result.ket.agrees_up_to_phase(JointKet([0.0, 1.0, 0.0, 0.0]))
+    assert agrees_up_to_phase(result.ket, [0.0, 1.0, 0.0, 0.0])
     assert result.p_lr == pytest.approx(1.0, abs=1e-12)
     assert result.indist == pytest.approx(0.0, abs=1e-12)
 
@@ -56,10 +56,10 @@ def test_project_slocc_fermionic_tilted():
     pair = deform(SQ2, SQ2, s20, c20, StatisticsParameter.fermionic())
     result = project_slocc(pair)
     assert result.p_lr == pytest.approx(0.5, abs=1e-12)
-    expected = JointKet([0.0, c20, -s20, 0.0])
-    assert result.ket.agrees_up_to_phase(expected)
+    expected = [0.0, c20, -s20, 0.0]
+    assert agrees_up_to_phase(result.ket, expected)
     # componentwise too: the pipeline carries no extra global phase here
-    assert np.allclose(result.ket.amps, expected.amps, atol=1e-12)
+    assert np.allclose(result.ket, expected, atol=1e-12)
 
 
 def test_project_slocc_kept_components_only():
@@ -71,8 +71,8 @@ def test_project_slocc_kept_components_only():
             StatisticsParameter(rng.uniform(0.0, 2.0 * math.pi)),
         )
         ket = project_slocc(pair).ket
-        assert abs(ket.amps[0]) <= 1e-12
-        assert abs(ket.amps[3]) <= 1e-12
+        assert abs(ket[0]) <= 1e-12
+        assert abs(ket[3]) <= 1e-12
 
 
 def test_post_selection_impossible():
@@ -85,11 +85,15 @@ def test_post_selection_impossible():
 
 def test_prepare_lr_examples():
     bell = prepare_lr(PreparationSettings(math.pi / 4, 0.0))
-    assert np.allclose(bell.amps, [0.0, SQ2, SQ2, 0.0], atol=1e-12)
+    assert np.allclose(bell, [0.0, SQ2, SQ2, 0.0], atol=1e-12)
     collapsed = prepare_lr(PreparationSettings(0.0, 0.4))
-    assert np.allclose(collapsed.amps, [0.0, 1.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(collapsed, [0.0, 1.0, 0.0, 0.0], atol=1e-12)
     quarter = prepare_lr(PreparationSettings(math.pi / 4, math.pi / 2))
-    assert np.allclose(quarter.amps, [0.0, SQ2, 1j * SQ2, 0.0], atol=1e-12)
+    assert np.allclose(quarter, [0.0, SQ2, 1j * SQ2, 0.0], atol=1e-12)
+    for settings in (PreparationSettings(math.pi / 4, 0.0), PreparationSettings(0.3, 4.1)):
+        ket = prepare_lr(settings)  # the (4,) row of lr_kets, bit for bit
+        assert ket.shape == (4,) and ket.dtype == np.complex128
+        assert ket.tobytes() == lr_kets([settings])[0].tobytes()
 
 
 def grid_kets(scenario):
@@ -121,11 +125,11 @@ def test_prepare_lr_equals_pipeline():
     ]
     for scenario in ("phase-sweep", "beta-sweep"):
         grid, kets = grid_kets(scenario)
-        cases += [(point, JointKet(ket)) for point, ket in zip(grid, kets, strict=True)]
+        cases += list(zip(grid, kets, strict=True))
     for (beta, phi), direct in cases:
         pair = deform(SQ2, SQ2, math.sin(beta), math.cos(beta), StatisticsParameter(phi))
         result = project_slocc(pair)
-        assert result.ket.agrees_up_to_phase(direct, atol=1e-12)
+        assert agrees_up_to_phase(result.ket, direct, atol=1e-12)
         assert result.p_lr == pytest.approx(0.5, abs=1e-12)
 
 

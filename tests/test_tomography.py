@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sloccsim import (
     DensityMatrix4,
     ExtractionError,
-    JointKet,
     NoiseModel,
     PreparationSettings,
     extract_params,
@@ -28,7 +27,7 @@ from oracles import extract_params_oracle, fidelity_oracle
 
 
 def bell_rho():
-    return DensityMatrix4(ket_to_density(prepare_lr(PreparationSettings(math.pi / 4, 0.0)).amps))
+    return DensityMatrix4(ket_to_density(prepare_lr(PreparationSettings(math.pi / 4, 0.0))))
 
 
 def circular_diff(a, b):
@@ -48,7 +47,7 @@ def random_mixture(rng, n_terms=3):
 
 def test_setting_probabilities_on_known_states():
     setting = {pair: i for i, pair in enumerate(itertools.product(AXES, AXES))}
-    up_up = ket_to_density(JointKet([1.0, 0.0, 0.0, 0.0]).amps)
+    up_up = ket_to_density(np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128))
     assert np.allclose(
         setting_probabilities(up_up)[setting["Z", "Z"]], [1.0, 0.0, 0.0, 0.0], atol=1e-12
     )
@@ -164,17 +163,17 @@ def test_sampled_bell_reconstruction_fidelity():
     )
     rebuilt = reconstruct(data)[0]
     target = prepare_lr(PreparationSettings(math.pi / 4, 0.0))
-    fid = fidelity_pure(rebuilt[None], target.amps[None])[0]
+    fid = fidelity_pure(rebuilt[None], target[None])[0]
     assert fid >= 0.999
     assert fid <= 1.0 + 1e-12
-    assert fid == pytest.approx(fidelity_oracle(rebuilt, target.amps), abs=1e-12)
+    assert fid == pytest.approx(fidelity_oracle(rebuilt, target), abs=1e-12)
 
 
 def test_extraction_round_trip_exact():
     for beta_deg in (15, 30, 45, 60, 75):
         for phi in (0.0, 0.8, math.pi / 2, 2.4, math.pi, 4.5):
             settings = PreparationSettings(math.radians(beta_deg), phi)
-            rho = ket_to_density(prepare_lr(settings).amps)
+            rho = ket_to_density(prepare_lr(settings))
             got = extract_params(reconstruct(setting_probabilities(rho)[None]))
             assert got.beta[0] == pytest.approx(settings.beta, abs=1e-7)
             assert circular_diff(got.phi[0], settings.phi) < 1e-7
@@ -184,7 +183,7 @@ def test_extraction_round_trip_exact():
 
 def test_extraction_on_noisy_sampled_state():
     phi = math.pi / 3
-    ideal = ket_to_density(prepare_lr(PreparationSettings(math.pi / 4, phi)).amps)
+    ideal = ket_to_density(prepare_lr(PreparationSettings(math.pi / 4, phi)))
     rho = noisy_state(ideal, NoiseModel())
     rng = np.random.default_rng(77)
     data = simulate_tomography(setting_probabilities(rho[None]), 20_000, [rng])
@@ -275,5 +274,5 @@ def test_stacked_extraction_equals_the_per_state_reference(stack):
         assert [v.hex() for v in column.tolist()] == [getattr(ref, field).hex() for ref in refs], field
     assert type(got.low_coherence) is int
     assert got.low_coherence == sum(ref.low_coherence for ref in refs)
-    ideals = [prepare_lr(PreparationSettings(ref.beta, ref.phi)).amps for ref in refs]
+    ideals = [prepare_lr(PreparationSettings(ref.beta, ref.phi)) for ref in refs]
     assert got.kets.tobytes() == np.array(ideals).tobytes()
