@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import ket_to_density
+from .states import NORM_ATOL
 
 WHITE_NOISE = np.eye(4, dtype=np.complex128) / 4.0
 WHITE_NOISE.setflags(write=False)
@@ -54,24 +54,30 @@ def noisy_state(ideals: np.ndarray, model: NoiseModel) -> np.ndarray:
     return model.visibility * ideals + (1.0 - model.visibility) * noise_floor(model)
 
 
-def least_squares(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Exact minimiser of ||design @ c - rhs|| on the physical triangle's edges.
+def least_squares(gram: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Exact minimiser of c^T gram c - 2 h^T c on the physical triangle's edges.
 
-    The triangle c_vis, c_white >= 0, c_vis + c_white <= 1 is the box F, a
-    in [0, 1].  A convex quadratic whose free optimum lies outside it is
-    smallest on its boundary, and on each edge the optimum is a 1-D
-    projection clamped to the edge; the best of the three edges wins.
-    perfbench counts calls of this name as fits that left the triangle.
+    ``gram`` and ``h`` are the normal equations of a linear least-squares
+    problem in c = (c_vis, c_white), whose misfit is this quadratic plus a
+    constant.  The triangle c_vis, c_white >= 0, c_vis + c_white <= 1 is the
+    box F, a in [0, 1].  A convex quadratic whose free optimum lies outside
+    it is smallest on its boundary, and on each edge the optimum is a 1-D
+    minimiser clamped to the edge; the best of the three edges wins.  On the
+    edge c_vis + c_white = 1, c_white is set to 1 - c_vis, so the white
+    weight it implies is exactly 1.  perfbench counts calls of this name as
+    fits that left the triangle.
     """
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     best_cost, best = np.inf, None
     for first, last in ((0, 2), (0, 1), (1, 2)):  # c_vis = 0, c_white = 0, sum = 1
-        step = corners[last] - corners[first]
-        along, offset = design @ step, design @ corners[first] - rhs
-        t = min(max(-float(along @ offset) / float(along @ along), 0.0), 1.0)
-        residual = offset + t * along
-        if (cost := float(residual @ residual)) < best_cost:
-            best_cost, best = cost, corners[first] + t * step
+        start, step = corners[first], corners[last] - corners[first]
+        slope, curvature = float(step @ (gram @ start - h)), float(step @ gram @ step)
+        t = min(max(-slope / curvature, 0.0), 1.0)
+        cost = float(start @ gram @ start - 2.0 * h @ start) + t * (2.0 * slope + t * curvature)
+        if cost < best_cost:
+            best_cost, best = cost, start + t * step
+            if first == 1:
+                best[1] = 1.0 - best[0]
     return best
 
 
@@ -82,38 +88,49 @@ def fit_noise(targets: np.ndarray, kets: np.ndarray) -> NoiseModel:
     ``reconstruct`` returns, and ``kets[i]`` the ideal unit ket that
     ``targets[i]`` is matched against, such as ``extract_params`` returns.
     The model visibility * |k><k| + (1 - visibility) * floor is matched in
-    Frobenius norm.  The model is linear in (c_vis, c_white) =
-    (F, (1 - F) * a), so the unconstrained optimum is solved directly; when
-    it leaves the physical triangle, ``least_squares`` finds the exact bounded
-    optimum.  It is never flat: ||k><k| - DEPHASED||^2 >= 1/2 for a unit k.
+    Frobenius norm.  It is linear in (c_vis, c_white) = (F, (1 - F) * a):
+    target - DEPHASED = c_vis a + c_white b with a = |k><k| - DEPHASED per
+    state and b = WHITE_NOISE - DEPHASED.  With <A, B> = Re tr(A^dag B)
+    summed over the states, the normal equations G c = h have
+    G = [[<a, a>, <a, b>], [<a, b>, <b, b>]] and h = [<a, r>, <b, r>] for
+    r = target - DEPHASED.  Both floors are diagonal, so G and h need only
+    each state's diagonal and its <k|target|k>; the 2x2 system is solved in
+    closed form.  When that optimum leaves the physical triangle,
+    ``least_squares`` finds the exact bounded optimum.  G is never singular:
+    ||a||^2 >= 1/2 per unit ket and a is never parallel to b.
     """
-    kets = np.asarray(kets)
+    targets, kets = np.asarray(targets), np.asarray(kets)
     if len(kets) < 2:
         raise ValueError("need at least two reconstructed states to fit noise")
-    if np.shape(targets) != (len(kets), 4, 4):
+    if targets.shape != (len(kets), 4, 4):
         raise ValueError(
-            f"targets must have shape ({len(kets)}, 4, 4), one per ket, got {np.shape(targets)}"
+            f"targets must have shape ({len(kets)}, 4, 4), one per ket, got {targets.shape}"
         )
     if kets.shape != (len(kets), 4):
         raise ValueError(f"kets must have shape ({len(kets)}, 4), one per target, got {kets.shape}")
-    # Rows run over the real parts of every state's 16 cells, then the
-    # imaginary parts; each half is written in place from one difference.
-    design = np.empty((2, len(kets), 16, 2))  # (real, imag), state, cell, (c_vis, c_white)
-    col_vis = ket_to_density(kets) - DEPHASED
-    design[0, :, :, 0], design[1, :, :, 0] = col_vis.real.reshape(-1, 16), col_vis.imag.reshape(-1, 16)
-    del col_vis
-    col_white = (WHITE_NOISE - DEPHASED).ravel()
-    design[0, :, :, 1], design[1, :, :, 1] = col_white.real, col_white.imag
-    rhs = np.empty((2, len(kets), 16))
-    offset = targets - DEPHASED
-    rhs[0], rhs[1] = offset.real.reshape(-1, 16), offset.imag.reshape(-1, 16)
-    del offset
-    design, rhs = design.reshape(-1, 2), rhs.reshape(-1)
-    coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    c_vis, c_white = float(coeffs[0]), float(coeffs[1])
+    finite = np.isfinite(targets).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"targets[{int(np.argmin(finite))}] is not finite")
+    pops = kets.real**2 + kets.imag**2
+    norm_sq = pops.sum(axis=1)
+    if not np.all(np.abs(norm_sq - 1.0) <= 2.0 * NORM_ATOL):  # a NaN fails this test
+        raise ValueError("fit_noise expects unit kets; rescale them to norm 1 first")
+    pops /= norm_sq[:, None]  # the diagonal of P = |k><k|, normalised as ket_to_density does
+    dephased, spread = DEPHASED.diagonal().real, (WHITE_NOISE - DEPHASED).diagonal().real  # b is diagonal
+    target_pops = targets.diagonal(axis1=1, axis2=2).real - dephased  # the diagonal of r
+    overlaps = (kets.conj()[:, None, :] @ (targets @ kets[:, :, None]))[:, 0, 0].real / norm_sq
+    # <a, a> = ||P||^2 - 2 <P, DEPHASED> + ||DEPHASED||^2,
+    # <a, r> = <P, target> - <P, DEPHASED> - <DEPHASED, r>
+    aa = float(np.sum(pops.sum(axis=1) ** 2 - 2.0 * (pops @ dephased)) + len(kets) * (dephased @ dephased))
+    ar = float(np.sum(overlaps - pops @ dephased - target_pops @ dephased))
+    ab = float(np.sum((pops - dephased) @ spread))
+    bb, br = float(len(kets) * (spread @ spread)), float(np.sum(target_pops @ spread))
+    det = aa * bb - ab * ab
+    c_vis, c_white = (bb * ar - ab * br) / det, (aa * br - ab * ar) / det
     slack = 1e-12
     if not (-slack <= c_vis <= 1.0 + slack and -slack <= c_white <= 1.0 - c_vis + slack):
-        c_vis, c_white = (float(c) for c in least_squares(design, rhs))
+        gram, h = np.array([[aa, ab], [ab, bb]]), np.array([ar, br])
+        c_vis, c_white = (float(c) for c in least_squares(gram, h))
 
     visibility = min(max(c_vis, 0.0), 1.0)
     remainder = 1.0 - visibility

@@ -114,7 +114,9 @@ def _project_physical(matrices: np.ndarray) -> np.ndarray:
     threshold = cumulative[np.arange(len(vals)), last] / ranks[last]
     vals = np.clip(vals - threshold[:, None], 0.0, None)
     scaled = vecs * vals[:, None, :]
-    return validate_densities(scaled @ np.conj(vecs, out=vecs).swapaxes(-1, -2))
+    projected = scaled @ np.conj(vecs, out=vecs).swapaxes(-1, -2)
+    del scaled, vecs
+    return validate_densities(projected)
 
 
 def reconstruct(tables: np.ndarray) -> np.ndarray:
@@ -145,9 +147,13 @@ def reconstruct(tables: np.ndarray) -> np.ndarray:
     right = (p0 + p2 - p1 - p3).reshape(-1, 3, 3).mean(axis=1)
     corr = p0 - p1 - p2 + p3
     coeffs = np.concatenate([np.stack([left, right], axis=2).reshape(-1, 6), corr], axis=1)
-    acc = np.tile(np.eye(4, dtype=np.complex128), (len(p), 1, 1))
+    del p, p0, p1, p2, p3, left, right, corr
+    acc = np.tile(np.eye(4, dtype=np.complex128), (len(coeffs), 1, 1))
+    term = np.empty_like(acc)
     for c, op in zip(coeffs.T, PAULI_BASIS):
-        acc += c[:, None, None] * op
+        np.multiply(c[:, None, None], op, out=term)
+        acc += term
+    del coeffs, term
     acc /= 4.0
     return _project_physical(acc)
 

@@ -21,7 +21,9 @@ the per-header templates replaced; each must agree bit for bit.  So must the exa
 allocated a new array at every step, before its passes ran in place, and
 the phase and weight estimators that read one tally row per call, before
 they read the whole stack (the phase one summing the lattice rows in padded
-blocks).  The last section holds small helpers that only tests use, several
+blocks).  The noise fit is the stacked (32 N, 2) design solved by
+``np.linalg.lstsq``, which the closed-form 2x2 normal equations replaced;
+the two agree to rounding, not in bits.  The last section holds small helpers that only tests use, several
 of them over the reference model in ``physics``: the basis index of
 ``physics.Pseudospin`` labels, ket normalisation (which raises
 ``physics.DegenerateStateError``), the comparison of kets up to their
@@ -46,6 +48,7 @@ from sloccsim import (
     NoiseModel,
     PlateGeometry,
     PreparationSettings,
+    ket_to_density,
     noisy_state,
     prepare_lr,
     rotate_density,
@@ -416,6 +419,47 @@ def extract_params_oracle(rho_hat: np.ndarray) -> ExtractedRow:
         fidelity_to_ideal=fidelity_pure_oracle(rho_hat, ideal),
         low_coherence=low_coherence,
     )
+
+
+def _edge_least_squares_oracle(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimiser of ||design @ c - rhs|| on the triangle's three edges, from the residual vectors."""
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    best_cost, best = np.inf, None
+    for first, last in ((0, 2), (0, 1), (1, 2)):  # c_vis = 0, c_white = 0, sum = 1
+        step = corners[last] - corners[first]
+        along, offset = design @ step, design @ corners[first] - rhs
+        t = min(max(-float(along @ offset) / float(along @ along), 0.0), 1.0)
+        residual = offset + t * along
+        if (cost := float(residual @ residual)) < best_cost:
+            best_cost, best = cost, corners[first] + t * step
+    return best
+
+
+def fit_noise_oracle(targets: np.ndarray, kets: np.ndarray) -> NoiseModel:
+    """(visibility, white_weight) from the stacked (32 N, 2) design and ``np.linalg.lstsq``.
+
+    Rows run over the real, then the imaginary parts of every state's 16
+    cells of ``|k><k| - DEPHASED`` (c_vis) and ``WHITE_NOISE - DEPHASED``
+    (c_white) against ``target - DEPHASED``.  An optimum outside the
+    physical triangle moves to the best point on its edges, found from the
+    residual vectors themselves.
+    """
+    col_vis = (ket_to_density(np.asarray(kets)) - DEPHASED).reshape(-1, 16)
+    col_white = np.broadcast_to((WHITE_NOISE - DEPHASED).ravel(), col_vis.shape)
+    offset = (np.asarray(targets) - DEPHASED).reshape(-1, 16)
+    design = np.stack(
+        [np.concatenate([col_vis.real, col_vis.imag]), np.concatenate([col_white.real, col_white.imag])],
+        axis=-1,
+    ).reshape(-1, 2)
+    rhs = np.concatenate([offset.real, offset.imag]).reshape(-1)
+    (c_vis, c_white), *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    slack = 1e-12
+    if not (-slack <= c_vis <= 1.0 + slack and -slack <= c_white <= 1.0 - c_vis + slack):
+        c_vis, c_white = _edge_least_squares_oracle(design, rhs)
+    visibility = min(max(float(c_vis), 0.0), 1.0)
+    remainder = 1.0 - visibility
+    white = 0.5 if remainder <= 1e-9 else min(max(float(c_white) / remainder, 0.0), 1.0)
+    return NoiseModel(visibility=visibility, white_weight=white, dephasing_weight=1.0 - white)
 
 
 def format_cell(value) -> str:

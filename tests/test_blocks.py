@@ -18,7 +18,7 @@ import pytest
 from sloccsim import cli, sweeps
 from sloccsim.config import ExperimentConfig, resolve
 from sloccsim.measurement import outcome_probs, rotate_density, sample_counts
-from sloccsim.noise import noisy_state
+from sloccsim.noise import fit_noise, noisy_state
 from sloccsim.slocc import PreparationSettings, lr_kets
 from sloccsim.states import ket_to_density, validate_densities
 from sloccsim.tomography import reconstruct, setting_probabilities, simulate_tomography
@@ -147,6 +147,19 @@ def test_poisson_draws_convert_one_block_at_a_time():
         assert tallies[row].tolist() == sample_counts_oracle(probs[row], cfg.shots, rng, "poisson")
 
 
+def test_fit_noise_holds_no_n_row_stack_beside_its_inputs():
+    # 40 x 100 = 4000 states: the (N, 4, 4) targets it is handed are 256 B per state
+    cfg = grid_config("tomography-demo", 40, 100)
+    kets = sweeps._grid(cfg)[1]
+    targets = validate_densities(noisy_state(ket_to_density(kets), cfg.noise))
+    fit_noise(targets[: sweeps.BLOCK_ROWS], kets[: sweeps.BLOCK_ROWS])  # first calls may allocate caches
+    fitted, _, peak = traced(lambda: fit_noise(targets, kets))
+    assert fitted.visibility == pytest.approx(cfg.noise.visibility, abs=1e-12)
+    # a few (N, 4) columns, at most one targets' worth; the (32 N, 2) design, its
+    # right-hand side and lstsq's copies of both peaked at 1073 B per state
+    assert peak <= targets.nbytes, peak / len(kets)
+
+
 def sweep_lists(scenario):
     """The [sweep] lists of a 4000-row ``scenario`` run: a 40 x 100 grid, or 4000 weights."""
     if scenario == "mixture-sweep":
@@ -162,10 +175,11 @@ POISSON = "[experiment]\nshots = 100000\nsampling = poisson\n"
 # CSV text, an N-row state stack or per-row estimator tuples would pass them: with
 # its (N, 4, 4) states and whole-stack estimator lists a phase-sweep peaked at 997 B
 # per row, a mixture-sweep at 958 B and a counts-demo at 433 B (multinomial) and
-# 445 B (Poisson).  Tomography keeps its (N, 4, 4) reconstructions and fit design.
+# 445 B (Poisson).  Tomography keeps its (N, 4, 4) reconstructions: with the
+# (32 N, 2) design of an lstsq noise fit beside them it peaked at 1482 B per row.
 RUN_BYTES_PER_ROW = {
     "phase-sweep": ("phase-sweep", "", 300),
-    "tomography-demo": ("tomography-demo", "", 2500),
+    "tomography-demo": ("tomography-demo", "", 1000),
     "counts-demo": ("counts-demo", "", 250),
     "counts-demo-poisson": ("counts-demo", POISSON, 250),
     "mixture-sweep": ("mixture-sweep", "", 250),

@@ -19,10 +19,10 @@ from sloccsim import (
 )
 from sloccsim.config import ExperimentConfig, resolve
 from sloccsim.noise import DEPHASED, WHITE_NOISE, least_squares, noise_floor
-from sloccsim.slocc import lr_kets
+from sloccsim.slocc import lr_ket_blocks, lr_kets
 from sloccsim.states import DensityMatrix4
 
-from oracles import noisy_expectation_scaling
+from oracles import fit_noise_oracle, noisy_expectation_scaling
 from physics import expectation_zz
 
 
@@ -220,11 +220,11 @@ def test_fit_clips_negative_visibility_to_zero(monkeypatch):
     ],
 )
 def test_edge_solve_finds_nearest_triangle_point(free_optimum, expected):
-    # With an identity design the bounded optimum is the Euclidean nearest
-    # point of the triangle.  A valid density matrix never drives the white
-    # coordinate negative (it is twice the mean |00>, |11> population, and
-    # the two design columns are orthogonal), so the edge c_white = 0 is
-    # reached here rather than through fit_noise.
+    # With an identity Gram matrix, c^T c - 2 h^T c = |c - h|^2 - |h|^2, so the
+    # bounded optimum is the Euclidean nearest point of the triangle to h.  A
+    # valid density matrix never drives the white coordinate negative (it is
+    # twice the mean |00>, |11> population, and the two columns a, b are
+    # orthogonal), so the edge c_white = 0 is reached here rather than through fit_noise.
     got = least_squares(np.eye(2), np.asarray(free_optimum))
     assert got == pytest.approx(expected, abs=1e-15)
 
@@ -308,6 +308,18 @@ def test_fit_needs_four_amplitude_kets(shape):
     assert str(info.value) == f"kets must have shape (3, 4), one per target, got {shape}"
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_fit_names_the_first_non_finite_target(bad):
+    # every edge cost was NaN, so the edge solve found no edge and the fit raised
+    # "TypeError: 'NoneType' object is not iterable"
+    kets = lr_ket_blocks([(math.pi / 4, [1.0, 1j, -1.0])])
+    targets = ket_to_density(kets)
+    targets[1, 1, 1] = targets[2, 0, 3] = bad
+    with pytest.raises(ValueError) as info:
+        fit_noise(targets, kets)
+    assert str(info.value) == "targets[1] is not finite"
+
+
 @st.composite
 def unit_kets(draw):
     """A random unit ket, or one of the (0, 1, e^{i theta}, 0)/sqrt(2) kets that sit closest to the floor."""
@@ -327,7 +339,7 @@ def unit_kets(draw):
 )
 def test_fit_is_determined_for_any_unit_kets(kets, visibility, white):
     # ||P - DEPHASED||^2 = 3/2 - |k_1|^2 - |k_2|^2 >= 1/2 for P = |k><k|, so the
-    # visibility column of the design never vanishes and no input leaves the fit flat
+    # visibility column a never vanishes and no input leaves the fit flat
     kets = np.array(kets)
     projectors = ket_to_density(kets)
     assert np.all(np.sum(np.abs(projectors - DEPHASED) ** 2, axis=(1, 2)) >= 0.5 - 1e-12)
@@ -335,3 +347,36 @@ def test_fit_is_determined_for_any_unit_kets(kets, visibility, white):
     fitted = fit_noise(noisy_state(projectors, NoiseModel(visibility, white, 1.0 - white)), kets)
     assert fitted.visibility == pytest.approx(visibility, abs=1e-9)
     assert fitted.white_weight == pytest.approx(white, abs=1e-9)
+
+
+CORNERS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))  # of the physical triangle in (c_vis, c_white)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kets=st.lists(unit_kets(), min_size=2, max_size=6),
+    c_vis=st.floats(-0.5, 1.5),
+    c_white=st.floats(-0.5, 1.5),
+    matched=st.booleans(),
+)
+def test_fit_matches_the_lstsq_oracle(kets, c_vis, c_white, matched):
+    # DEPHASED + c_vis (P - DEPHASED) + c_white (WHITE_NOISE - DEPHASED) is the model at
+    # (c_vis, c_white) when P is each target's own ket: inside the triangle the free
+    # optimum is taken, outside it an edge.  A mismatched stack pairs the targets with
+    # the kets in reverse order, so the optimum carries a misfit.
+    kets = np.array(kets)
+    projectors = ket_to_density(kets if matched else kets[::-1])
+    targets = DEPHASED + c_vis * (projectors - DEPHASED) + c_white * (WHITE_NOISE - DEPHASED)
+    fitted, reference = fit_noise(targets, kets), fit_noise_oracle(targets, kets)
+    # The oracle picks its edge by comparing float residual norms, which cannot tell
+    # apart points within about 1e-8 of a shared corner (their costs differ by
+    # ||a||^2 d^2 < 1e-16 ||r||^2); the Gram-form costs carry no ||r||^2 and can.
+    point = (reference.visibility, reference.white_weight * (1.0 - reference.visibility))
+    near_corner = min(max(abs(point[0] - x), abs(point[1] - y)) for x, y in CORNERS) < 1e-8
+    tolerance = 1e-8 if near_corner else 1e-12
+    assert fitted.visibility == pytest.approx(reference.visibility, abs=tolerance)
+    # white_weight = c_white / (1 - visibility), so an agreement of c_white to the
+    # tolerance is one of white_weight to tolerance / (1 - visibility): at c_vis = 0.99999,
+    # c_white = 0 the oracle's white_weight is 2.8e-12 off the exact 5.55e-12
+    if (remainder := 1.0 - reference.visibility) > 1e-6:
+        assert fitted.white_weight == pytest.approx(reference.white_weight, abs=tolerance / remainder)
