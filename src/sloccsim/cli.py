@@ -10,8 +10,11 @@ problem: one ``config error: cannot write`` line and exit 2, before anything
 is computed.  Its parent directory is made then, but the file itself is
 opened only once the run has succeeded, and the rows are streamed into it
 (or to stdout) one block of lines at a time; a write that fails there, on a
-full device say, ends the same way.  The subcommand decides the scenario; a
-scenario key in the config file is validated but does not override it.
+full device say, ends the same way.  A stdout closed at start-up
+(``sloccsim counts-demo >&-``) is caught as an unwritable --out is, exit 2
+with ``config error: cannot write standard output: it is closed``.  The
+subcommand decides the scenario; a scenario key in the config file is
+validated but does not override it.
 """
 
 from __future__ import annotations
@@ -71,8 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _writable_out(out: str | None) -> Path | None:
-    """The --out target with its parent directory made; ConfigError if it cannot be written."""
+    """The --out target (None for stdout) with its parent directory made; ConfigError if it cannot be written."""
     if out is None:
+        if sys.stdout is None:  # Python starts with no stdout when its fd 1 is closed
+            raise ConfigError("cannot write standard output: it is closed")
         return None
     path = Path(out)
     env_dir = os.environ.get(ENV_OUT_DIR)

@@ -64,12 +64,11 @@ def outcome_probs(rotated: np.ndarray) -> np.ndarray:
 def sample_counts(probs: np.ndarray, total: int, rngs, mode: str = "multinomial") -> np.ndarray:
     """Draw coincidence tallies for an (N, 4) stack of outcome probabilities.
 
-    Row i draws from the i-th Generator of ``rngs``, which may yield one
-    reused Generator moved to each row's stream (``sweeps.row_generators``).
-    multinomial mode fixes the number of recorded pairs; poisson mode draws
-    each channel independently with mean total * p, so the realised total
-    fluctuates.  Returns the (N, 4) int64 tallies (n13, n14, n23, n24); sum
-    a row's total as Python ints, since Poisson totals can pass 2**63 - 1.
+    Row i draws from the i-th Generator of ``rngs``.  multinomial mode fixes
+    the number of recorded pairs; poisson mode draws each channel
+    independently with mean total * p, so the realised total fluctuates.
+    Returns the (N, 4) int64 tallies (n13, n14, n23, n24); sum a row's total
+    as Python ints, since Poisson totals can pass 2**63 - 1.
     Identical (probs, total, generator states, mode) give identical counts.
     The probabilities are checked and renormalised a block at a time, as the
     draws reach them (``_renormalised_rows``).

@@ -16,10 +16,10 @@ estimators work through their stacks a block at a time too.  Row i draws its
 counts from the stream of ``default_rng(SeedSequence([seed, i]).generate_state(1,
 uint64)[0])``, so rows never depend on evaluation order and identical configs
 reproduce identical files.  ``row_seeds`` and ``row_generators`` reach those
-streams without building a SeedSequence or a generator per row: both
-SeedSequence hashes run as uint32 array operations over many rows at once
-(``HASH_ROWS`` rows at a time in ``row_generators``), and one reused PCG64 is
-set to each row's starting state.  The streams, and so every count, are the same as with
+streams without building a SeedSequence per row: both SeedSequence hashes run
+as uint32 array operations over many rows at once (``HASH_ROWS`` rows at a
+time in ``row_generators``), and numpy's PCG64 seeds each row's own Generator
+from its hashed words.  The streams, and so every count, are the same as with
 the per-row objects.
 """
 
@@ -47,9 +47,6 @@ _INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
 _INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
-# PCG64's 128-bit LCG multiplier
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _hashmix(value, const, mult):
@@ -135,39 +132,33 @@ HASH_ROWS = 8 * BLOCK_ROWS
 
 
 def row_generators(seed: int, n: int):
-    """Yield, for each row i < n, a Generator at ``default_rng(row_seeds(seed, n)[i, 0])``'s start.
+    """Yield, for each row i < n, a new Generator at ``default_rng(row_seeds(seed, n)[i, 0])``'s start.
 
-    The same Generator is yielded every time and moved to the next row's
-    stream on the next step, so draw from it before advancing.  Its PCG64
-    is built once from the fixed seed 0, never from OS entropy, and every
-    row overwrites that state through the checked ``state`` setter.
-    Row i's state is what ``PCG64(count_seed)`` seeds: the count seed's two
-    uint32 words hashed into four uint64 words v0..v3, then, mod 2**128,
-    init = v0 * 2**64 + v1, inc = 2 * (v2 * 2**64 + v3) + 1 and
-    state = (inc + init) * multiplier + inc.  The hashes run over HASH_ROWS
-    rows at a time, when the pass reaches them; the 128-bit states are
-    computed one row at a time, as the rows are drawn.
+    ``PCG64(count_seed)`` seeds from ``SeedSequence(count_seed).generate_state(4,
+    uint64)``; those words are hashed here HASH_ROWS rows at a time, when the
+    pass reaches them, and each row's are handed to PCG64 as its seed sequence.
     """
+    # numpy.random is imported here, not with the module, so that importing the CLI stays cheap
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class RowWords(ISeedSequence):
+        """One row's hashed words, as the seed sequence PCG64 draws its four uint64 words from."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
     _check_row_count(n)
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
     for start in range(0, n, HASH_ROWS):
         # each count seed as its two uint32 words; a zero high word hashes as if absent
         indices = np.arange(start, min(start + HASH_ROWS, n), dtype=np.uint32)
         count_seeds = _row_words(int(seed), indices, 1)
-        # PCG64(count_seed) seeds from SeedSequence(count_seed).generate_state(4, uint64)
-        words = _as_uint64(_seed_sequence(count_seeds, 8))
-        for block in row_blocks(len(words)):
-            for v0, v1, v2, v3 in words[block].tolist():
-                inc = ((v2 << 64 | v3) << 1 | 1) & _MASK128
-                state = ((inc + (v0 << 64 | v1)) * _PCG_MULT + inc) & _MASK128
-                bit_generator.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-                yield rng
+        words = _as_uint64(_seed_sequence(count_seeds, 8)).astype(np.uint64, copy=False)
+        for row in words:
+            yield Generator(PCG64(RowWords(row)))
 
 
 def _in_blocks(stage, rows: np.ndarray) -> np.ndarray:

@@ -536,18 +536,28 @@ def test_largest_u64_seed_is_accepted(tmp_path, capsys):
     assert code == 0, err
 
 
-def test_cli_import_does_not_load_scipy():
+def _modules_after_cli_import(package):
+    """The modules of ``package`` that ``import sloccsim.cli`` loads in a fresh interpreter."""
     src = str(Path(sloccsim.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (
         "import sloccsim.cli, sys; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy():
+    assert _modules_after_cli_import("scipy") == "[]"
+
+
+def test_cli_import_does_not_load_numpy_random():
+    # numpy.random costs a cold start about 10 ms; only the samplers import it, when they run
+    assert _modules_after_cli_import("numpy.random") == "[]"
 
 
 def _cli_process(tmp_path, command, **popen_args):
@@ -578,6 +588,25 @@ def test_a_full_stdout_device_is_one_config_error(tmp_path):
         err = proc.stderr.read()
     assert proc.returncode == 2
     assert err == "config error: cannot write standard output: [Errno 28] No space left on device\n"
+
+
+def test_a_stdout_closed_at_start_is_one_config_error(tmp_path):
+    # the child closes its inherited fd 1 before exec, as `sloccsim counts-demo >&-` does
+    with _cli_process(tmp_path, "counts-demo", preexec_fn=lambda: os.close(1)) as proc:
+        err = proc.stderr.read()
+    assert proc.returncode == 2
+    assert err == "config error: cannot write standard output: it is closed\n"
+
+
+def test_a_closed_stdout_is_caught_before_computing(tmp_path, capsys, monkeypatch):
+    def run_scenario(cfg):
+        raise AssertionError("the sweep ran before stdout was checked")
+
+    monkeypatch.setattr("sloccsim.cli.run_scenario", run_scenario)
+    monkeypatch.setattr(sys, "stdout", None)
+    code = main(["phase-sweep", "--config", quick_config(tmp_path, SMALL["phase-sweep"])])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: cannot write standard output: it is closed\n"
 
 
 def test_one_parser_serves_every_call():

@@ -2,9 +2,9 @@
 
 Every sweep row draws from ``default_rng(SeedSequence([seed, row]).generate_state(1,
 uint64)[0])``; ``row_seeds`` and ``row_generators`` reach the same seeds and
-starting states without a SeedSequence or a generator per row.  Any
-difference would move every count, so the references are numpy's own
-objects (``oracles.row_seeds_oracle``, ``oracles.row_generator_oracle``).
+starting states without a SeedSequence per row.  Any difference would move
+every count, so the references are numpy's own objects
+(``oracles.row_seeds_oracle``, ``oracles.row_generator_oracle``).
 """
 
 import numpy as np
@@ -45,13 +45,28 @@ def test_row_seeds_match_seed_sequence(seed, count):
 @example(seed=2**32)
 @example(seed=2**64 - 1)
 def test_row_generators_start_where_default_rng_does(seed):
+    # every row's Generator stays at its own start while later rows are yielded
     yielded = list(row_generators(seed, 8))
     assert len(yielded) == 8
-    assert all(rng is yielded[0] for rng in yielded)  # one Generator, reset per row
-    for index, rng in enumerate(row_generators(seed, 8)):
-        reference = row_generator_oracle(seed, index)
-        assert rng.bit_generator.state == reference.bit_generator.state
-        assert rng.integers(0, 2**63, size=3).tolist() == reference.integers(0, 2**63, size=3).tolist()
+    for index, rng in enumerate(yielded):
+        assert_at_row_start(rng, seed, index)
+
+
+def assert_at_row_start(rng, seed, index):
+    reference = row_generator_oracle(seed, index)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert rng.integers(0, 2**63, size=3).tolist() == reference.integers(0, 2**63, size=3).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
+def test_row_generators_cross_the_hash_pass_edge(seed):
+    # row HASH_ROWS - 1 ends the first hash pass; row HASH_ROWS, the last, is the second pass
+    checked = []
+    for index, rng in enumerate(row_generators(seed, sweeps.HASH_ROWS + 1)):
+        if index in (0, sweeps.HASH_ROWS - 1, sweeps.HASH_ROWS):
+            assert_at_row_start(rng, seed, index)
+            checked.append(index)
+    assert checked == [0, sweeps.HASH_ROWS - 1, sweeps.HASH_ROWS]
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sloccsim import DensityMatrix4, PreparationSettings, fidelity_pure, ket_to_density
 from sloccsim.config import ExperimentConfig, resolve
 from sloccsim.mixture import mixed_state
-from sloccsim.states import TWO_PI, canonical_phase
+from sloccsim.states import TWO_PI, canonical_phase, validate_densities
 from sloccsim.tomography import extract_params
 
 from oracles import (
@@ -237,6 +237,18 @@ def test_density_matrix_validation():
     negative = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
         DensityMatrix4(negative)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (1, 2)], ids=["diagonal", "off-diagonal"])
+def test_validate_densities_rejects_a_non_finite_stack(value, where):
+    # a non-finite entry, mirrored where it sits off the diagonal, fails the Hermitian check
+    stack = np.tile(np.eye(4, dtype=complex) / 4.0, (3, 1, 1))
+    stack[1, where[0], where[1]] = stack[1, where[1], where[0]] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not Hermitian"):
+            validate_densities(stack)
 
 
 def test_fidelity_pure_basics():
