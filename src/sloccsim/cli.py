@@ -12,9 +12,10 @@ opened only once the run has succeeded, and the rows are streamed into it
 (or to stdout) one block of lines at a time; a write that fails there, on a
 full device say, ends the same way.  A stdout closed at start-up
 (``sloccsim counts-demo >&-``) is caught as an unwritable --out is, exit 2
-with ``config error: cannot write standard output: it is closed``.  The
-subcommand decides the scenario; a scenario key in the config file is
-validated but does not override it.
+with ``config error: cannot write standard output: it is closed``.  A closed
+stderr (``2>&-``) loses the message, not the exit code.  The subcommand
+decides the scenario; a scenario key in the config file is validated but does
+not override it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import argparse
 import functools
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config_file, resolve
@@ -92,6 +93,12 @@ def _writable_out(out: str | None) -> Path | None:
     return path
 
 
+def _report(message: str) -> None:
+    """Write one line to stderr; a missing or unwritable stderr drops it, as argparse drops its own."""
+    with suppress(AttributeError, OSError):
+        sys.stderr.write(message + "\n")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -105,10 +112,10 @@ def main(argv=None) -> int:
         target = _writable_out(args.out)
         header, rows = run_scenario(cfg)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _report(f"config error: {exc}")
         return 2
     except (ValueError, ArithmeticError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 3
     try:
         with nullcontext(sys.stdout) if target is None else target.open("w", encoding="utf-8") as out:
@@ -120,6 +127,6 @@ def main(argv=None) -> int:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):
             return 141  # the reader has gone: end quietly, as a SIGPIPE would
-        print(f"config error: cannot write {target or 'standard output'}: {exc}", file=sys.stderr)
+        _report(f"config error: cannot write {target or 'standard output'}: {exc}")
         return 2
     return 0

@@ -36,8 +36,8 @@ ROTATION_PAIR.setflags(write=False)
 
 MIN_SIN_2BETA = 1e-6
 
-# Rows per block wherever a stack is worked through in blocks: the sweeps' per-row
-# stages, the sampler's checks, the estimators and the CSV rows.  A (256, 4, 4)
+# Rows per block wherever a stack is worked through in blocks (``row_blocks``): the
+# sweeps' per-row stages and draws, the estimators and the CSV rows.  A (256, 4, 4)
 # complex128 block is 64 KiB.
 BLOCK_ROWS = 256
 
@@ -70,8 +70,8 @@ def sample_counts(probs: np.ndarray, total: int, rngs, mode: str = "multinomial"
     Returns the (N, 4) int64 tallies (n13, n14, n23, n24); sum a row's total
     as Python ints, since Poisson totals can pass 2**63 - 1.
     Identical (probs, total, generator states, mode) give identical counts.
-    The probabilities are checked and renormalised a block at a time, as the
-    draws reach them (``_renormalised_rows``).
+    The whole stack is checked and renormalised before any row draws; the
+    sweeps hand it one block at a time.
     """
     if total < 1:
         raise ValueError("total must be at least 1")
@@ -80,34 +80,21 @@ def sample_counts(probs: np.ndarray, total: int, rngs, mode: str = "multinomial"
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[1] != 4:
         raise ValueError(f"outcome probabilities must have shape (N, 4), got {probs.shape}")
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):  # a NaN fails both comparisons
+        raise ValueError("outcome probabilities must lie in [0, 1]")
+    sums = probs.sum(axis=-1, keepdims=True)
+    if np.any(np.abs(sums - 1.0) > ATOL):
+        raise ValueError("outcome probabilities must sum to 1")
+    probs = probs / sums
     tally = np.empty(probs.shape, dtype=np.int64)
-    rows = _renormalised_rows(probs, mode)
     if mode == "multinomial":
-        for row, p, rng in zip(tally, rows, rngs, strict=True):
+        for row, p, rng in zip(tally, probs, rngs, strict=True):
             row[:] = rng.multinomial(total, p)
     else:
         # one scalar draw per channel consumes the stream as the array call does, faster
-        for row, p, rng in zip(tally, rows, rngs, strict=True):
+        for row, p, rng in zip(tally, probs.tolist(), rngs, strict=True):
             row[:] = [rng.poisson(total * v) for v in p]
     return tally
-
-
-def _renormalised_rows(probs: np.ndarray, mode: str):
-    """The rows of an (N, 4) probability stack, checked and renormalised one BLOCK_ROWS block at a time.
-
-    A block is checked when the pass reaches it, so a bad row raises after the
-    rows before its block are drawn.  Poisson mode gets each row as Python
-    floats, converted a block at a time, never as one N-row list.
-    """
-    for start in range(0, len(probs), BLOCK_ROWS):
-        block = probs[start : start + BLOCK_ROWS]
-        if not np.all((block >= 0.0) & (block <= 1.0)):  # a NaN fails both comparisons
-            raise ValueError("outcome probabilities must lie in [0, 1]")
-        sums = block.sum(axis=-1, keepdims=True)
-        if np.any(np.abs(sums - 1.0) > ATOL):
-            raise ValueError("outcome probabilities must sum to 1")
-        block = block / sums
-        yield from (block.tolist() if mode == "poisson" else block)
 
 
 def _same_and_total(counts) -> tuple[int, int]:

@@ -1,19 +1,18 @@
 """Experiment drivers: resolved config in, CSV header plus rows out.
 
-A runner finishes every stage that can raise before it returns, and drops
-each N-row stack once the next stage has read it.  Its rows are a one-pass
-iterator that converts the numeric result columns ``BLOCK_ROWS`` rows at a
-time, and ``render_csv`` writes them to a text stream block by block, so
-neither the rows nor the CSV text are ever held whole.
+A runner finishes every stage that can raise before it returns.  Its rows are
+a one-pass iterator that converts the numeric result columns ``BLOCK_ROWS``
+rows at a time, and ``render_csv`` writes them to a text stream block by
+block, so neither the rows nor the CSV text are ever held whole.
 
 A grid scenario holds its points as one (N, 4) ket stack, a mixture sweep as
-its weights; no (N, 4, 4) state stack is ever built.  One pass over blocks of
-``BLOCK_ROWS`` rows builds each block's validated noisy states and reads them
-out at once (rotation and diagonal, or the tomography settings), writing the
-readouts into one result, so no state or temporary spans more than a block;
-the blocks give the bits of a whole-stack call.  The sampler and the
-estimators work through their stacks a block at a time too.  Row i draws its
-counts from the stream of ``default_rng(SeedSequence([seed, i]).generate_state(1,
+its weights.  ``_in_blocks`` walks them once, in ``row_blocks`` blocks: each
+block's validated noisy states are built, read out (rotation and diagonal, or
+the tomography settings), drawn from the block's own row streams and, in
+tomography, reconstructed, so no state, probability or count table spans more
+than a block; the blocks give the bits of a whole-stack call.  The estimators
+work through their stacks a block at a time too.  Row i draws its counts from
+the stream of ``default_rng(SeedSequence([seed, i]).generate_state(1,
 uint64)[0])``, so rows never depend on evaluation order and identical configs
 reproduce identical files.  ``row_seeds`` and ``row_generators`` reach those
 streams without building a SeedSequence per row: both SeedSequence hashes run
@@ -161,20 +160,22 @@ def row_generators(seed: int, n: int):
             yield Generator(PCG64(RowWords(row)))
 
 
-def _in_blocks(stage, rows: np.ndarray) -> np.ndarray:
-    """``stage(rows)``, run on consecutive BLOCK_ROWS-row blocks and written into one result.
+def _in_blocks(stage, rows, seed: int) -> np.ndarray:
+    """``stage(block, rngs)`` on each ``row_blocks`` block of ``rows``, written into one result.
 
+    ``rngs`` yields the block's own row streams, the next ones of one
+    ``row_generators(seed, len(rows))`` pass, which ends with the walk.
     ``stage`` must act row by row, so that the blocks give the bits of one
-    whole-stack call; only one block's temporaries are alive at a time, and
-    a stack of at most one block is returned as the stage returns it.
+    whole-stack call; only one block's temporaries are alive at a time.
     """
-    first = stage(rows[:BLOCK_ROWS])
-    if len(rows) <= BLOCK_ROWS:
-        return first
-    out = np.empty((len(rows), *first.shape[1:]), dtype=first.dtype)
-    out[:BLOCK_ROWS] = first
-    for start in range(BLOCK_ROWS, len(rows), BLOCK_ROWS):
-        out[start : start + BLOCK_ROWS] = stage(rows[start : start + BLOCK_ROWS])
+    rngs = row_generators(seed, len(rows))
+    out = None
+    for block in row_blocks(len(rows)):
+        block_rows = rows[block]
+        part = stage(block_rows, itertools.islice(rngs, len(block_rows)))
+        if out is None:
+            out = np.empty((len(rows), *part.shape[1:]), dtype=part.dtype)
+        out[block] = part
     return out
 
 
@@ -191,15 +192,17 @@ def _noisy(cfg: ResolvedConfig, ideals: np.ndarray) -> np.ndarray:
 
 
 def _sample(cfg: ResolvedConfig, rows, ideals) -> np.ndarray:
-    """Build each block's states, rotate and read them out, then draw: the (N, 4) int64 tallies, unchecked.
+    """Build, rotate, read out and draw each block in turn: the (N, 4) int64 tallies, unchecked.
 
     ``ideals`` maps a block of ``rows`` (kets, or mixture weights) to its ideal
-    density matrices, so no state spans more than a block.  The estimators reject
-    a row they cannot use (Poisson can draw one without a coincidence); the
-    sweeps that estimate add the row's name to the message.
+    density matrices.  The estimators reject a row they cannot use (Poisson can
+    draw one without a coincidence); the sweeps that estimate add its name.
     """
-    probs = _in_blocks(lambda block: outcome_probs(rotate_density(_noisy(cfg, ideals(block)))), rows)
-    return sample_counts(probs, cfg.shots, row_generators(cfg.seed, len(probs)), cfg.sampling)
+
+    def stage(block, rngs):
+        return sample_counts(outcome_probs(rotate_density(_noisy(cfg, ideals(block)))), cfg.shots, rngs, cfg.sampling)
+
+    return _in_blocks(stage, rows, cfg.seed)
 
 
 def _column_rows(*columns):
@@ -314,16 +317,17 @@ TOMOGRAPHY_HEADER = [
 def run_tomography_demo(cfg: ResolvedConfig):
     """Tomograph each prepared state, then jointly fit the noise model.
 
-    The fitted visibility and white weight are repeated on every row so the
-    file stays flat.  Each N-row stack is dropped once the next stage has read it.
+    One walk builds, reads out, draws and reconstructs each block of states; the
+    fitted visibility and white weight repeat on every row, so the file stays flat.
     """
+
+    def stage(block, rngs):
+        probs = setting_probabilities(_noisy(cfg, ket_to_density(block)))
+        return reconstruct(simulate_tomography(probs, cfg.shots, rngs))
+
     grid, kets = _grid(cfg)
-    probs = _in_blocks(lambda block: setting_probabilities(_noisy(cfg, ket_to_density(block))), kets)
+    rho_hats = _in_blocks(stage, kets, cfg.seed)
     del kets
-    tables = simulate_tomography(probs, cfg.shots, row_generators(cfg.seed, len(probs)))
-    del probs
-    rho_hats = _in_blocks(reconstruct, tables)
-    del tables
     extracted = extract_params(rho_hats)
     fitted = fit_noise(rho_hats, extracted.kets)
     fit = (fitted.visibility, fitted.white_weight)

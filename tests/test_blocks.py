@@ -1,4 +1,4 @@
-"""The sweeps run their per-row stages in ``sweeps.BLOCK_ROWS``-row blocks.
+"""The sweeps run their per-row stages and draws in ``measurement.row_blocks`` blocks of ``BLOCK_ROWS`` rows.
 
 Every blocked stage acts row by row, so the blocks must give the bits of one
 whole-stack call, up to a last block of a single row; and no call may hold
@@ -122,9 +122,9 @@ def test_grid_and_sample_hold_no_n_row_temporary():
     assert peak - kept <= kets.nbytes, (peak - kept) / 1e6
     tallies, kept, peak = traced(lambda: sweeps._sample(cfg, kets, sweeps.ket_to_density))
     assert tallies.shape == (4000, 4)
-    # the (N, 4) int64 tallies it returns and the (N, 4) probabilities, beside one block's states
-    # and readout and one HASH_ROWS pass of seed hashing: no (N, 4, 4) states, no renormalised
-    # copy and no N-row hash pool (before: 692 kB, 5.4 times the tallies; now 509 kB)
+    # the (N, 4) int64 tallies it returns, beside one block's states, readout and draws and
+    # one HASH_ROWS pass of seed hashing: no (N, 4, 4) states, no N-row probabilities and no
+    # N-row hash pool (before: 692 kB, 5.4 times the tallies; then 509 kB with the probabilities)
     assert peak <= 2 * tallies.nbytes + 6 * BLOCK_BYTES, peak / 1e6
 
 
@@ -136,15 +136,33 @@ def test_poisson_draws_convert_one_block_at_a_time():
     sweeps._sample(cfg, kets[: sweeps.BLOCK_ROWS], sweeps.ket_to_density)  # first calls may allocate caches
     tallies, _, peak = traced(lambda: sweeps._sample(cfg, kets, sweeps.ket_to_density))
     assert tallies.shape == (20_000, 4)
-    # the two (N, 4) arrays of a multinomial draw, one block's states and Python floats and
-    # one HASH_ROWS pass of seed hashing (before: 3.49 MB; now 1.58 MB)
-    assert peak <= 2 * tallies.nbytes + 6 * BLOCK_BYTES, peak / len(tallies)
+    # the (N, 4) tallies, one block's states, probabilities and Python floats and one
+    # HASH_ROWS pass of seed hashing (before: 3.49 MB; then 1.58 MB with the N-row
+    # probabilities beside the tallies; now about 1.02 MB)
+    assert peak <= tallies.nbytes + 7 * BLOCK_BYTES, peak / len(tallies)
     # the rows on either side of a block edge, and the last block's, draw what one row drawn alone does
     probs = outcome_probs(rotate_density(validate_densities(noisy_state(ket_to_density(kets), cfg.noise))))
     block, n = sweeps.BLOCK_ROWS, len(tallies)
     for row in (0, block - 1, block, n // block * block, n - 1):
         rng = row_generator_oracle(cfg.seed, row)
         assert tallies[row].tolist() == sample_counts_oracle(probs[row], cfg.shots, rng, "poisson")
+
+
+@pytest.mark.parametrize("mode", ["multinomial", "poisson"])
+def test_a_bad_row_in_the_last_block_raises_before_any_row_draws(mode):
+    n = 2 * sweeps.BLOCK_ROWS + 1
+    probs = np.full((n, 4), 0.25)
+    probs[-1] = (0.5, 0.5, 0.5, 0.5)
+    pulled = []
+
+    def rngs():
+        for index in range(n):
+            pulled.append(index)
+            yield np.random.default_rng(index)
+
+    with pytest.raises(ValueError, match="must sum to 1"):
+        sample_counts(probs, 100, rngs(), mode)
+    assert pulled == []
 
 
 def test_fit_noise_holds_no_n_row_stack_beside_its_inputs():

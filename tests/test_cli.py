@@ -598,6 +598,44 @@ def test_a_stdout_closed_at_start_is_one_config_error(tmp_path):
     assert err == "config error: cannot write standard output: it is closed\n"
 
 
+CLOSED_STDERR_FAILURES = {
+    # (subcommand and flags, config body, stdout is /dev/full, exit code): each reaches one of main's messages
+    "config": (["phase-sweep", "--seed", "-1"], SMALL["phase-sweep"], False, 2),
+    "numerical": (["phase-sweep"], "[experiment]\nshots = 1\nsampling = poisson\n", False, 3),
+    "full-stdout": (["counts-demo"], SMALL["counts-demo"], True, 2),
+}
+
+
+def _close_stderr():
+    os.close(2)  # Python then starts with sys.stderr None
+
+
+def _read_only_stderr():
+    # fd 2 open for reading only, as when the shell opened a `python` launcher script there
+    os.close(2)
+    os.set_inheritable(os.open(os.devnull, os.O_RDONLY), True)  # the lowest free descriptor: 2
+
+
+@pytest.mark.parametrize("stderr", [_close_stderr, _read_only_stderr], ids=["closed", "read-only"])
+@pytest.mark.parametrize("case", CLOSED_STDERR_FAILURES)
+def test_a_closed_stderr_keeps_the_documented_exit_code(case, stderr, tmp_path):
+    argv, body, full, code = CLOSED_STDERR_FAILURES[case]
+    if full and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    src = str(Path(sloccsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = Path("/dev/full") if full else tmp_path / "out.csv"
+    with open(out, "w") as stdout:
+        result = subprocess.run(
+            [sys.executable, "-m", "sloccsim", *argv, "--config", quick_config(tmp_path, body)],
+            env=env, stdout=stdout, preexec_fn=stderr,
+        )
+    assert result.returncode == code
+    if not full:
+        assert out.read_text(encoding="utf-8") == ""  # the message is dropped, not written to stdout
+
+
 def test_a_closed_stdout_is_caught_before_computing(tmp_path, capsys, monkeypatch):
     def run_scenario(cfg):
         raise AssertionError("the sweep ran before stdout was checked")
