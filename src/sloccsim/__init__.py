@@ -18,7 +18,7 @@ from .errors import (
 from .measurement import PhaseEstimate, estimate_phase, outcome_probs, rotate_density, sample_counts
 from .mixture import MixtureEstimate, estimate_p, mixed_state, mixture_expectation
 from .noise import NoiseModel, fit_noise, noisy_state
-from .plate import PlateGeometry, PlatePhase, phase_from_displacement, wrap_phase
+from .plate import PlateGeometry, phase_from_displacement, wrap_phase
 from .slocc import PreparationSettings, prepare_lr
 from .states import DensityMatrix4, fidelity_pure, ket_to_density
 from .tomography import (
@@ -50,7 +50,6 @@ __all__ = [
     "fit_noise",
     "noisy_state",
     "PlateGeometry",
-    "PlatePhase",
     "phase_from_displacement",
     "wrap_phase",
     "PreparationSettings",

@@ -42,7 +42,7 @@ from .errors import ConfigError
 from .measurement import correlation_scale
 from .mixture import check_weight, cosine_contrast
 from .noise import NoiseModel
-from .plate import PlateGeometry, PlatePhase, phase_from_displacement
+from .plate import PlateGeometry, phase_from_displacement, wrap_phase
 from .slocc import PreparationSettings
 
 SAMPLING_MODES = ("multinomial", "poisson")
@@ -223,7 +223,7 @@ class ResolvedConfig:
     x_list: tuple[float, ...] | None
     p_list: tuple[float, ...]
     noise: NoiseModel
-    plate_phases: tuple[PlatePhase, ...] | None  # phase_from_displacement of each x_list entry
+    plate_phases: tuple[float, ...] | None  # phase_from_displacement of each x_list entry, unwrapped
 
 
 _DEG = math.pi / 180.0
@@ -305,7 +305,6 @@ def resolve(
             raise ConfigError("mixture-sweep needs exactly two phases in phi_list")
         if len(beta_list) != 1:
             raise ConfigError("mixture-sweep uses a single beta")
-    if scenario == "mixture-sweep":
         rows = len(p_list)
     elif scenario == "plate-calibration":
         rows = len(x_list)
@@ -358,7 +357,7 @@ def resolve(
         shots=shots,
         sampling=config.sampling if config.sampling is not None else "multinomial",
         beta_list=beta_list,
-        phi_list=tuple(phase.wrapped for phase in plate_phases) if plate_grid else phi_list,
+        phi_list=tuple(wrap_phase(phase) for phase in plate_phases) if plate_grid else phi_list,
         x_list=x_list,
         p_list=p_list,
         noise=noise,

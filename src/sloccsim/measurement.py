@@ -97,21 +97,6 @@ def sample_counts(probs: np.ndarray, total: int, rngs, mode: str = "multinomial"
     return tally
 
 
-def _same_and_total(counts) -> tuple[int, int]:
-    """(n13 + n24, total) of one nonempty tally row (n13, n14, n23, n24), as exact Python ints."""
-    n13, n14, n23, n24 = counts
-    try:
-        ints = (int(n13), int(n14), int(n23), int(n24))
-    except (TypeError, ValueError, OverflowError):  # None, a list, a NaN or an infinity
-        ints = None
-    if ints is None or ints != (n13, n14, n23, n24) or min(ints) < 0:
-        raise ValueError("counts must be nonnegative integers")
-    total = sum(ints)
-    if total < 1:
-        raise ValueError("cannot estimate from zero counts")
-    return ints[0] + ints[3], total
-
-
 def _zz(same, total):
     # on int64 bootstrap draws same - (total - same) stays inside int64; 2 * same - total leaves it above 2**62
     return (same - (total - same)) / total
@@ -124,10 +109,10 @@ def bootstrap_zz(counts, n_boot: int, seed: int) -> np.ndarray:
     multinomial redraw of all four channels same is Bin(total, same / total);
     one binomial draw per resample therefore gives exactly the multinomial
     bootstrap's distribution.  The estimators use its exact spread instead
-    (the zz_sigma column of ``read_tallies``); this Monte Carlo version is
-    the reference it is tested against.
+    (the zz_sigma column of ``read_tallies``, which reads this row too); this
+    Monte Carlo version is the reference it is tested against.
     """
-    same, total = _same_and_total(counts)
+    [(same, total)] = read_tallies([counts], "bootstrap_zz takes one tally row (n13, n14, n23, n24)")[0]
     rng = np.random.default_rng(seed)
     return _zz(rng.binomial(total, same / total, size=n_boot), total)
 
@@ -158,11 +143,17 @@ def correlation_scale(beta: float, visibility: float, noun: str) -> float:
 # deviations of its mean.  The binomial mass left outside is below 5e-12 (the
 # Poisson-like tail of a mean count of 1) and far smaller for larger counts.
 # A window wider than MAX_SPAN lattice steps is replaced by a fixed-node
-# normal rule, which bounds time and memory for any total.  Lattice rows are
+# normal rule, which bounds time and memory for any total; its nodes (in standard
+# deviations) and normalised weights are built once, read-only.  Lattice rows are
 # summed in blocks of at most BLOCK_NODES nodes; a wider window fills a block alone.
 WINDOW_SIGMAS = 12.0
 MAX_SPAN = 4096
 BLOCK_NODES = 1 << 14
+_NORMAL_NODES = np.linspace(-WINDOW_SIGMAS, WINDOW_SIGMAS, MAX_SPAN + 1)
+_NORMAL_WEIGHTS = np.exp(-0.5 * _NORMAL_NODES**2)
+_NORMAL_WEIGHTS /= _NORMAL_WEIGHTS.sum()
+_NORMAL_NODES.setflags(write=False)
+_NORMAL_WEIGHTS.setflags(write=False)
 
 
 def _zz_spread(same: int, total: int) -> float:
@@ -182,9 +173,10 @@ def read_tallies(tallies, shape_error: str, start: int = 0) -> tuple[list[tuple[
     ``tallies``: rows (n13, n14, n23, n24) of Python ints, which may pass 2**63, or an
     (n, 4) int array, which one ``tolist`` turns into Python ints.  The estimators hand
     it their stack one ``row_blocks`` block at a time, ``start`` being the block's first
-    row.  A flat stack or a row of other than four entries raises
-    ``ValueError(shape_error)``, and a row that ``_same_and_total`` rejects a
-    ``TallyRowError`` naming its index in the stack, ``start`` plus its place here.
+    row.  This is the one reader of a tally row: a flat stack or a row of other than
+    four entries raises ``ValueError(shape_error)``; a cell that is no nonnegative
+    integer, or a row that sums to 0, raises a ``TallyRowError`` naming its index in
+    the stack, ``start`` plus its place here.
     """
     if isinstance(tallies, np.ndarray):
         tallies = tallies.tolist()  # exact Python ints, which read faster than numpy scalars
@@ -197,9 +189,15 @@ def read_tallies(tallies, shape_error: str, start: int = 0) -> tuple[list[tuple[
         except (TypeError, ValueError):  # a scalar row, or one of another length
             raise ValueError(shape_error) from None
         try:
-            rows.append(_same_and_total((n13, n14, n23, n24)))
-        except ValueError as exc:
-            raise TallyRowError(index, str(exc)) from None
+            ints = (int(n13), int(n14), int(n23), int(n24))
+        except (TypeError, ValueError, OverflowError):  # None, a list, a NaN or an infinity
+            ints = None
+        if ints is None or ints != (n13, n14, n23, n24) or min(ints) < 0:
+            raise TallyRowError(index, "counts must be nonnegative integers")
+        total = sum(ints)
+        if total < 1:
+            raise TallyRowError(index, "cannot estimate from zero counts")
+        rows.append((ints[0] + ints[3], total))  # (n13 + n24, total) as exact Python ints
     zz_hat = np.array([_zz(same, total) for same, total in rows], dtype=np.float64)
     return rows, zz_hat, np.array([_zz_spread(same, total) for same, total in rows], dtype=np.float64)
 
@@ -217,11 +215,9 @@ def _phase_spread(rows) -> np.ndarray:
         zz0 = _zz(same, total)  # exact integers, one rounding
         half = math.ceil(WINDOW_SIGMAS * math.sqrt(same * other / total))
         if 2 * half > MAX_SPAN:
-            nodes = np.linspace(-WINDOW_SIGMAS, WINDOW_SIGMAS, MAX_SPAN + 1)
-            ratio = (zz0 + _zz_spread(same, total) * nodes) / scale
+            ratio = (zz0 + _zz_spread(same, total) * _NORMAL_NODES) / scale
             if not (ratio[0] >= 1.0 or ratio[-1] <= -1.0):  # else every resample clamps to the same end
-                weights = np.exp(-0.5 * nodes**2)
-                sigma[index] = _arccos_sd(ratio[None], (weights / weights.sum())[None], [len(nodes)])[0]
+                sigma[index] = _arccos_sd(ratio[None], _NORMAL_WEIGHTS[None], [len(_NORMAL_NODES)])[0]
             continue
         lo, hi = -min(half, same), min(half, other)  # node j is the count k = same + j
         step = 2.0 / total

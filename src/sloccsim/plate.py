@@ -4,14 +4,16 @@ A glass plate of given thickness rotates about an arm of given radius.
 Pushing the drive by x tilts the plate so that sin(incidence) = x / radius;
 the longer internal path adds phase relative to the untouched twin plate.
 Zero displacement is calibrated to zero phase, and only the relative phase
-modulo reflection matters downstream, so a wrapped value in [0, pi] is
-reported next to the raw monotone one.
+modulo reflection matters downstream, so ``wrap_phase`` folds the raw
+monotone phase into [0, pi] through ``states.canonical_phase``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from .states import TWO_PI, canonical_phase
 
 
 @dataclass(frozen=True)
@@ -46,22 +48,16 @@ class PlateGeometry:
         return 2.0 * math.pi * self.index * self.thickness / self.wavelength
 
 
-@dataclass(frozen=True)
-class PlatePhase:
-    wrapped: float  # in [0, pi]
-    unwrapped: float  # monotone in |x|, unbounded
-
-
 def wrap_phase(phi: float) -> float:
-    """Fold a phase into [0, pi] by reflection mod 2*pi; cosine is preserved."""
-    reduced = float(phi) % (2.0 * math.pi)
-    return 2.0 * math.pi - reduced if reduced > math.pi else reduced
+    """Fold a finite phase into [0, pi] by reflection mod 2*pi; cosine is preserved."""
+    reduced = canonical_phase(phi)
+    return TWO_PI - reduced if reduced > math.pi else reduced
 
 
-def phase_from_displacement(x: float, geom: PlateGeometry) -> PlatePhase:
-    """Closed-form phase for drive displacement x (meters)."""
+def phase_from_displacement(x: float, geom: PlateGeometry) -> float:
+    """Closed-form unwrapped phase, monotone in |x|, for drive displacement x (meters); see ``wrap_phase``."""
     limit = geom.max_displacement
-    if abs(x) >= limit:
+    if not abs(x) < limit:  # a NaN fails this test
         raise ValueError(
             f"|x| must stay below radius*index/ambient = {limit!r} m, got {x!r}"
         )
@@ -69,4 +65,4 @@ def phase_from_displacement(x: float, geom: PlateGeometry) -> PlatePhase:
     raw = geom.phase_scale * (1.0 / math.sqrt(1.0 - ratio * ratio) - 1.0)
     if not math.isfinite(raw):
         raise ValueError(f"the plate phase at x = {x!r} m overflows")
-    return PlatePhase(wrapped=wrap_phase(raw), unwrapped=raw)
+    return raw

@@ -35,6 +35,7 @@ from .errors import TallyRowError
 from .measurement import BLOCK_ROWS, estimate_phase, outcome_probs, rotate_density, row_blocks, sample_counts
 from .mixture import estimate_p, mixed_state, mixture_expectation
 from .noise import fit_noise, noisy_state
+from .plate import wrap_phase
 from .slocc import PreparationSettings, lr_ket_blocks
 from .states import canonical_phase, ket_to_density, validate_densities
 from .tomography import extract_params, reconstruct, setting_probabilities, simulate_tomography
@@ -285,9 +286,9 @@ PLATE_HEADER = ["x_mm", "phi_unwrapped_rad", "phi_wrapped_rad"]
 
 
 def run_plate_calibration(cfg: ResolvedConfig):
-    """Displacement to phase table: the plate phases the config resolver computed."""
+    """Displacement to phase table: the plate phases the config resolver computed, and their folds."""
     table = zip(cfg.x_list, cfg.plate_phases)
-    return PLATE_HEADER, ((x * 1e3, phase.unwrapped, phase.wrapped) for x, phase in table)
+    return PLATE_HEADER, ((x * 1e3, phase, wrap_phase(phase)) for x, phase in table)
 
 
 COUNTS_HEADER = ["beta_deg", "phi_rad", "n13", "n14", "n23", "n24", "total"]

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExtractionError
+from .measurement import row_blocks
 from .slocc import lr_ket_blocks
 from .states import canonical_phase, fidelity_pure, validate_densities
 
@@ -180,22 +181,21 @@ def extract_params(rho_hats: np.ndarray) -> ExtractedParams:
     rho_hats = np.asarray(rho_hats)
     if rho_hats.ndim != 3 or rho_hats.shape[1:] != (4, 4):
         raise ValueError(f"extract_params takes an (N, 4, 4) stack, got shape {rho_hats.shape}")
-    betas, phis, low_coherence = [], [], 0
-    # the populations of |L-up R-down> and |L-down R-up>, and the coherence carrying exp(+i phi)
-    columns = zip(rho_hats[:, 1, 1].real.tolist(), rho_hats[:, 2, 2].real.tolist(), rho_hats[:, 2, 1].tolist())
-    for pop_ud, pop_du, coherence in columns:
-        pop_ud, pop_du = max(pop_ud, 0.0), max(pop_du, 0.0)
-        if not pop_ud + pop_du > 1e-6:  # a NaN fails this test
-            raise ExtractionError("one-per-region sector is empty")
-        betas.append(math.atan2(math.sqrt(pop_du), math.sqrt(pop_ud)))
-        low = abs(coherence) < 1e-6
-        low_coherence += low
-        phis.append(0.0 if low else canonical_phase(cmath.phase(coherence)))
-    kets = lr_ket_blocks([(beta, [cmath.exp(1j * phi)]) for beta, phi in zip(betas, phis)])
-    return ExtractedParams(
-        phi=np.array(phis, dtype=np.float64),
-        beta=np.array(betas, dtype=np.float64),
-        fidelity_to_ideal=fidelity_pure(rho_hats, kets),
-        low_coherence=low_coherence,
-        kets=kets,
-    )
+    n, low_coherence = len(rho_hats), 0
+    beta, phi, kets = np.empty(n), np.empty(n), np.empty((n, 4), dtype=np.complex128)
+    for block in row_blocks(n):  # per-row Python objects live for one block
+        rhos, betas, phis = rho_hats[block], [], []
+        # the populations of |L-up R-down> and |L-down R-up>, and the coherence carrying exp(+i phi)
+        columns = zip(rhos[:, 1, 1].real.tolist(), rhos[:, 2, 2].real.tolist(), rhos[:, 2, 1].tolist())
+        for pop_ud, pop_du, coherence in columns:
+            pop_ud, pop_du = max(pop_ud, 0.0), max(pop_du, 0.0)
+            if not pop_ud + pop_du > 1e-6:  # a NaN fails this test
+                raise ExtractionError("one-per-region sector is empty")
+            betas.append(math.atan2(math.sqrt(pop_du), math.sqrt(pop_ud)))
+            low = abs(coherence) < 1e-6
+            low_coherence += low
+            phis.append(0.0 if low else canonical_phase(cmath.phase(coherence)))
+        beta[block], phi[block] = betas, phis
+        kets[block] = lr_ket_blocks([(b, [cmath.exp(1j * p)]) for b, p in zip(betas, phis)])
+    fidelity = fidelity_pure(rho_hats, kets)
+    return ExtractedParams(phi=phi, beta=beta, fidelity_to_ideal=fidelity, low_coherence=low_coherence, kets=kets)

@@ -21,7 +21,8 @@ the per-header templates replaced; each must agree bit for bit.  So must the exa
 allocated a new array at every step, before its passes ran in place, and
 the phase and weight estimators that read one tally row per call, before
 they read the whole stack (the phase one summing the lattice rows in padded
-blocks).  The noise fit is the stacked (32 N, 2) design solved by
+blocks), with their own copy of the per-row tally rule that ``read_tallies``
+applies inside its loop.  The noise fit is the stacked (32 N, 2) design solved by
 ``np.linalg.lstsq``, which the closed-form 2x2 normal equations replaced;
 the two agree to rounding, not in bits.  The last section holds small helpers that only tests use, several
 of them over the reference model in ``physics``: the basis index of
@@ -57,7 +58,6 @@ from sloccsim.measurement import (
     MAX_SPAN,
     ROTATION_PAIR,
     WINDOW_SIGMAS,
-    _same_and_total,
     _zz_spread,
     correlation_scale,
 )
@@ -189,6 +189,25 @@ def phase_spread_oracle(same: int, total: int, scale: float) -> float:
     return math.sqrt(weights @ (dev * dev))
 
 
+def same_and_total_oracle(counts) -> tuple[int, int]:
+    """(n13 + n24, total) of one nonempty tally row (n13, n14, n23, n24), as exact Python ints.
+
+    The per-row rule that ``read_tallies`` applies to each row of a stack, kept
+    here as its own function so the references do not read rows through it.
+    """
+    n13, n14, n23, n24 = counts
+    try:
+        ints = (int(n13), int(n14), int(n23), int(n24))
+    except (TypeError, ValueError, OverflowError):  # None, a list, a NaN or an infinity
+        ints = None
+    if ints is None or ints != (n13, n14, n23, n24) or min(ints) < 0:
+        raise ValueError("counts must be nonnegative integers")
+    total = sum(ints)
+    if total < 1:
+        raise ValueError("cannot estimate from zero counts")
+    return ints[0] + ints[3], total
+
+
 class PhaseRowEstimate(NamedTuple):
     """One row's exchange-phase estimate, as the per-row estimator returned it."""
 
@@ -202,7 +221,7 @@ class PhaseRowEstimate(NamedTuple):
 def estimate_phase_oracle(counts, beta: float, visibility: float) -> PhaseRowEstimate:
     """Invert zz = visibility * sin(2 beta) * cos(phi) for phi in [0, pi], one tally row per call."""
     scale = correlation_scale(beta, visibility, "phase")
-    same, total = _same_and_total(counts)
+    same, total = same_and_total_oracle(counts)
     zz_hat = (same - (total - same)) / total
     ratio = zz_hat / scale
     return PhaseRowEstimate(
@@ -227,7 +246,7 @@ def estimate_p_oracle(counts, phi1: float, phi2: float, beta: float, visibility:
     """Invert the linear weight relation for one tally row (n13, n14, n23, n24)."""
     contrast = cosine_contrast(phi1, phi2)
     scale = correlation_scale(beta, visibility, "weight")
-    same, total = _same_and_total(counts)
+    same, total = same_and_total_oracle(counts)
     zz_hat = (same - (total - same)) / total
     p_raw = (zz_hat / scale - math.cos(phi2)) / contrast
     return MixtureRowEstimate(

@@ -33,6 +33,7 @@ from sloccsim import (
     sample_counts,
     setting_probabilities,
     simulate_tomography,
+    wrap_phase,
 )
 from sloccsim.cli import main as cli_main
 from sloccsim.noise import DEPHASED, WHITE_NOISE
@@ -196,14 +197,17 @@ def test_criterion_05_phase_estimation_under_noise():
 def test_criterion_06_plate_monotonicity_and_round_trip():
     geom = PlateGeometry()
     xs = np.arange(0.5e-3, 40.0e-3 + 1e-12, 0.5e-3)
-    phases = np.array([phase_from_displacement(x, geom).unwrapped for x in xs])
+    phases = np.array([phase_from_displacement(x, geom) for x in xs])
     assert np.all(np.diff(phases) > 0.0), "criterion 06 FAIL: phase not strictly increasing"
-    assert phase_from_displacement(0.0, geom).unwrapped == 0.0
+    assert phase_from_displacement(0.0, geom) == 0.0
+    folded = np.array([wrap_phase(phase) for phase in phases])
+    assert np.all((folded >= 0.0) & (folded <= math.pi)), "criterion 06 FAIL: folded phase outside [0, pi]"
+    assert np.all(np.abs(np.cos(folded) - np.cos(phases)) <= 1e-9), "criterion 06 FAIL: fold moved the cosine"
 
     rng = np.random.default_rng(STAT_SEED)
     worst = 0.0
     for phi in rng.uniform(0.0, 4.0 * math.pi, size=100):
-        back = phase_from_displacement(displacement_from_phase(phi, geom), geom).unwrapped
+        back = phase_from_displacement(displacement_from_phase(phi, geom), geom)
         worst = max(worst, abs(back - phi))
     assert worst <= 1e-9, f"criterion 06 FAIL: round-trip error {worst:.3e}"
     print(f"criterion 06 PASS: monotone on (0, 40mm], round-trip error {worst:.3e} <= 1e-9")

@@ -194,10 +194,11 @@ POISSON = "[experiment]\nshots = 100000\nsampling = poisson\n"
 # its (N, 4, 4) states and whole-stack estimator lists a phase-sweep peaked at 997 B
 # per row, a mixture-sweep at 958 B and a counts-demo at 433 B (multinomial) and
 # 445 B (Poisson).  Tomography keeps its (N, 4, 4) reconstructions: with the
-# (32 N, 2) design of an lstsq noise fit beside them it peaked at 1482 B per row.
+# (32 N, 2) design of an lstsq noise fit beside them it peaked at 1482 B per row,
+# and with whole-stack read-off lists in extract_params at 720-760 B.
 RUN_BYTES_PER_ROW = {
     "phase-sweep": ("phase-sweep", "", 300),
-    "tomography-demo": ("tomography-demo", "", 1000),
+    "tomography-demo": ("tomography-demo", "", 650),
     "counts-demo": ("counts-demo", "", 250),
     "counts-demo-poisson": ("counts-demo", POISSON, 250),
     "mixture-sweep": ("mixture-sweep", "", 250),

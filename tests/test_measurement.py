@@ -19,7 +19,7 @@ from sloccsim import (
     rotate_density,
     sample_counts,
 )
-from sloccsim import measurement
+from sloccsim import measurement, mixture
 from sloccsim.config import ExperimentConfig, resolve
 from sloccsim.measurement import ROTATION_PAIR, bootstrap_zz, read_tallies
 from sloccsim.sweeps import run_scenario
@@ -179,17 +179,29 @@ TALLY_READERS = {
     "estimate_p": lambda counts: estimate_p([counts], 0.0, math.pi, math.pi / 4, 1.0),
 }
 
+SHAPE_ERRORS = {
+    "read_tallies": "read_tallies takes a stack of N tally rows",
+    "bootstrap_zz": "bootstrap_zz takes one tally row (n13, n14, n23, n24)",
+    "estimate_phase": "estimate_phase takes a stack of N tally rows and N angles",
+    "estimate_p": "estimate_p takes a stack of N tally rows",
+}
+
 
 def test_counts_validation():
     # a tally row carries no total of its own: it is the exact sum of the channels
     assert read_row((600, 100, 100, 200))[0] == pytest.approx(0.6)
     assert read_row(np.array([1, 2, 3, 4], dtype=np.int64))[0] == 0.0
-    for reader in TALLY_READERS.values():
+    for name, reader in TALLY_READERS.items():
         for bad in [(-1, 0, 0, 1), (1.5, 0, 0, 1), (1, 0, 0, np.int64(-2)), (1, 0, 0, None), (1, 0, 0, math.inf)]:
             with pytest.raises(ValueError, match="counts must be nonnegative integers"):
                 reader(bad)
         with pytest.raises(ValueError, match="^cannot estimate from zero counts$"):
             reader((0, 0, 0, 0))
+        # every reader reads its row through read_tallies: bootstrap_zz leaked a bare unpack error
+        with pytest.raises(ValueError) as info:
+            reader((1, 2, 3))
+        assert info.type is ValueError
+        assert str(info.value) == SHAPE_ERRORS[name]
 
 
 @settings(max_examples=200, deadline=None)
@@ -211,14 +223,16 @@ def test_estimators_derive_zz_from_the_row_as_the_tally_readers_do(row, beta, vi
 @pytest.mark.parametrize("scenario", ["phase-sweep", "mixture-sweep"])
 def test_phase_and_mixture_rows_are_read_once(scenario, monkeypatch):
     reads = []
-    original = measurement._same_and_total
+    original = measurement.read_tallies
 
-    def counted(row):
-        reads.append(row)
-        return original(row)
+    def counted(tallies, *args):
+        reads.extend(tallies)
+        return original(tallies, *args)
 
-    # measurement's stack reader is the only caller, whichever estimator reads the stack
-    monkeypatch.setattr(measurement, "_same_and_total", counted)
+    # read_tallies is the one tally reader, whichever estimator reads the stack; mixture
+    # imports it by name
+    monkeypatch.setattr(measurement, "read_tallies", counted)
+    monkeypatch.setattr(mixture, "read_tallies", counted)
     rows = list(run_scenario(resolve(ExperimentConfig(shots=200), scenario))[1])
     assert len(reads) == len(rows)
 
@@ -475,6 +489,17 @@ def test_phase_spread_equals_the_allocating_oracle(case):
     assert measurement._phase_spread(stack)[names.index(case)] == want
 
 
+def test_the_fixed_node_rule_is_built_once_read_only():
+    # every fixed-node row reads the same nodes and weights; none may write to them
+    nodes, weights = measurement._NORMAL_NODES, measurement._NORMAL_WEIGHTS
+    assert nodes.shape == weights.shape == (measurement.MAX_SPAN + 1,)
+    for array in (nodes, weights):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+
+
 @st.composite
 def spread_rows(draw):
     total = draw(st.one_of(st.integers(1, 300), st.integers(1, 10**9)))
@@ -604,12 +629,6 @@ def test_integral_cells_of_any_type_are_counts(estimator):
     plain = STACK_ESTIMATORS[estimator]([(3, 1, 1, 3), (3, 1, 1, 3), (2**70, 0, 1, 2**70)])
     typed = STACK_ESTIMATORS[estimator]([(3.0, 1, 1, 3), (np.int64(3), np.uint8(1), 1, 3), (2**70, 0, 1.0, 2**70)])
     assert typed.zz_hat.tobytes() == plain.zz_hat.tobytes()
-
-
-SHAPE_ERRORS = {
-    "estimate_phase": "estimate_phase takes a stack of N tally rows and N angles",
-    "estimate_p": "estimate_p takes a stack of N tally rows",
-}
 
 
 @pytest.mark.parametrize("estimator", sorted(STACK_ESTIMATORS))

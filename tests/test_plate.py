@@ -24,27 +24,28 @@ def test_geometry_defaults_and_validation():
 
 def test_zero_displacement_gives_zero_phase():
     phase = phase_from_displacement(0.0, GEOM)
-    assert phase.unwrapped == 0.0
-    assert phase.wrapped == 0.0
+    assert type(phase) is float
+    assert phase == 0.0
+    assert wrap_phase(phase) == 0.0
 
 
 def test_phase_is_even_in_displacement():
     for x in (1e-3, 5e-3, 20e-3, 40e-3):
-        assert phase_from_displacement(x, GEOM).unwrapped == pytest.approx(
-            phase_from_displacement(-x, GEOM).unwrapped, abs=0.0
+        assert phase_from_displacement(x, GEOM) == pytest.approx(
+            phase_from_displacement(-x, GEOM), abs=0.0
         )
 
 
 def test_unwrapped_phase_strictly_increasing():
     xs = np.arange(0.0, 40.0e-3 + 1e-12, 0.5e-3)
-    phases = [phase_from_displacement(x, GEOM).unwrapped for x in xs]
+    phases = [phase_from_displacement(x, GEOM) for x in xs]
     diffs = np.diff(phases)
     assert np.all(diffs > 0.0)
 
 
 def test_agrees_with_refraction_path():
     for x in np.linspace(-0.1, 0.1, 41):
-        direct = phase_from_displacement(x, GEOM).unwrapped
+        direct = phase_from_displacement(x, GEOM)
         assert direct == pytest.approx(phase_via_refraction(x, GEOM), abs=1e-12)
 
 
@@ -52,13 +53,13 @@ def test_round_trip_phase_to_displacement():
     rng = np.random.default_rng(12)
     for phi in rng.uniform(0.0, 4.0 * math.pi, size=100):
         x = displacement_from_phase(phi, GEOM)
-        back = phase_from_displacement(x, GEOM).unwrapped
+        back = phase_from_displacement(x, GEOM)
         assert back == pytest.approx(phi, abs=1e-9)
 
 
 def test_round_trip_displacement_to_phase():
     for x in (0.5e-3, 3e-3, 7.9e-3, 25e-3, 60e-3):
-        phi = phase_from_displacement(x, GEOM).unwrapped
+        phi = phase_from_displacement(x, GEOM)
         assert displacement_from_phase(phi, GEOM) == pytest.approx(x, abs=1e-12)
 
 
@@ -75,21 +76,37 @@ def test_wrapped_phase_stays_in_fold_and_preserves_cosine():
 
 
 def test_wrapped_matches_unwrapped_fold():
-    for x in np.linspace(0.0, 0.1, 51):
-        p = phase_from_displacement(x, GEOM)
-        assert p.wrapped == pytest.approx(wrap_phase(p.unwrapped), abs=0.0)
+    # the old fold, float(phi) % (2 pi) and its reflection, on the inputs where a reduction can slip
+    def fold(phi):
+        reduced = float(phi) % (2.0 * math.pi)
+        return 2.0 * math.pi - reduced if reduced > math.pi else reduced
+
+    edges = [0.0, -0.0, -1e-300, 5e-324, 2.0 * math.pi, -2.0 * math.pi, 1e300, -1e300]
+    edges += [k * math.pi + d for k in range(-6, 7) for d in (-1e-15, 0.0, 1e-15)]
+    edges += [phase_from_displacement(x, GEOM) for x in np.linspace(0.0, 0.1, 51)]
+    for phi in edges:
+        assert wrap_phase(phi).hex() == fold(phi).hex(), phi
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_wrap_phase_rejects_a_non_finite_phase(phi):
+    # it returned nan: the reduction is canonical_phase's, which names the phase
+    with pytest.raises(ValueError, match="^phase must be finite, got "):
+        wrap_phase(phi)
 
 
 def test_displacement_for_pi_phase():
     # frozen landmark of the default geometry
     x_pi = displacement_from_phase(math.pi, GEOM)
     assert x_pi == pytest.approx(7.922038874405478e-3, abs=1e-12)
-    assert phase_from_displacement(x_pi, GEOM).wrapped == pytest.approx(math.pi, abs=1e-9)
+    assert wrap_phase(phase_from_displacement(x_pi, GEOM)) == pytest.approx(math.pi, abs=1e-9)
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
-        phase_from_displacement(GEOM.max_displacement, GEOM)
+    # a NaN displacement was reported as an overflow of the plate phase
+    for x in (GEOM.max_displacement, math.nan, -math.inf):
+        with pytest.raises(ValueError, match=r"^\|x\| must stay below radius\*index/ambient = "):
+            phase_from_displacement(x, GEOM)
     with pytest.raises(ValueError):
         phase_via_refraction(0.2, GEOM)
     with pytest.raises(ValueError):
