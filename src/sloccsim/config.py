@@ -22,10 +22,14 @@ floats), so parse -> dump -> parse is the identity.
 ``resolve`` takes each scenario's defaults from one table (``_SCENARIOS``),
 computes once the phases a sweep runs at (a grid's and calibrate-plate's from
 an x_list, mixture-sweep's two reduced into [0, 2*pi)), and leaves every
-physical rule to the type or function that owns it (``NoiseModel``,
-``PlateGeometry``, ``PreparationSettings``, ``phase_from_displacement``,
-``check_weight`` and the estimators' input checks), turning its
-``ValueError`` into a ``ConfigError`` with the owner's message.
+input rule to the type or check that owns it, which the library runs too:
+``check_sampling`` and ``check_shots`` (measurement; shots in [1, 2**63 - 1]
+for both samplers), ``check_seed`` and ``check_row_count`` (here, for the
+sweeps' row streams), ``check_state_count`` (noise), ``check_weights``
+(mixture), ``NoiseModel``, ``PlateGeometry``, ``PreparationSettings``,
+``phase_from_displacement`` and the estimators' input checks.  Each rule has
+one message, which ``resolve`` reports in a ``ConfigError`` (exit 2) before
+anything is computed.
 
 ``bootstrap`` is kept so that older configs parse, and it must still be at
 least 100, but it no longer changes output: the error bars are the exact
@@ -39,13 +43,11 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .measurement import correlation_scale
-from .mixture import check_weight, cosine_contrast
-from .noise import NoiseModel
+from .measurement import check_sampling, check_shots, correlation_scale
+from .mixture import check_weights, cosine_contrast
+from .noise import NoiseModel, check_state_count
 from .plate import PlateGeometry, phase_from_displacement, wrap_phase
 from .slocc import PreparationSettings
-
-SAMPLING_MODES = ("multinomial", "poisson")
 
 _ANGLE_UNITS = {"deg": math.pi / 180.0, "rad": 1.0}
 _LENGTH_UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9}
@@ -256,87 +258,83 @@ _DEFAULT_PS = tuple(k / 10.0 for k in range(11))
 DEFAULT_SEED = 42
 # A run draws fewer rows than this: each row's seed holds its index in one uint32 word.
 ROW_LIMIT = 2**32
-_U64_MAX = 2**64 - 1
-_INT64_MAX = 2**63 - 1  # counts are sampled as int64
 DEFAULT_SHOTS = 5000
 
 
-def resolve(
-    config: ExperimentConfig,
-    scenario: str,
-    seed: int | None = None,
-    ideal: bool = False,
-) -> ResolvedConfig:
+def check_seed(seed: int) -> None:
+    """The seed rule: a run seed is a u64, one or two uint32 words of each row's entropy."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {seed}")
+
+
+def check_row_count(rows: int) -> None:
+    """The row limit: 0 to ROW_LIMIT - 1 rows."""
+    if not 0 <= rows < ROW_LIMIT:
+        raise ValueError(f"row count {rows} is outside [0, 2**32 - 1]: a row's seed holds its index in one uint32 word")
+
+
+def resolve(config: ExperimentConfig, scenario: str, seed: int | None = None, ideal: bool = False) -> ResolvedConfig:
     """Apply scenario defaults and validate; raises ConfigError on problems."""
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}")
-    if config.scenario is not None and config.scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {config.scenario!r} in config")
-    if config.sampling is not None and config.sampling not in SAMPLING_MODES:
-        raise ConfigError(f"sampling must be one of {SAMPLING_MODES}")
-    default_betas, default_phis, default_xs, estimates = _SCENARIOS[scenario]
-
-    resolved_seed = seed if seed is not None else (
-        config.seed if config.seed is not None else DEFAULT_SEED
-    )
-    if not 0 <= resolved_seed <= _U64_MAX:
-        raise ConfigError(f"seed must be an integer in [0, 2**64 - 1], got {resolved_seed}")
-    shots = config.shots if config.shots is not None else DEFAULT_SHOTS
-    if not 1 <= shots <= _INT64_MAX:
-        raise ConfigError(f"shots must be an integer in [1, 2**63 - 1], got {shots}")
-    if config.bootstrap is not None and config.bootstrap < 100:
-        raise ConfigError("bootstrap must be at least 100 resamples")
-
-    beta_list = tuple(config.beta_list) if config.beta_list is not None else default_betas
-    phi_list = tuple(config.phi_list) if config.phi_list is not None else default_phis
-    x_list = tuple(config.x_list) if config.x_list is not None else default_xs
-    p_list = tuple(config.p_list) if config.p_list is not None else _DEFAULT_PS
-    for name, values in (
-        ("beta_list", beta_list), ("phi_list", phi_list), ("x_list", x_list), ("p_list", p_list)
-    ):
-        if values == ():
-            raise ConfigError(f"{name} is empty")
-    # a phase grid given an x_list runs at the plate phases of its displacements
-    plate_grid = x_list is not None and scenario not in ("mixture-sweep", "plate-calibration")
-    if plate_grid and config.phi_list is not None:
-        raise ConfigError("give phi_list or x_list, not both")
-    if scenario == "mixture-sweep":
-        if len(phi_list) != 2:
-            raise ConfigError("mixture-sweep needs exactly two phases in phi_list")
-        if len(beta_list) != 1:
-            raise ConfigError("mixture-sweep uses a single beta")
-        rows = len(p_list)
-    elif scenario == "plate-calibration":
-        rows = len(x_list)
-    else:
-        rows = len(beta_list) * len(x_list if plate_grid else phi_list)
-    if rows >= ROW_LIMIT:
-        raise ConfigError(
-            f"the run has {rows} rows, more than 2**32 - 1: a row's seed holds its index in one uint32 word"
-        )
-    if scenario == "tomography-demo":
-        if rows < 2:
-            raise ConfigError("tomography-demo needs at least two prepared states")
-        if config.sampling == "poisson":
-            raise ConfigError(
-                "tomography-demo samples every setting multinomially; "
-                "sampling = poisson is not supported"
-            )
-
-    white, dephasing = config.white_weight, config.dephasing_weight
-    if dephasing is None and white is not None:
-        dephasing = 1.0 - white
-    if white is None and dephasing is not None:
-        white = 1.0 - dephasing
-    noise_values = {
-        "visibility": 1.0 if ideal else config.visibility,
-        "white_weight": white,
-        "dephasing_weight": dephasing,
-    }
-    plate_values = {f.name: getattr(config, f"plate_{f.name}") for f in fields(PlateGeometry)}
     try:
-        for p in p_list:
-            check_weight(p)
+        if scenario not in SCENARIOS:
+            raise ConfigError(f"unknown scenario {scenario!r}")
+        if config.scenario is not None and config.scenario not in SCENARIOS:
+            raise ConfigError(f"unknown scenario {config.scenario!r} in config")
+        if config.sampling is not None:
+            check_sampling(config.sampling)
+        default_betas, default_phis, default_xs, estimates = _SCENARIOS[scenario]
+
+        resolved_seed = next(value for value in (seed, config.seed, DEFAULT_SEED) if value is not None)
+        check_seed(resolved_seed)
+        shots = config.shots if config.shots is not None else DEFAULT_SHOTS
+        check_shots(shots)
+        if config.bootstrap is not None and config.bootstrap < 100:
+            raise ConfigError("bootstrap must be at least 100 resamples")
+
+        beta_list = tuple(config.beta_list) if config.beta_list is not None else default_betas
+        phi_list = tuple(config.phi_list) if config.phi_list is not None else default_phis
+        x_list = tuple(config.x_list) if config.x_list is not None else default_xs
+        p_list = tuple(config.p_list) if config.p_list is not None else _DEFAULT_PS
+        for name, values in (
+            ("beta_list", beta_list), ("phi_list", phi_list), ("x_list", x_list), ("p_list", p_list)
+        ):
+            if values == ():
+                raise ConfigError(f"{name} is empty")
+        # a phase grid given an x_list runs at the plate phases of its displacements
+        plate_grid = x_list is not None and scenario not in ("mixture-sweep", "plate-calibration")
+        if plate_grid and config.phi_list is not None:
+            raise ConfigError("give phi_list or x_list, not both")
+        if scenario == "mixture-sweep":
+            if len(phi_list) != 2:
+                raise ConfigError("mixture-sweep needs exactly two phases in phi_list")
+            if len(beta_list) != 1:
+                raise ConfigError("mixture-sweep uses a single beta")
+            rows = len(p_list)
+        elif scenario == "plate-calibration":
+            rows = len(x_list)
+        else:
+            rows = len(beta_list) * len(x_list if plate_grid else phi_list)
+        check_row_count(rows)
+        if scenario == "tomography-demo":
+            check_state_count(rows)
+            if config.sampling == "poisson":
+                raise ConfigError(
+                    "tomography-demo samples every setting multinomially; "
+                    "sampling = poisson is not supported"
+                )
+
+        white, dephasing = config.white_weight, config.dephasing_weight
+        if dephasing is None and white is not None:
+            dephasing = 1.0 - white
+        if white is None and dephasing is not None:
+            white = 1.0 - dephasing
+        noise_values = {
+            "visibility": 1.0 if ideal else config.visibility,
+            "white_weight": white,
+            "dephasing_weight": dephasing,
+        }
+        plate_values = {f.name: getattr(config, f"plate_{f.name}") for f in fields(PlateGeometry)}
+        check_weights(p_list)
         noise = NoiseModel(**{k: v for k, v in noise_values.items() if v is not None})
         plate = PlateGeometry(**{k: v for k, v in plate_values.items() if v is not None})
         for beta in beta_list:
@@ -348,18 +346,18 @@ def resolve(
             cosine_contrast(*phi_list)
         for beta in beta_list if estimates else ():
             correlation_scale(beta, noise.visibility, estimates)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
-    return ResolvedConfig(
-        scenario=scenario,
-        seed=resolved_seed,
-        shots=shots,
-        sampling=config.sampling if config.sampling is not None else "multinomial",
-        beta_list=beta_list,
-        phi_list=tuple(wrap_phase(phase) for phase in plate_phases) if plate_grid else phi_list,
-        x_list=x_list,
-        p_list=p_list,
-        noise=noise,
-        plate_phases=plate_phases,
-    )
+        return ResolvedConfig(
+            scenario=scenario,
+            seed=resolved_seed,
+            shots=shots,
+            sampling=config.sampling if config.sampling is not None else "multinomial",
+            beta_list=beta_list,
+            phi_list=tuple(wrap_phase(phase) for phase in plate_phases) if plate_grid else phi_list,
+            x_list=x_list,
+            p_list=p_list,
+            noise=noise,
+            plate_phases=plate_phases,
+        )
+    except ValueError as exc:  # an owner's rule, or resolve's own, as one ConfigError with its message
+        raise ConfigError(str(exc)) from None

@@ -36,6 +36,8 @@ ROTATION_PAIR.setflags(write=False)
 
 MIN_SIN_2BETA = 1e-6
 
+SAMPLING_MODES = ("multinomial", "poisson")
+
 # Rows per block wherever a stack is worked through in blocks (``row_blocks``): the
 # sweeps' per-row stages and draws, the estimators and the CSV rows.  A (256, 4, 4)
 # complex128 block is 64 KiB.
@@ -61,10 +63,23 @@ def outcome_probs(rotated: np.ndarray) -> np.ndarray:
     return clipped / total
 
 
+def check_sampling(mode: str) -> None:
+    """The sampling rule: a mode of ``SAMPLING_MODES``."""
+    if mode not in SAMPLING_MODES:
+        raise ValueError(f"sampling must be one of {SAMPLING_MODES}, got {mode!r}")
+
+
+def check_shots(shots: int) -> None:
+    """The shots rule of every sampler: 1 to 2**63 - 1 draws, so that a drawn tally fits int64."""
+    if not 1 <= shots < 2**63:
+        raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {shots}")
+
+
 def sample_counts(probs: np.ndarray, total: int, rngs, mode: str = "multinomial") -> np.ndarray:
     """Draw coincidence tallies for an (N, 4) stack of outcome probabilities.
 
-    Row i draws from the i-th Generator of ``rngs``.  multinomial mode fixes
+    Row i draws from the i-th Generator of ``rngs``; ``total`` and ``mode``
+    follow ``check_shots`` and ``check_sampling``.  multinomial mode fixes
     the number of recorded pairs; poisson mode draws each channel
     independently with mean total * p, so the realised total fluctuates.
     Returns the (N, 4) int64 tallies (n13, n14, n23, n24); sum a row's total
@@ -73,10 +88,8 @@ def sample_counts(probs: np.ndarray, total: int, rngs, mode: str = "multinomial"
     The whole stack is checked and renormalised before any row draws; the
     sweeps hand it one block at a time.
     """
-    if total < 1:
-        raise ValueError("total must be at least 1")
-    if mode not in ("multinomial", "poisson"):
-        raise ValueError(f"unknown sampling mode {mode!r}")
+    check_shots(total)
+    check_sampling(mode)
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[1] != 4:
         raise ValueError(f"outcome probabilities must have shape (N, 4), got {probs.shape}")

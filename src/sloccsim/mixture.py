@@ -22,18 +22,19 @@ import numpy as np
 MIN_COS_CONTRAST = 1e-6
 
 
-def check_weight(weight: float) -> None:
-    """The rule for the first component's weight: it must lie in [0, 1]."""
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError(f"weight must lie in [0, 1], got {weight!r}")
+def check_weights(weights) -> np.ndarray:
+    """The rule for the first component's weights: each lies in [0, 1].  Returns them as float64."""
+    w = np.asarray(weights, dtype=np.float64)
+    bad = ~((w >= 0.0) & (w <= 1.0))  # a NaN fails both comparisons
+    if bad.any():
+        raise ValueError(f"weight must lie in [0, 1], got {float(w[bad][0])!r}")
+    return w
 
 
 def mixed_state(weights, phi1: float, phi2: float, beta: float) -> np.ndarray:
     """w |psi(phi1)><psi(phi1)| + (1 - w) |psi(phi2)><psi(phi2)| per weight w, as (N, 4, 4)."""
-    for weight in weights:
-        check_weight(weight)
+    w = check_weights(weights)[:, None, None]
     first, second = ket_to_density(lr_kets([PreparationSettings(beta, phi) for phi in (phi1, phi2)]))
-    w = np.array(weights, dtype=np.float64)[:, None, None]
     return w * first + (1.0 - w) * second
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import NORM_ATOL
+from .states import check_unit_kets
 
 WHITE_NOISE = np.eye(4, dtype=np.complex128) / 4.0
 WHITE_NOISE.setflags(write=False)
@@ -81,6 +81,12 @@ def least_squares(gram: np.ndarray, h: np.ndarray) -> np.ndarray:
     return best
 
 
+def check_state_count(n: int) -> None:
+    """The noise fit's rule: it needs at least two states."""
+    if n < 2:
+        raise ValueError(f"the noise fit needs at least two states, got {n}")
+
+
 def fit_noise(targets: np.ndarray, kets: np.ndarray) -> NoiseModel:
     """Fit (visibility, white_weight) to reconstructed states by least squares.
 
@@ -100,8 +106,7 @@ def fit_noise(targets: np.ndarray, kets: np.ndarray) -> NoiseModel:
     ||a||^2 >= 1/2 per unit ket and a is never parallel to b.
     """
     targets, kets = np.asarray(targets), np.asarray(kets)
-    if len(kets) < 2:
-        raise ValueError("need at least two reconstructed states to fit noise")
+    check_state_count(len(kets))
     if targets.shape != (len(kets), 4, 4):
         raise ValueError(
             f"targets must have shape ({len(kets)}, 4, 4), one per ket, got {targets.shape}"
@@ -113,8 +118,7 @@ def fit_noise(targets: np.ndarray, kets: np.ndarray) -> NoiseModel:
         raise ValueError(f"targets[{int(np.argmin(finite))}] is not finite")
     pops = kets.real**2 + kets.imag**2
     norm_sq = pops.sum(axis=1)
-    if not np.all(np.abs(norm_sq - 1.0) <= 2.0 * NORM_ATOL):  # a NaN fails this test
-        raise ValueError("fit_noise expects unit kets; rescale them to norm 1 first")
+    check_unit_kets(norm_sq)
     pops /= norm_sq[:, None]  # the diagonal of P = |k><k|, normalised as ket_to_density does
     dephased, spread = DEPHASED.diagonal().real, (WHITE_NOISE - DEPHASED).diagonal().real  # b is diagonal
     target_pops = targets.diagonal(axis1=1, axis2=2).real - dephased  # the diagonal of r

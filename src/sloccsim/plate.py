@@ -57,11 +57,10 @@ def wrap_phase(phi: float) -> float:
 def phase_from_displacement(x: float, geom: PlateGeometry) -> float:
     """Closed-form unwrapped phase, monotone in |x|, for drive displacement x (meters); see ``wrap_phase``."""
     limit = geom.max_displacement
-    if not abs(x) < limit:  # a NaN fails this test
-        raise ValueError(
-            f"|x| must stay below radius*index/ambient = {limit!r} m, got {x!r}"
-        )
     ratio = x * geom.ambient_index / (geom.radius * geom.index)
+    # an x just below the limit can still round its ratio to 1; a NaN fails both tests
+    if not (abs(x) < limit and abs(ratio) < 1.0):
+        raise ValueError(f"|x| must stay below radius*index/ambient = {limit!r} m, got {x!r}")
     raw = geom.phase_scale * (1.0 / math.sqrt(1.0 - ratio * ratio) - 1.0)
     if not math.isfinite(raw):
         raise ValueError(f"the plate phase at x = {x!r} m overflows")

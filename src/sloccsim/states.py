@@ -79,11 +79,16 @@ def validate_densities(matrices: np.ndarray) -> np.ndarray:
     return matrices
 
 
+def check_unit_kets(norm_sq: np.ndarray) -> None:
+    """The unit-ket rule, on the caller's own squared norms ||k||^2: each within 2 * NORM_ATOL of 1."""
+    if not np.all(np.abs(norm_sq - 1.0) <= 2.0 * NORM_ATOL):  # a NaN fails this test
+        raise ValueError("kets must have unit norm; rescale them to norm 1 first")
+
+
 def ket_to_density(kets: np.ndarray) -> np.ndarray:
     """Rank-one projectors |k><k| of a (..., 4) stack of unit kets, as (..., 4, 4)."""
     norm_sq = (kets.conj()[..., None, :] @ kets[..., :, None]).real
-    if not np.all(np.abs(norm_sq - 1.0) <= 2.0 * NORM_ATOL):  # a NaN fails this test
-        raise ValueError("ket_to_density expects unit kets; rescale them to norm 1 first")
+    check_unit_kets(norm_sq)
     return kets[..., :, None] * kets.conj()[..., None, :] / norm_sq
 
 
@@ -98,8 +103,7 @@ def fidelity_pure(rhos: np.ndarray, kets: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"fidelity_pure takes (N, 4, 4) matrices and (N, 4) kets, got {rhos.shape} and {kets.shape}"
         )
-    if not np.all(np.abs(np.linalg.norm(kets, axis=1) - 1.0) <= NORM_ATOL):  # a NaN fails this test
-        raise ValueError("fidelity target must be a unit ket")
+    check_unit_kets(np.linalg.norm(kets, axis=1) ** 2)
     values = (kets.conj()[:, None, :] @ (rhos @ kets[:, :, None]))[:, 0, 0].real
     inside = (values >= -PSD_ATOL) & (values <= 1.0 + PSD_ATOL)  # a NaN fails both comparisons
     if not inside.all():

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .config import ROW_LIMIT, ResolvedConfig
+from .config import ResolvedConfig, check_row_count, check_seed
 from .errors import TallyRowError
 from .measurement import BLOCK_ROWS, estimate_phase, outcome_probs, rotate_density, row_blocks, sample_counts
 from .mixture import estimate_p, mixed_state, mixture_expectation
@@ -92,19 +92,12 @@ def _as_uint64(words: np.ndarray) -> np.ndarray:
 
 def _row_words(seed: int, indices: np.ndarray, count: int) -> np.ndarray:
     """The 2 * count uint32 words of ``SeedSequence([seed, i]).generate_state(count, uint64)``."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64 - 1], got {seed}")
+    check_seed(seed)
     seed_words = [seed & 0xFFFFFFFF, seed >> 32] if seed >> 32 else [seed]
     entropy = np.empty((len(indices), len(seed_words) + 1), dtype=np.uint32)
     entropy[:, :-1] = seed_words
     entropy[:, -1] = indices
     return _seed_sequence(entropy, 2 * count)
-
-
-def _check_row_count(n: int) -> None:
-    # the row index is one uint32 word of the entropy
-    if not 0 <= n < ROW_LIMIT:
-        raise ValueError(f"the row count must lie in [0, 2**32 - 1], got {n}")
 
 
 def row_seeds(seed: int, n: int, count: int = 1) -> np.ndarray:
@@ -113,14 +106,16 @@ def row_seeds(seed: int, n: int, count: int = 1) -> np.ndarray:
     Returns an (n, count) uint64 array, computed for all rows at once.
     Column 0 does not depend on ``count``.
     """
-    _check_row_count(n)
+    check_row_count(n)
     return _as_uint64(_row_words(int(seed), np.arange(n, dtype=np.uint32), count))
 
 
 def point_seeds(seed: int, index: int, count: int = 2) -> list[int]:
-    """Deterministic per-point seeds, independent of evaluation order: row ``index`` of ``row_seeds``."""
-    if not 0 <= index < ROW_LIMIT:
-        raise ValueError(f"row index must lie in [0, 2**32 - 1], got {index}")
+    """Deterministic per-point seeds, independent of evaluation order: row ``index`` of ``row_seeds``.
+
+    The pipeline does not call this; perfbench's tracer pins this name.  ``index`` takes a row count's bounds.
+    """
+    check_row_count(index)
     words = _row_words(int(seed), np.array([index], dtype=np.uint32), count)
     return _as_uint64(words)[0].tolist()
 
@@ -151,7 +146,7 @@ def row_generators(seed: int, n: int):
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
 
-    _check_row_count(n)
+    check_row_count(n)
     for start in range(0, n, HASH_ROWS):
         # each count seed as its two uint32 words; a zero high word hashes as if absent
         indices = np.arange(start, min(start + HASH_ROWS, n), dtype=np.uint32)
@@ -217,14 +212,7 @@ def _column_rows(*columns):
 
 
 PHASE_SWEEP_HEADER = [
-    "beta_deg",
-    "phi_rad",
-    "cos_phi",
-    "zz_ideal",
-    "zz_noisy_expected",
-    "zz_sampled",
-    "zz_sampled_err",
-    "phi_hat",
+    "beta_deg", "phi_rad", "cos_phi", "zz_ideal", "zz_noisy_expected", "zz_sampled", "zz_sampled_err", "phi_hat",
     "phi_err",
 ]
 
@@ -256,16 +244,7 @@ def run_phase_sweep(cfg: ResolvedConfig):
     return PHASE_SWEEP_HEADER, ((math.degrees(beta), phi, *values) for (beta, phi), values in rows)
 
 
-MIXTURE_HEADER = [
-    "p",
-    "phi1_rad",
-    "phi2_rad",
-    "zz_ideal",
-    "zz_sampled",
-    "p_hat_raw",
-    "p_hat",
-    "p_err",
-]
+MIXTURE_HEADER = ["p", "phi1_rad", "phi2_rad", "zz_ideal", "zz_sampled", "p_hat_raw", "p_hat", "p_err"]
 
 
 def run_mixture_sweep(cfg: ResolvedConfig):

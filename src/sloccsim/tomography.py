@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExtractionError
-from .measurement import row_blocks
+from .measurement import check_shots, row_blocks
 from .slocc import lr_ket_blocks
 from .states import canonical_phase, fidelity_pure, validate_densities
 
@@ -77,10 +77,9 @@ def simulate_tomography(probs: np.ndarray, shots_per_setting: int, rngs) -> np.n
     """Multinomial tallies of an (N, 9, 4) stack of setting probabilities, as (N, 9, 4) floats.
 
     State i draws from the i-th Generator of ``rngs``, one multinomial call
-    over its nine settings.
+    over its nine settings; ``shots_per_setting`` follows ``check_shots``.
     """
-    if shots_per_setting < 1:
-        raise ValueError("shots_per_setting must be at least 1")
+    check_shots(shots_per_setting)
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 3 or probs.shape[1:] != (9, 4):
         raise ValueError(f"setting probabilities must have shape (N, 9, 4), got {probs.shape}")

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import sloccsim
 from sloccsim import sweeps, tomography
 from sloccsim.cli import build_parser, main
-from sloccsim.config import _SCHEMA, SAMPLING_MODES, SCENARIOS
+from sloccsim.config import _SCHEMA, SCENARIOS
+from sloccsim.measurement import SAMPLING_MODES
 
 ALL_COMMANDS = (
     "phase-sweep",
@@ -223,6 +224,13 @@ OUT_OF_RANGE = {
     "plate-phase-overflow": (
         "calibrate-plate",
         "[plate]\nwavelength = 1e-307\nthickness = 1\n[sweep]\nx_list = 0mm, 150mm\n",
+        [],
+    ),
+    # the float just below this plate's limit: its ratio x * ambient / (radius * index) rounds to 1
+    "x-ratio-rounds-to-1": (
+        "calibrate-plate",
+        "[plate]\nradius = 0.8137822767518961\nindex = 2.611310786603449\nambient_index = 1.2146269283697027\n"
+        "[sweep]\nx_list = 0, 1.7495400337297062\n",
         [],
     ),
     "seed-flag-huge": ("phase-sweep", "", ["--seed", "123456789012345678901234567890"]),
@@ -486,7 +494,7 @@ def test_a_grid_of_2_to_the_32_rows_exits_2_before_computing(case, tmp_path, cap
     code, out, err = run_cli([command, "--config", config], capsys)
     assert (code, out) == (2, "")
     assert err == (
-        "config error: the run has 4294967296 rows, more than 2**32 - 1: "
+        "config error: row count 4294967296 is outside [0, 2**32 - 1]: "
         "a row's seed holds its index in one uint32 word\n"
     )
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from sloccsim.config import (
     _SCHEMA,
-    SAMPLING_MODES,
     SCENARIOS,
     ExperimentConfig,
     dump_config,
@@ -18,11 +17,14 @@ from sloccsim.config import (
     parse_length,
     resolve,
 )
-from sloccsim import plate
+import numpy as np
+
+from sloccsim import fit_noise, mixed_state, plate, sample_counts, simulate_tomography
+from sloccsim.measurement import SAMPLING_MODES
 from sloccsim.plate import PlateGeometry, phase_from_displacement
 from sloccsim.slocc import PreparationSettings
 from sloccsim.errors import ConfigError
-from sloccsim.sweeps import run_scenario
+from sloccsim.sweeps import point_seeds, row_generators, row_seeds, run_scenario
 
 
 def test_parse_angle_units():
@@ -276,10 +278,60 @@ def test_plate_phases_of_a_grid_are_computed_once(scenario, monkeypatch):
     assert len(rows) == ROWS_PER_X[scenario] * len(x_list)
 
 
+UNIFORM = np.full((1, 4), 0.25)
+HUGE = [0.5] * 2**16
+# rule -> (raw config, scenario, library calls that apply the same rule)
+INPUT_RULES = {
+    "sampling": (
+        ExperimentConfig(sampling="uniform"),
+        "counts-demo",
+        [lambda: sample_counts(UNIFORM, 10, [np.random.default_rng(0)], "uniform")],
+    ),
+    "shots": (
+        ExperimentConfig(shots=2**63),
+        "counts-demo",
+        [
+            lambda: sample_counts(UNIFORM, 2**63, [np.random.default_rng(0)], "multinomial"),
+            lambda: sample_counts(UNIFORM, 2**63, [np.random.default_rng(0)], "poisson"),
+            lambda: simulate_tomography(np.full((1, 9, 4), 0.25), 2**63, [np.random.default_rng(0)]),
+        ],
+    ),
+    "seed": (ExperimentConfig(seed=2**64), "counts-demo", [lambda: row_seeds(2**64, 1), lambda: point_seeds(2**64, 0)]),
+    "row-count": (
+        ExperimentConfig(beta_list=HUGE, phi_list=HUGE),
+        "counts-demo",
+        [lambda: row_seeds(0, 2**32), lambda: next(row_generators(0, 2**32)), lambda: point_seeds(0, 2**32)],
+    ),
+    "state-count": (
+        ExperimentConfig(beta_list=[0.5], phi_list=[1.0]),
+        "tomography-demo",
+        [lambda: fit_noise(np.eye(4, dtype=complex)[None] / 4.0, np.eye(4, dtype=complex)[:1])],
+    ),
+    "weight": (
+        ExperimentConfig(p_list=[0.5, 2.0, -1.0]),
+        "mixture-sweep",
+        [lambda: mixed_state([0.5, 2.0, -1.0], 0.0, math.pi, 0.5)],
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", INPUT_RULES)
+def test_resolve_reports_each_input_rule_with_the_library_message(rule):
+    # resolve runs the library's own check, so the config error and the ValueError read alike
+    config, scenario, calls = INPUT_RULES[rule]
+    with pytest.raises(ConfigError) as resolved:
+        resolve(config, scenario)
+    for call in calls:
+        with pytest.raises(ValueError) as library:
+            call()
+        assert type(library.value) is ValueError
+        assert str(library.value) == str(resolved.value)
+
+
 def test_resolve_rejects_a_grid_whose_row_index_leaves_uint32():
     # a row's seed holds its index in one uint32 word, so a run has at most 2**32 - 1 rows
     betas = [0.5] * 2**16
-    with pytest.raises(ConfigError, match=r"^the run has 4294967296 rows, more than 2\*\*32 - 1: "):
+    with pytest.raises(ConfigError, match=r"^row count 4294967296 is outside \[0, 2\*\*32 - 1\]: "):
         resolve(ExperimentConfig(beta_list=betas, phi_list=[1.0] * 2**16), scenario="counts-demo")
     cfg = resolve(ExperimentConfig(beta_list=betas[1:], phi_list=[1.0] * (2**16 + 1)), scenario="counts-demo")
     assert len(cfg.beta_list) * len(cfg.phi_list) == 2**32 - 1

@@ -67,6 +67,13 @@ TOMOGRAPHY_LOW_COHERENCE = (
 )
 # One shot per setting: rank-deficient reconstructions.
 SHOTS_1 = "[experiment]\nshots = 1\n"
+# A plate in a medium above index 1, read out to two floats below its limit
+# radius * index / ambient_index, where the phase passes 1e12 rad.
+PLATE_GEOMETRY = (
+    "[plate]\nthickness = 1mm\nindex = 2.611310786603449\nambient_index = 1.2146269283697027\n"
+    "radius = 0.8137822767518961\nwavelength = 633nm\n[sweep]\n"
+    "x_list = 0, 1mm, 0.1, -0.5, 1, 1.5, 1.7, 1.749, -1.749540033729706, 1.749540033729706\n"
+)
 
 # case id -> (CLI arguments, config text or None, sha256 of the CSV)
 GOLDEN = {
@@ -85,6 +92,7 @@ GOLDEN = {
     "calibrate-plate-default": (["calibrate-plate"], None, "7b555e566fcb8bb2def89b8e2a94cb93857dddc5965ad67ea809a679e9e9dafe"),
     "calibrate-plate-ideal": (["calibrate-plate", "--ideal"], None, "7b555e566fcb8bb2def89b8e2a94cb93857dddc5965ad67ea809a679e9e9dafe"),
     "calibrate-plate-poisson": (["calibrate-plate"], POISSON, "7b555e566fcb8bb2def89b8e2a94cb93857dddc5965ad67ea809a679e9e9dafe"),
+    "calibrate-plate-geometry": (["calibrate-plate"], PLATE_GEOMETRY, "2a54ef90ed291a39d838132b757629bd4894fec0c440b17527ce6aaad39cb578"),
     "counts-demo-default": (["counts-demo"], None, "29b958164bb31e8e6ec5228e266170307b0deca0c11c2cad71b76cf4d349123c"),
     "counts-demo-ideal": (["counts-demo", "--ideal"], None, "f6e85288386ead679f23a014dec0d827a478972e0b2db30b31d06366238baa07"),
     "counts-demo-poisson": (["counts-demo"], POISSON, "40fe40b12c2d643dc7aa44ce7cb1350cd3175f929005b365c4b393d0b118c74a"),

@@ -21,7 +21,7 @@ from sloccsim import (
 )
 from sloccsim import measurement, mixture
 from sloccsim.config import ExperimentConfig, resolve
-from sloccsim.measurement import ROTATION_PAIR, bootstrap_zz, read_tallies
+from sloccsim.measurement import ROTATION_PAIR, SAMPLING_MODES, bootstrap_zz, read_tallies
 from sloccsim.sweeps import run_scenario
 from sloccsim.states import DensityMatrix4
 
@@ -259,10 +259,18 @@ def test_sample_counts_poisson_mode():
     tally = sample_counts(np.array([probs]), 5000, [np.random.default_rng(2)], mode="poisson")
     assert tally.dtype == np.int64 and tally.shape == (1, 4)
     assert abs(int(tally.sum()) - 5000) < 500
-    with pytest.raises(ValueError, match="unknown sampling mode 'uniform'"):
+    with pytest.raises(ValueError, match=r"^sampling must be one of \('multinomial', 'poisson'\), got 'uniform'$"):
         draw(probs, 5000, seed=2, mode="uniform")
-    with pytest.raises(ValueError, match="total must be at least 1"):
+    with pytest.raises(ValueError, match=r"^shots must be an integer in \[1, 2\*\*63 - 1\], got 0$"):
         draw(probs, 0, seed=2)
+
+
+@pytest.mark.parametrize("mode", SAMPLING_MODES)
+def test_sample_counts_rejects_shots_past_int64_in_both_modes(mode):
+    # multinomial mode overflowed inside numpy, and poisson mode drew
+    for shots in (2**63, 2**70):
+        with pytest.raises(ValueError, match=rf"^shots must be an integer in \[1, 2\*\*63 - 1\], got {shots}$"):
+            draw((0.25, 0.25, 0.25, 0.25), shots, seed=1, mode=mode)
 
 
 def test_sample_counts_takes_one_generator_per_row():

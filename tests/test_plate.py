@@ -111,3 +111,17 @@ def test_domain_errors():
         phase_via_refraction(0.2, GEOM)
     with pytest.raises(ValueError):
         displacement_from_phase(-0.1, GEOM)
+
+
+# In this geometry the float just below radius * index / ambient_index has a ratio that rounds to 1,
+# so 1 - ratio**2 is 0; the float below that still has a finite phase.
+ROUNDING_GEOM = PlateGeometry(radius=0.8137822767518961, index=2.611310786603449, ambient_index=1.2146269283697027)
+ROUNDING_X = 1.7495400337297062
+
+
+def test_a_displacement_whose_ratio_rounds_to_1_is_out_of_range():
+    assert math.nextafter(ROUNDING_X, math.inf) == ROUNDING_GEOM.max_displacement
+    for x in (ROUNDING_X, -ROUNDING_X):
+        with pytest.raises(ValueError, match=r"^\|x\| must stay below radius\*index/ambient = "):
+            phase_from_displacement(x, ROUNDING_GEOM)
+    assert 1e11 < phase_from_displacement(math.nextafter(ROUNDING_X, 0.0), ROUNDING_GEOM) < math.inf

@@ -105,7 +105,7 @@ def test_row_count_beyond_one_index_word_is_rejected(n):
 
 @pytest.mark.parametrize("index", [2**32, -1])
 def test_point_index_beyond_one_word_is_rejected(index):
-    with pytest.raises(ValueError, match="row index"):
+    with pytest.raises(ValueError, match="row count"):
         point_seeds(0, index)
 
 

@@ -221,7 +221,7 @@ def test_ket_to_density_rejects_a_nan_ket():
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
         for stack in (kets, kets[1]):
-            with pytest.raises(ValueError, match="expects unit kets"):
+            with pytest.raises(ValueError, match="^kets must have unit norm; rescale them to norm 1 first$"):
                 ket_to_density(stack)
 
 
@@ -275,7 +275,7 @@ def test_fidelity_pure_reads_a_stack_and_rejects_nan():
     nan_rho[1, 0, 0] = math.nan
     with pytest.raises(ValueError, match=r"^fidelity nan is outside \[0, 1\] beyond tolerance$"):
         fidelity_pure(nan_rho, np.stack([bell, other]))
-    with pytest.raises(ValueError, match="^fidelity target must be a unit ket$"):
+    with pytest.raises(ValueError, match="^kets must have unit norm; rescale them to norm 1 first$"):
         fidelity_pure(rhos, np.stack([bell, np.full(4, math.nan)]))
     with pytest.raises(ValueError, match=r"takes \(N, 4, 4\) matrices and \(N, 4\) kets"):
         fidelity_pure(rhos, bell[None])

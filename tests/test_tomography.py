@@ -84,8 +84,9 @@ def test_simulate_tomography_deterministic():
     assert a.shape == (1, 9, 4) and a.dtype == np.float64
     assert np.all(a.sum(axis=-1) == 2000.0)
     assert not np.array_equal(a, c)
-    with pytest.raises(ValueError, match="at least 1"):
-        simulate_tomography(probs, 0, [np.random.default_rng(1)])
+    for shots in (0, 2**63):  # 2**63 overflowed inside numpy's multinomial
+        with pytest.raises(ValueError, match=rf"^shots must be an integer in \[1, 2\*\*63 - 1\], got {shots}$"):
+            simulate_tomography(probs, shots, [np.random.default_rng(1)])
     with pytest.raises(ValueError, match=r"shape \(N, 9, 4\)"):
         simulate_tomography(probs[0], 2000, [np.random.default_rng(1)])
 
