@@ -47,8 +47,14 @@ BLOCK_ROWS = 256
 def rotate_density(matrices: np.ndarray) -> np.ndarray:
     """The two-spin rotation applied by conjugation to a (..., 4, 4) stack."""
     # not einsum: it rounds differently, and an exact 0 probability turned
-    # into 1e-17 changes how many draws the samplers consume
-    return ROTATION_PAIR @ matrices @ ROTATION_PAIR.conj().T
+    # into 1e-17 changes how many draws the samplers consume.  Two products
+    # over the whole stack, R @ [M1 | ... | Mn] and then its 4 n rows @ R^H,
+    # give each matrix the bits of R @ M @ R^H, in two BLAS calls, not 2 n.
+    matrices = np.asarray(matrices)
+    n, rows, cols = matrices.reshape(-1, *matrices.shape[-2:]).shape  # matmul rejects any but 4 x 4
+    left = ROTATION_PAIR @ matrices.reshape(n, rows, cols).swapaxes(0, 1).reshape(rows, n * cols)
+    right = left.reshape(4, n, cols).swapaxes(0, 1).reshape(4 * n, cols) @ ROTATION_PAIR.conj().T
+    return right.reshape(matrices.shape)
 
 
 def outcome_probs(rotated: np.ndarray) -> np.ndarray:
@@ -86,7 +92,8 @@ def sample_counts(probs: np.ndarray, total: int, rngs, mode: str = "multinomial"
     as Python ints, since Poisson totals can pass 2**63 - 1.
     Identical (probs, total, generator states, mode) give identical counts.
     The whole stack is checked and renormalised before any row draws; the
-    sweeps hand it one block at a time.
+    sweeps hand it one block at a time.  The draws are gathered in one list,
+    which becomes the tally array in one ``np.array`` call.
     """
     check_shots(total)
     check_sampling(mode)
@@ -99,15 +106,14 @@ def sample_counts(probs: np.ndarray, total: int, rngs, mode: str = "multinomial"
     if np.any(np.abs(sums - 1.0) > ATOL):
         raise ValueError("outcome probabilities must sum to 1")
     probs = probs / sums
-    tally = np.empty(probs.shape, dtype=np.int64)
     if mode == "multinomial":
-        for row, p, rng in zip(tally, probs, rngs, strict=True):
-            row[:] = rng.multinomial(total, p)
+        draws = [rng.multinomial(total, p) for p, rng in zip(probs, rngs, strict=True)]
     else:
-        # one scalar draw per channel consumes the stream as the array call does, faster
-        for row, p, rng in zip(tally, probs.tolist(), rngs, strict=True):
-            row[:] = [rng.poisson(total * v) for v in p]
-    return tally
+        # one scalar draw per channel consumes the stream as the array call does, faster;
+        # total * probs rounds as total * v does, since a total below 2**63 converts alike
+        means = (total * probs).tolist()
+        draws = [rng.poisson(mean) for row, rng in zip(means, rngs, strict=True) for mean in row]
+    return np.array(draws, dtype=np.int64).reshape(probs.shape)
 
 
 def _zz(same, total):

@@ -47,7 +47,8 @@ class DensityMatrix4:
     The one-matrix convenience over :func:`validate_densities`; the pipeline
     itself validates whole (N, 4, 4) stacks and builds none of these.
     Accepts Hermiticity (real and imaginary parts apart) and trace defects up
-    to 1e-12 and eigenvalues down to -1e-10; anything else raises.
+    to 1e-12 and eigenvalues down to -1e-10; anything else raises.  The
+    eigenvalue bound is decided as :func:`validate_densities` decides it.
     """
 
     matrix: np.ndarray
@@ -59,8 +60,27 @@ class DensityMatrix4:
         object.__setattr__(self, "matrix", m)
 
 
+def _psd_screen(stack: np.ndarray) -> np.ndarray:
+    """True where the unpivoted LDL^H of a matrix + (PSD_ATOL / 2) I has four pivots > 0 (a NaN fails).
+
+    Such a matrix has no eigenvalue below -PSD_ATOL / 2, up to rounding near 1e-16, so it
+    passes the ``eigvalsh`` rule too.  Like ``eigvalsh``, it reads the lower triangle.
+    """
+    with np.errstate(all="ignore"):
+        a = stack + 0.5 * PSD_ATOL * np.eye(4)
+        ok = a[:, 0, 0].real > 0.0
+        for k in range(3):
+            col = a[:, k + 1 :, k]
+            a[:, k + 1 :, k + 1 :] -= col[:, :, None] * (col.conj() / a[:, k, k].real[:, None])[:, None, :]
+            ok &= a[:, k + 1, k + 1].real > 0.0
+    return ok
+
+
 def validate_densities(matrices: np.ndarray) -> np.ndarray:
-    """Return a (..., 4, 4) stack unchanged if every matrix passes DensityMatrix4's checks."""
+    """Return a (..., 4, 4) stack unchanged if every matrix passes DensityMatrix4's checks.
+
+    Only a stack that ``_psd_screen`` rejects runs ``eigvalsh``, which decides it.
+    """
     stack = matrices.reshape(-1, 4, 4)
     re, im = stack.real, stack.imag
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, and a NaN fails each test
@@ -72,6 +92,8 @@ def validate_densities(matrices: np.ndarray) -> np.ndarray:
     bad = np.abs(traces - 1.0) > ATOL
     if np.any(bad):
         raise ValueError(f"density matrix trace is {complex(traces[bad][0])!r}, expected 1")
+    if _psd_screen(stack).all():
+        return matrices
     eigmin = np.linalg.eigvalsh(stack)[:, 0]
     bad = eigmin < -PSD_ATOL
     if np.any(bad):

@@ -147,6 +147,7 @@ def row_generators(seed: int, n: int):
             return self.words
 
     check_row_count(n)
+    check_seed(seed)  # the hash pass checks it too, but an empty run makes none
     for start in range(0, n, HASH_ROWS):
         # each count seed as its two uint32 words; a zero high word hashes as if absent
         indices = np.arange(start, min(start + HASH_ROWS, n), dtype=np.uint32)

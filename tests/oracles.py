@@ -13,6 +13,10 @@ per-setting kron loop and the dict-accumulating inversion that the stacked
 library code replaced; they must agree bit for bit.
 The row seeds and generator states come from numpy's own SeedSequence and
 default_rng, one object per row, which the vectorised seeding must match.
+The pi/4 rotation is the one pair of 4x4 products per matrix that the two
+stack-wide products replaced, bit for bit; the density checks are the ones
+that ran ``eigvalsh`` on every stack, before an LDL^H screen went first, and
+must accept and reject the same stacks with the same message.
 The physical projection is the per-state eigh and simplex loop that the
 stacked projection replaced, the parameter read-off and its fidelity are
 the per-state ``extract_params`` and ``fidelity_pure`` that the stacked
@@ -105,6 +109,31 @@ ROTATION_SINGLE = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=np.complex128) / mat
 def rotation_matrix_by_kron() -> np.ndarray:
     """The two-spin rotation built from the single-spin matrix by kron."""
     return np.kron(ROTATION_SINGLE, ROTATION_SINGLE)
+
+
+def rotate_density_oracle(matrices: np.ndarray) -> np.ndarray:
+    """R @ M @ R^H with one pair of 4x4 products per matrix, as the rotation computed it before."""
+    return ROTATION_PAIR @ matrices @ ROTATION_PAIR.conj().T
+
+
+def validate_densities_oracle(matrices: np.ndarray) -> np.ndarray:
+    """The density checks with the eigenvalue bound decided by ``eigvalsh`` on every stack."""
+    stack = matrices.reshape(-1, 4, 4)
+    re, im = stack.real, stack.imag
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, and a NaN fails each test
+        real_ok = np.abs(re - re.swapaxes(1, 2)) <= ATOL
+        imag_ok = np.abs(im + im.swapaxes(1, 2)) <= ATOL
+    if not (real_ok.all() and imag_ok.all()):
+        raise ValueError("density matrix is not Hermitian")
+    traces = stack.trace(axis1=1, axis2=2)
+    bad = np.abs(traces - 1.0) > ATOL
+    if np.any(bad):
+        raise ValueError(f"density matrix trace is {complex(traces[bad][0])!r}, expected 1")
+    eigmin = np.linalg.eigvalsh(stack)[:, 0]
+    bad = eigmin < -PSD_ATOL
+    if np.any(bad):
+        raise ValueError(f"density matrix has negative eigenvalue {float(eigmin[bad][0])!r}")
+    return matrices
 
 
 def expectation_oracle(matrix: np.ndarray) -> float:

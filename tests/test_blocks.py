@@ -29,9 +29,9 @@ from oracles import row_generator_oracle, sample_counts_oracle
 BLOCK_BYTES = sweeps.BLOCK_ROWS * 4 * 4 * 16
 
 
-def grid_config(scenario, n_beta, n_phi, **fields):
+def grid_config(scenario, n_beta, n_phi, ideal=False, **fields):
     """``scenario`` on an n_beta x n_phi grid of distinct angles."""
-    cfg = resolve(ExperimentConfig(**fields), scenario=scenario)
+    cfg = resolve(ExperimentConfig(**fields), scenario=scenario, ideal=ideal)
     betas = np.linspace(0.1, 1.4, n_beta).tolist()
     phis = np.linspace(-3.0, 3.0, n_phi).tolist()
     return dataclasses.replace(cfg, beta_list=tuple(betas), phi_list=tuple(phis))
@@ -146,6 +146,24 @@ def test_poisson_draws_convert_one_block_at_a_time():
     for row in (0, block - 1, block, n // block * block, n - 1):
         rng = row_generator_oracle(cfg.seed, row)
         assert tallies[row].tolist() == sample_counts_oracle(probs[row], cfg.shots, rng, "poisson")
+
+
+@pytest.mark.parametrize("ideal", [False, True], ids=["noisy", "ideal"])
+def test_the_sweeps_validate_their_states_without_eigvalsh(ideal, monkeypatch):
+    # the LDL^H screen passes every state the sweeps build, so the eigen-solver stays the exception
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(matrices, *args, **kwargs):
+        calls.append(len(matrices))
+        return eigvalsh(matrices, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for mode in ("multinomial", "poisson"):
+        cfg = grid_config("counts-demo", 17, 40, ideal=ideal, shots=100_000, sampling=mode)  # 680 rows: 3 blocks
+        assert len(sweeps._sample(cfg, sweeps._grid(cfg)[1], sweeps.ket_to_density)) == 680
+    _, rows = sweeps.run_tomography_demo(grid_config("tomography-demo", 4, 6, ideal=ideal, shots=300))
+    assert len(list(rows)) == 24
+    assert calls == []
 
 
 @pytest.mark.parametrize("mode", ["multinomial", "poisson"])

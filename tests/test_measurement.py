@@ -22,7 +22,7 @@ from sloccsim import (
 from sloccsim import measurement, mixture
 from sloccsim.config import ExperimentConfig, resolve
 from sloccsim.measurement import ROTATION_PAIR, SAMPLING_MODES, bootstrap_zz, read_tallies
-from sloccsim.sweeps import run_scenario
+from sloccsim.sweeps import row_generators, run_scenario
 from sloccsim.states import DensityMatrix4
 
 import oracles
@@ -36,6 +36,7 @@ from oracles import (
     expectation_oracle,
     phase_spread_oracle,
     rotation_matrix_by_kron,
+    row_generator_oracle,
     tally_with_zz,
 )
 from physics import expectation_zz
@@ -92,6 +93,38 @@ def test_rotate_density_matches_ket_rotation():
         via_ket = ket_to_density(apply_rotation(ket))
         via_rho = rotate_density(ket_to_density(ket))
         assert np.allclose(via_ket, via_rho, atol=1e-12)
+
+
+# exact zeros, a subnormal, and entries at scales far from 1, where a changed rounding shows
+SPECIAL_ENTRIES = (0.0, -0.0, 5e-324, -5e-324)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    shape=st.one_of(
+        st.just((4, 4)),
+        st.just((2, 3, 4, 4)),
+        st.integers(min_value=1, max_value=600).map(lambda n: (n, 4, 4)),
+    ),
+    scale=st.sampled_from([1.0, 1e-300, 1e300, 1e-150]),
+    special_share=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(shape=(257, 4, 4), scale=1.0, special_share=0.3, seed=0)
+@example(shape=(1, 4, 4), scale=1e300, special_share=0.0, seed=1)
+def test_rotate_density_keeps_the_per_matrix_bits(shape, scale, special_share, seed):
+    rng = np.random.default_rng(seed)
+    parts = []
+    for _ in range(2):  # real and imaginary parts, each with its own specials
+        part = rng.normal(size=shape) * scale
+        mask = rng.random(shape) < special_share
+        part[mask] = rng.choice(SPECIAL_ENTRIES, size=int(mask.sum()))
+        parts.append(part)
+    matrices = parts[0] + 1j * parts[1]
+    got = rotate_density(matrices)
+    expected = oracles.rotate_density_oracle(matrices)
+    assert got.shape == shape and got.dtype == np.complex128
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_outcome_probs_of_rotated_bell():
@@ -302,6 +335,38 @@ def test_poisson_channels_drawn_one_by_one_match_the_array_draw(probs, total):
         assert counts[0].tolist() == expected
         assert rng.bit_generator.state == reference.bit_generator.state
         assert counts[0].tolist() == draw(probs, total, seed, mode="poisson")
+
+
+@pytest.mark.parametrize("mode", SAMPLING_MODES)
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257])
+def test_sample_counts_equals_the_per_row_chain(n, mode):
+    rng = np.random.default_rng(n)
+    probs = rng.dirichlet(np.ones(4), size=n)
+    probs[rng.random((n, 4)) < 0.1] = 0.0  # exact zeros draw nothing in poisson mode
+    probs /= probs.sum(axis=1, keepdims=True)
+    rngs = list(row_generators(11, n))
+    tallies = sample_counts(probs, 10**6, rngs, mode)
+    assert tallies.dtype == np.int64 and tallies.shape == (n, 4)
+    for row in range(n):
+        reference = row_generator_oracle(11, row)
+        assert tallies[row].tolist() == oracles.sample_counts_oracle(probs[row], 10**6, reference, mode)
+        assert rngs[row].bit_generator.state == reference.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    total=st.one_of(
+        st.sampled_from([1, 2**53 - 1, 2**53 + 1, 2**63 - 1]), st.integers(min_value=1, max_value=2**63 - 1)
+    ),
+    probs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=4),
+)
+@example(total=2**53 + 1, probs=[0.1, 0.2, 0.3, 0.4])
+@example(total=2**63 - 1, probs=[1.0, 5e-324, 0.0, 0.7])
+def test_stack_poisson_means_round_as_the_per_channel_products(total, probs):
+    # a total below 2**63 converts to the same double in numpy and in Python
+    row = np.array([probs, probs[::-1]])
+    got = (total * row).tolist()
+    assert [[v.hex() for v in means] for means in got] == [[(total * v).hex() for v in p] for p in row.tolist()]
 
 
 def test_poisson_mean_beyond_the_sampler_range_is_rejected():

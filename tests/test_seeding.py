@@ -115,6 +115,17 @@ def test_seed_outside_u64_is_rejected(seed):
         row_seeds(seed, 2)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_empty_run_checks_the_seed_as_row_seeds_does(seed):
+    # an empty run makes no hash pass, which checked the seed
+    with pytest.raises(ValueError) as expected:
+        row_seeds(seed, 0)
+    assert str(expected.value) == f"seed must be an integer in [0, 2**64 - 1], got {seed}"
+    with pytest.raises(ValueError) as got:
+        list(row_generators(seed, 0))
+    assert str(got.value) == str(expected.value)
+
+
 # every golden digest and bench config seeds below 2**32, a one-word seed
 TWO_WORD_RUNS = {
     "counts-demo-poisson": (

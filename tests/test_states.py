@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from sloccsim import DensityMatrix4, PreparationSettings, fidelity_pure, ket_to_density
 from sloccsim.config import ExperimentConfig, resolve
 from sloccsim.mixture import mixed_state
-from sloccsim.states import TWO_PI, canonical_phase, validate_densities
+from sloccsim import states, sweeps
+from sloccsim.states import PSD_ATOL, TWO_PI, canonical_phase, validate_densities
 from sloccsim.tomography import extract_params
 
 from oracles import (
@@ -22,6 +24,7 @@ from oracles import (
     labelled_single,
     normalize,
     random_unit_pair,
+    validate_densities_oracle,
 )
 from physics import (
     DegenerateStateError,
@@ -249,6 +252,60 @@ def test_validate_densities_rejects_a_non_finite_stack(value, where):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not Hermitian"):
             validate_densities(stack)
+
+
+# smallest eigenvalues across the screen's shift (-PSD_ATOL / 2) and the rule's bound (-PSD_ATOL)
+BOUNDARY_EIGMINS = sorted(
+    {edge * (1.0 + d) for edge in (-0.5 * PSD_ATOL, -PSD_ATOL) for d in (-1e-3, -1e-6, 0.0, 1e-6, 1e-3)}
+    | {-4.9e-11, -5.1e-11, -9.99e-11, -1.0001e-10, -1.01e-10, 0.0, -1e-16, -1e-12, -2e-10, -1e-3, -0.3}
+)
+
+
+def boundary_bank(rng, eigmin):
+    """Q diag(eigmin, a, b, c) Q^H for a random unitary Q, with unit trace."""
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    rest = rng.dirichlet(np.ones(3)) * (1.0 - eigmin)
+    return (q * np.array([eigmin, *rest])) @ q.conj().T
+
+
+def check_outcome(check, stack):
+    """None if ``check`` accepts the stack, returning it unchanged, else its message."""
+    try:
+        assert check(stack) is stack
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_validate_densities_decides_as_eigvalsh_on_every_stack():
+    rng = np.random.default_rng(34)
+    bank = [(eigmin, boundary_bank(rng, eigmin)) for eigmin in BOUNDARY_EIGMINS for _ in range(40)]
+    ideal = resolve(ExperimentConfig(), "counts-demo", ideal=True)
+    _, kets = sweeps._grid(dataclasses.replace(ideal, phi_list=tuple(np.linspace(-7.0, 7.0, 97))))
+    pure = ket_to_density(kets)
+    good = pure[:5] * 0.9 + np.eye(4) * 0.025
+    bad = [matrix for eigmin, matrix in bank if eigmin in (-0.3, -1.01e-10)][::40]
+    not_hermitian = good[0].copy()
+    not_hermitian[0, 1] += 0.1
+    stacks = [matrix[None] for _, matrix in bank]
+    stacks += [pure, pure[:1], pure[-1:], good.reshape(5, 1, 4, 4)]
+    stacks += [np.concatenate([good[:i], matrix[None], good[i:]]) for i in (0, 2, 5) for matrix in bad]
+    stacks += [np.stack([matrix for eigmin, matrix in bank if eigmin >= -1.0001e-10])]
+    stacks += [np.concatenate([good, matrix[None], good[:2] * 2.0]) for matrix in (*bad, not_hermitian)]
+    stacks += [np.concatenate([good, bad[0][None], not_hermitian[None]])]
+    rejected = 0
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert states._psd_screen(pure).all()  # pure states take the screen alone
+        for stack in stacks:
+            expected = check_outcome(validate_densities_oracle, stack)
+            assert check_outcome(validate_densities, stack) == expected
+            rejected += expected is not None
+    # both sides of each edge are in the bank: far enough below -PSD_ATOL fails, above passes
+    assert 0 < rejected < len(stacks)
+    for eigmin, matrix in bank:
+        if eigmin <= -1.0001e-10 or eigmin >= -9.99e-11:
+            assert (check_outcome(validate_densities, matrix[None]) is None) == (eigmin >= -9.99e-11)
 
 
 def test_fidelity_pure_basics():
