@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -262,14 +263,14 @@ DEFAULT_SHOTS = 5000
 
 
 def check_seed(seed: int) -> None:
-    """The seed rule: a run seed is a u64, one or two uint32 words of each row's entropy."""
-    if not 0 <= seed < 2**64:
+    """The seed rule: a run seed is a u64, one or two uint32 words of each row's entropy; numpy integers pass."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
         raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {seed}")
 
 
 def check_row_count(rows: int) -> None:
-    """The row limit: 0 to ROW_LIMIT - 1 rows."""
-    if not 0 <= rows < ROW_LIMIT:
+    """The row limit: an integer count of 0 to ROW_LIMIT - 1 rows."""
+    if not (isinstance(rows, numbers.Integral) and 0 <= rows < ROW_LIMIT):
         raise ValueError(f"row count {rows} is outside [0, 2**32 - 1]: a row's seed holds its index in one uint32 word")
 
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LowIndistinguishabilityError, TallyRowError
-from .states import ATOL, PSD_ATOL
+from .states import ATOL, PSD_ATOL, stack_of
 
 # kron(R, R) of the single-spin pi/4 mixing R = [[1, -1], [1, 1]] / sqrt(2),
 # written with exact +-0.5 entries so the two-spin rotation is exactly
@@ -59,6 +60,7 @@ def rotate_density(matrices: np.ndarray) -> np.ndarray:
 
 def outcome_probs(rotated: np.ndarray) -> np.ndarray:
     """Coincidence probabilities (13, 14, 23, 24) of a (..., 4, 4) stack of rotated states."""
+    rotated = stack_of(rotated, (4, 4), "rotated states")
     diag = rotated.diagonal(axis1=-2, axis2=-1).real
     if not diag.min() >= -PSD_ATOL:  # a NaN fails each test
         raise ValueError("density matrix diagonal is negative beyond tolerance")
@@ -76,8 +78,8 @@ def check_sampling(mode: str) -> None:
 
 
 def check_shots(shots: int) -> None:
-    """The shots rule of every sampler: 1 to 2**63 - 1 draws, so that a drawn tally fits int64."""
-    if not 1 <= shots < 2**63:
+    """The shots rule of every sampler: an integer 1 to 2**63 - 1 draws, so that a drawn tally fits int64."""
+    if not (isinstance(shots, numbers.Integral) and 1 <= shots < 2**63):
         raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {shots}")
 
 

@@ -8,13 +8,14 @@ measured correlation once both phases are known.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 from .errors import DegeneratePhasesError
 from .measurement import correlation_scale, read_tallies, row_blocks
-from .slocc import PreparationSettings, lr_kets
-from .states import ket_to_density
+from .slocc import PreparationSettings, lr_ket_blocks
+from .states import canonical_phase, check_phase, ket_to_density
 
 import numpy as np
 
@@ -34,13 +35,15 @@ def check_weights(weights) -> np.ndarray:
 def mixed_state(weights, phi1: float, phi2: float, beta: float) -> np.ndarray:
     """w |psi(phi1)><psi(phi1)| + (1 - w) |psi(phi2)><psi(phi2)| per weight w, as (N, 4, 4)."""
     w = check_weights(weights)[:, None, None]
-    first, second = ket_to_density(lr_kets([PreparationSettings(beta, phi) for phi in (phi1, phi2)]))
+    beta = PreparationSettings(beta).beta
+    phases = [cmath.exp(1j * canonical_phase(phi)) for phi in (phi1, phi2)]
+    first, second = ket_to_density(lr_ket_blocks([(beta, phases)]))
     return w * first + (1.0 - w) * second
 
 
 def mixture_expectation(weights, phi1: float, phi2: float, beta: float) -> np.ndarray:
     """sin(2 beta) * (w cos phi1 + (1 - w) cos phi2) per weight w, as float64; linear in the weight."""
-    w = np.asarray(weights, dtype=np.float64)
+    w = check_weights(weights)
     return math.sin(2.0 * beta) * (w * math.cos(phi1) + (1.0 - w) * math.cos(phi2))
 
 
@@ -56,7 +59,7 @@ class MixtureEstimate:
 
 def cosine_contrast(phi1: float, phi2: float) -> float:
     """cos(phi1) - cos(phi2), which must exceed 1e-6 in size for the weight to show in zz."""
-    contrast = math.cos(phi1) - math.cos(phi2)
+    contrast = math.cos(check_phase(phi1)) - math.cos(check_phase(phi2))
     if abs(contrast) <= MIN_COS_CONTRAST:
         raise DegeneratePhasesError(
             "cos(phi1) equals cos(phi2); the weight does not affect the signal"

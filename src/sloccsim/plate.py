@@ -27,8 +27,8 @@ class PlateGeometry:
     wavelength: float = 800e-9
 
     def __post_init__(self) -> None:
-        if self.thickness <= 0.0 or self.radius <= 0.0 or self.wavelength <= 0.0:
-            raise ValueError("thickness, radius and wavelength must be positive")
+        if not all(0.0 < length < math.inf for length in (self.thickness, self.radius, self.wavelength)):
+            raise ValueError("thickness, radius and wavelength must be positive and finite")
         if not self.index > self.ambient_index >= 1.0:
             raise ValueError("plate index must exceed the ambient index (>= 1)")
         if not math.isfinite(self.phase_scale):

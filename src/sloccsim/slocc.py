@@ -6,9 +6,10 @@ Keeping only one detection per region, which succeeds with probability
 1/2, leaves cos(beta) on ``|L-up R-down>`` and exp(i*phi) * sin(beta) on
 ``|L-down R-up>``.  The exchange phase phi enters as the weight on the
 swapped term of the amplitude rule, so post-selection turns particle
-nature into entanglement.  :func:`lr_ket_blocks` is the one place
-where it enters the program; ``tests/physics.py`` derives the same kets
-from the amplitude rule, step by step.
+nature into entanglement.  :func:`lr_ket_blocks` builds every ket the
+program uses, a grid's stack or :func:`prepare_lr`'s one, so it is the one
+place where phi enters; ``tests/physics.py`` derives the same kets from
+the amplitude rule, step by step.
 """
 
 from __future__ import annotations
@@ -41,22 +42,17 @@ class PreparationSettings:
 
 
 def prepare_lr(settings: PreparationSettings) -> np.ndarray:
-    """Post-selected unit ket of the half/half vs (sin b, cos b) preparation: ``lr_kets([settings])[0]``.
+    """Post-selected unit ket of the half/half vs (sin b, cos b) preparation.
 
     The (4,) complex array (0, cos b, exp(i phi) sin b, 0), which the
     amplitude rule gives up to a global phase for every (beta, phi).  The
-    pipeline builds stacks with lr_kets; perfbench's tracer pins this name.
+    pipeline builds its stacks with lr_ket_blocks directly; perfbench's tracer pins this name.
     """
-    return lr_kets([settings])[0]
-
-
-def lr_kets(settings) -> np.ndarray:
-    """prepare_lr's kets for a sequence of PreparationSettings, as (N, 4); the trig stays scalar."""
-    return lr_ket_blocks([(prep.beta, [cmath.exp(1j * prep.phi)]) for prep in settings])
+    return lr_ket_blocks([(settings.beta, [cmath.exp(1j * settings.phi)])])[0]
 
 
 def lr_ket_blocks(blocks) -> np.ndarray:
-    """lr_kets of (checked beta, [exp(1j * phi), ...]) blocks, block after block."""
+    """prepare_lr's kets of (checked beta, [exp(1j * phi), ...]) blocks, block after block, as (N, 4)."""
     # trig once per distinct angle, kept scalar: numpy's vectorised cos/sin may differ in the last bit
     trig = [(math.cos(beta), math.sin(beta), phases) for beta, phases in blocks]
     kets = np.zeros((sum(len(phases) for *_, phases in trig), 4), dtype=np.complex128)

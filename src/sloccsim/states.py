@@ -28,15 +28,29 @@ NORM_ATOL = 1e-9  # input normalisation guard; internally produced kets hold 1e-
 TWO_PI = 2.0 * math.pi
 
 
+def check_phase(x: float) -> float:
+    """The phase rule: x is finite.  Returns float(x), unreduced."""
+    phi = float(x)
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got {x!r}")
+    return phi
+
+
+def stack_of(values, trailing: tuple[int, ...], noun: str) -> np.ndarray:
+    """The shape rule of a stack: ``values`` as an array whose last axes are ``trailing``."""
+    values = np.asarray(values)
+    if values.shape[-len(trailing) :] != trailing:
+        raise ValueError(f"{noun} must have shape (..., {', '.join(map(str, trailing))}), got {values.shape}")
+    return values
+
+
 def canonical_phase(x: float) -> float:
     """x reduced into [0, 2*pi), so that reducing twice equals reducing once.
 
     A bare ``x % TWO_PI`` rounds a tiny negative x up to exactly ``TWO_PI``,
-    and turns an infinite or NaN x into NaN, which is rejected instead.
+    and turns an infinite or NaN x into NaN, which ``check_phase`` rejects first.
     """
-    phi = float(x) % TWO_PI
-    if math.isnan(phi):
-        raise ValueError(f"phase must be finite, got {x!r}")
+    phi = check_phase(x) % TWO_PI
     return 0.0 if phi == TWO_PI else phi
 
 
@@ -77,10 +91,11 @@ def _psd_screen(stack: np.ndarray) -> np.ndarray:
 
 
 def validate_densities(matrices: np.ndarray) -> np.ndarray:
-    """Return a (..., 4, 4) stack unchanged if every matrix passes DensityMatrix4's checks.
+    """Return a (..., 4, 4) stack, as an array, if every matrix passes DensityMatrix4's checks.
 
     Only a stack that ``_psd_screen`` rejects runs ``eigvalsh``, which decides it.
     """
+    matrices = stack_of(matrices, (4, 4), "density matrices")
     stack = matrices.reshape(-1, 4, 4)
     re, im = stack.real, stack.imag
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, and a NaN fails each test
@@ -109,6 +124,7 @@ def check_unit_kets(norm_sq: np.ndarray) -> None:
 
 def ket_to_density(kets: np.ndarray) -> np.ndarray:
     """Rank-one projectors |k><k| of a (..., 4) stack of unit kets, as (..., 4, 4)."""
+    kets = stack_of(kets, (4,), "kets")
     norm_sq = (kets.conj()[..., None, :] @ kets[..., :, None]).real
     check_unit_kets(norm_sq)
     return kets[..., :, None] * kets.conj()[..., None, :] / norm_sq

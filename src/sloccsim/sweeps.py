@@ -5,21 +5,24 @@ a one-pass iterator that converts the numeric result columns ``BLOCK_ROWS``
 rows at a time, and ``render_csv`` writes them to a text stream block by
 block, so neither the rows nor the CSV text are ever held whole.
 
-A grid scenario holds its points as one (N, 4) ket stack, a mixture sweep as
-its weights.  ``_in_blocks`` walks them once, in ``row_blocks`` blocks: each
-block's validated noisy states are built, read out (rotation and diagonal, or
-the tomography settings), drawn from the block's own row streams and, in
-tomography, reconstructed, so no state, probability or count table spans more
-than a block; the blocks give the bits of a whole-stack call.  The estimators
-work through their stacks a block at a time too.  Row i draws its counts from
-the stream of ``default_rng(SeedSequence([seed, i]).generate_state(1,
-uint64)[0])``, so rows never depend on evaluation order and identical configs
-reproduce identical files.  ``row_seeds`` and ``row_generators`` reach those
-streams without building a SeedSequence per row: both SeedSequence hashes run
-as uint32 array operations over many rows at once (``HASH_ROWS`` rows at a
-time in ``row_generators``), and numpy's PCG64 seeds each row's own Generator
-from its hashed words.  The streams, and so every count, are the same as with
-the per-row objects.
+A grid scenario holds its points as one (N, 4) ket stack beside its beta and
+phi columns, a mixture sweep as its weights.  ``_on_grid`` is the one place
+that writes a grid's row order, beta outermost, and a runner's rows are its
+1-D columns read side by side by ``_column_rows``.  ``_in_blocks`` walks the
+points once, in ``row_blocks`` blocks: each block's validated noisy states are
+built, read out (rotation and diagonal, or the tomography settings), drawn
+from the block's own row streams and, in tomography, reconstructed, so no
+state, probability or count table spans more than a block; the blocks give the
+bits of a whole-stack call.  The estimators work through their stacks a block
+at a time too.  Row i draws its counts from the stream of
+``default_rng(SeedSequence([seed, i]).generate_state(1, uint64)[0])``, so rows
+never depend on evaluation order and identical configs reproduce identical
+files.  ``row_seeds`` and ``row_generators`` reach those streams without
+building a SeedSequence per row: both SeedSequence hashes run as uint32 array
+operations over many rows at once (``HASH_ROWS`` rows at a time in
+``row_generators``), and numpy's PCG64 seeds each row's own Generator from its
+hashed words.  The streams, and so every count, are the same as with the
+per-row objects.
 """
 
 from __future__ import annotations
@@ -107,7 +110,7 @@ def row_seeds(seed: int, n: int, count: int = 1) -> np.ndarray:
     Column 0 does not depend on ``count``.
     """
     check_row_count(n)
-    return _as_uint64(_row_words(int(seed), np.arange(n, dtype=np.uint32), count))
+    return _as_uint64(_row_words(seed, np.arange(n, dtype=np.uint32), count))
 
 
 def point_seeds(seed: int, index: int, count: int = 2) -> list[int]:
@@ -116,7 +119,7 @@ def point_seeds(seed: int, index: int, count: int = 2) -> list[int]:
     The pipeline does not call this; perfbench's tracer pins this name.  ``index`` takes a row count's bounds.
     """
     check_row_count(index)
-    words = _row_words(int(seed), np.array([index], dtype=np.uint32), count)
+    words = _row_words(seed, np.array([index], dtype=np.uint32), count)
     return _as_uint64(words)[0].tolist()
 
 
@@ -151,7 +154,7 @@ def row_generators(seed: int, n: int):
     for start in range(0, n, HASH_ROWS):
         # each count seed as its two uint32 words; a zero high word hashes as if absent
         indices = np.arange(start, min(start + HASH_ROWS, n), dtype=np.uint32)
-        count_seeds = _row_words(int(seed), indices, 1)
+        count_seeds = _row_words(seed, indices, 1)
         words = _as_uint64(_seed_sequence(count_seeds, 8)).astype(np.uint64, copy=False)
         for row in words:
             yield Generator(PCG64(RowWords(row)))
@@ -176,11 +179,16 @@ def _in_blocks(stage, rows, seed: int) -> np.ndarray:
     return out
 
 
+def _on_grid(cfg: ResolvedConfig, per_beta, per_phi):
+    """Length-N columns of a value per beta and a value per phi, in the grid's one row order: beta outermost."""
+    return np.repeat(per_beta, len(cfg.phi_list)), np.tile(per_phi, len(cfg.beta_list))
+
+
 def _grid(cfg: ResolvedConfig):
-    """A grid scenario's (beta, phi) rows, beta outermost, as one pass, and its (N, 4) kets; each angle checked once."""
+    """A grid scenario's (N, 4) kets and its beta and phi columns in radians; each angle checked once."""
     phases = [cmath.exp(1j * canonical_phase(phi)) for phi in cfg.phi_list]
     kets = lr_ket_blocks([(PreparationSettings(beta).beta, phases) for beta in cfg.beta_list])
-    return itertools.product(cfg.beta_list, cfg.phi_list), kets
+    return (kets, *_on_grid(cfg, cfg.beta_list, cfg.phi_list))
 
 
 def _noisy(cfg: ResolvedConfig, ideals: np.ndarray) -> np.ndarray:
@@ -203,10 +211,9 @@ def _sample(cfg: ResolvedConfig, rows, ideals) -> np.ndarray:
 
 
 def _column_rows(*columns):
-    """The rows of equal-length numeric columns, as tuples of Python numbers, in one pass.
+    """The rows of equal-length 1-D numeric columns, as tuples of Python numbers, in one pass.
 
-    A 2-D column gives each row a list.  Each block of BLOCK_ROWS rows is
-    converted by ``tolist`` when the pass reaches it, so no N-row list is built.
+    Each BLOCK_ROWS block is converted by ``tolist`` when the pass reaches it, so no N-row list is built.
     """
     for block in row_blocks(len(columns[0])):
         yield from zip(*(column[block].tolist() for column in columns))
@@ -224,25 +231,20 @@ def run_phase_sweep(cfg: ResolvedConfig):
     Also serves the beta-sweep scenario; the two differ only in which list
     the configuration varies.
     """
-    grid, kets = _grid(cfg)
+    kets, betas, phis = _grid(cfg)
     tallies = _sample(cfg, kets, ket_to_density)
     del kets  # the estimator's working set need not hold the kets beside it
     vis = cfg.noise.visibility
-    betas = [beta for beta in cfg.beta_list for _ in cfg.phi_list]
     try:
         est = estimate_phase(tallies, betas, vis)
     except TallyRowError as exc:
-        beta_index, phi_index = divmod(exc.row, len(cfg.phi_list))
-        beta, phi = cfg.beta_list[beta_index], cfg.phi_list[phi_index]
-        name = f"beta {math.degrees(beta):.12g} deg, phi {phi:.12g} rad"
+        name = f"beta {math.degrees(betas[exc.row]):.12g} deg, phi {phis[exc.row]:.12g} rad"
         raise ValueError(f"row {exc.row} ({name}): {exc}") from None
-    # the grid runs beta outermost: one sin per beta, one cos per phi
-    sines = np.array([math.sin(2.0 * beta) for beta in cfg.beta_list])
-    cosines = np.array([math.cos(phi) for phi in cfg.phi_list])
-    zz_ideal = np.multiply.outer(sines, cosines).ravel()
-    columns = (np.tile(cosines, len(sines)), zz_ideal, vis * zz_ideal, est.zz_hat, est.zz_sigma, est.phi_hat, est.sigma)
-    rows = zip(grid, _column_rows(*columns))
-    return PHASE_SWEEP_HEADER, ((math.degrees(beta), phi, *values) for (beta, phi), values in rows)
+    # one sin per beta, one cos per phi
+    sines, cosines = _on_grid(cfg, [math.sin(2.0 * b) for b in cfg.beta_list], [math.cos(p) for p in cfg.phi_list])
+    zz_ideal = sines * cosines
+    columns = (cosines, zz_ideal, vis * zz_ideal, est.zz_hat, est.zz_sigma, est.phi_hat, est.sigma)
+    return PHASE_SWEEP_HEADER, _column_rows(np.degrees(betas), phis, *columns)
 
 
 MIXTURE_HEADER = ["p", "phi1_rad", "phi2_rad", "zz_ideal", "zz_sampled", "p_hat_raw", "p_hat", "p_err"]
@@ -257,9 +259,9 @@ def run_mixture_sweep(cfg: ResolvedConfig):
         est = estimate_p(tallies, phi1, phi2, beta, cfg.noise.visibility)
     except TallyRowError as exc:
         raise ValueError(f"row {exc.row} (p {cfg.p_list[exc.row]:.12g}): {exc}") from None
-    ideals = mixture_expectation(cfg.p_list, phi1, phi2, beta)
-    rows = zip(cfg.p_list, _column_rows(ideals, est.zz_hat, est.p_raw, est.p_hat, est.sigma))
-    return MIXTURE_HEADER, ((p, phi1, phi2, *values) for p, values in rows)
+    n = len(cfg.p_list)
+    columns = (mixture_expectation(cfg.p_list, phi1, phi2, beta), est.zz_hat, est.p_raw, est.p_hat, est.sigma)
+    return MIXTURE_HEADER, _column_rows(np.array(cfg.p_list), np.full(n, phi1), np.full(n, phi2), *columns)
 
 
 PLATE_HEADER = ["x_mm", "phi_unwrapped_rad", "phi_wrapped_rad"]
@@ -276,10 +278,12 @@ COUNTS_HEADER = ["beta_deg", "phi_rad", "n13", "n14", "n23", "n24", "total"]
 
 def run_counts_demo(cfg: ResolvedConfig):
     """Raw coincidence tallies per (beta, phi)."""
-    grid, kets = _grid(cfg)
-    rows = zip(grid, _column_rows(_sample(cfg, kets, ket_to_density)))
-    # each tally row as Python ints, whose sum is exact: Poisson totals can pass 2**63 - 1
-    return COUNTS_HEADER, ((math.degrees(beta), phi, *counts, sum(counts)) for (beta, phi), (counts,) in rows)
+    kets, betas, phis = _grid(cfg)
+    tallies = _sample(cfg, kets, ket_to_density)
+    rows = _column_rows(np.degrees(betas), phis, *tallies.T)
+    # each tally as a Python int, so the sum is exact: Poisson totals can pass 2**63 - 1
+    counts = ((beta, phi, n13, n14, n23, n24, n13 + n14 + n23 + n24) for beta, phi, n13, n14, n23, n24 in rows)
+    return COUNTS_HEADER, counts
 
 
 TOMOGRAPHY_HEADER = [
@@ -306,18 +310,16 @@ def run_tomography_demo(cfg: ResolvedConfig):
         probs = setting_probabilities(_noisy(cfg, ket_to_density(block)))
         return reconstruct(simulate_tomography(probs, cfg.shots, rngs))
 
-    grid, kets = _grid(cfg)
+    kets, betas, phis = _grid(cfg)
     rho_hats = _in_blocks(stage, kets, cfg.seed)
     del kets
     extracted = extract_params(rho_hats)
     fitted = fit_noise(rho_hats, extracted.kets)
-    fit = (fitted.visibility, fitted.white_weight)
-    cells = rho_hats.view(np.float64).reshape(len(rho_hats), 32)  # re, im interleaved
-    rows = zip(grid, _column_rows(extracted.beta, extracted.phi, extracted.fidelity_to_ideal, cells))
-    return TOMOGRAPHY_HEADER, (
-        (math.degrees(beta), phi, math.degrees(beta_hat), phi_hat, fidelity, *fit, *rho)
-        for (beta, phi), (beta_hat, phi_hat, fidelity, rho) in rows
-    )
+    n = len(rho_hats)
+    fit = (np.full(n, fitted.visibility), np.full(n, fitted.white_weight))
+    cells = rho_hats.view(np.float64).reshape(n, 32).T  # re, im interleaved
+    angles = (np.degrees(betas), phis, np.degrees(extracted.beta), extracted.phi)
+    return TOMOGRAPHY_HEADER, _column_rows(*angles, extracted.fidelity_to_ideal, *fit, *cells)
 
 
 _RUNNERS = {

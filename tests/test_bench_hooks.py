@@ -126,9 +126,9 @@ def test_traced_phase_sweep_estimates_in_one_span_that_tallies_the_clamped_rows(
     from sloccsim.config import load_config, resolve
 
     cfg = resolve(load_config(CLAMPING_SWEEP), scenario="phase-sweep")
-    grid, kets = sweeps._grid(cfg)
-    rows = zip(sweeps._sample(cfg, kets, sweeps.ket_to_density), grid)
-    clamped = sum(estimate_phase_oracle(row, beta, cfg.noise.visibility).clamped for row, (beta, _) in rows)
+    kets, betas, _ = sweeps._grid(cfg)
+    rows = zip(sweeps._sample(cfg, kets, sweeps.ket_to_density), betas)
+    clamped = sum(estimate_phase_oracle(row, beta, cfg.noise.visibility).clamped for row, beta in rows)
     assert clamped > 0
 
     config = tmp_path / "sweep.ini"
@@ -158,7 +158,7 @@ def test_traced_tomography_extracts_in_one_span_that_tallies_the_low_coherence_s
     from sloccsim.tomography import reconstruct, setting_probabilities, simulate_tomography
 
     cfg = resolve(load_config(LOW_COHERENCE_TOMOGRAPHY), scenario="tomography-demo", ideal=True)
-    _, kets = sweeps._grid(cfg)
+    kets, _, _ = sweeps._grid(cfg)
     states = sweeps._noisy(cfg, sweeps.ket_to_density(kets))
     rngs = sweeps.row_generators(cfg.seed, len(states))
     rho_hats = reconstruct(simulate_tomography(setting_probabilities(states), cfg.shots, rngs))

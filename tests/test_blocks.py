@@ -19,7 +19,7 @@ from sloccsim import cli, sweeps
 from sloccsim.config import ExperimentConfig, resolve
 from sloccsim.measurement import outcome_probs, rotate_density, sample_counts
 from sloccsim.noise import fit_noise, noisy_state
-from sloccsim.slocc import PreparationSettings, lr_kets
+from sloccsim.slocc import PreparationSettings, prepare_lr
 from sloccsim.states import ket_to_density, validate_densities
 from sloccsim.tomography import reconstruct, setting_probabilities, simulate_tomography
 
@@ -70,7 +70,7 @@ def test_block_edges_keep_every_bit():
     with contextlib.ExitStack() as stack:
         for patch in patches:
             stack.enter_context(patch)
-        grid, kets = sweeps._grid(cfg)
+        kets, betas, phis = sweeps._grid(cfg)
         tallies = sweeps._sample(cfg, kets, sweeps.ket_to_density)
         sweeps.run_tomography_demo(cfg)  # builds the grid's states a second time
     sizes = {name: [len(rows) for rows in calls[name]] for name in stages}
@@ -83,7 +83,7 @@ def test_block_edges_keep_every_bit():
         "extract_params": [n],
     }
 
-    whole_kets = lr_kets([PreparationSettings(beta, phi) for beta, phi in grid])
+    whole_kets = np.array([prepare_lr(PreparationSettings(beta, phi)) for beta, phi in zip(betas, phis)])
     assert kets.shape == whole_kets.shape and kets.tobytes() == whole_kets.tobytes()
     whole = validate_densities(noisy_state(ket_to_density(whole_kets), cfg.noise))
     # validate_densities returns the block it is given: each run's blocks are its states
@@ -115,10 +115,10 @@ def traced(call):
 def test_grid_and_sample_hold_no_n_row_temporary():
     # 40 x 100 = 4000 rows: (N, 4, 4) states would be 1.02 MB, 16 blocks' worth
     cfg = grid_config("phase-sweep", 40, 100)
-    sweeps._sample(cfg, sweeps._grid(cfg)[1], sweeps.ket_to_density)  # first calls may allocate caches
-    (grid, kets), kept, peak = traced(lambda: sweeps._grid(cfg))
+    sweeps._sample(cfg, sweeps._grid(cfg)[0], sweeps.ket_to_density)  # first calls may allocate caches
+    (kets, betas, phis), kept, peak = traced(lambda: sweeps._grid(cfg))
     assert kets.shape == (4000, 4)
-    # beyond the kets and rows it returns, the grid holds only the Python lists that fill two ket columns
+    # beyond the kets and angle columns it returns, the grid holds only the Python lists that fill two ket columns
     assert peak - kept <= kets.nbytes, (peak - kept) / 1e6
     tallies, kept, peak = traced(lambda: sweeps._sample(cfg, kets, sweeps.ket_to_density))
     assert tallies.shape == (4000, 4)
@@ -132,7 +132,7 @@ def test_poisson_draws_convert_one_block_at_a_time():
     # 50 x 400 = 20 000 rows: a list of every row's four probabilities as Python
     # floats would add about 190 B per row to the arrays the draw holds
     cfg = grid_config("counts-demo", 50, 400, shots=100_000, sampling="poisson")
-    kets = sweeps._grid(cfg)[1]
+    kets = sweeps._grid(cfg)[0]
     sweeps._sample(cfg, kets[: sweeps.BLOCK_ROWS], sweeps.ket_to_density)  # first calls may allocate caches
     tallies, _, peak = traced(lambda: sweeps._sample(cfg, kets, sweeps.ket_to_density))
     assert tallies.shape == (20_000, 4)
@@ -160,7 +160,7 @@ def test_the_sweeps_validate_their_states_without_eigvalsh(ideal, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     for mode in ("multinomial", "poisson"):
         cfg = grid_config("counts-demo", 17, 40, ideal=ideal, shots=100_000, sampling=mode)  # 680 rows: 3 blocks
-        assert len(sweeps._sample(cfg, sweeps._grid(cfg)[1], sweeps.ket_to_density)) == 680
+        assert len(sweeps._sample(cfg, sweeps._grid(cfg)[0], sweeps.ket_to_density)) == 680
     _, rows = sweeps.run_tomography_demo(grid_config("tomography-demo", 4, 6, ideal=ideal, shots=300))
     assert len(list(rows)) == 24
     assert calls == []
@@ -186,7 +186,7 @@ def test_a_bad_row_in_the_last_block_raises_before_any_row_draws(mode):
 def test_fit_noise_holds_no_n_row_stack_beside_its_inputs():
     # 40 x 100 = 4000 states: the (N, 4, 4) targets it is handed are 256 B per state
     cfg = grid_config("tomography-demo", 40, 100)
-    kets = sweeps._grid(cfg)[1]
+    kets = sweeps._grid(cfg)[0]
     targets = validate_densities(noisy_state(ket_to_density(kets), cfg.noise))
     fit_noise(targets[: sweeps.BLOCK_ROWS], kets[: sweeps.BLOCK_ROWS])  # first calls may allocate caches
     fitted, _, peak = traced(lambda: fit_noise(targets, kets))

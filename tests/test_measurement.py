@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import warnings
 
@@ -156,6 +157,24 @@ def test_outcome_probs_rejects_nan():
     for mode in ("multinomial", "poisson"):
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             draw((math.nan, 0.5, 0.25, 0.25), 100, seed=0, mode=mode)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4,)])
+def test_outcome_probs_rejects_a_wrong_trailing_shape(shape):
+    # a (3, 3) matrix gave three "probabilities"
+    rotated = np.eye(3) / 3.0 if shape == (3, 3) else np.full(shape, 0.25)
+    with pytest.raises(ValueError, match=rf"^rotated states must have shape \(\.\.\., 4, 4\), got {re.escape(str(shape))}$"):
+        outcome_probs(rotated)
+
+
+@pytest.mark.parametrize("mode", SAMPLING_MODES)
+def test_sample_counts_takes_integer_shots_only(mode):
+    # 10.5 drew 10 pairs; a numpy integer is an integer
+    probs = (0.4, 0.1, 0.2, 0.3)
+    for shots in (10.5, 10.0, np.float64(10.0)):
+        with pytest.raises(ValueError, match=rf"^shots must be an integer in \[1, 2\*\*63 - 1\], got {shots}$"):
+            draw(probs, shots, seed=3, mode=mode)
+    assert draw(probs, np.int64(10), seed=3, mode=mode) == draw(probs, 10, seed=3, mode=mode)
 
 
 def test_outcome_probs_rejects_a_nan_density():

@@ -15,6 +15,7 @@ from sloccsim import (
     sample_counts,
 )
 from sloccsim.measurement import bootstrap_zz, read_tallies
+from sloccsim.mixture import cosine_contrast
 
 from oracles import pure_density_oracle, tally_with_zz
 from physics import expectation_zz
@@ -132,6 +133,29 @@ def test_estimate_p_rejects_degenerate_settings():
         estimate_p(tallies, 0.0, math.pi, 0.0, 1.0)
     with pytest.raises(ValueError):
         estimate_p(tallies, 0.0, math.pi, math.pi / 4, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_estimate_p_rejects_a_non_finite_phase(bad):
+    # a NaN phase gave all-NaN columns, an infinite one a bare "math domain error"
+    tallies = [sampled(0.5, 0.0, math.pi, math.pi / 4, 1000, 3)]
+    for phases in ((bad, 0.0), (0.0, bad)):
+        with pytest.raises(ValueError, match=rf"^phase must be finite, got {bad}$"):
+            cosine_contrast(*phases)
+        with pytest.raises(ValueError, match=rf"^phase must be finite, got {bad}$"):
+            estimate_p(tallies, *phases, math.pi / 4, 1.0)
+
+
+def test_cosine_contrast_keeps_the_bits_of_an_unreduced_phase():
+    for phi1, phi2 in ((7.5, 0.1), (-1e-300, math.pi), (1e17, 2.0)):
+        assert cosine_contrast(phi1, phi2) == math.cos(phi1) - math.cos(phi2)
+
+
+@pytest.mark.parametrize("weight", [2.0, -0.5, math.nan])
+def test_mixture_expectation_runs_the_weight_rule(weight):
+    # w = 2 extrapolated past the pure states
+    with pytest.raises(ValueError, match=r"^weight must lie in \[0, 1\], got "):
+        mixture_expectation([0.5, weight], 0.0, math.pi, math.pi / 4)
 
 
 def test_half_contrast_pair_needs_more_shots():

@@ -19,7 +19,7 @@ from sloccsim import (
 )
 from sloccsim.config import ExperimentConfig, resolve
 from sloccsim.noise import DEPHASED, WHITE_NOISE, least_squares, noise_floor
-from sloccsim.slocc import lr_ket_blocks, lr_kets
+from sloccsim.slocc import lr_ket_blocks
 from sloccsim.states import DensityMatrix4
 
 from oracles import fit_noise_oracle, noisy_expectation_scaling
@@ -101,7 +101,7 @@ def test_visibility_scaling_law():
 
 def stacked(records):
     """(targets, kets) for fit_noise from (validated target, settings) pairs."""
-    return np.stack([rho.matrix for rho, _ in records]), lr_kets([s for _, s in records])
+    return np.stack([rho.matrix for rho, _ in records]), np.array([prepare_lr(s) for _, s in records])
 
 
 def grid_records(model, betas=(math.pi / 4,), phis=(0.0, 0.9, 1.7, 2.8, 4.1, 5.3)):

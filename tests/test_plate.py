@@ -22,6 +22,15 @@ def test_geometry_defaults_and_validation():
         PlateGeometry(index=1.5, ambient_index=0.9)
 
 
+
+@pytest.mark.parametrize("length", ["thickness", "radius", "wavelength"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-3])
+def test_geometry_takes_positive_finite_lengths_only(length, value):
+    # radius = nan built a plate whose limit was nan m, and radius = inf one with no phase at any x
+    with pytest.raises(ValueError, match="^thickness, radius and wavelength must be positive and finite$"):
+        PlateGeometry(**{length: value})
+
+
 def test_zero_displacement_gives_zero_phase():
     phase = phase_from_displacement(0.0, GEOM)
     assert type(phase) is float

@@ -126,6 +126,24 @@ def test_empty_run_checks_the_seed_as_row_seeds_does(seed):
     assert str(got.value) == str(expected.value)
 
 
+def test_the_seed_and_row_rules_take_integers_only():
+    # each was truncated: 2.5 rows gave 3, and seeds 1.5 and 1.9 gave seed 1's streams
+    with pytest.raises(ValueError, match=r"^row count 2.5 is outside \[0, 2\*\*32 - 1\]"):
+        row_seeds(0, 2.5)
+    with pytest.raises(ValueError, match=r"^row count 1.0 is outside \[0, 2\*\*32 - 1\]"):
+        point_seeds(0, 1.0)
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64 - 1\], got 1.5$"):
+        next(row_generators(1.5, 2))
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64 - 1\], got 1.9$"):
+        point_seeds(1.9, 0)
+    # numpy integers pass, with the streams of the equal int
+    seed = 2**63 + 5
+    assert row_seeds(np.uint64(seed), 3, 2).tolist() == row_seeds(seed, 3, 2).tolist()
+    assert point_seeds(np.uint64(seed), np.int64(2)) == point_seeds(seed, 2)
+    draws = [[rng.integers(2**62) for rng in row_generators(s, np.int32(3))] for s in (np.uint64(seed), seed)]
+    assert draws[0] == draws[1]
+
+
 # every golden digest and bench config seeds below 2**32, a one-word seed
 TWO_WORD_RUNS = {
     "counts-demo-poisson": (

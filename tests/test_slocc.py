@@ -1,3 +1,4 @@
+import cmath
 import math
 from unittest import mock
 
@@ -6,7 +7,7 @@ import pytest
 
 from sloccsim import PreparationSettings, prepare_lr, sweeps
 from sloccsim.config import ExperimentConfig, resolve
-from sloccsim.slocc import lr_ket_blocks, lr_kets
+from sloccsim.slocc import lr_ket_blocks
 
 from oracles import agrees_up_to_phase
 from physics import (
@@ -91,9 +92,10 @@ def test_prepare_lr_examples():
     quarter = prepare_lr(PreparationSettings(math.pi / 4, math.pi / 2))
     assert np.allclose(quarter, [0.0, SQ2, 1j * SQ2, 0.0], atol=1e-12)
     for settings in (PreparationSettings(math.pi / 4, 0.0), PreparationSettings(0.3, 4.1)):
-        ket = prepare_lr(settings)  # the (4,) row of lr_kets, bit for bit
+        ket = prepare_lr(settings)  # a stack's row, bit for bit
         assert ket.shape == (4,) and ket.dtype == np.complex128
-        assert ket.tobytes() == lr_kets([settings])[0].tobytes()
+        stack = lr_ket_blocks([(settings.beta, [1.0, cmath.exp(1j * settings.phi)])])
+        assert ket.tobytes() == stack[1].tobytes()
 
 
 def grid_kets(scenario):
@@ -110,11 +112,11 @@ def grid_kets(scenario):
         return calls[-1][1]
 
     with mock.patch.object(sweeps, "lr_ket_blocks", recorded):
-        grid, _ = sweeps._grid(cfg)
+        _, betas, phis = sweeps._grid(cfg)
     ((blocks, kets),) = calls
     assert [len(phases) for _, phases in blocks] == [len(cfg.phi_list)] * len(cfg.beta_list)
     assert len(cfg.phi_list) > 1
-    return list(grid), kets
+    return list(zip(betas.tolist(), phis.tolist())), kets
 
 
 def test_prepare_lr_equals_pipeline():

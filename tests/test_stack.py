@@ -25,7 +25,7 @@ from sloccsim.config import ExperimentConfig, load_config_file, resolve
 from sloccsim.measurement import outcome_probs, rotate_density, sample_counts
 from sloccsim.mixture import mixed_state
 from sloccsim.noise import noisy_state
-from sloccsim.slocc import lr_kets
+from sloccsim.slocc import lr_ket_blocks, prepare_lr
 from sloccsim.states import ket_to_density, validate_densities
 from sloccsim.tomography import AXES, _project_physical, setting_probabilities
 
@@ -46,7 +46,7 @@ points = st.lists(st.tuples(betas, phis), min_size=1, max_size=12)
 
 def noisy_stack(grid, visibility, white):
     model = NoiseModel(visibility=visibility, white_weight=white, dephasing_weight=1.0 - white)
-    kets = lr_kets([PreparationSettings(beta, phi) for beta, phi in grid])
+    kets = np.array([prepare_lr(PreparationSettings(beta, phi)) for beta, phi in grid])
     return noisy_state(ket_to_density(kets), model)
 
 
@@ -65,8 +65,9 @@ def test_stacked_states_and_probabilities_match_per_point_chain(grid, visibility
 
 
 # A grid checks each beta and reduces each phi once; its kets must equal the
-# per-point lr_kets to the bit, signed zeros included.  pi/2 + 5e-13 is
-# clamped to pi/2, and -1e-300 and 2*pi reduce to 0.
+# per-point prepare_lr kets to the bit, signed zeros included.  pi/2 + 5e-13 is
+# clamped to pi/2, and -1e-300 and 2*pi reduce to 0.  Its angle columns hold
+# the configured angles, unreduced, beta outermost.
 EDGE_BETAS = [0.0, math.pi / 2, math.pi / 2 + 5e-13]
 EDGE_PHIS = [-1e-300, -0.0, 2 * math.pi, -math.pi, 1e17]
 
@@ -77,16 +78,20 @@ EDGE_PHIS = [-1e-300, -0.0, 2 * math.pi, -math.pi, 1e17]
     grid_phis=st.lists(phis | st.sampled_from(EDGE_PHIS + [-1e300]), min_size=1, max_size=6),
 )
 @example(grid_betas=EDGE_BETAS, grid_phis=EDGE_PHIS)
-def test_grid_kets_match_per_point_lr_kets(grid_betas, grid_phis):
+def test_grid_kets_match_per_point_prepare_lr(grid_betas, grid_phis):
     cfg = dataclasses.replace(
         resolve(ExperimentConfig(), scenario="counts-demo"),
         beta_list=tuple(grid_betas),
         phi_list=tuple(grid_phis),
     )
-    _, kets = sweeps._grid(cfg)
-    expected = lr_kets([PreparationSettings(b, p) for b in grid_betas for p in grid_phis])
+    kets, beta_column, phi_column = sweeps._grid(cfg)
+    points = [(b, p) for b in grid_betas for p in grid_phis]
+    expected = np.array([prepare_lr(PreparationSettings(b, p)) for b, p in points])
     assert kets.dtype == expected.dtype and kets.shape == expected.shape
     assert np.array_equal(kets.view(np.uint64), expected.view(np.uint64))
+    for column, angles in ((beta_column, [b for b, _ in points]), (phi_column, [p for _, p in points])):
+        assert column.dtype == np.float64
+        assert np.array_equal(column.view(np.uint64), np.array(angles).view(np.uint64))
 
 
 # Probability rows as the pipeline makes them (exact zeros included at
@@ -293,13 +298,13 @@ def test_mixture_sweep_prepares_its_two_states_once(tmp_path, monkeypatch):
     # eleven weights blend one pair of states: two kets, not two per weight
     prepared = []
 
-    def counted(settings):
-        prepared.extend(settings)
-        return lr_kets(settings)
+    def counted(blocks):
+        prepared.extend(phase for _, phases in blocks for phase in phases)
+        return lr_ket_blocks(blocks)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "sloccsim" and module.__dict__.get("lr_kets") is lr_kets:
-            monkeypatch.setattr(module, "lr_kets", counted)
+        if name.split(".")[0] == "sloccsim" and module.__dict__.get("lr_ket_blocks") is lr_ket_blocks:
+            monkeypatch.setattr(module, "lr_ket_blocks", counted)
     assert main(["mixture-sweep", "--out", str(tmp_path / "out.csv")]) == 0
     assert len(prepared) == 2
 

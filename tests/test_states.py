@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -228,6 +229,32 @@ def test_ket_to_density_rejects_a_nan_ket():
                 ket_to_density(stack)
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2)])
+def test_ket_to_density_rejects_a_wrong_trailing_shape(shape):
+    # (N, 3) kets became (N, 3, 3) matrices
+    kets = np.full(shape, 1.0 / math.sqrt(shape[-1]), dtype=np.complex128)
+    with pytest.raises(ValueError, match=rf"^kets must have shape \(\.\.\., 4\), got {re.escape(str(shape))}$"):
+        ket_to_density(kets)
+
+
+@pytest.mark.parametrize("shape", [(8, 2), (2, 8), (16,), (1, 4, 2, 2)])
+def test_validate_densities_rejects_a_wrong_trailing_shape(shape):
+    # each holds a multiple of 16 entries that a (-1, 4, 4) reshape accepted as one valid state
+    matrices = (np.eye(4, dtype=np.complex128) / 4.0).reshape(shape)
+    message = rf"^density matrices must have shape \(\.\.\., 4, 4\), got {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        validate_densities(matrices)
+    with pytest.raises(ValueError, match=message):
+        validate_densities(matrices.tolist())
+
+
+def test_validate_densities_takes_a_plain_list():
+    state = np.eye(4) / 4.0
+    assert np.array_equal(validate_densities(state.tolist()), state)
+    with pytest.raises(ValueError, match="^density matrix is not Hermitian$"):
+        validate_densities((state + np.triu(np.ones((4, 4)), 1)).tolist())
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
         DensityMatrix4(np.array([[0.5, 1.0], [0.0, 0.5]]))  # wrong shape
@@ -281,7 +308,7 @@ def test_validate_densities_decides_as_eigvalsh_on_every_stack():
     rng = np.random.default_rng(34)
     bank = [(eigmin, boundary_bank(rng, eigmin)) for eigmin in BOUNDARY_EIGMINS for _ in range(40)]
     ideal = resolve(ExperimentConfig(), "counts-demo", ideal=True)
-    _, kets = sweeps._grid(dataclasses.replace(ideal, phi_list=tuple(np.linspace(-7.0, 7.0, 97))))
+    kets, _, _ = sweeps._grid(dataclasses.replace(ideal, phi_list=tuple(np.linspace(-7.0, 7.0, 97))))
     pure = ket_to_density(kets)
     good = pure[:5] * 0.9 + np.eye(4) * 0.025
     bad = [matrix for eigmin, matrix in bank if eigmin in (-0.3, -1.01e-10)][::40]

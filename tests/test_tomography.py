@@ -89,6 +89,10 @@ def test_simulate_tomography_deterministic():
             simulate_tomography(probs, shots, [np.random.default_rng(1)])
     with pytest.raises(ValueError, match=r"shape \(N, 9, 4\)"):
         simulate_tomography(probs[0], 2000, [np.random.default_rng(1)])
+    # 2.5 drew 2 per setting
+    with pytest.raises(ValueError, match=r"^shots must be an integer in \[1, 2\*\*63 - 1\], got 2.5$"):
+        simulate_tomography(probs, 2.5, [np.random.default_rng(1)])
+    assert np.array_equal(simulate_tomography(probs, np.uint32(2000), [np.random.default_rng(5)]), a)
 
 
 def test_simulate_tomography_draws_each_state_from_its_own_generator():
