@@ -49,6 +49,7 @@ from .mixture import check_weights, cosine_contrast
 from .noise import NoiseModel, check_state_count
 from .plate import PlateGeometry, phase_from_displacement, wrap_phase
 from .slocc import PreparationSettings
+from .states import canonical_phase
 
 _ANGLE_UNITS = {"deg": math.pi / 180.0, "rad": 1.0}
 _LENGTH_UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9}
@@ -222,7 +223,7 @@ class ResolvedConfig:
     sampling: str
     beta_list: tuple[float, ...]
     phi_list: tuple[float, ...] | None  # the phases the sweep runs at: a grid's x_list gives them,
-    # and mixture-sweep's two are reduced into [0, 2*pi) as PreparationSettings stores them
+    # and mixture-sweep's two are reduced into [0, 2*pi) by canonical_phase
     x_list: tuple[float, ...] | None
     p_list: tuple[float, ...]
     noise: NoiseModel
@@ -342,8 +343,8 @@ def resolve(config: ExperimentConfig, scenario: str, seed: int | None = None, id
             PreparationSettings(beta)
         plate_phases = x_list and tuple(phase_from_displacement(x, plate) for x in x_list)
         # the estimators' own input checks on the values they will see, before any sampling
-        if scenario == "mixture-sweep":  # its phases as PreparationSettings stores them
-            phi_list = tuple(PreparationSettings(beta_list[0], phi).phi for phi in phi_list)
+        if scenario == "mixture-sweep":  # its phases reduced, as mixed_state reduces them
+            phi_list = tuple(canonical_phase(phi) for phi in phi_list)
             cosine_contrast(*phi_list)
         for beta in beta_list if estimates else ():
             correlation_scale(beta, noise.visibility, estimates)

@@ -51,10 +51,9 @@ def rotate_density(matrices: np.ndarray) -> np.ndarray:
     # into 1e-17 changes how many draws the samplers consume.  Two products
     # over the whole stack, R @ [M1 | ... | Mn] and then its 4 n rows @ R^H,
     # give each matrix the bits of R @ M @ R^H, in two BLAS calls, not 2 n.
-    matrices = np.asarray(matrices)
-    n, rows, cols = matrices.reshape(-1, *matrices.shape[-2:]).shape  # matmul rejects any but 4 x 4
-    left = ROTATION_PAIR @ matrices.reshape(n, rows, cols).swapaxes(0, 1).reshape(rows, n * cols)
-    right = left.reshape(4, n, cols).swapaxes(0, 1).reshape(4 * n, cols) @ ROTATION_PAIR.conj().T
+    matrices = stack_of(matrices, (4, 4), "density matrices")
+    left = ROTATION_PAIR @ matrices.reshape(-1, 4, 4).swapaxes(0, 1).reshape(4, -1)
+    right = left.reshape(4, -1, 4).swapaxes(0, 1).reshape(-1, 4) @ ROTATION_PAIR.conj().T
     return right.reshape(matrices.shape)
 
 
@@ -83,31 +82,32 @@ def check_shots(shots: int) -> None:
         raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {shots}")
 
 
+def check_probabilities(probs: np.ndarray, noun: str) -> np.ndarray:
+    """The samplers' rule: probabilities in [0, 1], each row summing to 1 within ATOL.  Returns the row sums."""
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):  # a NaN fails both comparisons
+        raise ValueError(f"{noun} must lie in [0, 1]")
+    sums = probs.sum(axis=-1, keepdims=True)
+    if np.any(np.abs(sums - 1.0) > ATOL):
+        raise ValueError(f"{noun} must sum to 1")
+    return sums
+
+
 def sample_counts(probs: np.ndarray, total: int, rngs, mode: str = "multinomial") -> np.ndarray:
     """Draw coincidence tallies for an (N, 4) stack of outcome probabilities.
 
-    Row i draws from the i-th Generator of ``rngs``; ``total`` and ``mode``
-    follow ``check_shots`` and ``check_sampling``.  multinomial mode fixes
-    the number of recorded pairs; poisson mode draws each channel
-    independently with mean total * p, so the realised total fluctuates.
-    Returns the (N, 4) int64 tallies (n13, n14, n23, n24); sum a row's total
-    as Python ints, since Poisson totals can pass 2**63 - 1.
-    Identical (probs, total, generator states, mode) give identical counts.
-    The whole stack is checked and renormalised before any row draws; the
-    sweeps hand it one block at a time.  The draws are gathered in one list,
-    which becomes the tally array in one ``np.array`` call.
+    Row i draws from the i-th Generator of ``rngs`` once ``check_shots``,
+    ``check_sampling`` and ``check_probabilities`` pass on the whole stack,
+    which is then renormalised.  multinomial mode fixes the number of
+    recorded pairs; poisson mode draws each channel independently with mean
+    total * p, so the realised total fluctuates.  Returns the (N, 4) int64
+    tallies (n13, n14, n23, n24); sum a row's total as Python ints, since
+    Poisson totals can pass 2**63 - 1.  Identical (probs, total, generator
+    states, mode) give identical counts.
     """
     check_shots(total)
     check_sampling(mode)
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[1] != 4:
-        raise ValueError(f"outcome probabilities must have shape (N, 4), got {probs.shape}")
-    if not np.all((probs >= 0.0) & (probs <= 1.0)):  # a NaN fails both comparisons
-        raise ValueError("outcome probabilities must lie in [0, 1]")
-    sums = probs.sum(axis=-1, keepdims=True)
-    if np.any(np.abs(sums - 1.0) > ATOL):
-        raise ValueError("outcome probabilities must sum to 1")
-    probs = probs / sums
+    probs = stack_of(np.asarray(probs, dtype=np.float64), (4,), "outcome probabilities", rows=None)
+    probs = probs / check_probabilities(probs, "outcome probabilities")
     if mode == "multinomial":
         draws = [rng.multinomial(total, p) for p, rng in zip(probs, rngs, strict=True)]
     else:
@@ -186,6 +186,14 @@ def _zz_spread(same: int, total: int) -> float:
 def row_blocks(n: int):
     """Slices of consecutive BLOCK_ROWS-row blocks covering n rows; the last may be shorter."""
     return (slice(start, start + BLOCK_ROWS) for start in range(0, n, BLOCK_ROWS))
+
+
+def tally_length(tallies, shape_error: str) -> int:
+    """The number of rows of a tally stack; a scalar or None is no stack and raises ``ValueError(shape_error)``."""
+    try:
+        return len(tallies)
+    except TypeError:
+        raise ValueError(shape_error) from None
 
 
 def read_tallies(tallies, shape_error: str, start: int = 0) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
@@ -330,7 +338,7 @@ def estimate_phase(tallies, betas, visibility: float) -> PhaseEstimate:
     sd (``_phase_spread``); ``clamped`` counts the rows whose ratio was clamped.
     """
     shape_error = "estimate_phase takes a stack of N tally rows and N angles"
-    if np.ndim(betas) != 1 or len(betas) != len(tallies):
+    if np.ndim(betas) != 1 or len(betas) != tally_length(tallies, shape_error):
         raise ValueError(shape_error)
     scales = {beta: correlation_scale(beta, visibility, "phase") for beta in dict.fromkeys(betas)}
     phi_hat, sigma, zz_hat, zz_sigma = (np.empty(len(betas)) for _ in range(4))

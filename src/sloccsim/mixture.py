@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegeneratePhasesError
-from .measurement import correlation_scale, read_tallies, row_blocks
+from .measurement import correlation_scale, read_tallies, row_blocks, tally_length
 from .slocc import PreparationSettings, lr_ket_blocks
-from .states import canonical_phase, check_phase, ket_to_density
+from .states import canonical_phase, check_phase, ket_to_density, stack_of
 
 import numpy as np
 
@@ -33,8 +33,8 @@ def check_weights(weights) -> np.ndarray:
 
 
 def mixed_state(weights, phi1: float, phi2: float, beta: float) -> np.ndarray:
-    """w |psi(phi1)><psi(phi1)| + (1 - w) |psi(phi2)><psi(phi2)| per weight w, as (N, 4, 4)."""
-    w = check_weights(weights)[:, None, None]
+    """w |psi(phi1)><psi(phi1)| + (1 - w) |psi(phi2)><psi(phi2)| for each of N weights w, as (N, 4, 4)."""
+    w = check_weights(stack_of(weights, (), "weights", rows=None))[:, None, None]
     beta = PreparationSettings(beta).beta
     phases = [cmath.exp(1j * canonical_phase(phi)) for phi in (phi1, phi2)]
     first, second = ket_to_density(lr_ket_blocks([(beta, phases)]))
@@ -77,8 +77,9 @@ def estimate_p(tallies, phi1: float, phi2: float, beta: float, visibility: float
     contrast = cosine_contrast(phi1, phi2)
     scale = correlation_scale(beta, visibility, "weight")
     shape_error = "estimate_p takes a stack of N tally rows"
-    zz_hat, zz_sigma = np.empty(len(tallies)), np.empty(len(tallies))
-    for block in row_blocks(len(tallies)):
+    n = tally_length(tallies, shape_error)
+    zz_hat, zz_sigma = np.empty(n), np.empty(n)
+    for block in row_blocks(n):
         _, zz_hat[block], zz_sigma[block] = read_tallies(tallies[block], shape_error, block.start)
     p_raw = (zz_hat / scale - math.cos(phi2)) / contrast
     return MixtureEstimate(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import check_unit_kets
+from .states import check_unit_kets, stack_of
 
 WHITE_NOISE = np.eye(4, dtype=np.complex128) / 4.0
 WHITE_NOISE.setflags(write=False)
@@ -51,6 +51,7 @@ def noise_floor(model: NoiseModel) -> np.ndarray:
 
 def noisy_state(ideals: np.ndarray, model: NoiseModel) -> np.ndarray:
     """visibility * ideal + (1 - visibility) * noise floor, over a (..., 4, 4) stack."""
+    ideals = stack_of(ideals, (4, 4), "ideal states")
     return model.visibility * ideals + (1.0 - model.visibility) * noise_floor(model)
 
 
@@ -105,14 +106,9 @@ def fit_noise(targets: np.ndarray, kets: np.ndarray) -> NoiseModel:
     ``least_squares`` finds the exact bounded optimum.  G is never singular:
     ||a||^2 >= 1/2 per unit ket and a is never parallel to b.
     """
-    targets, kets = np.asarray(targets), np.asarray(kets)
+    kets = stack_of(kets, (4,), "kets", rows=None)
     check_state_count(len(kets))
-    if targets.shape != (len(kets), 4, 4):
-        raise ValueError(
-            f"targets must have shape ({len(kets)}, 4, 4), one per ket, got {targets.shape}"
-        )
-    if kets.shape != (len(kets), 4):
-        raise ValueError(f"kets must have shape ({len(kets)}, 4), one per target, got {kets.shape}")
+    targets = stack_of(targets, (4, 4), "targets", rows=len(kets))
     finite = np.isfinite(targets).all(axis=(1, 2))
     if not finite.all():
         raise ValueError(f"targets[{int(np.argmin(finite))}] is not finite")

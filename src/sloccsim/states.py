@@ -36,11 +36,18 @@ def check_phase(x: float) -> float:
     return phi
 
 
-def stack_of(values, trailing: tuple[int, ...], noun: str) -> np.ndarray:
-    """The shape rule of a stack: ``values`` as an array whose last axes are ``trailing``."""
+def stack_of(values, trailing: tuple[int, ...], noun: str, rows=...) -> np.ndarray:
+    """The shape rule of a stack: ``values`` as an array whose last axes are ``trailing``.
+
+    Before them, ``rows=...`` allows any axes, ``(..., 4, 4)``; ``None`` one axis, ``(N, 9, 4)``;
+    an int n one axis of length n, ``(n, 4)``, which holds a pair's second stack to its first.
+    """
     values = np.asarray(values)
-    if values.shape[-len(trailing) :] != trailing:
-        raise ValueError(f"{noun} must have shape (..., {', '.join(map(str, trailing))}), got {values.shape}")
+    leading = values.ndim - len(trailing)  # not shape[-len(trailing):], which is the whole shape for ()
+    fits = leading >= 0 if rows is ... else leading == 1 and rows in (None, values.shape[0])
+    if not (fits and values.shape[leading:] == trailing):
+        axes = ("..." if rows is ... else "N" if rows is None else rows, *trailing)
+        raise ValueError(f"{noun} must have shape ({', '.join(map(str, axes))}), got {values.shape}")
     return values
 
 
@@ -136,11 +143,8 @@ def fidelity_pure(rhos: np.ndarray, kets: np.ndarray) -> np.ndarray:
     ``rhos`` is a plain array, such as ``reconstruct``'s stack; returns the
     length-N float64 fidelities.
     """
-    rhos, kets = np.asarray(rhos), np.asarray(kets, dtype=np.complex128)
-    if kets.ndim != 2 or kets.shape[1] != 4 or rhos.shape != kets.shape + (4,):
-        raise ValueError(
-            f"fidelity_pure takes (N, 4, 4) matrices and (N, 4) kets, got {rhos.shape} and {kets.shape}"
-        )
+    kets = stack_of(np.asarray(kets, dtype=np.complex128), (4,), "kets", rows=None)
+    rhos = stack_of(rhos, (4, 4), "density matrices", rows=len(kets))
     check_unit_kets(np.linalg.norm(kets, axis=1) ** 2)
     values = (kets.conj()[:, None, :] @ (rhos @ kets[:, :, None]))[:, 0, 0].real
     inside = (values >= -PSD_ATOL) & (values <= 1.0 + PSD_ATOL)  # a NaN fails both comparisons

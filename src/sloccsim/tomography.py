@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExtractionError
-from .measurement import check_shots, row_blocks
+from .measurement import check_probabilities, check_shots, row_blocks
 from .slocc import lr_ket_blocks
-from .states import canonical_phase, fidelity_pure, validate_densities
+from .states import canonical_phase, fidelity_pure, stack_of, validate_densities
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -64,6 +64,7 @@ def setting_probabilities(matrices: np.ndarray) -> np.ndarray:
 
     Settings run row-major over AXES (XX, XY, ..., ZZ), sectors (++, +-, -+, --).
     """
+    matrices = stack_of(matrices, (4, 4), "density matrices")
     weights = np.empty((*matrices.shape[:-2], 9, 4))
     stack = matrices[..., None, :, :]
     # one setting at a time: the products of all nine at once held 2.3 kB per row
@@ -77,12 +78,11 @@ def simulate_tomography(probs: np.ndarray, shots_per_setting: int, rngs) -> np.n
     """Multinomial tallies of an (N, 9, 4) stack of setting probabilities, as (N, 9, 4) floats.
 
     State i draws from the i-th Generator of ``rngs``, one multinomial call
-    over its nine settings; ``shots_per_setting`` follows ``check_shots``.
+    over its nine settings, after ``check_shots`` and ``check_probabilities`` have passed.
     """
     check_shots(shots_per_setting)
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 3 or probs.shape[1:] != (9, 4):
-        raise ValueError(f"setting probabilities must have shape (N, 9, 4), got {probs.shape}")
+    probs = stack_of(np.asarray(probs, dtype=np.float64), (9, 4), "setting probabilities", rows=None)
+    check_probabilities(probs, "setting probabilities")  # not renormalised: that would move the draws
     tables = np.empty(probs.shape, dtype=np.float64)
     for table, p, rng in zip(tables, probs, rngs, strict=True):
         table[:] = rng.multinomial(shots_per_setting, p)
@@ -130,9 +130,7 @@ def reconstruct(tables: np.ndarray) -> np.ndarray:
     Returns the (N, 4, 4) stack of density matrices, validated as one
     :func:`validate_densities` call.
     """
-    tables = np.asarray(tables, dtype=np.float64)
-    if tables.ndim != 3 or tables.shape[1:] != (9, 4):
-        raise ValueError(f"outcome weights must have shape (N, 9, 4), got {tables.shape}")
+    tables = stack_of(np.asarray(tables, dtype=np.float64), (9, 4), "outcome weights", rows=None)
     if not np.all(np.isfinite(tables)):
         raise ValueError("outcome weights must be finite")
     if np.any(tables < 0.0):
@@ -177,9 +175,7 @@ def extract_params(rho_hats: np.ndarray) -> ExtractedParams:
     counts in low_coherence.  The read-off stays scalar per row and the kets
     take ``lr_ket_blocks``'s scalar trig, so each value has a one-state read's bits.
     """
-    rho_hats = np.asarray(rho_hats)
-    if rho_hats.ndim != 3 or rho_hats.shape[1:] != (4, 4):
-        raise ValueError(f"extract_params takes an (N, 4, 4) stack, got shape {rho_hats.shape}")
+    rho_hats = stack_of(rho_hats, (4, 4), "reconstructed states", rows=None)
     n, low_coherence = len(rho_hats), 0
     beta, phi, kets = np.empty(n), np.empty(n), np.empty((n, 4), dtype=np.complex128)
     for block in row_blocks(n):  # per-row Python objects live for one block

@@ -105,3 +105,61 @@ def runner(cfg, exc, sines, cosines):
     assert sorted(call for _, call in _grid_layouts(source)) == [
         "divmod", "itertools.product", "nested comprehension", "np.repeat", "np.tile"
     ]
+
+
+# Where a source may compare a shape for equality: the one shape rule, and the tally readers,
+# which read Python-int rows past 2**63 that an array would round to float.
+SHAPE_RULE_SITES = {
+    ("states.py", "stack_of"),
+    ("measurement.py", "read_tallies"),
+    ("measurement.py", "estimate_phase"),
+}
+
+
+def _reads_a_shape(node):
+    return any(
+        (isinstance(n, ast.Attribute) and n.attr in ("shape", "ndim"))
+        or (isinstance(n, ast.Call) and ast.unparse(n.func) == "np.ndim")
+        for n in ast.walk(node)
+    )
+
+
+def _shape_equalities(source):
+    """(top-level function, comparison) for each ``==`` or ``!=`` in ``source`` that reads a shape.
+
+    A shape is read through ``.shape``, ``.ndim`` or ``np.ndim(...)``; an order
+    comparison, such as ``i < entropy.shape[1]``, is no shape rule.
+    """
+    found = []
+    for top in ast.parse(source).body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+                if _reads_a_shape(node):
+                    found.append((name, ast.unparse(node)))
+    return found
+
+
+def test_shapes_are_compared_only_by_the_shape_rule_and_the_tally_readers():
+    sites = {
+        (path.name, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, _ in _shape_equalities(path.read_text(encoding="utf-8"))
+    }
+    assert sites == SHAPE_RULE_SITES
+
+
+def test_the_shape_guard_finds_each_form_of_a_hand_written_shape_check():
+    source = """
+def stage(probs, tables, kets, entropy, i):
+    if probs.ndim != 2 or probs.shape[1] != 4:
+        raise ValueError
+    if np.ndim(tables) == 3 and tables.shape[1:] != (9, 4):
+        raise ValueError
+    if len(kets.shape) == 2 and i < entropy.shape[1]:
+        return kets
+"""
+    assert [comparison for _, comparison in _shape_equalities(source)] == [
+        "probs.ndim != 2", "probs.shape[1] != 4", "np.ndim(tables) == 3", "tables.shape[1:] != (9, 4)",
+        "len(kets.shape) == 2",
+    ]

@@ -23,6 +23,7 @@ from sloccsim import fit_noise, mixed_state, plate, sample_counts, simulate_tomo
 from sloccsim.measurement import SAMPLING_MODES
 from sloccsim.plate import PlateGeometry, phase_from_displacement
 from sloccsim.slocc import PreparationSettings
+from sloccsim.states import canonical_phase
 from sloccsim.errors import ConfigError
 from sloccsim.sweeps import point_seeds, row_generators, row_seeds, run_scenario
 
@@ -252,6 +253,21 @@ def test_resolve_reduces_the_mixture_phases_once(phis):
     resolved = resolve(ExperimentConfig(beta_list=[0.5], phi_list=list(phis)), "mixture-sweep")
     assert resolved.phi_list == tuple(PreparationSettings(0.5, phi).phi for phi in phis)
     assert all(0.0 <= phi < 2.0 * math.pi for phi in resolved.phi_list)
+
+
+def test_resolve_checks_the_mixture_beta_once_and_reduces_its_phases_by_their_own_rule(monkeypatch):
+    # each phase went through PreparationSettings(beta_list[0], phi), a second check of a checked beta
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return PreparationSettings(*args)
+
+    monkeypatch.setattr("sloccsim.config.PreparationSettings", counted)
+    phis = (-1e-300, 10.0)
+    resolved = resolve(ExperimentConfig(beta_list=[0.5], phi_list=list(phis)), "mixture-sweep")
+    assert built == [(0.5,)]
+    assert [phi.hex() for phi in resolved.phi_list] == [canonical_phase(phi).hex() for phi in phis]
 
 
 # scenario -> CSV rows per x of the config below

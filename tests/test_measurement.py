@@ -10,15 +10,19 @@ from hypothesis import strategies as st
 
 from sloccsim import (
     LowIndistinguishabilityError,
+    NoiseModel,
     PreparationSettings,
     TallyRowError,
     estimate_p,
     estimate_phase,
     ket_to_density,
+    noisy_state,
     outcome_probs,
     prepare_lr,
     rotate_density,
     sample_counts,
+    setting_probabilities,
+    simulate_tomography,
 )
 from sloccsim import measurement, mixture
 from sloccsim.config import ExperimentConfig, resolve
@@ -157,6 +161,47 @@ def test_outcome_probs_rejects_nan():
     for mode in ("multinomial", "poisson"):
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             draw((math.nan, 0.5, 0.25, 0.25), 100, seed=0, mode=mode)
+
+
+# A defective row of probabilities and the rule's message.  simulate_tomography drew from each
+# silently: numpy put a missing 0.1 into the last sector, or raised its own pvals message.
+PROBABILITY_DEFECTS = {
+    "sums-to-0.9": ((0.225, 0.225, 0.225, 0.225), "must sum to 1"),
+    "sums-to-1.1": ((0.275, 0.275, 0.275, 0.275), "must sum to 1"),
+    "negative": ((0.5, 0.5, 0.2, -0.2), "must lie in [0, 1]"),
+    "above-1": ((1.5, -0.5, 0.0, 0.0), "must lie in [0, 1]"),
+    "nan": ((math.nan, 0.5, 0.25, 0.25), "must lie in [0, 1]"),
+}
+SAMPLERS = {
+    "sample_counts": ("outcome probabilities", lambda rows, rngs: sample_counts(np.array(rows), 100, rngs)),
+    "simulate_tomography": (
+        "setting probabilities",
+        lambda rows, rngs: simulate_tomography(np.repeat(np.array(rows)[:, None], 9, axis=1), 100, rngs),
+    ),
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+@pytest.mark.parametrize("defect", list(PROBABILITY_DEFECTS.values()), ids=list(PROBABILITY_DEFECTS))
+def test_both_samplers_check_their_probabilities_before_any_draw(defect, sampler):
+    bad, message = defect
+    noun, draw_stack = SAMPLERS[sampler]
+    rngs = [np.random.default_rng(seed) for seed in (1, 2, 3)]
+    before = [rng.bit_generator.state for rng in rngs]
+    with pytest.raises(ValueError) as info:
+        draw_stack([(0.25, 0.25, 0.25, 0.25), bad, (0.25, 0.25, 0.25, 0.25)], rngs)
+    assert info.type is ValueError
+    assert str(info.value) == f"{noun} {message}"
+    assert [rng.bit_generator.state for rng in rngs] == before  # not even the good first row drew
+
+
+def test_setting_probabilities_pass_the_probability_rule_unrenormalised():
+    # tomography must not renormalise (that moves its draws), so its own probabilities must pass as they are
+    rng = np.random.default_rng(7)
+    kets = rng.normal(size=(200, 4)) + 1j * rng.normal(size=(200, 4))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    probs = setting_probabilities(noisy_state(ket_to_density(kets), NoiseModel()))
+    measurement.check_probabilities(probs, "setting probabilities")
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4,)])
@@ -668,6 +713,9 @@ def test_stacked_phase_estimate_reads_an_int_array_as_its_rows():
         ([(10, 10, 10, 10)], math.pi / 4),  # nor is a scalar beta
         ([(10, 10, 10, 10)] * 2, [math.pi / 4]),
         (np.array([10, 10, 10, 10]), [math.pi / 4] * 4),
+        (5, [0.5]),  # a scalar or None is no stack: each raised a bare TypeError from len()
+        (None, [0.5]),
+        (np.array(5), [0.5]),
     ],
 )
 def test_estimate_phase_rejects_a_flat_row_or_a_scalar_beta(tallies, betas):
@@ -748,7 +796,7 @@ def test_estimators_name_a_non_finite_beta(beta):
         assert str(info.value) == f"beta must be finite, got {beta!r}"
 
 
-@pytest.mark.parametrize("tallies", [(10, 10, 10, 10), np.array([10, 10, 10, 10])])
+@pytest.mark.parametrize("tallies", [(10, 10, 10, 10), np.array([10, 10, 10, 10]), 5, None, np.array(5)])
 def test_estimate_p_rejects_a_flat_row(tallies):
     with pytest.raises(ValueError, match="^estimate_p takes a stack of N tally rows$"):
         estimate_p(tallies, 0.0, math.pi, math.pi / 4, 1.0)

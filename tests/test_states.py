@@ -9,12 +9,26 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sloccsim import DensityMatrix4, PreparationSettings, fidelity_pure, ket_to_density
+from sloccsim import (
+    DensityMatrix4,
+    NoiseModel,
+    PreparationSettings,
+    extract_params,
+    fidelity_pure,
+    fit_noise,
+    ket_to_density,
+    mixed_state,
+    noisy_state,
+    reconstruct,
+    rotate_density,
+    sample_counts,
+    setting_probabilities,
+    simulate_tomography,
+)
 from sloccsim.config import ExperimentConfig, resolve
-from sloccsim.mixture import mixed_state
+from sloccsim.slocc import lr_ket_blocks
 from sloccsim import states, sweeps
 from sloccsim.states import PSD_ATOL, TWO_PI, canonical_phase, validate_densities
-from sloccsim.tomography import extract_params
 
 from oracles import (
     agrees_up_to_phase,
@@ -255,6 +269,79 @@ def test_validate_densities_takes_a_plain_list():
         validate_densities((state + np.triu(np.ones((4, 4)), 1)).tolist())
 
 
+@pytest.mark.parametrize(
+    "values, trailing, rows, rule",
+    [
+        ([0.5, 0.25], (), None, None),
+        (0.5, (), None, "N"),  # shape[-0:] is the whole shape: a rule of () must count axes
+        ([[0.5]], (), None, "N"),
+        (0.5, (), ..., None),
+        (np.zeros((2, 3, 4)), (4,), ..., None),
+        (np.zeros((3, 4)), (4,), 3, None),
+        (np.zeros((3, 4)), (4,), 2, "2, 4"),
+        (np.zeros((1, 3, 4)), (4,), 3, "3, 4"),
+        (np.zeros((4, 4)), (4, 4), None, "N, 4, 4"),
+        (np.zeros((4, 4)), (4, 4), ..., None),
+        (np.zeros(4), (4, 4), ..., "..., 4, 4"),
+    ],
+)
+def test_stack_of_rules_the_leading_axes_three_ways(values, trailing, rows, rule):
+    # rule is the shape the message prints, or None where the values fit
+    if rule is None:
+        assert np.array_equal(states.stack_of(values, trailing, "values", rows=rows), values)
+        return
+    with pytest.raises(ValueError) as info:
+        states.stack_of(values, trailing, "values", rows=rows)
+    assert str(info.value) == f"values must have shape ({rule}), got {np.shape(values)}"
+
+
+_KETS = lr_ket_blocks([(math.pi / 4, [1.0, 1j, -1.0])])
+_RHOS = ket_to_density(_KETS)
+
+# Every library input of a fixed shape, given a wrong one: (call, the rule's noun, the shape it
+# prints, the shape given).  Four checked nothing: rotate_density, noisy_state and
+# setting_probabilities failed inside numpy, and mixed_state raised a bare IndexError on a
+# scalar weight and returned a (1, 1, 4, 4) stack for [[0.5]].
+SHAPE_RULES = {
+    "sample_counts": (
+        lambda: sample_counts(np.full((2, 3), 1 / 3), 10, [None] * 2), "outcome probabilities", "N, 4", (2, 3)
+    ),
+    "sample_counts-flat": (lambda: sample_counts(np.full(4, 0.25), 10, [None]), "outcome probabilities", "N, 4", (4,)),
+    "simulate_tomography": (
+        lambda: simulate_tomography(np.full((9, 4), 0.25), 10, [None]), "setting probabilities", "N, 9, 4", (9, 4)
+    ),
+    "reconstruct": (lambda: reconstruct(np.ones((2, 8, 4))), "outcome weights", "N, 9, 4", (2, 8, 4)),
+    "extract_params": (lambda: extract_params(_RHOS[0]), "reconstructed states", "N, 4, 4", (4, 4)),
+    "fidelity_pure-kets": (lambda: fidelity_pure(_RHOS, _KETS[0]), "kets", "N, 4", (4,)),
+    "fidelity_pure-matrices": (lambda: fidelity_pure(_RHOS[:2], _KETS), "density matrices", "3, 4, 4", (2, 4, 4)),
+    "fit_noise-kets": (lambda: fit_noise(_RHOS, _KETS[:, None]), "kets", "N, 4", (3, 1, 4)),
+    "fit_noise-targets": (lambda: fit_noise(_RHOS[:2], _KETS), "targets", "3, 4, 4", (2, 4, 4)),
+    "rotate_density": (lambda: rotate_density(np.eye(3) / 3.0), "density matrices", "..., 4, 4", (3, 3)),
+    "noisy_state": (lambda: noisy_state(np.eye(2) / 2.0, NoiseModel()), "ideal states", "..., 4, 4", (2, 2)),
+    "setting_probabilities": (lambda: setting_probabilities(np.zeros((4, 2))), "density matrices", "..., 4, 4", (4, 2)),
+    "mixed_state-scalar": (lambda: mixed_state(0.5, 0.0, math.pi, 0.3), "weights", "N", ()),
+    "mixed_state-nested": (lambda: mixed_state([[0.5]], 0.0, 1.0, 0.3), "weights", "N", (1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPE_RULES.values()), ids=list(SHAPE_RULES))
+def test_every_fixed_shape_input_gets_the_one_shape_message(case):
+    call, noun, rule, shape = case
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is ValueError
+    assert str(info.value) == f"{noun} must have shape ({rule}), got {shape}"
+
+
+def test_stages_that_checked_no_shape_take_a_plain_list():
+    # noisy_state raised a bare TypeError on a list, setting_probabilities an AttributeError
+    rhos = noisy_state(_RHOS, NoiseModel())
+    stages = (rotate_density, lambda m: noisy_state(m, NoiseModel()), setting_probabilities)
+    for stage in stages:
+        for stack in (rhos, rhos[0]):
+            assert stage(stack.tolist()).tobytes() == stage(stack).tobytes()
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
         DensityMatrix4(np.array([[0.5, 1.0], [0.0, 0.5]]))  # wrong shape
@@ -361,7 +448,7 @@ def test_fidelity_pure_reads_a_stack_and_rejects_nan():
         fidelity_pure(nan_rho, np.stack([bell, other]))
     with pytest.raises(ValueError, match="^kets must have unit norm; rescale them to norm 1 first$"):
         fidelity_pure(rhos, np.stack([bell, np.full(4, math.nan)]))
-    with pytest.raises(ValueError, match=r"takes \(N, 4, 4\) matrices and \(N, 4\) kets"):
+    with pytest.raises(ValueError, match=r"^density matrices must have shape \(1, 4, 4\), got \(2, 4, 4\)$"):
         fidelity_pure(rhos, bell[None])
 
 
